@@ -6,7 +6,9 @@
 // freelists when their exchange resolves) took it below 1.5; these
 // tests keep it there. A regression to per-event timer, closure, or
 // per-MPDU wrapper allocation adds ≈0.5-2 allocs/event and fails the
-// budget.
+// budget. Since every packet is recycled through its network's
+// packet.Pool and the MAC queues keep their arrays, a path that
+// allocates or leaks one packet per segment fails it too.
 package tcphack
 
 import (
@@ -19,8 +21,11 @@ import (
 
 // steadyStateAllocBudget is the allowed mallocs per executed scheduler
 // event once the simulation is warm (measured ≈5 to 6 before PR 4,
-// ≈1.9 after it, and ≈1.45 with PR 5's MPDU/DataFrame pooling).
-const steadyStateAllocBudget = 1.8
+// ≈1.9 after it, ≈1.45 with PR 5's MPDU/DataFrame pooling, 1.079 just
+// before packets were pooled, and 0.395 since: 42902 mallocs over
+// 108586 events). What is left is mostly the HACK driver's per-ACK
+// compressed buffers and hold slices.
+const steadyStateAllocBudget = 0.55
 
 // TestSteadyStateAllocBudget runs the aggregated 802.11n HACK scenario
 // to steady state and asserts the allocation rate per simulated event
@@ -33,9 +38,11 @@ const steadyStateAllocBudget = 1.8
 // Large-N steady state is cheaper per event than the 2-client TCP
 // scenario — UDP sinks allocate no TCP state and the MSDU freelists
 // recycle every data frame — so the gate is much tighter (measured
-// ≈0.11 with the wheel and MSDU freelists). CI runs this test as the
+// ≈0.11 with the wheel and MSDU freelists, and 0.036 since UDP
+// datagrams come from the packet pool and the MAC queues keep their
+// arrays: 9179 mallocs over 258545 events). CI runs this test as the
 // hard allocation gate for the BenchmarkScale workload.
-const scaleAllocBudget = 0.25
+const scaleAllocBudget = 0.05
 
 // TestScaleAllocBudget runs the 100-station grid scenario to steady
 // state on the timing wheel and asserts the per-event allocation rate

@@ -509,3 +509,32 @@ func TestEmitters(t *testing.T) {
 		t.Errorf("CSV header = %q", lines[0])
 	}
 }
+
+// TestMultiBSSBaseHonoursClientsAxis: a multi-BSS base swept over
+// clients must build every point with that point's client count in
+// every BSS. The points share the base's BSS slice, so filling defaults
+// into it in place would let the first point fix the count for all the
+// others (and, with two workers, race on the shared elements).
+func TestMultiBSSBaseHonoursClientsAxis(t *testing.T) {
+	entry, ok := scenario.Lookup("2bss-overlap")
+	if !ok {
+		t.Fatal("2bss-overlap scenario not registered")
+	}
+	rows := Run(Spec{
+		Name:    "2bss-clients",
+		Base:    entry.Config(),
+		Axes:    Axes{Clients: []int{1, 2}},
+		Warmup:  100 * sim.Millisecond,
+		Measure: 100 * sim.Millisecond,
+		Workers: 2,
+	})
+	if len(rows) != 2 {
+		t.Fatalf("%d rows, want 2", len(rows))
+	}
+	for _, r := range rows {
+		if want := 2 * r.Clients; len(r.PerClientMbps) != want {
+			t.Errorf("clients=%d: %d per-client goodputs, want %d (two BSSs × %d)",
+				r.Clients, len(r.PerClientMbps), want, r.Clients)
+		}
+	}
+}

@@ -138,11 +138,13 @@ func forkModel(model ErrorModel, fork func() *rand.Rand) (ErrorModel, bool) {
 // Medium is the broadcast channel. It is driven entirely by the
 // simulation scheduler and is not safe for concurrent use.
 type Medium struct {
-	sched    *sim.Scheduler
-	model    ErrorModel
-	rng      *rand.Rand
-	radios   []Radio
-	active   map[*Transmission]struct{}
+	sched  *sim.Scheduler
+	model  ErrorModel
+	rng    *rand.Rand
+	radios []Radio
+	// active lists the transmissions on the air in start order, so
+	// every scan over it (collision probes above all) is deterministic.
+	active   []*Transmission
 	finishFn func(any) // persistent Post callback for transmission ends
 
 	// Tracer, when non-nil, receives tx_start / tx_end / collision
@@ -166,7 +168,6 @@ type Medium struct {
 	txOwn      []int       // in-flight transmissions per source radio
 	senseBusy  []bool      // last carrier state reported to each radio
 	senseMW    []float64   // summed on-air rx power at each radio
-	activeList []*Transmission
 	noiseMW    float64
 	csMW       float64
 	floorMW    float64
@@ -194,9 +195,8 @@ func New(sched *sim.Scheduler, model ErrorModel) *Medium {
 		model = NoLoss{}
 	}
 	m := &Medium{
-		sched:  sched,
-		rng:    sched.ForkRand(),
-		active: make(map[*Transmission]struct{}),
+		sched: sched,
+		rng:   sched.ForkRand(),
 	}
 	m.finishFn = func(a any) { m.finish(a.(*Transmission)) }
 	if forked, ok := forkModel(model, sched.ForkRand); ok {
@@ -264,7 +264,7 @@ func (m *Medium) Transmit(src Radio, rate phy.Rate, length int, frame any) *Tran
 	// Any overlap collides every involved transmission, both ways. A
 	// transmission ending exactly now does not overlap (its finish event
 	// may simply not have run yet at this instant).
-	for other := range m.active {
+	for _, other := range m.active {
 		if other.End <= now {
 			continue
 		}
@@ -286,9 +286,19 @@ func (m *Medium) Transmit(src Radio, rate phy.Rate, length int, frame any) *Tran
 			r.CarrierBusy()
 		}
 	}
-	m.active[tx] = struct{}{}
+	m.active = append(m.active, tx)
 	m.sched.Post(tx.End, m.finishFn, tx)
 	return tx
+}
+
+// removeActive drops tx from the on-air list, keeping start order.
+func (m *Medium) removeActive(tx *Transmission) {
+	for i, o := range m.active {
+		if o == tx {
+			m.active = append(m.active[:i], m.active[i+1:]...)
+			return
+		}
+	}
 }
 
 func (m *Medium) finish(tx *Transmission) {
@@ -296,7 +306,7 @@ func (m *Medium) finish(tx *Transmission) {
 		m.finishSpatial(tx)
 		return
 	}
-	delete(m.active, tx)
+	m.removeActive(tx)
 	if len(m.active) == 0 {
 		m.AirtimeBusy += m.sched.Now() - m.lastBusyStart
 	}

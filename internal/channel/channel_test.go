@@ -8,6 +8,7 @@ import (
 
 	"tcphack/internal/phy"
 	"tcphack/internal/sim"
+	"tcphack/internal/trace"
 )
 
 // testRadio records channel callbacks.
@@ -465,5 +466,44 @@ func TestIndependentComposition(t *testing.T) {
 	}
 	if p := Independent().LossProb(nil, nil, phy.RateA54, 1500); p != 0 {
 		t.Errorf("empty Independent = %v, want 0 (NoLoss)", p)
+	}
+}
+
+// TestCollisionProbesDeterministic: three overlapping transmissions on
+// the scalar channel must emit their Collision probes in one order on
+// every run, so JSONL traces are byte-reproducible. The third
+// transmission overlaps two others; scanning an unordered set would
+// emit its two probes in either order.
+func TestCollisionProbesDeterministic(t *testing.T) {
+	collisions := func() []trace.Event {
+		s := sim.NewScheduler(1)
+		m := New(s, nil)
+		rec := trace.NewRecorder(0)
+		m.Tracer = rec
+		radios := make([]*testRadio, 3)
+		for i := range radios {
+			radios[i] = &testRadio{pos: Pos{X: float64(i)}}
+			m.Attach(radios[i])
+		}
+		for _, r := range radios {
+			m.Transmit(r, phy.RateA54, 1500, nil)
+		}
+		s.Run()
+		var out []trace.Event
+		for _, e := range rec.Events() {
+			if e.Kind == trace.KindCollision {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+	first := collisions()
+	if len(first) != 3 {
+		t.Fatalf("%d collision probes, want 3", len(first))
+	}
+	for run := 1; run < 20; run++ {
+		if got := collisions(); !reflect.DeepEqual(got, first) {
+			t.Fatalf("run %d: collision probes %+v, want %+v", run, got, first)
+		}
 	}
 }

@@ -190,7 +190,7 @@ func (m *Medium) ensureSpatial() {
 	// Radios attached mid-transmission start sensing the power already
 	// on the air.
 	for i := old; i < n; i++ {
-		for _, o := range m.activeList {
+		for _, o := range m.active {
 			m.senseMW[i] += mat[o.srcIdx][i]
 		}
 	}
@@ -235,7 +235,7 @@ func (m *Medium) transmitSpatial(tx *Transmission, now sim.Time) {
 	// Sensed-energy bookkeeping: the new transmission's power lands at
 	// every radio. A fresh busy period copies rather than accumulates,
 	// which also discards any float drift from the previous period.
-	if len(m.activeList) == 0 {
+	if len(m.active) == 0 {
 		copy(m.senseMW, row)
 	} else {
 		for j := 0; j < nR; j++ {
@@ -245,7 +245,7 @@ func (m *Medium) transmitSpatial(tx *Transmission, now sim.Time) {
 	// A transmission ending exactly now does not overlap (its finish
 	// event may simply not have run yet at this instant).
 	nOverlap := 0
-	for _, o := range m.activeList {
+	for _, o := range m.active {
 		if o.End > now {
 			nOverlap++
 		}
@@ -255,7 +255,7 @@ func (m *Medium) transmitSpatial(tx *Transmission, now sim.Time) {
 		// on the air.
 		S := m.scratchSum
 		copy(S, row)
-		for _, o := range m.activeList {
+		for _, o := range m.active {
 			if o.End <= now {
 				continue
 			}
@@ -264,7 +264,7 @@ func (m *Medium) transmitSpatial(tx *Transmission, now sim.Time) {
 				S[j] += orow[j]
 			}
 		}
-		for _, o := range m.activeList {
+		for _, o := range m.active {
 			if o.End <= now {
 				continue
 			}
@@ -324,8 +324,7 @@ func (m *Medium) transmitSpatial(tx *Transmission, now sim.Time) {
 		}
 	}
 	m.txOwn[si]++
-	m.active[tx] = struct{}{}
-	m.activeList = append(m.activeList, tx)
+	m.active = append(m.active, tx)
 	m.updateCarrierSpatial()
 }
 
@@ -334,13 +333,7 @@ func (m *Medium) transmitSpatial(tx *Transmission, now sim.Time) {
 // attach order, then carrier re-evaluation strictly after deliveries.
 func (m *Medium) finishSpatial(tx *Transmission) {
 	now := m.sched.Now()
-	delete(m.active, tx)
-	for i, o := range m.activeList {
-		if o == tx {
-			m.activeList = append(m.activeList[:i], m.activeList[i+1:]...)
-			break
-		}
-	}
+	m.removeActive(tx)
 	m.ensureSpatial()
 	si := tx.srcIdx
 	m.txOwn[si]--
@@ -352,7 +345,7 @@ func (m *Medium) finishSpatial(tx *Transmission) {
 	// The departing transmission's power leaves the air; a fully idle
 	// medium resets the sums exactly, bounding float drift to one busy
 	// period.
-	if len(m.activeList) == 0 {
+	if len(m.active) == 0 {
 		for j := range m.senseMW {
 			m.senseMW[j] = 0
 		}
@@ -419,7 +412,7 @@ func (m *Medium) finishSpatial(tx *Transmission) {
 // count — they are on the air until their finish event runs, which
 // keeps idle edges strictly after deliveries.
 func (m *Medium) updateCarrierSpatial() {
-	onAir := len(m.activeList) > 0
+	onAir := len(m.active) > 0
 	for j, r := range m.radios {
 		busy := m.txOwn[j] > 0 || (onAir && m.senseMW[j] >= m.csMW)
 		if busy != m.senseBusy[j] {

@@ -153,7 +153,19 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// heldAck is one TCP ACK held by the driver.
+// nativeFate is what the MAC has reported about the native copy of an
+// opportunistic-mode held ACK.
+type nativeFate uint8
+
+const (
+	nativeInFlight nativeFate = iota // queued or on the air
+	nativeDelivered
+	nativeExpired // dropped at the retry limit or on a full queue
+)
+
+// heldAck is one TCP ACK held by the driver. The held copy owns one
+// reference to pkt and releases it once the ACK leaves the driver
+// without a native replay.
 type heldAck struct {
 	pkt     *packet.Packet
 	data    []byte   // compressed form (4-bit MSN; anchored at assembly)
@@ -162,6 +174,18 @@ type heldAck struct {
 	readyAt sim.Time // when the NIC can see it (DMA complete)
 	expires sim.Time // ModeTimer deadline
 	counted bool     // already counted in Acct (first ride)
+	// native is the fate of the packet's native copy (opportunistic
+	// mode only): a held ACK whose native copy is known-delivered may
+	// be discarded safely; an in-flight one blocks riding of it and
+	// its successors.
+	native nativeFate
+}
+
+// releaseAll drops the held copies' references.
+func releaseAll(hs []heldAck) {
+	for i := range hs {
+		hs[i].pkt.Release()
+	}
 }
 
 // peerState tracks HACK state toward one MAC peer.
@@ -182,11 +206,6 @@ type peerState struct {
 	// means two consecutive generations are gone; the state machine
 	// re-anchors instead of stretching the MSN chain further.
 	syncSeen bool
-
-	// resolved records per-packet native outcomes (opportunistic mode:
-	// a held ACK whose native copy is known-delivered may be discarded
-	// safely; an in-flight one blocks riding of it and its successors).
-	resolved map[*packet.Packet]bool
 }
 
 // held reports whether any compressed state (pending or retained) is
@@ -208,15 +227,20 @@ type Driver struct {
 	peers map[mac.Addr]*peerState
 
 	// EnqueueNative transmits a TCP ACK as an ordinary packet (MAC
-	// transmit queue). Required.
-	EnqueueNative func(dst mac.Addr, p *packet.Packet)
+	// transmit queue), taking the packet's reference. It reports
+	// false when the queue was full and the packet was dropped.
+	// Required.
+	EnqueueNative func(dst mac.Addr, p *packet.Packet) bool
 	// ForwardUp receives reconstituted TCP ACKs extracted from
 	// link-layer ACKs (AP: toward the wire; client: into the local
-	// stack). Required.
+	// stack), with their references. Required.
 	ForwardUp func(from mac.Addr, p *packet.Packet)
 	// WithdrawNative removes a still-queued native copy (opportunistic
 	// mode); it reports whether the packet was found and removed.
 	WithdrawNative func(dst mac.Addr, p *packet.Packet) bool
+	// Pool supplies the ACKs the decompressor reconstructs. Nil
+	// allocates each one (see packet.Pool).
+	Pool *packet.Pool
 
 	// Acct accumulates Table 2's accounting.
 	Acct stats.AckAccounting
@@ -272,8 +296,9 @@ func (d *Driver) setState(dst mac.Addr, ps *peerState, to RecoveryState, cause t
 	ps.state = to
 }
 
-// SubmitAck intercepts an outgoing pure TCP ACK destined to dst.
-// Anything that is not a pure ACK must bypass the driver.
+// SubmitAck intercepts an outgoing pure TCP ACK destined to dst,
+// taking the caller's reference. Anything that is not a pure ACK must
+// bypass the driver.
 func (d *Driver) SubmitAck(dst mac.Addr, p *packet.Packet) {
 	if !p.IsTCPAck() {
 		panic("hack: SubmitAck on non-ACK packet")
@@ -299,13 +324,19 @@ func (d *Driver) SubmitAck(dst mac.Addr, p *packet.Packet) {
 		// decompressor has seen. Beyond the descriptor-table bound the
 		// copy is simply not registered: the native is authoritative,
 		// so skipping the compressed path loses nothing.
+		held := false
 		if len(ps.pending) < maxHeld {
 			if t, ok := p.Tuple(); ok {
 				d.comp.Refresh(t)
 			}
-			d.hold(ps, p, 0)
+			if held = d.hold(ps, p, 0); held {
+				p.Retain() // the native copy travels with its own reference
+			}
 		}
-		d.sendNative(dst, p)
+		if !d.sendNative(dst, p) && held {
+			// Queue overflow: the native copy is gone.
+			ps.pending[len(ps.pending)-1].native = nativeExpired
+		}
 	case ModeTimer:
 		if len(ps.pending) >= maxHeld ||
 			!d.hold(ps, p, d.sched.Now()+d.cfg.HoldTimeout) {
@@ -318,27 +349,36 @@ func (d *Driver) SubmitAck(dst mac.Addr, p *packet.Packet) {
 }
 
 // NativeResolved reports the fate of a natively-transmitted TCP ACK
-// toward dst: delivered (confirmed by the MAC, or superseded by a
-// withdrawn-and-ridden compressed copy) or expired. Wire the MAC's
-// OnMSDUResolved to this.
+// toward dst: delivered (confirmed by the MAC) or expired at the retry
+// limit. Wire the MAC's OnMSDUResolved to this. The packet is only
+// compared, never kept.
 //
 // The recovery machine does not gate on native delivery: every native
 // send flags the flow for an IR refresh, so the chain's next
 // compressed ACK re-establishes the decompressor context absolutely
 // whether or not (and whenever) the native arrives. Only opportunistic
-// mode consumes the resolution, to decide a held copy's fate.
+// mode consumes the resolution, to decide the fate of the packet's
+// held copy, if it still has one.
 func (d *Driver) NativeResolved(dst mac.Addr, p *packet.Packet, delivered bool) {
-	if d.cfg.Mode == ModeOpportunistic && p != nil {
-		ps := d.peer(dst)
-		if ps.resolved == nil {
-			ps.resolved = make(map[*packet.Packet]bool)
+	if d.cfg.Mode != ModeOpportunistic {
+		return
+	}
+	fate := nativeExpired
+	if delivered {
+		fate = nativeDelivered
+	}
+	ps := d.peer(dst)
+	for i := range ps.pending {
+		if ps.pending[i].pkt == p {
+			ps.pending[i].native = fate
+			return
 		}
-		ps.resolved[p] = delivered
 	}
 }
 
-// hold compresses p into the peer's pending set; false means the ACK
-// cannot travel compressed (no context yet) and must go natively.
+// hold compresses p into the peer's pending set, where the caller's
+// reference now lives; false means the ACK cannot travel compressed
+// (no context yet) and must go natively.
 func (d *Driver) hold(ps *peerState, p *packet.Packet, expires sim.Time) bool {
 	data, msn, ok := d.comp.Compress(p)
 	if !ok {
@@ -370,15 +410,17 @@ func (d *Driver) goNative(dst mac.Addr, ps *peerState, p *packet.Packet) {
 	d.sendNative(dst, p)
 }
 
-// sendNative transmits p as an ordinary packet. The compressor
-// absorbs it (if it advances the flow), which flags the flow for an IR
-// refresh: the decompressor observes the native whenever — and
-// whether — it arrives, and the IR covers every other ordering.
-func (d *Driver) sendNative(dst mac.Addr, p *packet.Packet) {
+// sendNative transmits p as an ordinary packet, passing on the
+// caller's reference, and reports whether the MAC queued it. The
+// compressor absorbs it (if it advances the flow), which flags the
+// flow for an IR refresh: the decompressor observes the native
+// whenever — and whether — it arrives, and the IR covers every other
+// ordering.
+func (d *Driver) sendNative(dst mac.Addr, p *packet.Packet) bool {
 	d.comp.Observe(p)
 	d.Acct.NativeAcks++
 	d.Acct.NativeAckBytes += uint64(p.Len())
-	d.EnqueueNative(dst, p)
+	return d.EnqueueNative(dst, p)
 }
 
 // enterResync abandons the compressed chain toward the peer: every
@@ -395,7 +437,8 @@ func (d *Driver) sendNative(dst mac.Addr, p *packet.Packet) {
 // per flow travels as a self-contained IR refresh, making the teardown
 // safe no matter which replay natives arrive, in what order, or when.
 // Reopening therefore does not wait on the replay — the next held ACK
-// restarts compression immediately.
+// restarts compression immediately. Replayed ACKs pass their held
+// references to the native path; the discarded rest are released.
 func (d *Driver) enterResync(dst mac.Addr, ps *peerState, cause trace.Cause) {
 	pending, unconf := ps.pending, ps.unconfirmed
 	ps.pending, ps.unconfirmed = nil, nil
@@ -426,6 +469,11 @@ func (d *Driver) enterResync(dst mac.Addr, ps *peerState, cause trace.Cause) {
 			order = append(order, cid)
 		}
 		newest[cid] = i
+	}
+	for i := range unconf {
+		if inPending[unconf[i].cid] || newest[unconf[i].cid] != i {
+			unconf[i].pkt.Release()
+		}
 	}
 	for _, cid := range order {
 		d.sendNative(dst, unconf[newest[cid]].pkt)
@@ -540,13 +588,11 @@ func (d *Driver) BuildAckPayload(peer mac.Addr) []byte {
 				kept = append(kept, h)
 				continue
 			}
-			delivered, known := ps.resolved[h.pkt]
-			delete(ps.resolved, h.pkt)
-			if known && delivered {
-				continue // superseded by its own native copy
-			}
-			if known && !delivered {
-				continue // expired; CRC+re-anchor absorb the damage
+			if h.native != nativeInFlight {
+				// Delivered: superseded by its own native copy.
+				// Expired: CRC+re-anchor absorb the damage.
+				h.pkt.Release()
+				continue
 			}
 			// In flight: keep it and everything after it pending.
 			blocked = append(blocked, ride[i:]...)
@@ -594,6 +640,7 @@ func (d *Driver) BuildAckPayload(peer mac.Addr) []byte {
 		// re-anchors that flow constantly in this mode; if the
 		// link-layer ACK is lost, the peer retransmits its data and
 		// TCP's cumulative ACKs recover.
+		releaseAll(ride)
 		ps.unconfirmed = nil
 		ps.pending = late
 		return payload
@@ -617,6 +664,7 @@ func (d *Driver) BuildAckPayload(peer mac.Addr) []byte {
 // AckPayloadReceived implements mac.Hooks: decompress a HACK frame
 // found on a link-layer ACK and forward the reconstituted TCP ACKs.
 func (d *Driver) AckPayloadReceived(peer mac.Addr, payload []byte) {
+	d.dec.Pool = d.Pool // Pool is wired after NewDriver
 	res, err := d.dec.Decompress(payload)
 	d.DecompDuplicates += uint64(res.Duplicates)
 	d.DecompFailures += uint64(res.Failures)
@@ -628,7 +676,11 @@ func (d *Driver) AckPayloadReceived(peer mac.Addr, payload []byte) {
 			len(res.Packets), res.Duplicates, res.Failures)
 	}
 	if err != nil {
+		// A parse error drops the whole frame, reconstructions included.
 		d.DecompFailures++
+		for _, p := range res.Packets {
+			p.Release()
+		}
 		return
 	}
 	for _, p := range res.Packets {
@@ -676,6 +728,7 @@ func (d *Driver) DataIndication(peer mac.Addr, ind mac.DataInd) {
 	case ind.Progress:
 		// The peer demonstrably received our previous link-layer ACK
 		// (Figures 5a/5b): retained state is delivered.
+		releaseAll(ps.unconfirmed)
 		ps.unconfirmed = nil
 		ps.syncSeen = false
 	}

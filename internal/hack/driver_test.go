@@ -26,11 +26,12 @@ func newHarness(mode Mode) *harness {
 	h := &harness{sched: sim.NewScheduler(1)}
 	h.client = NewDriver(h.sched, Config{Mode: mode, DriverLatency: 20 * sim.Microsecond})
 	h.ap = NewDriver(h.sched, Config{Mode: mode})
-	h.client.EnqueueNative = func(dst mac.Addr, p *packet.Packet) {
+	h.client.EnqueueNative = func(dst mac.Addr, p *packet.Packet) bool {
 		h.nativeQueue = append(h.nativeQueue, p)
+		return true
 	}
 	h.client.ForwardUp = func(mac.Addr, *packet.Packet) {}
-	h.ap.EnqueueNative = func(mac.Addr, *packet.Packet) {}
+	h.ap.EnqueueNative = func(mac.Addr, *packet.Packet) bool { return true }
 	h.ap.ForwardUp = func(_ mac.Addr, p *packet.Packet) {
 		h.forwarded = append(h.forwarded, p)
 	}

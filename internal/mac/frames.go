@@ -25,7 +25,8 @@ type MSDU struct {
 	// pool is the owning station's freelist, nil for manually
 	// constructed MSDUs (which are never recycled); refs counts the
 	// holders that must release before the MSDU returns to the pool.
-	// See Station.EnqueuePacket.
+	// A pooled MSDU owns one reference to Packet and releases it when
+	// it is recycled. See Station.EnqueuePacket.
 	pool *Station
 	refs int32
 }

@@ -101,9 +101,9 @@ func (c Config) withDefaults() Config {
 // destQueue holds per-destination transmit state.
 type destQueue struct {
 	dst         Addr
-	fifo        []*MSDU
-	retryQ      []*MPDU // MPDUs awaiting retransmission, oldest first
-	outstanding []*MPDU // transmitted, awaiting a (Block) ACK
+	fifo        fifo[*MSDU]
+	retryQ      fifo[*MPDU] // MPDUs awaiting retransmission, oldest first
+	outstanding []*MPDU     // transmitted, awaiting a (Block) ACK
 	nextSeq     uint16
 	awaitingBAR bool
 	barRetries  int
@@ -115,7 +115,7 @@ type destQueue struct {
 }
 
 func (q *destQueue) hasWork() bool {
-	return q.awaitingBAR || len(q.retryQ) > 0 || len(q.fifo) > 0
+	return q.awaitingBAR || q.retryQ.len() > 0 || q.fifo.len() > 0
 }
 
 // exchange is one in-flight frame exchange awaiting its response. The
@@ -239,12 +239,12 @@ func (st *Station) CarrierIdle() { st.dcf.onPhysIdle() }
 // counts a drop) if the destination queue is full.
 func (st *Station) Enqueue(m *MSDU) bool {
 	q := st.queue(m.Dst)
-	if st.cfg.QueueLimit > 0 && len(q.fifo) >= st.cfg.QueueLimit {
+	if st.cfg.QueueLimit > 0 && q.fifo.len() >= st.cfg.QueueLimit {
 		st.Stats.QueueDrops++
 		return false
 	}
 	m.EnqueuedAt = st.sched.Now()
-	q.fifo = append(q.fifo, m)
+	q.fifo.push(m)
 	st.dcf.request()
 	return true
 }
@@ -254,7 +254,9 @@ func (st *Station) Enqueue(m *MSDU) bool {
 // destination queue is full. It is the allocation-free equivalent of
 // Enqueue for hot paths: the MSDU returns to the freelist automatically
 // once every holder — the transmit path and, for aggregated traffic,
-// the receiver's reorder buffer — has released it.
+// the receiver's reorder buffer — has released it. The caller's
+// reference to p passes to the MSDU, which releases it when it is
+// recycled, so a dropped packet is released at once.
 func (st *Station) EnqueuePacket(dst Addr, p *packet.Packet, isTCPAck bool) bool {
 	m := st.getMSDU(dst, p, isTCPAck)
 	if !st.Enqueue(m) {
@@ -265,7 +267,7 @@ func (st *Station) EnqueuePacket(dst Addr, p *packet.Packet, isTCPAck bool) bool
 }
 
 // QueueLen returns the number of MSDUs queued for dst.
-func (st *Station) QueueLen(dst Addr) int { return len(st.queue(dst).fifo) }
+func (st *Station) QueueLen(dst Addr) int { return st.queue(dst).fifo.len() }
 
 // RemoveQueued withdraws the first MSDU for dst matching match from
 // the transmit queue, reporting whether one was found. HACK's
@@ -274,9 +276,9 @@ func (st *Station) QueueLen(dst Addr) int { return len(st.queue(dst).fifo) }
 // to the aggregation machinery cannot be withdrawn.
 func (st *Station) RemoveQueued(dst Addr, match func(*MSDU) bool) bool {
 	q := st.queue(dst)
-	for i, m := range q.fifo {
+	for i, m := range q.fifo.items() {
 		if match(m) {
-			q.fifo = append(q.fifo[:i], q.fifo[i+1:]...)
+			q.fifo.remove(i)
 			m.release()
 			return true
 		}
@@ -364,9 +366,10 @@ func (st *Station) getMSDU(dst Addr, p *packet.Packet, isTCPAck bool) *MSDU {
 	return m
 }
 
-// putMSDU recycles an MSDU whose last reference was released. The
-// packet reference is dropped so the pool never extends its lifetime.
+// putMSDU recycles an MSDU whose last reference was released,
+// releasing the packet reference the MSDU owned.
 func (st *Station) putMSDU(m *MSDU) {
+	m.Packet.Release()
 	m.Packet = nil
 	st.msduPool = append(st.msduPool, m)
 }
@@ -383,7 +386,7 @@ func (st *Station) getMPDU(seq uint16, msdu *MSDU) *MPDU {
 }
 
 // putMPDU recycles a resolved MPDU. The MSDU reference is dropped so
-// the pool never extends packet lifetimes.
+// the freelist never extends an MSDU's lifetime.
 func (st *Station) putMPDU(m *MPDU) {
 	m.MSDU = nil
 	st.mpduPool = append(st.mpduPool, m)
@@ -510,14 +513,12 @@ func (st *Station) buildFrame(q *destQueue, rate phy.Rate) *DataFrame {
 	ht := rate.HT
 
 	if !st.cfg.Aggregation {
-		if len(q.retryQ) == 0 {
-			msdu := q.fifo[0]
-			q.fifo = q.fifo[1:]
-			q.retryQ = append(q.retryQ, st.getMPDU(q.nextSeq, msdu))
+		if q.retryQ.len() == 0 {
+			q.retryQ.push(st.getMPDU(q.nextSeq, q.fifo.pop()))
 			q.nextSeq = seqNext(q.nextSeq)
 		}
-		f.MPDUs = append(f.MPDUs, q.retryQ[0])
-		f.MoreData = len(q.fifo) > 0
+		f.MPDUs = append(f.MPDUs, q.retryQ.front())
+		f.MoreData = q.fifo.len() > 0
 		f.Dur = phy.SIFS + st.expectedRespDur(rate, false)
 		return f
 	}
@@ -538,11 +539,11 @@ func (st *Station) buildFrame(q *destQueue, rate phy.Rate) *DataFrame {
 		f.MPDUs = append(f.MPDUs, m)
 		return true
 	}
-	for len(q.retryQ) > 0 && len(f.MPDUs) < st.cfg.MaxAMPDUFrames {
-		if !add(q.retryQ[0]) {
+	for q.retryQ.len() > 0 && len(f.MPDUs) < st.cfg.MaxAMPDUFrames {
+		if !add(q.retryQ.front()) {
 			break
 		}
-		q.retryQ = q.retryQ[1:]
+		q.retryQ.pop()
 	}
 	// New MPDUs must stay inside the 64-sequence transmit window
 	// anchored at the oldest pending retransmission; otherwise the
@@ -552,20 +553,20 @@ func (st *Station) buildFrame(q *destQueue, rate phy.Rate) *DataFrame {
 	if len(f.MPDUs) > 0 {
 		winAnchor, anchored = f.MPDUs[0].Seq, true
 	}
-	for len(q.retryQ) == 0 && len(q.fifo) > 0 && len(f.MPDUs) < st.cfg.MaxAMPDUFrames {
+	for q.retryQ.len() == 0 && q.fifo.len() > 0 && len(f.MPDUs) < st.cfg.MaxAMPDUFrames {
 		if anchored && seqDiff(q.nextSeq, winAnchor) >= baWindowSize {
 			break
 		}
-		m := st.getMPDU(q.nextSeq, q.fifo[0])
+		m := st.getMPDU(q.nextSeq, q.fifo.front())
 		if !add(m) {
 			st.putMPDU(m)
 			break
 		}
 		q.nextSeq = seqNext(q.nextSeq)
-		q.fifo = q.fifo[1:]
+		q.fifo.pop()
 	}
 	q.outstanding = append(q.outstanding, f.MPDUs...)
-	f.MoreData = len(q.fifo) > 0 || len(q.retryQ) > 0
+	f.MoreData = q.fifo.len() > 0 || q.retryQ.len() > 0
 	f.Sync = q.syncPending
 	q.syncPending = false
 	f.Dur = phy.SIFS + st.expectedRespDur(rate, true)
@@ -604,7 +605,7 @@ func (st *Station) oldestUnresolved(q *destQueue) uint16 {
 	for _, m := range q.outstanding {
 		consider(m)
 	}
-	for _, m := range q.retryQ {
+	for _, m := range q.retryQ.items() {
 		consider(m)
 	}
 	if !found {
@@ -781,21 +782,18 @@ func (st *Station) rxAck(f *AckFrame, tx *channel.Transmission) {
 }
 
 func (st *Station) processAck(q *destQueue) {
-	if len(q.retryQ) == 0 {
+	if q.retryQ.len() == 0 {
 		return
 	}
-	m := q.retryQ[0]
-	q.retryQ = q.retryQ[1:]
+	m := q.retryQ.pop()
 	st.recordDelivered(q, m)
 	st.putMPDU(m)
 }
 
 func (st *Station) processBlockAck(q *destQueue, f *AckFrame) {
-	outstanding := q.outstanding
-	q.outstanding = nil
 	q.awaitingBAR = false
 	q.barRetries = 0
-	for _, m := range outstanding {
+	for _, m := range q.outstanding {
 		if f.Acked(m.Seq) {
 			st.recordDelivered(q, m)
 			st.putMPDU(m)
@@ -803,6 +801,14 @@ func (st *Station) processBlockAck(q *destQueue, f *AckFrame) {
 			st.retryOrDrop(q, m)
 		}
 	}
+	q.clearOutstanding()
+}
+
+// clearOutstanding empties the outstanding list once every MPDU in it
+// has been resolved or moved to the retry queue, keeping its array.
+func (q *destQueue) clearOutstanding() {
+	clear(q.outstanding)
+	q.outstanding = q.outstanding[:0]
 }
 
 func (st *Station) recordDelivered(q *destQueue, m *MPDU) {
@@ -841,7 +847,7 @@ func (st *Station) retryOrDrop(q *destQueue, m *MPDU) {
 	if st.cfg.Tracer != nil {
 		st.cfg.Tracer.MPDUFate(st.sched.Now(), uint16(st.cfg.Addr), uint16(q.dst), m.Seq, m.Retries, trace.FateRetry)
 	}
-	q.retryQ = append(q.retryQ, m)
+	q.retryQ.push(m)
 }
 
 func (st *Station) rxBAR(f *BARFrame, tx *channel.Transmission) {
@@ -882,14 +888,13 @@ func (st *Station) onRespTimeout() {
 			// MPDUs into the retry queue, move on, and mark the next
 			// data frame with SYNC so the receiver keeps its retained
 			// compressed-ACK state.
-			outstanding := q.outstanding
-			q.outstanding = nil
 			q.awaitingBAR = false
 			q.barRetries = 0
 			q.syncPending = true
-			for _, m := range outstanding {
+			for _, m := range q.outstanding {
 				st.retryOrDrop(q, m)
 			}
+			q.clearOutstanding()
 			st.dcf.onTxSuccess() // fresh contention state for the new batch
 		} else {
 			st.dcf.onTxFailure()
@@ -901,12 +906,12 @@ func (st *Station) onRespTimeout() {
 		st.dcf.onTxFailure()
 	default:
 		// Single-MPDU exchange: retransmit the same sequence number.
-		m := q.retryQ[0]
+		m := q.retryQ.front()
 		st.cfg.RateAdapter.OnTxResult(q.dst, st.lastRateFor(q), false, m.Retries)
 		m.Retries++
 		if m.Retries > st.cfg.RetryLimit {
 			st.Stats.Expired++
-			q.retryQ = q.retryQ[1:]
+			q.retryQ.pop()
 			if st.cfg.Tracer != nil {
 				st.cfg.Tracer.MPDUFate(st.sched.Now(), uint16(st.cfg.Addr), uint16(q.dst), m.Seq, m.Retries, trace.FateExpired)
 			}

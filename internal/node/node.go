@@ -134,6 +134,10 @@ func (c Config) withDefaults() Config {
 	}
 	if len(c.BSSs) == 0 {
 		c.BSSs = []BSSSpec{{APPos: c.APPos, Clients: c.Clients, ClientPos: c.ClientPos}}
+	} else {
+		// Fill defaults into a copy: the caller's slice may be shared,
+		// e.g. by every point of a campaign that sweeps clients.
+		c.BSSs = append([]BSSSpec(nil), c.BSSs...)
 	}
 	for bi := range c.BSSs {
 		if c.BSSs[bi].Clients == 0 {
@@ -244,7 +248,7 @@ func NewLink(sched *sim.Scheduler, rateKbps int, delay sim.Duration) *Link {
 	return l
 }
 
-// Send serializes p onto the link.
+// Send serializes p onto the link; its reference passes to Deliver.
 func (l *Link) Send(p *packet.Packet) {
 	now := l.sched.Now()
 	start := now
@@ -302,6 +306,10 @@ type Network struct {
 	Flows []*Flow
 
 	nextPort uint16
+	// pool recycles every packet the network builds: TCP segments and
+	// ACKs, ROHC reconstructions and UDP datagrams (see packet.Pool for
+	// the ownership contract).
+	pool *packet.Pool
 }
 
 // Flow is one transfer and its measurement hooks.
@@ -330,6 +338,7 @@ func New(cfg Config) *Network {
 		clientIdx:       make(map[packet.Addr]int),
 		addrBSS:         make(map[mac.Addr]int),
 		nextPort:        basePort,
+		pool:            &packet.Pool{},
 	}
 
 	// Address/position plan: MAC addresses assigned sequentially in
@@ -477,12 +486,9 @@ func (n *Network) newNode(st *mac.Station, ip packet.Addr, addr mac.Addr) *WifiN
 		Addr:          addr,
 		Tracer:        n.Cfg.Tracer,
 	})
-	d.EnqueueNative = func(dst mac.Addr, p *packet.Packet) {
-		if !st.EnqueuePacket(dst, p, true) {
-			// Queue overflow: the native ACK is gone; keep the driver's
-			// syncing gate honest.
-			d.NativeResolved(dst, p, false)
-		}
+	d.Pool = n.pool
+	d.EnqueueNative = func(dst mac.Addr, p *packet.Packet) bool {
+		return st.EnqueuePacket(dst, p, true)
 	}
 	d.ForwardUp = func(from mac.Addr, p *packet.Packet) {
 		// Reconstituted TCP ACKs surface at the driver; forward after
@@ -490,12 +496,8 @@ func (n *Network) newNode(st *mac.Station, ip packet.Addr, addr mac.Addr) *WifiN
 		n.Sched.PostAfter(n.Cfg.ForwardDelay, w.routeFn, p)
 	}
 	d.WithdrawNative = func(dst mac.Addr, p *packet.Packet) bool {
-		if st.RemoveQueued(dst, func(m *mac.MSDU) bool { return m.Packet == p }) {
-			// The compressed copy supersedes the withdrawn native.
-			d.NativeResolved(dst, p, true)
-			return true
-		}
-		return false
+		// The compressed copy supersedes the withdrawn native.
+		return st.RemoveQueued(dst, func(m *mac.MSDU) bool { return m.Packet == p })
 	}
 	st.OnMSDUResolved = func(m *mac.MSDU, delivered bool) {
 		if m.IsTCPAck {
@@ -508,7 +510,9 @@ func (n *Network) newNode(st *mac.Station, ip packet.Addr, addr mac.Addr) *WifiN
 	return w
 }
 
-// fromWifi handles an MSDU delivered by the MAC.
+// fromWifi handles an MSDU delivered by the MAC. The sender's MSDU
+// keeps its reference until its (Block) ACK resolves, so the packet
+// travels on with a reference of its own.
 func (w *WifiNode) fromWifi(m *mac.MSDU) {
 	p := m.Packet
 	if p.IsTCPAck() {
@@ -516,6 +520,7 @@ func (w *WifiNode) fromWifi(m *mac.MSDU) {
 		// travelling ACKs.
 		w.Driver.ObserveNativeAck(p)
 	}
+	p.Retain()
 	if p.IP.Dst == w.IP {
 		// Local delivery through the host stack.
 		w.net.Sched.PostAfter(w.net.Cfg.StackDelay, w.localIn, p)
@@ -525,17 +530,17 @@ func (w *WifiNode) fromWifi(m *mac.MSDU) {
 	w.net.Sched.PostAfter(w.net.Cfg.ForwardDelay, w.routeFn, p)
 }
 
-// localInput demultiplexes a packet to this node's stack.
+// localInput demultiplexes a packet to this node's stack, which is
+// its last holder.
 func (w *WifiNode) localInput(p *packet.Packet) {
 	if p.UDP != nil {
 		w.Goodput.Add(w.net.Sched.Now(), p.PayloadLen)
-		return
-	}
-	if t, ok := p.Tuple(); ok {
+	} else if t, ok := p.Tuple(); ok {
 		if ep, found := w.endpoints[t.Reverse()]; found {
 			ep.Input(p)
 		}
 	}
+	p.Release()
 }
 
 // route sends p toward its destination IP from this node.
@@ -553,6 +558,8 @@ func (w *WifiNode) route(p *packet.Packet) {
 			w.sendWifi(w.net.Clients[ci].MACAddr, p)
 		} else if w.bss.wireUp != nil {
 			w.bss.wireUp.Send(p)
+		} else {
+			p.Release() // no next hop
 		}
 	default:
 		// Clients reach everything via their own AP.
@@ -588,13 +595,15 @@ func (n *Network) BSSOfAddr(a mac.Addr) int {
 	return -1
 }
 
-// serverInput demultiplexes a packet arriving at the server.
+// serverInput demultiplexes a packet arriving at the server, which is
+// its last holder.
 func (n *Network) serverInput(p *packet.Packet) {
 	if t, ok := p.Tuple(); ok {
 		if ep, found := n.serverEndpoints[t.Reverse()]; found {
 			ep.Input(p)
 		}
 	}
+	p.Release()
 }
 
 // endpointPair creates a connected sender/receiver endpoint pair for a
@@ -657,10 +666,12 @@ func (n *Network) finishFlow(f *Flow, ci int, sender, receiver *tcp.Endpoint, to
 	bindWifi := func(w *WifiNode, ep *tcp.Endpoint) {
 		w.endpoints[ep.Tuple()] = ep
 		ep.Output = func(p *packet.Packet) { w.route(p) }
+		ep.Pool = n.pool
 	}
 	bindServer := func(ep *tcp.Endpoint) {
 		n.serverEndpoints[ep.Tuple()] = ep
 		ep.Output = func(p *packet.Packet) { bss.wireDn.Send(p) }
+		ep.Pool = n.pool
 	}
 
 	wifiPeer := bss.AP // AP-resident endpoint when no wire
@@ -718,11 +729,11 @@ func (n *Network) StartUDPDownload(ci int, rateKbps int, pktLen int, startAt sim
 	var tick func(any)
 	tick = func(any) {
 		ipID++
-		p := &packet.Packet{
-			IP:         packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP, ID: ipID, Src: srcIP, Dst: dst},
-			UDP:        &packet.UDP{SrcPort: 9, DstPort: 9},
-			PayloadLen: pktLen - packet.IPv4HeaderLen - packet.UDPHeaderLen,
-		}
+		p := n.pool.Get(packet.ProtoUDP)
+		p.IP.TTL, p.IP.ID = 64, ipID
+		p.IP.Src, p.IP.Dst = srcIP, dst
+		p.UDP.SrcPort, p.UDP.DstPort = 9, 9
+		p.PayloadLen = pktLen - packet.IPv4HeaderLen - packet.UDPHeaderLen
 		if bss.wireDn != nil {
 			bss.wireDn.Send(p)
 		} else {

@@ -11,6 +11,42 @@
 // scratch buffer instead of Marshal; the two produce identical bytes,
 // but the append form is allocation-free once its buffer has grown to
 // the working size.
+//
+// # Ownership
+//
+// The simulator builds every packet with Pool.Get from its network's
+// pool (one per node.Network), and the packet goes back to the pool
+// when its reference count drops to zero. Get hands the caller one
+// reference. The rules for that reference are:
+//
+//   - Transfer: passing a packet on passes the reference with it. This
+//     covers tcp.Endpoint.Output, node.Link.Send to Deliver, the node's
+//     routing and WiFi send path, hack.Driver.SubmitAck, EnqueueNative,
+//     ForwardUp, the held ACKs a resync replays natively, and
+//     mac.Station.EnqueuePacket.
+//   - Retain: a holder that keeps the packet while also passing it on
+//     calls Retain first. A pooled mac.MSDU owns the reference it was
+//     enqueued with and releases it when the MSDU is recycled. The
+//     node's receive path retains before posting a delivered packet
+//     to its stack, because the sender's MSDU holds the packet until
+//     its Block ACK resolves. In opportunistic mode the HACK driver's
+//     held copy retains, because the native copy travels with its own
+//     reference.
+//   - Release: every terminal fate calls Release. These are the
+//     return of tcp.Endpoint.Input (TCP copies what it keeps, SACK
+//     edges included), the UDP sink, a route with no next hop, a MAC
+//     queue-full drop, a held ACK that is confirmed, that a resync
+//     discards or whose opportunistic copy is done, and a
+//     reconstruction the ROHC header CRC rejects.
+//
+// The last Release scrubs the packet: headers are zeroed and TCP and
+// UDP set to nil, so a holder that kept a packet without a reference
+// crashes or changes a golden result instead of quietly reading
+// another packet's headers. Releasing a packet that has no reference
+// left panics. A packet from a nil pool, or built by hand as a
+// composite literal, has no pool: Retain and Release are no-ops and
+// it is never recycled, which is how unit tests build endpoints and
+// drivers without a network.
 package packet
 
 import (
@@ -111,6 +147,15 @@ type Packet struct {
 	TCP        *TCP // nil unless IP.Protocol == ProtoTCP
 	UDP        *UDP // nil unless IP.Protocol == ProtoUDP
 	PayloadLen int
+
+	// pool and refs implement recycling (see Pool). Get points TCP,
+	// UDP and the SACK list at the inline storage below, so one object
+	// holds the whole datagram.
+	pool *Pool
+	refs int32
+	tcp  TCP
+	udp  UDP
+	sack [4][2]uint32
 }
 
 // Len returns the total IP datagram length in bytes.
@@ -134,21 +179,21 @@ func (p *Packet) IsTCPAck() bool {
 		p.TCP.Flags&(FlagSYN|FlagFIN|FlagRST) == 0
 }
 
-// Clone returns a deep copy of p.
+// Clone returns a deep copy of p that belongs to no pool.
 func (p *Packet) Clone() *Packet {
-	q := *p
+	q := &Packet{IP: p.IP, PayloadLen: p.PayloadLen}
 	if p.TCP != nil {
-		t := *p.TCP
-		if len(p.TCP.Opt.SACKBlocks) > 0 {
-			t.Opt.SACKBlocks = append([][2]uint32(nil), p.TCP.Opt.SACKBlocks...)
+		q.tcp = *p.TCP
+		if p.TCP.Opt.SACKBlocks != nil {
+			q.tcp.Opt.SACKBlocks = append(q.sack[:0], p.TCP.Opt.SACKBlocks...)
 		}
-		q.TCP = &t
+		q.TCP = &q.tcp
 	}
 	if p.UDP != nil {
-		u := *p.UDP
-		q.UDP = &u
+		q.udp = *p.UDP
+		q.UDP = &q.udp
 	}
-	return &q
+	return q
 }
 
 func (p *Packet) String() string {

@@ -592,38 +592,25 @@ func (c *Compressor) compressIR(p *packet.Packet, ctx *context, cid byte) (data 
 // reconstruct builds a pure-ACK packet from absolute header fields —
 // the single reconstruction path both the delta decoder and the IR
 // installer feed into headerCRC, so the two can never diverge on
-// which fields a reconstruction carries. The packet and its TCP
-// header share one allocation (reconstruction is the decompressor's
-// hot path).
-func reconstruct(tuple packet.FiveTuple, tos, ttl byte, ipID uint16,
+// which fields a reconstruction carries. The packet comes from pool
+// and holds its TCP header and SACK blocks inline.
+func reconstruct(pool *packet.Pool, tuple packet.FiveTuple, tos, ttl byte, ipID uint16,
 	seq, ack uint32, window uint16, hasTS bool, tsVal, tsEcr uint32,
 	sacks [][2]uint32) *packet.Packet {
-	recon := &struct {
-		p packet.Packet
-		t packet.TCP
-	}{
-		p: packet.Packet{
-			IP: packet.IPv4{
-				TOS: tos, TTL: ttl, ID: ipID,
-				Protocol: packet.ProtoTCP,
-				Src:      tuple.Src, Dst: tuple.Dst,
-			},
-		},
-		t: packet.TCP{
-			SrcPort: tuple.SrcPort, DstPort: tuple.DstPort,
-			Seq: seq, Ack: ack, Window: window,
-			Flags: packet.FlagACK,
-		},
-	}
-	p := &recon.p
-	p.TCP = &recon.t
+	p := pool.Get(packet.ProtoTCP)
+	p.IP.TOS, p.IP.TTL, p.IP.ID = tos, ttl, ipID
+	p.IP.Src, p.IP.Dst = tuple.Src, tuple.Dst
+	t := p.TCP
+	t.SrcPort, t.DstPort = tuple.SrcPort, tuple.DstPort
+	t.Seq, t.Ack, t.Window = seq, ack, window
+	t.Flags = packet.FlagACK
 	if hasTS {
-		p.TCP.Opt.HasTimestamps = true
-		p.TCP.Opt.TSVal, p.TCP.Opt.TSEcr = tsVal, tsEcr
+		t.Opt.HasTimestamps = true
+		t.Opt.TSVal, t.Opt.TSEcr = tsVal, tsEcr
 	}
 	for _, s := range sacks {
 		left := ack + s[0]
-		p.TCP.Opt.SACKBlocks = append(p.TCP.Opt.SACKBlocks, [2]uint32{left, left + s[1]})
+		t.Opt.SACKBlocks = append(t.Opt.SACKBlocks, [2]uint32{left, left + s[1]})
 	}
 	return p
 }
@@ -631,7 +618,8 @@ func reconstruct(tuple packet.FiveTuple, tos, ttl byte, ipID uint16,
 // Result reports the outcome of decompressing one HACK frame.
 type Result struct {
 	// Packets are the reconstituted TCP ACKs, in frame order,
-	// duplicates excluded.
+	// duplicates excluded. Each carries one reference that passes to
+	// the caller, also when Decompress returns an error.
 	Packets []*packet.Packet
 	// Duplicates counts ACKs discarded by MSN-based dedup (normal
 	// under link-layer retransmission, paper Figure 6).
@@ -647,6 +635,10 @@ type Result struct {
 
 // Decompressor reconstitutes TCP ACKs from compressed HACK frames.
 type Decompressor struct {
+	// Pool supplies the reconstructed packets. Nil allocates each one
+	// (see packet.Pool).
+	Pool *packet.Pool
+
 	contexts map[byte]*context
 	cids     cidCache
 	scratch  []byte // headerCRC marshal buffer
@@ -808,7 +800,8 @@ func (d *Decompressor) one(b []byte, res *Result) (int, error) {
 	var ipIDD uint64
 	ipIDExplicit := false
 	var seqD int64
-	var sacks [][2]uint32 // relative (offset, length) pairs
+	var sackBuf [optSACKMask >> optSACKShift][2]uint32
+	sacks := sackBuf[:0] // relative (offset, length) pairs
 	var ir bool
 	var irTuple packet.FiveTuple
 	var irTTL, irTOS byte
@@ -924,7 +917,7 @@ func (d *Decompressor) one(b []byte, res *Result) (int, error) {
 	if flags&flagWinChanged == 0 {
 		window = ctx.window
 	}
-	p := reconstruct(ctx.tuple, ctx.tos, ctx.ttl, ctx.ipID+uint16(ipIDD),
+	p := reconstruct(d.Pool, ctx.tuple, ctx.tos, ctx.ttl, ctx.ipID+uint16(ipIDD),
 		ctx.seq+uint32(seqD), ctx.ack+uint32(ackD), window,
 		opt&optTS != 0, ctx.tsVal+uint32(tsValD), ctx.tsEcr+uint32(tsEcrD), sacks)
 
@@ -941,6 +934,7 @@ func (d *Decompressor) one(b []byte, res *Result) (int, error) {
 		d.Invalidate(cid)
 		res.Failures++
 		res.FailCRC++
+		p.Release()
 		return i, nil
 	}
 
@@ -1011,13 +1005,14 @@ func (d *Decompressor) installIR(f irFields, ctx *context, res *Result) error {
 		}
 	}
 
-	p := reconstruct(f.tuple, f.tos, f.ttl, f.ipID, f.seq, f.ack, f.window,
+	p := reconstruct(d.Pool, f.tuple, f.tos, f.ttl, f.ipID, f.seq, f.ack, f.window,
 		f.hasTS, f.tsVal, f.tsEcr, f.sacks)
 	if headerCRC(p, &d.scratch) != f.wantCRC {
 		// An IR is self-contained, so a CRC mismatch means the frame
 		// itself is damaged; the context keeps whatever trust it had.
 		res.Failures++
 		res.FailCRC++
+		p.Release()
 		return nil
 	}
 

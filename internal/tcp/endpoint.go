@@ -147,8 +147,12 @@ type Endpoint struct {
 	sched *sim.Scheduler
 	cfg   Config
 
-	// Output transmits an IP packet toward the peer. Required.
+	// Output transmits an IP packet toward the peer; the packet's
+	// reference passes to it. Required.
 	Output func(*packet.Packet)
+	// Pool supplies every packet the endpoint builds. Nil allocates
+	// each one (see packet.Pool).
+	Pool *packet.Pool
 	// OnDeliver is called with each in-order payload span delivered
 	// to the application (receiver side).
 	OnDeliver func(n int)
@@ -293,30 +297,19 @@ func (ep *Endpoint) nowTS() uint32 {
 	return uint32(ep.sched.Now() / sim.Millisecond)
 }
 
-// newPacket builds an IP/TCP packet toward the peer. The packet and
-// its TCP header share one allocation — they share a lifetime, and
-// this is the per-segment hot path.
+// newPacket builds an IP/TCP packet toward the peer from the
+// endpoint's Pool. The packet holds its TCP header and SACK blocks
+// inline, and the caller's reference passes on with Output.
 func (ep *Endpoint) newPacket(flags byte, seq uint32, payload int) *packet.Packet {
 	ep.ipID++
-	pt := &struct {
-		p packet.Packet
-		t packet.TCP
-	}{
-		p: packet.Packet{
-			IP: packet.IPv4{
-				TTL: 64, Protocol: packet.ProtoTCP, ID: ep.ipID,
-				Src: ep.cfg.Local, Dst: ep.cfg.Remote,
-			},
-			PayloadLen: payload,
-		},
-		t: packet.TCP{
-			SrcPort: ep.cfg.LocalPort, DstPort: ep.cfg.RemotePort,
-			Seq: seq, Flags: flags,
-			Window: uint16(ep.cfg.RcvWindow >> ep.cfg.WindowScale),
-		},
-	}
-	p := &pt.p
-	p.TCP = &pt.t
+	p := ep.Pool.Get(packet.ProtoTCP)
+	p.IP.TTL, p.IP.ID = 64, ep.ipID
+	p.IP.Src, p.IP.Dst = ep.cfg.Local, ep.cfg.Remote
+	p.PayloadLen = payload
+	t := p.TCP
+	t.SrcPort, t.DstPort = ep.cfg.LocalPort, ep.cfg.RemotePort
+	t.Seq, t.Flags = seq, flags
+	t.Window = uint16(ep.cfg.RcvWindow >> ep.cfg.WindowScale)
 	if flags&packet.FlagACK != 0 {
 		p.TCP.Ack = ep.rcvNxt
 	}
@@ -353,7 +346,9 @@ func (ep *Endpoint) sendSyn(ack bool) {
 	ep.Output(p)
 }
 
-// Input processes a packet from the network.
+// Input processes a packet from the network. It keeps no reference to
+// p — SACK edges are copied into the scoreboard — so the caller
+// releases p once Input returns.
 func (ep *Endpoint) Input(p *packet.Packet) {
 	if p.TCP == nil {
 		return
