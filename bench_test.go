@@ -155,7 +155,10 @@ func scaleNetwork(stations int, backend sim.Backend, geom *channel.Geometry) *no
 
 // benchScale runs the grid scenario at each station count, timing only
 // the steady-state window (network construction and warmup excluded),
-// and reports events/s, allocs/event, and ns/event.
+// and reports events/op, events/s, allocs/event, and ns/event. ns/op
+// is the host time of the fixed 1.5 s simulated window, the figure to
+// compare across changes that alter how many events the same
+// simulation takes.
 func benchScale(b *testing.B, backend sim.Backend, geom *channel.Geometry) {
 	for _, n := range []int{10, 100, 1000} {
 		b.Run(fmt.Sprintf("stations=%d", n), func(b *testing.B) {
@@ -178,6 +181,7 @@ func benchScale(b *testing.B, backend sim.Backend, geom *channel.Geometry) {
 				b.Fatal("no events in the measurement window")
 			}
 			sec := b.Elapsed().Seconds()
+			b.ReportMetric(float64(events)/float64(b.N), "events/op")
 			b.ReportMetric(float64(events)/sec, "events/s")
 			b.ReportMetric(float64(mallocs)/float64(events), "allocs/event")
 			b.ReportMetric(sec*1e9/float64(events), "ns/event")
@@ -198,7 +202,7 @@ func BenchmarkScaleHeap(b *testing.B) { benchScale(b, sim.BackendHeap, nil) }
 // (default path-loss geometry, timing-wheel scheduler) — the cost of
 // the power matrix, per-receiver carrier sensing, and SINR capture
 // relative to the scalar channel, gated in CI against the heap
-// baseline's ns/event.
+// baseline's ns/op.
 func BenchmarkScaleSpatial(b *testing.B) {
 	benchScale(b, sim.BackendWheel, channel.DefaultGeometry())
 }

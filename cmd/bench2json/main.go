@@ -20,7 +20,7 @@
 //	    | go run ./cmd/bench2json -compare BENCH_7.json \
 //	        -name 'BenchmarkScale/stations=100' \
 //	        -against 'BenchmarkScaleHeap/stations=100' \
-//	        -metric ns/event -rel 0.03
+//	        -metric ns/op -rel 0.03
 package main
 
 import (

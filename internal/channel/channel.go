@@ -55,11 +55,12 @@ type Transmission struct {
 	End      sim.Time
 	collided bool
 
-	// Spatial-regime state: the source's radio index and, per receiver
-	// index, the worst-instant aggregate interference power (mW) seen
-	// during the frame. +Inf marks a receiver that was itself
-	// transmitting during an overlap (half-duplex: it can never decode).
-	srcIdx    int
+	// srcIdx is the source's radio index (its Attach order).
+	srcIdx int
+	// interfMax is spatial-regime state: per receiver index, the
+	// worst-instant aggregate interference power (mW) seen during the
+	// frame. +Inf marks a receiver that was itself transmitting during
+	// an overlap (half-duplex: it can never decode).
 	interfMax []float64
 }
 
@@ -142,6 +143,9 @@ type Medium struct {
 	model  ErrorModel
 	rng    *rand.Rand
 	radios []Radio
+	// radioIdx maps each attached radio to its index in radios, which
+	// identifies a transmission's source in both regimes.
+	radioIdx map[Radio]int
 	// active lists the transmissions on the air in start order, so
 	// every scan over it (collision probes above all) is deterministic.
 	active   []*Transmission
@@ -163,7 +167,6 @@ type Medium struct {
 	Geometry *Geometry
 
 	// Spatial-regime state, built lazily by ensureSpatial.
-	radioIdx   map[Radio]int
 	powerMW    [][]float64 // symmetric rx-power matrix, diagonal 0
 	txOwn      []int       // in-flight transmissions per source radio
 	senseBusy  []bool      // last carrier state reported to each radio
@@ -195,8 +198,9 @@ func New(sched *sim.Scheduler, model ErrorModel) *Medium {
 		model = NoLoss{}
 	}
 	m := &Medium{
-		sched: sched,
-		rng:   sched.ForkRand(),
+		sched:    sched,
+		rng:      sched.ForkRand(),
+		radioIdx: make(map[Radio]int),
 	}
 	m.finishFn = func(a any) { m.finish(a.(*Transmission)) }
 	if forked, ok := forkModel(model, sched.ForkRand); ok {
@@ -206,8 +210,15 @@ func New(sched *sim.Scheduler, model ErrorModel) *Medium {
 	return m
 }
 
-// Attach registers a radio with the medium.
-func (m *Medium) Attach(r Radio) { m.radios = append(m.radios, r) }
+// Attach registers a radio with the medium. Attaching the same radio
+// twice panics.
+func (m *Medium) Attach(r Radio) {
+	if _, ok := m.radioIdx[r]; ok {
+		panic(fmt.Sprintf("channel: radio %p attached twice", r))
+	}
+	m.radioIdx[r] = len(m.radios)
+	m.radios = append(m.radios, r)
+}
 
 // Busy reports whether any transmission is in flight.
 func (m *Medium) Busy() bool { return len(m.active) > 0 }
@@ -238,10 +249,16 @@ func (m *Medium) StageTx(meta TxMeta) { m.nextMeta = meta }
 // Transmit starts sending frame at rate; the PPDU carries length
 // payload bytes. Completion (and delivery at every other radio) is
 // scheduled automatically. Returns the transmission for tracing.
+// Transmitting from a radio that never attached panics.
 func (m *Medium) Transmit(src Radio, rate phy.Rate, length int, frame any) *Transmission {
+	si, ok := m.radioIdx[src]
+	if !ok {
+		panic(fmt.Sprintf("channel: Transmit from radio %p, which is not attached to this medium", src))
+	}
 	now := m.sched.Now()
 	tx := &Transmission{
 		Source: src,
+		srcIdx: si,
 		Rate:   rate,
 		Length: length,
 		Frame:  frame,
@@ -313,8 +330,8 @@ func (m *Medium) finish(tx *Transmission) {
 	if m.Tracer != nil {
 		m.Tracer.TxEnd(m.sched.Now(), tx.ID, tx.collided)
 	}
-	for _, r := range m.radios {
-		if r == tx.Source {
+	for j, r := range m.radios {
+		if j == tx.srcIdx {
 			continue
 		}
 		outcome := RxOK

@@ -115,6 +115,41 @@ func TestNonOverlappingNoCollision(t *testing.T) {
 	}
 }
 
+// TestUnattachedRadioPanics: a transmission from a radio that never
+// attached, or a second Attach of the same radio, is a caller bug.
+// Both regimes refuse it loudly rather than fall back to radio 0's
+// index (its power row, half-duplex mark and delivery skip).
+func TestUnattachedRadioPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		geom *Geometry
+	}{{"scalar", nil}, {"spatial", DefaultGeometry()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, m, a, _ := newTestMedium(nil)
+			m.Geometry = tc.geom
+			stranger := &testRadio{pos: Pos{Y: 3}}
+			mustPanic(t, "Transmit from an unattached radio", func() {
+				m.Transmit(stranger, phy.RateA54, 1500, "x")
+			})
+			mustPanic(t, "second Attach of a radio", func() { m.Attach(a) })
+			if m.TxCount != 0 || m.Busy() {
+				t.Errorf("refused transmission left state behind: TxCount %d, busy %v", m.TxCount, m.Busy())
+			}
+		})
+	}
+}
+
+// mustPanic fails t unless fn panics.
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	fn()
+}
+
 func TestThreeWayCollision(t *testing.T) {
 	s, m, a, b := newTestMedium(nil)
 	c := &testRadio{}

@@ -147,16 +147,13 @@ func SINRThresholdDB(rate phy.Rate) float64 {
 const rxNone Outcome = -1
 
 // ensureSpatial (idempotently) extends the spatial state to cover all
-// attached radios: index map, symmetric power matrix, per-radio
-// carrier state, and linear-domain thresholds. Radios attached after
-// the first Transmit get rows appended; existing indices never move.
+// attached radios: symmetric power matrix, per-radio carrier state,
+// and linear-domain thresholds. Radios attached after the first
+// Transmit get rows appended; existing indices never move.
 func (m *Medium) ensureSpatial() {
 	n := len(m.radios)
 	if len(m.powerMW) == n {
 		return
-	}
-	if m.radioIdx == nil {
-		m.radioIdx = make(map[Radio]int, n)
 	}
 	g := m.Geometry
 	old := len(m.powerMW)
@@ -169,7 +166,6 @@ func (m *Medium) ensureSpatial() {
 		copy(mat[i], m.powerMW[i])
 	}
 	for i := old; i < n; i++ {
-		m.radioIdx[m.radios[i]] = i
 		m.txOwn = append(m.txOwn, 0)
 		m.senseBusy = append(m.senseBusy, false)
 		m.senseMW = append(m.senseMW, 0)
@@ -225,8 +221,7 @@ func (m *Medium) interfBuf(n int) []float64 {
 func (m *Medium) transmitSpatial(tx *Transmission, now sim.Time) {
 	m.ensureSpatial()
 	nR := len(m.radios)
-	si := m.radioIdx[tx.Source]
-	tx.srcIdx = si
+	si := tx.srcIdx
 	tx.interfMax = m.interfBuf(nR)
 	row := m.powerMW[si]
 	if len(m.active) == 0 {

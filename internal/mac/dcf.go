@@ -1,6 +1,7 @@
 package mac
 
 import (
+	"tcphack/internal/channel"
 	"tcphack/internal/phy"
 	"tcphack/internal/sim"
 )
@@ -27,17 +28,20 @@ type dcf struct {
 	navUntil   sim.Time
 	eifs       bool // next deferral uses EIFS (post-error)
 
-	idleAt   sim.Time   // when the medium (phys+NAV) last went idle
-	armedAt  sim.Time   // when the pending request started waiting
-	timer    *sim.Timer // persistent fire() timer
-	navTimer *sim.Timer // persistent NAV-lapse re-evaluation timer
+	// lapse is the pending NAV lapse that re-evaluates this station
+	// when navUntil passes; lapsePrev and lapseNext link its members.
+	lapse                *navLapse
+	lapsePrev, lapseNext *dcf
+
+	idleAt  sim.Time   // when the medium (phys+NAV) last went idle
+	armedAt sim.Time   // when the pending request started waiting
+	timer   *sim.Timer // persistent fire() timer
 }
 
 func (d *dcf) init(st *Station) {
 	d.st = st
 	d.cw = st.cfg.CWMin
 	d.timer = sim.NewTimer(d.fire)
-	d.navTimer = sim.NewTimer(d.recomputeIdle)
 }
 
 // ifs returns the arbitration IFS currently in force.
@@ -71,8 +75,9 @@ func (d *dcf) onPhysIdle() {
 	d.recomputeIdle()
 }
 
-// setNAV extends the virtual carrier reservation until t.
-func (d *dcf) setNAV(t sim.Time) {
+// setNAV extends the virtual carrier reservation until t, the end of
+// the reservation carried by the overheard transmission tx.
+func (d *dcf) setNAV(t sim.Time, tx *channel.Transmission) {
 	if t <= d.navUntil {
 		return
 	}
@@ -85,7 +90,83 @@ func (d *dcf) setNAV(t sim.Time) {
 		d.freeze()
 	}
 	// Re-evaluate when the reservation lapses.
-	d.st.sched.Reset(d.navTimer, t)
+	tx.Source.(*Station).lapseFor(tx.ID, t).join(d)
+}
+
+// navLapse is the NAV expiry of one overheard frame: one scheduler
+// event shared by every station whose NAV the frame extended, instead
+// of one timer per station. The frame's sender owns the record and
+// recycles it once it fires. A sender can have several live: when a
+// HACK payload is shorter than AckPayloadAllowance, its next frame can
+// end before the previous reservation lapses. Members are linked
+// through their dcf, so joining allocates nothing; a member whose NAV
+// a later frame extends leaves for that frame's lapse, so a lapse
+// re-evaluates only the stations whose NAV it ends.
+//
+// The first member posts the event and so takes the sequence number
+// a timer of its own would take; later members run at that position,
+// in join order (the medium's attach order), not at sequence numbers
+// of their own. That is the same execution unless another event due
+// at exactly the lapse instant is scheduled between the first and the
+// last join, inside the medium's delivery loop for this frame. None
+// is. The addressee's response timer is due at SIFS+AckTurnaround and
+// the lapse at SIFS plus the response airtime at the payload
+// allowance; legacy-rate response airtimes are 20 µs plus whole 4 µs
+// symbols, which no turnaround in use (0 or 37 µs) equals. Stack and
+// forward delays are 50 µs and 10 µs. TCP, HACK and Block ACK reorder
+// timers run on millisecond scales.
+type navLapse struct {
+	owner      *Station
+	txID       uint64    // the transmission whose reservation lapses
+	head, tail *dcf      // members, in join order
+	nextFree   *navLapse // the owner's freelist link
+}
+
+// fireLapse is the lapse event's persistent Post callback.
+func fireLapse(a any) { a.(*navLapse).fire() }
+
+// join appends d to the members, taking it out of the lapse of the
+// reservation this one extends.
+func (l *navLapse) join(d *dcf) {
+	if d.lapse != nil {
+		d.lapse.leave(d)
+	}
+	d.lapse, d.lapsePrev = l, l.tail
+	if l.tail == nil {
+		l.head = d
+	} else {
+		l.tail.lapseNext = d
+	}
+	l.tail = d
+}
+
+// leave unlinks member d.
+func (l *navLapse) leave(d *dcf) {
+	if d.lapsePrev == nil {
+		l.head = d.lapseNext
+	} else {
+		d.lapsePrev.lapseNext = d.lapseNext
+	}
+	if d.lapseNext == nil {
+		l.tail = d.lapsePrev
+	} else {
+		d.lapseNext.lapsePrev = d.lapsePrev
+	}
+	d.lapse, d.lapsePrev, d.lapseNext = nil, nil, nil
+}
+
+// fire re-evaluates each member's idle state in join order and returns
+// the record to its owner's freelist.
+func (l *navLapse) fire() {
+	for d := l.head; d != nil; d = l.head {
+		l.leave(d)
+		d.recomputeIdle()
+	}
+	st := l.owner
+	if st.lapse == l {
+		st.lapse = nil
+	}
+	l.nextFree, st.lapseFree = st.lapseFree, l
 }
 
 // noteRxError switches the next deferral to EIFS (802.11: a station

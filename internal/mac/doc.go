@@ -14,6 +14,21 @@
 // engine; framing and wire sizes in frames.go; the Block ACK
 // recipient scoreboard in ba.go.
 //
+// # Virtual carrier sense
+//
+// A data frame's or Block ACK Request's Duration field reserves the
+// medium through its response, sized for the largest HACK payload
+// (Config.AckPayloadAllowance), and every station that overhears the
+// frame defers until that NAV lapses. The lapse is one scheduler event
+// per overheard frame, not one timer per station: the first station
+// whose NAV the frame extends posts it, drawing the record from the
+// sender's freelist; later overhearers join its member list; a member
+// whose NAV a later frame extends moves to that frame's lapse; at the
+// lapse each remaining member re-evaluates its idle state in join
+// (attach) order. A dense network thus pays one scheduler event per
+// frame for NAV, not one per station, in the same order of execution
+// (navLapse gives the argument).
+//
 // # Rate adaptation
 //
 // The RateAdapter interface decouples rate selection from the

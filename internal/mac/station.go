@@ -174,6 +174,12 @@ type Station struct {
 	// filtering); no callee retains the slice.
 	rxScratch []*MPDU
 
+	// lapse is the NAV lapse of the latest frame this station sent that
+	// extended another station's NAV (nil before the first, or once it
+	// fired); lapseFree heads the freelist of fired lapse records.
+	lapse     *navLapse
+	lapseFree *navLapse
+
 	// Hooks receives HACK driver callbacks; defaults to NopHooks.
 	Hooks Hooks
 	// Deliver receives MSDUs addressed to this station, in order.
@@ -414,6 +420,25 @@ func (st *Station) putFrame(f *DataFrame) {
 	st.framePool = append(st.framePool, f)
 }
 
+// lapseFor returns the NAV lapse, due at `at`, of this station's
+// transmission txID, posting the lapse event for the first station
+// whose NAV the transmission extends.
+func (st *Station) lapseFor(txID uint64, at sim.Time) *navLapse {
+	if l := st.lapse; l != nil && l.txID == txID {
+		return l
+	}
+	l := st.lapseFree
+	if l != nil {
+		st.lapseFree = l.nextFree
+	} else {
+		l = &navLapse{owner: st}
+	}
+	l.txID = txID
+	st.lapse = l
+	st.sched.Post(at, fireLapse, l)
+	return l
+}
+
 // expectedRespDur returns the worst-case airtime of the response we
 // await to a frame sent at dataRate, including the HACK payload
 // allowance.
@@ -635,7 +660,7 @@ func (st *Station) EndRx(tx *channel.Transmission, outcome channel.Outcome) {
 func (st *Station) rxData(f *DataFrame, tx *channel.Transmission) {
 	if f.To != st.cfg.Addr {
 		st.dcf.noteRxOK()
-		st.dcf.setNAV(st.sched.Now() + f.Dur)
+		st.dcf.setNAV(st.sched.Now()+f.Dur, tx)
 		return
 	}
 	ht := tx.Rate.HT
@@ -853,7 +878,7 @@ func (st *Station) retryOrDrop(q *destQueue, m *MPDU) {
 func (st *Station) rxBAR(f *BARFrame, tx *channel.Transmission) {
 	if f.To != st.cfg.Addr {
 		st.dcf.noteRxOK()
-		st.dcf.setNAV(st.sched.Now() + f.Dur)
+		st.dcf.setNAV(st.sched.Now()+f.Dur, tx)
 		return
 	}
 	if st.medium.Corrupted(tx.Source, st, tx.Rate, barLen) {

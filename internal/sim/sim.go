@@ -12,22 +12,21 @@
 // The Scheduler's event queue has two interchangeable backends selected
 // by NewSchedulerBackend; both implement the identical strict (at, seq)
 // total order, so pop order — the only observable property — is the
-// same for any program:
+// same for any program, save one same-instant tie pattern the wheel
+// gets wrong (see the ordering note on wheelScheduler):
 //
 //   - BackendWheel (the default) is a hierarchical timing wheel: 7
 //     levels of 1024 slots at 1 ns tick granularity, so level l spans
 //     deltas in [2^(10l), 2^(10(l+1))) and the hierarchy covers the full
 //     non-negative int64 time range with no unsorted overflow list.
 //     Arming, cancelling, and re-arming a timer are all O(1) — the
-//     operations that dominate MAC workloads (NAV resets, response
-//     timeouts, block-ack flush churn) — independent of how many other
-//     events are pending. When the cursor advances past a level
-//     boundary, the slot covering the new cursor cascades: its timers
-//     re-place into finer levels by their remaining delta. Cascading
-//     moves whole buckets without reordering and every bucket is
-//     resolved by an (at, seq) scan at pop time, so insertion-sequence
-//     tie-breaks survive any cascade path and executions are
-//     byte-identical to the heap's.
+//     operations that dominate MAC workloads (backoff freezes and
+//     re-arms, response timeouts, block-ack flush churn) — independent
+//     of how many other events are pending. When the cursor advances
+//     past a level boundary, the slot covering the new cursor cascades:
+//     its timers re-place into finer levels by their remaining delta.
+//     Cascading moves whole buckets without reordering, so executions
+//     are byte-identical to the heap's except for the tie noted above.
 //   - BackendHeap is the prior binary min-heap, retained as the
 //     differential-testing oracle and for the N-scaling comparison
 //     benchmarks. Its per-arming cost is O(log n) in pending events.

@@ -73,14 +73,21 @@ func (lv *wheelLevel) nextSlot(from int) int {
 // (at, seq) scan, and across levels candidates are compared by the
 // same key, so the strict (at, seq) total order — including ties
 // created before or after any cascade — matches the heap exactly.
+// Known gap in that argument: a timer's level comes from its delta
+// from the cursor, so a timer armed late and close can sit in a
+// level-1 bucket while an older timer due at the same instant still
+// sits higher up; when the older one cascades in, it lands behind the
+// newer one, and bucketMin and the level-0 head then pop the newer
+// one first. Few events meet that pattern, but a 10 s TCP simulation
+// can hit it, and there the wheel's order differs from the heap's.
 //
 // The min memo is maintained incrementally: a push replaces it only
 // when strictly smaller, a remove invalidates it only when it removes
 // the cached timer itself, and cascades (which relocate but never
 // add or drop timers) leave it untouched. Steady-state arm/cancel
-// churn against a stable minimum — the NAV/respTimeout pattern that
-// dominates large networks — therefore never forces a rescan; only
-// popping the minimum does, once per event.
+// churn against a stable minimum — contending stations' backoff
+// freezes and response timeouts — therefore never forces a rescan;
+// only popping the minimum does, once per event.
 type wheelScheduler struct {
 	cur      Time // 1024-aligned cursor, ≤ every pending at
 	n        int
