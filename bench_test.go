@@ -135,15 +135,14 @@ const (
 	scaleAggregateKbps = 80_000
 )
 
-// scaleNetwork builds the n-station grid scenario on the given
-// scheduler backend with staggered per-client UDP downloads. A non-nil
+// scaleNetwork builds the n-station grid scenario with staggered
+// per-client UDP downloads. A non-nil
 // geometry runs the grid on the spatial PHY (2 m spacing keeps every
 // station inside carrier-sense range, so the collision-domain shape
 // matches the scalar channel while the power-matrix and per-receiver
 // sensing code carry the load).
-func scaleNetwork(stations int, backend sim.Backend, geom *channel.Geometry) *node.Network {
+func scaleNetwork(stations int, geom *channel.Geometry) *node.Network {
 	cfg := scenario.New(scenario.With80211n(), scenario.WithGrid(stations, 2))
-	cfg.SchedulerBackend = backend
 	cfg.Geometry = geom
 	n := node.New(cfg)
 	for ci := 0; ci < stations; ci++ {
@@ -159,14 +158,14 @@ func scaleNetwork(stations int, backend sim.Backend, geom *channel.Geometry) *no
 // is the host time of the fixed 1.5 s simulated window, the figure to
 // compare across changes that alter how many events the same
 // simulation takes.
-func benchScale(b *testing.B, backend sim.Backend, geom *channel.Geometry) {
+func benchScale(b *testing.B, geom *channel.Geometry) {
 	for _, n := range []int{10, 100, 1000} {
 		b.Run(fmt.Sprintf("stations=%d", n), func(b *testing.B) {
 			var events, mallocs uint64
 			var before, after runtime.MemStats
 			b.StopTimer()
 			for i := 0; i < b.N; i++ {
-				net := scaleNetwork(n, backend, geom)
+				net := scaleNetwork(n, geom)
 				net.Run(scaleWarm)
 				runtime.ReadMemStats(&before)
 				ev0 := net.Sched.EventsFired()
@@ -189,22 +188,18 @@ func benchScale(b *testing.B, backend sim.Backend, geom *channel.Geometry) {
 	}
 }
 
-// BenchmarkScale measures the production (timing-wheel) scheduler's
-// event throughput as the network grows from 10 to 1000 stations.
-func BenchmarkScale(b *testing.B) { benchScale(b, sim.BackendWheel, nil) }
-
-// BenchmarkScaleHeap runs the identical workload on the retained
-// binary-heap backend — the pre-wheel baseline the scaling numbers are
-// compared against.
-func BenchmarkScaleHeap(b *testing.B) { benchScale(b, sim.BackendHeap, nil) }
+// BenchmarkScale measures the simulator's event throughput as the
+// network grows from 10 to 1000 stations. CI gates its 100-station
+// ns/op against BENCH_7.json's heap-scheduler point, the pre-wheel
+// baseline.
+func BenchmarkScale(b *testing.B) { benchScale(b, nil) }
 
 // BenchmarkScaleSpatial runs the identical workload on the spatial PHY
-// (default path-loss geometry, timing-wheel scheduler) — the cost of
-// the power matrix, per-receiver carrier sensing, and SINR capture
-// relative to the scalar channel, gated in CI against the heap
-// baseline's ns/op.
+// (default path-loss geometry) — the cost of the power matrix,
+// per-receiver carrier sensing, and SINR capture relative to the
+// scalar channel, gated in CI against the same heap point's ns/op.
 func BenchmarkScaleSpatial(b *testing.B) {
-	benchScale(b, sim.BackendWheel, channel.DefaultGeometry())
+	benchScale(b, channel.DefaultGeometry())
 }
 
 // BenchmarkSimulatorEventRate measures raw simulator throughput: a

@@ -164,8 +164,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Observability: a JSONL trace writer and/or the airtime ledger,
-	// fanned out by TraceMulti. Attaching them cannot perturb the run.
+	// Observability: a JSONL trace writer on every layer and/or the
+	// airtime ledger on the medium, whose events are all it reads.
+	// Attaching them cannot perturb the run.
 	var tw *tcphack.TraceWriter
 	if *traceFlag != "" {
 		f, err := os.Create(*traceFlag)
@@ -174,23 +175,15 @@ func main() {
 			os.Exit(1)
 		}
 		tw = tcphack.NewTraceWriter(f)
-	}
-	var ledger *tcphack.AirtimeLedger
-	if *airtime {
-		ledger = tcphack.NewAirtimeLedger()
-	}
-	if tw != nil || ledger != nil {
-		var trs []tcphack.Tracer
-		if tw != nil {
-			trs = append(trs, tw)
-		}
-		if ledger != nil {
-			trs = append(trs, ledger)
-		}
-		cfg.Tracer = tcphack.TraceMulti(trs...)
+		cfg.Tracer = tw
 	}
 
 	n := tcphack.NewNetwork(cfg)
+	var ledger *tcphack.AirtimeLedger
+	if *airtime {
+		ledger = tcphack.NewAirtimeLedger()
+		n.Medium.Tracer = tcphack.TraceMulti(n.Medium.Tracer, ledger)
+	}
 	startFlows(n, tcphack.CampaignPoint{Clients: cfg.Clients})
 	n.Run(tcphack.Duration(*warmup))
 	for _, f := range n.Flows {

@@ -132,10 +132,11 @@ type Spec struct {
 	// the hook for per-point JSONL trace files. Tracing is
 	// determinism-neutral, so attaching one changes no metric.
 	Trace func(pt Point) trace.Tracer
-	// Airtime attaches an airtime ledger to every grid point and writes
-	// the breakdown into Result.Extra: airtime_{data,wifi_ack,bar,
-	// tcp_ack,retry,idle}_pct (shares of wall-clock medium time) and
-	// airtime_efficiency (useful share of busy airtime).
+	// Airtime attaches an airtime ledger to each grid point's medium
+	// once Build returns and writes the breakdown into Result.Extra:
+	// airtime_{data,wifi_ack,bar,tcp_ack,retry,idle}_pct (shares of
+	// wall-clock medium time) and airtime_efficiency (useful share of
+	// busy airtime).
 	Airtime bool
 	// Skip prunes a grid point without simulating; its Result row is
 	// emitted with Skipped set and zero metrics.
@@ -473,21 +474,16 @@ func (s Spec) runPoint(pt Point) Result {
 	var userTr trace.Tracer
 	if s.Trace != nil {
 		userTr = s.Trace(pt)
-	}
-	var ledger *trace.AirtimeLedger
-	if s.Airtime {
-		ledger = trace.NewAirtimeLedger()
-	}
-	if userTr != nil || ledger != nil {
-		// Build the list member-by-member: a nil *AirtimeLedger boxed
-		// into the Tracer interface would defeat Multi's nil filtering.
-		trs := []trace.Tracer{cfg.Tracer, userTr}
-		if ledger != nil {
-			trs = append(trs, ledger)
-		}
-		cfg.Tracer = trace.Multi(trs...)
+		cfg.Tracer = trace.Multi(cfg.Tracer, userTr)
 	}
 	n := s.Build(cfg)
+	var ledger *trace.AirtimeLedger
+	if s.Airtime {
+		// The ledger reads only the medium's events: attached to every
+		// layer it would pay for every probe it ignores.
+		ledger = trace.NewAirtimeLedger()
+		n.Medium.Tracer = trace.Multi(n.Medium.Tracer, ledger)
+	}
 	s.Workload(n, pt)
 
 	if s.Duration > 0 {

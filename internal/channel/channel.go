@@ -152,11 +152,11 @@ type Medium struct {
 	finishFn func(any) // persistent Post callback for transmission ends
 
 	// Tracer, when non-nil, receives tx_start / tx_end / collision
-	// probes. Assign it before the first Transmit; it observes only and
+	// events. Assign it before the first Transmit; it observes only and
 	// never perturbs the medium's RNG or event stream.
 	Tracer trace.Tracer
-	// nextMeta annotates the next Transmit for tracing (see StageTx).
-	nextMeta TxMeta
+	// staged is the next Transmit's tx_start event (see StageTx).
+	staged trace.Event
 
 	// Geometry, when non-nil, switches the medium to the spatial PHY:
 	// per-pair path loss, per-receiver carrier sensing, and SINR-based
@@ -223,28 +223,13 @@ func (m *Medium) Attach(r Radio) {
 // Busy reports whether any transmission is in flight.
 func (m *Medium) Busy() bool { return len(m.active) > 0 }
 
-// TxMeta annotates the next Transmit call for tracing: the MAC stages
-// it (StageTx) immediately before transmitting, carrying the frame
-// class and addressing the channel layer cannot see, so the tx_start
-// probe is emitted inside Transmit — before any collision probes for
-// the same transmission.
-type TxMeta struct {
-	// Src and Dst are MAC addresses.
-	Src, Dst uint16
-	// Class is the frame's airtime-attribution class.
-	Class trace.FrameClass
-	// MPDUs is the A-MPDU batch size (0 for control frames).
-	MPDUs int
-	// Retried counts MPDUs in the batch carrying a retry.
-	Retried int
-	// Extra is the HACK-payload share of an ACK frame's duration.
-	Extra sim.Duration
-}
-
-// StageTx stages tracing metadata for the next Transmit call. Only
-// useful when a Tracer is attached; the metadata is consumed (and
-// reset) by that Transmit.
-func (m *Medium) StageTx(meta TxMeta) { m.nextMeta = meta }
+// StageTx stages the next Transmit call's tx_start event. The MAC
+// fills the fields the channel layer cannot see (Src, Dst, Class,
+// MPDUs, Retried, Extra) immediately before transmitting, and only
+// when Tracer is set; Transmit completes the event (T, Kind, ID,
+// RateKbps, Bytes, End), emits it before any collision probe for the
+// same transmission, and clears the stage.
+func (m *Medium) StageTx(e trace.Event) { m.staged = e }
 
 // Transmit starts sending frame at rate; the PPDU carries length
 // payload bytes. Completion (and delivery at every other radio) is
@@ -268,10 +253,11 @@ func (m *Medium) Transmit(src Radio, rate phy.Rate, length int, frame any) *Tran
 	m.TxCount++
 	tx.ID = m.TxCount
 	if m.Tracer != nil {
-		meta := m.nextMeta
-		m.nextMeta = TxMeta{}
-		m.Tracer.TxStart(now, tx.ID, meta.Src, meta.Dst, meta.Class,
-			rate.Kbps, length, meta.MPDUs, meta.Retried, tx.End, meta.Extra)
+		e := m.staged
+		m.staged = trace.Event{}
+		e.T, e.Kind, e.ID = now, trace.KindTxStart, tx.ID
+		e.RateKbps, e.Bytes, e.End = rate.Kbps, length, tx.End
+		m.Tracer.Emit(e)
 	}
 	if m.Geometry != nil {
 		m.transmitSpatial(tx, now)
@@ -286,7 +272,7 @@ func (m *Medium) Transmit(src Radio, rate phy.Rate, length int, frame any) *Tran
 			continue
 		}
 		if m.Tracer != nil {
-			m.Tracer.Collision(now, tx.ID, other.ID)
+			m.Tracer.Emit(trace.Event{T: now, Kind: trace.KindCollision, ID: tx.ID, ID2: other.ID})
 		}
 		if !tx.collided {
 			tx.collided = true
@@ -328,7 +314,7 @@ func (m *Medium) finish(tx *Transmission) {
 		m.AirtimeBusy += m.sched.Now() - m.lastBusyStart
 	}
 	if m.Tracer != nil {
-		m.Tracer.TxEnd(m.sched.Now(), tx.ID, tx.collided)
+		m.Tracer.Emit(trace.Event{T: m.sched.Now(), Kind: trace.KindTxEnd, ID: tx.ID, Collided: tx.collided})
 	}
 	for j, r := range m.radios {
 		if j == tx.srcIdx {

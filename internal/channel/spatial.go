@@ -7,6 +7,7 @@ import (
 
 	"tcphack/internal/phy"
 	"tcphack/internal/sim"
+	"tcphack/internal/trace"
 )
 
 // Geometry configures the spatial PHY regime (see doc.go): log-distance
@@ -297,7 +298,7 @@ func (m *Medium) transmitSpatial(tx *Transmission, now sim.Time) {
 			}
 			if coupled {
 				if m.Tracer != nil {
-					m.Tracer.Collision(now, tx.ID, o.ID)
+					m.Tracer.Emit(trace.Event{T: now, Kind: trace.KindCollision, ID: tx.ID, ID2: o.ID})
 				}
 				if !tx.collided {
 					tx.collided = true
@@ -384,7 +385,7 @@ func (m *Medium) finishSpatial(tx *Transmission) {
 		}
 	}
 	if m.Tracer != nil {
-		m.Tracer.TxEnd(now, tx.ID, tx.collided)
+		m.Tracer.Emit(trace.Event{T: now, Kind: trace.KindTxEnd, ID: tx.ID, Collided: tx.collided})
 	}
 	for j, r := range m.radios {
 		if j < len(out) && out[j] != rxNone {

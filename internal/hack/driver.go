@@ -290,8 +290,9 @@ func (d *Driver) setState(dst mac.Addr, ps *peerState, to RecoveryState, cause t
 		return
 	}
 	if d.cfg.Tracer != nil {
-		d.cfg.Tracer.HackState(d.sched.Now(), uint16(d.cfg.Addr), uint16(dst),
-			trace.DriverState(ps.state), trace.DriverState(to), cause)
+		d.cfg.Tracer.Emit(trace.Event{T: d.sched.Now(), Kind: trace.KindHackState,
+			Sta: uint16(d.cfg.Addr), Peer: uint16(dst),
+			From: trace.DriverState(ps.state).String(), To: trace.DriverState(to).String(), Cause: cause.String()})
 	}
 	ps.state = to
 }
@@ -386,7 +387,8 @@ func (d *Driver) hold(ps *peerState, p *packet.Packet, expires sim.Time) bool {
 	}
 	tuple, _ := p.Tuple()
 	if d.cfg.Tracer != nil {
-		d.cfg.Tracer.ROHCPacket(d.sched.Now(), uint16(d.cfg.Addr), rohc.IsIR(data), len(data))
+		d.cfg.Tracer.Emit(trace.Event{T: d.sched.Now(), Kind: trace.KindROHCPacket,
+			Sta: uint16(d.cfg.Addr), IR: rohc.IsIR(data), Bytes: len(data)})
 	}
 	ps.pending = append(ps.pending, heldAck{
 		pkt: p, data: data, msn: msn, cid: d.comp.CID(tuple),
@@ -672,8 +674,8 @@ func (d *Driver) AckPayloadReceived(peer mac.Addr, payload []byte) {
 	d.FailNoContext += uint64(res.FailNoContext)
 	d.FailCRC += uint64(res.FailCRC)
 	if d.cfg.Tracer != nil {
-		d.cfg.Tracer.ROHCResult(d.sched.Now(), uint16(d.cfg.Addr),
-			len(res.Packets), res.Duplicates, res.Failures)
+		d.cfg.Tracer.Emit(trace.Event{T: d.sched.Now(), Kind: trace.KindROHCResult, Sta: uint16(d.cfg.Addr),
+			Packets: len(res.Packets), Dups: res.Duplicates, Failures: res.Failures})
 	}
 	if err != nil {
 		// A parse error drops the whole frame, reconstructions included.

@@ -4,6 +4,7 @@ import (
 	"tcphack/internal/channel"
 	"tcphack/internal/phy"
 	"tcphack/internal/sim"
+	"tcphack/internal/trace"
 )
 
 // dcf implements the 802.11 contention engine for one station:
@@ -84,7 +85,7 @@ func (d *dcf) setNAV(t sim.Time, tx *channel.Transmission) {
 	wasBusy := d.busy()
 	d.navUntil = t
 	if tr := d.st.cfg.Tracer; tr != nil {
-		tr.NAV(d.st.sched.Now(), uint16(d.st.cfg.Addr), t)
+		tr.Emit(trace.Event{T: d.st.sched.Now(), Kind: trace.KindNAV, Sta: uint16(d.st.cfg.Addr), Until: t})
 	}
 	if !wasBusy {
 		d.freeze()

@@ -136,6 +136,17 @@ func TestAirtimeLedgerConservedSpatial(t *testing.T) {
 	if rep.Idle == 0 || rep.Busy() == 0 {
 		t.Errorf("degenerate report: busy %v idle %v", rep.Busy(), rep.Idle)
 	}
+	// The ledger sits on the medium alone, yet each frame is booked to
+	// its sender and class: the stations stage tx_start for the
+	// medium's tracer, not their own.
+	for _, sa := range rep.Stations {
+		if sa.Station != 1 && sa.Station != 3 && sa.Data > 0 {
+			t.Errorf("station %d booked %v of data airtime; only 1 and 3 send data", sa.Station, sa.Data)
+		}
+		if (sa.Station == 2 || sa.Station == 4) && sa.WifiAck == 0 {
+			t.Errorf("receiver %d booked no ACK airtime", sa.Station)
+		}
+	}
 	// Concurrency really happened: with decoupled flows the summed
 	// attributed airtime of a serial medium would exceed what one
 	// collision domain could carry, yet the ledger still conserves.

@@ -63,10 +63,12 @@ type Config struct {
 	// responses: the longest compressed-ACK payload expected.
 	AckPayloadAllowance int
 
-	// Tracer, when non-nil, receives MAC-layer probes (A-MPDU decode
-	// results, NAV updates, Block ACK window state, MPDU fates) and
-	// stages tx_start metadata on the medium before each transmission.
-	// Tracers observe only; they never perturb RNG or event order.
+	// Tracer, when non-nil, receives MAC-layer events (A-MPDU decode
+	// results, NAV updates, Block ACK window state, MPDU fates).
+	// Whenever the medium has a Tracer, the station stages its
+	// tx_start fields there before each transmission, whatever this
+	// one is. Tracers observe only; they never perturb RNG or event
+	// order.
 	Tracer trace.Tracer
 }
 
@@ -494,7 +496,7 @@ func (st *Station) sendData(q *destQueue, waited sim.Duration) {
 			retried++
 		}
 	}
-	if st.cfg.Tracer != nil {
+	if st.medium.Tracer != nil {
 		class := trace.ClassData
 		switch {
 		case retried > 0:
@@ -502,8 +504,8 @@ func (st *Station) sendData(q *destQueue, waited sim.Duration) {
 		case allAck:
 			class = trace.ClassTCPAck
 		}
-		st.medium.StageTx(channel.TxMeta{
-			Src: uint16(st.cfg.Addr), Dst: uint16(q.dst), Class: class,
+		st.medium.StageTx(trace.Event{
+			Src: uint16(st.cfg.Addr), Dst: uint16(q.dst), Class: class.String(),
 			MPDUs: len(frame.MPDUs), Retried: retried,
 		})
 	}
@@ -605,9 +607,9 @@ func (st *Station) sendBAR(q *destQueue, waited sim.Duration) {
 	dataRate := st.lastRateFor(q)
 	bar.Dur = phy.SIFS + st.expectedRespDur(dataRate, true)
 	rate := st.ackRateFor(dataRate)
-	if st.cfg.Tracer != nil {
-		st.medium.StageTx(channel.TxMeta{
-			Src: uint16(st.cfg.Addr), Dst: uint16(q.dst), Class: trace.ClassBAR,
+	if st.medium.Tracer != nil {
+		st.medium.StageTx(trace.Event{
+			Src: uint16(st.cfg.Addr), Dst: uint16(q.dst), Class: trace.ClassBAR.String(),
 		})
 	}
 	tx := st.medium.Transmit(st, rate, barLen, bar)
@@ -672,7 +674,8 @@ func (st *Station) rxData(f *DataFrame, tx *channel.Transmission) {
 	}
 	st.rxScratch = decoded[:0]
 	if st.cfg.Tracer != nil {
-		st.cfg.Tracer.RxFrame(st.sched.Now(), uint16(f.From), uint16(f.To), len(f.MPDUs), len(decoded))
+		st.cfg.Tracer.Emit(trace.Event{T: st.sched.Now(), Kind: trace.KindRxFrame,
+			Src: uint16(f.From), Dst: uint16(f.To), MPDUs: len(f.MPDUs), Decoded: len(decoded)})
 	}
 	if len(decoded) == 0 {
 		// Nothing decodable: the station cannot even tell the frame was
@@ -737,10 +740,11 @@ func (st *Station) sendResponse(peer Addr, block bool, elicitRate phy.Rate) {
 	}
 	f.Payload = st.Hooks.BuildAckPayload(peer)
 	rate := st.ackRateFor(elicitRate)
-	if st.cfg.Tracer != nil {
-		if block {
-			st.cfg.Tracer.BAWindow(st.sched.Now(), uint16(st.cfg.Addr), uint16(peer), f.StartSeq, f.Bitmap)
-		}
+	if st.cfg.Tracer != nil && block {
+		st.cfg.Tracer.Emit(trace.Event{T: st.sched.Now(), Kind: trace.KindBAWindow,
+			Sta: uint16(st.cfg.Addr), Peer: uint16(peer), StartSeq: f.StartSeq, Bitmap: f.Bitmap})
+	}
+	if st.medium.Tracer != nil {
 		var extra sim.Duration
 		if len(f.Payload) > 0 {
 			base := ackLen
@@ -749,8 +753,8 @@ func (st *Station) sendResponse(peer Addr, block bool, elicitRate phy.Rate) {
 			}
 			extra = phy.FrameDuration(rate, f.WireLen()) - phy.FrameDuration(rate, base)
 		}
-		st.medium.StageTx(channel.TxMeta{
-			Src: uint16(st.cfg.Addr), Dst: uint16(peer), Class: trace.ClassAck, Extra: extra,
+		st.medium.StageTx(trace.Event{
+			Src: uint16(st.cfg.Addr), Dst: uint16(peer), Class: trace.ClassAck.String(), Extra: extra,
 		})
 	}
 	tx := st.medium.Transmit(st, rate, f.WireLen(), f)
@@ -845,12 +849,18 @@ func (st *Station) recordDelivered(q *destQueue, m *MPDU) {
 	}
 	st.cfg.RateAdapter.OnTxResult(q.dst, st.lastRateFor(q), true, m.Retries)
 	if st.cfg.Tracer != nil {
-		st.cfg.Tracer.MPDUFate(st.sched.Now(), uint16(st.cfg.Addr), uint16(q.dst), m.Seq, m.Retries, trace.FateDelivered)
+		st.traceFate(q, m, trace.FateDelivered)
 	}
 	if st.OnMSDUResolved != nil {
 		st.OnMSDUResolved(m.MSDU, true)
 	}
 	m.MSDU.release()
+}
+
+// traceFate emits m's mpdu_fate event; callers check st.cfg.Tracer.
+func (st *Station) traceFate(q *destQueue, m *MPDU, fate trace.Fate) {
+	st.cfg.Tracer.Emit(trace.Event{T: st.sched.Now(), Kind: trace.KindMPDUFate,
+		Sta: uint16(st.cfg.Addr), Peer: uint16(q.dst), Seq: uint32(m.Seq), Retries: m.Retries, Fate: fate.String()})
 }
 
 func (st *Station) retryOrDrop(q *destQueue, m *MPDU) {
@@ -859,7 +869,7 @@ func (st *Station) retryOrDrop(q *destQueue, m *MPDU) {
 	if m.Retries > st.cfg.RetryLimit {
 		st.Stats.Expired++
 		if st.cfg.Tracer != nil {
-			st.cfg.Tracer.MPDUFate(st.sched.Now(), uint16(st.cfg.Addr), uint16(q.dst), m.Seq, m.Retries, trace.FateExpired)
+			st.traceFate(q, m, trace.FateExpired)
 		}
 		if st.OnMSDUResolved != nil {
 			st.OnMSDUResolved(m.MSDU, false)
@@ -870,7 +880,7 @@ func (st *Station) retryOrDrop(q *destQueue, m *MPDU) {
 	}
 	st.Stats.Retries++
 	if st.cfg.Tracer != nil {
-		st.cfg.Tracer.MPDUFate(st.sched.Now(), uint16(st.cfg.Addr), uint16(q.dst), m.Seq, m.Retries, trace.FateRetry)
+		st.traceFate(q, m, trace.FateRetry)
 	}
 	q.retryQ.push(m)
 }
@@ -938,7 +948,7 @@ func (st *Station) onRespTimeout() {
 			st.Stats.Expired++
 			q.retryQ.pop()
 			if st.cfg.Tracer != nil {
-				st.cfg.Tracer.MPDUFate(st.sched.Now(), uint16(st.cfg.Addr), uint16(q.dst), m.Seq, m.Retries, trace.FateExpired)
+				st.traceFate(q, m, trace.FateExpired)
 			}
 			if st.OnMSDUResolved != nil {
 				st.OnMSDUResolved(m.MSDU, false)
@@ -949,7 +959,7 @@ func (st *Station) onRespTimeout() {
 		} else {
 			st.Stats.Retries++
 			if st.cfg.Tracer != nil {
-				st.cfg.Tracer.MPDUFate(st.sched.Now(), uint16(st.cfg.Addr), uint16(q.dst), m.Seq, m.Retries, trace.FateRetry)
+				st.traceFate(q, m, trace.FateRetry)
 			}
 			st.dcf.onTxFailure()
 		}

@@ -40,11 +40,6 @@ import (
 // Config parameterizes a Network.
 type Config struct {
 	Seed int64
-	// SchedulerBackend selects the event-queue implementation (the
-	// zero value is the timing wheel). Executions are byte-identical
-	// across backends; the heap exists for differential testing and
-	// benchmark comparison.
-	SchedulerBackend sim.Backend
 	// Mode selects the HACK policy at every station (ModeOff = stock).
 	Mode hack.Mode
 
@@ -98,15 +93,19 @@ type Config struct {
 	WireRateKbps int
 	WireDelay    sim.Duration
 
-	// TCPConfig is the base endpoint configuration (ports/addresses
-	// are filled per flow).
+	// TCPConfig is the base endpoint configuration. Each flow fills in
+	// its ports and addresses, and sets the endpoints' Tracer to
+	// Config.Tracer, overriding any set here.
 	TCPConfig tcp.Config
 
-	// Tracer, when non-nil, is threaded through every layer — channel,
-	// MAC, HACK driver, TCP — as the network is assembled. Tracing is
+	// Tracer, when non-nil, receives the events of every layer: the
+	// channel, MAC and HACK driver get it as the network is assembled,
+	// and each flow's TCP endpoints when the flow starts. Tracing is
 	// determinism-neutral: attaching a tracer perturbs no RNG stream,
 	// event ordering, or protocol decision; with a nil Tracer every
-	// probe site is a single pointer check.
+	// probe site is a single pointer check. A tracer that reads only
+	// the medium's events, like trace.AirtimeLedger, belongs on
+	// Network.Medium.Tracer instead, set after New returns.
 	Tracer trace.Tracer
 }
 
@@ -171,12 +170,7 @@ func (c Config) withDefaults() Config {
 		c.WireDelay = sim.Millisecond
 	}
 	if c.TCPConfig.MSS == 0 {
-		tr := c.TCPConfig.Tracer
 		c.TCPConfig = tcp.DefaultConfig()
-		c.TCPConfig.Tracer = tr
-	}
-	if c.TCPConfig.Tracer == nil {
-		c.TCPConfig.Tracer = c.Tracer
 	}
 	return c
 }
@@ -326,7 +320,7 @@ type Flow struct {
 // New assembles a network per cfg.
 func New(cfg Config) *Network {
 	cfg = cfg.withDefaults()
-	sched := sim.NewSchedulerBackend(cfg.Seed, cfg.SchedulerBackend)
+	sched := sim.NewScheduler(cfg.Seed)
 	medium := channel.New(sched, cfg.Err)
 	medium.Tracer = cfg.Tracer
 	medium.Geometry = cfg.Geometry
@@ -630,6 +624,7 @@ func (n *Network) StartDownload(ci int, totalBytes uint64, startAt sim.Duration)
 	rcfg := n.Cfg.TCPConfig
 	rcfg.Local, rcfg.LocalPort = clientIP(ci), port
 	rcfg.Remote, rcfg.RemotePort = senderIP, port
+	scfg.Tracer, rcfg.Tracer = n.Cfg.Tracer, n.Cfg.Tracer
 
 	sender := tcp.NewEndpoint(n.Sched, scfg)
 	receiver := tcp.NewEndpoint(n.Sched, rcfg)
@@ -651,6 +646,7 @@ func (n *Network) StartUpload(ci int, totalBytes uint64, startAt sim.Duration) *
 	rcfg := n.Cfg.TCPConfig
 	rcfg.Local, rcfg.LocalPort = peerIP, port
 	rcfg.Remote, rcfg.RemotePort = clientIP(ci), port
+	scfg.Tracer, rcfg.Tracer = n.Cfg.Tracer, n.Cfg.Tracer
 
 	sender := tcp.NewEndpoint(n.Sched, scfg)
 	receiver := tcp.NewEndpoint(n.Sched, rcfg)

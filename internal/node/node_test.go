@@ -8,6 +8,7 @@ import (
 	"tcphack/internal/packet"
 	"tcphack/internal/phy"
 	"tcphack/internal/sim"
+	"tcphack/internal/trace"
 )
 
 func ht150Config(mode hack.Mode, clients int, seed int64) Config {
@@ -286,5 +287,35 @@ func TestLinkSerialization(t *testing.T) {
 	}
 	if arrivals[1] != 3*sim.Millisecond { // serialized behind the first
 		t.Errorf("second at %v, want 3ms", arrivals[1])
+	}
+}
+
+// kindCount is a Tracer that counts events by kind.
+type kindCount map[trace.Kind]int
+
+func (c kindCount) Emit(e trace.Event) { c[e.Kind]++ }
+
+// TestReusedConfigTracer builds a second network from a built one's
+// Cfg with another tracer. Every layer of it, TCP included, must report
+// to that tracer, and none to the first network's.
+func TestReusedConfigTracer(t *testing.T) {
+	first, second := kindCount{}, kindCount{}
+	cfg := ht150Config(hack.ModeMoreData, 2, 1)
+	cfg.Err = &channel.FixedLoss{Default: 0.05}
+	cfg.Tracer = first
+	cfg = New(cfg).Cfg
+	cfg.Tracer = second
+	n := New(cfg)
+	n.StartDownload(0, 0, 0)
+	n.StartUpload(1, 0, 0)
+	n.Run(2 * sim.Second)
+	if len(first) != 0 {
+		t.Errorf("the first network's tracer got events from the second: %v", first)
+	}
+	for _, k := range []trace.Kind{trace.KindTxStart, trace.KindMPDUFate, trace.KindHackState,
+		trace.KindTCPRetransmit, trace.KindTCPCwnd} {
+		if second[k] == 0 {
+			t.Errorf("the second network's tracer got no %s events: %v", k, second)
+		}
 	}
 }

@@ -1,6 +1,6 @@
 // Differential scheduler harness: the binary heap (the engine's
-// original backend) and the timing wheel are driven from one recorded
-// workload — randomized arm/cancel/Reset/Post programs and event
+// original event queue, now test-only) and the timing wheel are driven
+// from one recorded workload — randomized arm/cancel/Reset/Post programs and event
 // traces captured from real ht150 networks — and must produce
 // identical fire order, handle states, and clocks. The heap is the
 // oracle: any divergence is a wheel ordering bug.
@@ -17,7 +17,7 @@ import (
 )
 
 // Op kinds for the recorded scheduler programs. A program is
-// interpreted identically against each backend; all randomness is
+// interpreted identically against each queue; all randomness is
 // pre-drawn into the op stream so the two executions are replicas.
 const (
 	opAt = iota
@@ -58,11 +58,15 @@ type progResult struct {
 	persist [nPersist]bool
 }
 
-// runProgram interprets ops against a fresh scheduler with the given
-// backend and returns everything observable: the full fire log (time,
-// op id), periodic pending-count snapshots, and final handle states.
-func runProgram(b sim.Backend, ops []op) progResult {
-	s := sim.NewSchedulerBackend(1, b)
+// runProgram interprets ops against a fresh scheduler, on the heap
+// oracle when heap is set, and returns everything observable: the full
+// fire log (time, op id), periodic pending-count snapshots, and final
+// handle states.
+func runProgram(heap bool, ops []op) progResult {
+	s := sim.NewScheduler(1)
+	if heap {
+		sim.UseHeap(s)
+	}
 	var (
 		log     []rec
 		handles [nHandles]*sim.Timer
@@ -204,15 +208,15 @@ func randOps(seed int64, n int) []op {
 	return ops
 }
 
-// TestDifferentialRandomOps drives both backends through one million
+// TestDifferentialRandomOps drives both queues through one million
 // randomized operations per seed and requires byte-identical fire
 // logs, clocks, and handle states.
 func TestDifferentialRandomOps(t *testing.T) {
 	const opsPerRun = 1_000_000
 	for _, seed := range []int64{1, 2, 42} {
 		ops := randOps(seed, opsPerRun)
-		heap := runProgram(sim.BackendHeap, ops)
-		wheel := runProgram(sim.BackendWheel, ops)
+		heap := runProgram(true, ops)
+		wheel := runProgram(false, ops)
 		if len(heap.log) < opsPerRun/4 {
 			t.Fatalf("seed %d: degenerate program, only %d fires", seed, len(heap.log))
 		}
@@ -221,9 +225,9 @@ func TestDifferentialRandomOps(t *testing.T) {
 }
 
 // networkTrace runs a real ht150 network (aggregated 802.11n, HACK
-// MORE-DATA, 3 TCP downloads) on the given backend and records the
-// virtual time of every executed event.
-func networkTrace(backend sim.Backend, loss float64, maxEvents int) ([]sim.Time, uint64) {
+// MORE-DATA, 3 TCP downloads), moved onto the heap oracle when heap is
+// set, and records the virtual time of every executed event.
+func networkTrace(heap bool, loss float64, maxEvents int) ([]sim.Time, uint64) {
 	opts := []scenario.Option{
 		scenario.With80211n(),
 		scenario.WithClients(3),
@@ -232,9 +236,10 @@ func networkTrace(backend sim.Backend, loss float64, maxEvents int) ([]sim.Time,
 	if loss > 0 {
 		opts = append(opts, scenario.WithUniformLoss(loss))
 	}
-	cfg := scenario.New(opts...)
-	cfg.SchedulerBackend = backend
-	n := node.New(cfg)
+	n := node.New(scenario.New(opts...))
+	if heap {
+		sim.UseHeap(n.Sched)
+	}
 	for ci := 0; ci < 3; ci++ {
 		n.StartDownload(ci, 0, sim.Duration(ci)*sim.Millisecond)
 	}
@@ -257,8 +262,8 @@ func TestDifferentialNetworkTrace(t *testing.T) {
 		loss float64
 	}{{"lossless", 0}, {"loss5pct", 0.05}} {
 		t.Run(tc.name, func(t *testing.T) {
-			heap, heapFired := networkTrace(sim.BackendHeap, tc.loss, maxEvents)
-			wheel, wheelFired := networkTrace(sim.BackendWheel, tc.loss, maxEvents)
+			heap, heapFired := networkTrace(true, tc.loss, maxEvents)
+			wheel, wheelFired := networkTrace(false, tc.loss, maxEvents)
 			if len(heap) != len(wheel) {
 				t.Fatalf("trace length: heap %d, wheel %d", len(heap), len(wheel))
 			}
@@ -297,7 +302,7 @@ func opsFromBytes(data []byte) []op {
 
 // FuzzSchedulerOrder feeds arbitrary op programs — same-tick
 // collisions, zero-delay re-arms, cancel/Reset storms — to both
-// backends and requires identical pop order and handle states. The
+// queues and requires identical pop order and handle states. The
 // seed corpus lives in testdata/fuzz/FuzzSchedulerOrder.
 func FuzzSchedulerOrder(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 7, 3, 0, 0})             // At(now), then steps
@@ -314,6 +319,6 @@ func FuzzSchedulerOrder(f *testing.F) {
 			data = data[:4096]
 		}
 		ops := opsFromBytes(data)
-		compareResults(t, runProgram(sim.BackendHeap, ops), runProgram(sim.BackendWheel, ops))
+		compareResults(t, runProgram(true, ops), runProgram(false, ops))
 	})
 }

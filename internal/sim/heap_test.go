@@ -1,14 +1,12 @@
 package sim
 
 // heapScheduler is the binary min-heap event queue — the engine's
-// original backend, retained verbatim behind the eventQueue interface
-// as the differential-testing oracle (differential_test.go,
-// FuzzSchedulerOrder) and as the reference point for the N-scaling
-// benchmarks. It is a hand-rolled heap rather than container/heap: the
-// comparator is a strict total order on (at, seq), so pop order — the
-// only observable property — is identical, while the direct
-// implementation avoids the interface-call and indirect Less/Swap
-// overhead that showed up as ~15% of campaign CPU time.
+// original one, kept in the tests as the oracle the timing wheel is
+// compared against (differential_test.go, FuzzSchedulerOrder). It is
+// a hand-rolled heap rather than container/heap: the comparator is a
+// strict total order on (at, seq), so pop order — the only observable
+// property — is identical, while the direct implementation avoids the
+// interface-call and indirect Less/Swap overhead.
 type heapScheduler struct {
 	events []*Timer // binary min-heap on (at, seq)
 }
@@ -101,4 +99,15 @@ func (h *heapScheduler) remove(t *Timer) {
 		}
 	}
 	t.index = -1
+}
+
+// UseHeap moves s's pending timers into a fresh binary heap, which
+// then backs s. Each timer keeps the (at, seq) key the Scheduler gave
+// it, so the move cannot reorder them.
+func UseHeap(s *Scheduler) {
+	h := &heapScheduler{}
+	for s.q.len() > 0 {
+		h.push(s.q.popMin())
+	}
+	s.q = h
 }

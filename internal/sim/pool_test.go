@@ -129,10 +129,13 @@ func TestPostReleasesArgs(t *testing.T) {
 func TestPostSameTickRearmNoAlias(t *testing.T) {
 	for _, bk := range []struct {
 		name string
-		b    Backend
-	}{{"wheel", BackendWheel}, {"heap", BackendHeap}} {
+		heap bool
+	}{{"wheel", false}, {"heap", true}} {
 		t.Run(bk.name, func(t *testing.T) {
-			s := NewSchedulerBackend(1, bk.b)
+			s := NewScheduler(1)
+			if bk.heap {
+				UseHeap(s)
+			}
 			var got []string
 			p := NewTimer(func() { got = append(got, "persist") })
 			rearm := func(any) {

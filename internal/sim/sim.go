@@ -7,29 +7,28 @@
 // consults wall-clock time or global randomness, and ties between events
 // scheduled for the same instant are broken by insertion order.
 //
-// # Event queue backends
+// # Event queue
 //
-// The Scheduler's event queue has two interchangeable backends selected
-// by NewSchedulerBackend; both implement the identical strict (at, seq)
-// total order, so pop order — the only observable property — is the
-// same for any program, save one same-instant tie pattern the wheel
-// gets wrong (see the ordering note on wheelScheduler):
+// The Scheduler's event queue is a hierarchical timing wheel: 7 levels
+// of 1024 slots at 1 ns tick granularity, so level l spans deltas in
+// [2^(10l), 2^(10(l+1))) and the hierarchy covers the full
+// non-negative int64 time range with no unsorted overflow list.
+// Arming, cancelling, and re-arming a timer are all O(1) — the
+// operations that dominate MAC workloads (backoff freezes and re-arms,
+// response timeouts, block-ack flush churn) — independent of how many
+// other events are pending. When the cursor advances past a level
+// boundary, the slot covering the new cursor cascades: its timers
+// re-place into finer levels by their remaining delta, moving whole
+// buckets without reordering.
 //
-//   - BackendWheel (the default) is a hierarchical timing wheel: 7
-//     levels of 1024 slots at 1 ns tick granularity, so level l spans
-//     deltas in [2^(10l), 2^(10(l+1))) and the hierarchy covers the full
-//     non-negative int64 time range with no unsorted overflow list.
-//     Arming, cancelling, and re-arming a timer are all O(1) — the
-//     operations that dominate MAC workloads (backoff freezes and
-//     re-arms, response timeouts, block-ack flush churn) — independent
-//     of how many other events are pending. When the cursor advances
-//     past a level boundary, the slot covering the new cursor cascades:
-//     its timers re-place into finer levels by their remaining delta.
-//     Cascading moves whole buckets without reordering, so executions
-//     are byte-identical to the heap's except for the tie noted above.
-//   - BackendHeap is the prior binary min-heap, retained as the
-//     differential-testing oracle and for the N-scaling comparison
-//     benchmarks. Its per-arming cost is O(log n) in pending events.
+// The wheel implements the strict (at, seq) total order, so pop order
+// — the only observable property — depends on the program alone, save
+// one same-instant tie pattern the wheel gets wrong (see the ordering
+// note on wheelScheduler). The engine's original binary min-heap lives
+// on in this package's tests as the oracle for that order: recorded op
+// programs, FuzzSchedulerOrder and event traces of real networks run
+// on both queues and must agree. BENCH_7.json records the heap's cost
+// at scale.
 //
 // # Scheduling APIs and allocation behaviour
 //
@@ -114,12 +113,12 @@ type Timer struct {
 	fn    func()
 	fnArg func(any) // set for Post events; fn is nil then
 	arg   any
-	// index is the pending marker shared by both queue backends: the
-	// heap stores the timer's heap position, the wheel stores 0 while
-	// linked into a bucket; both store -1 when not pending.
+	// index is the pending marker: the wheel stores 0 while the timer
+	// is linked into a bucket (the test-only heap stores its heap
+	// position), and both store -1 when it is not pending.
 	index int
-	// Intrusive bucket list links + placement, used only by the wheel
-	// backend. Keeping them on the Timer makes every wheel operation
+	// Intrusive bucket list links + placement, used by the wheel.
+	// Keeping them on the Timer makes every wheel operation
 	// allocation-free.
 	wnext  *Timer
 	wprev  *Timer
@@ -144,10 +143,11 @@ func (t *Timer) Pending() bool { return t.index >= 0 }
 // At returns the virtual time the timer is (or was last) scheduled for.
 func (t *Timer) At() Time { return t.at }
 
-// eventQueue is the pluggable priority-queue backend behind a
-// Scheduler. Both implementations maintain the strict (at, seq) total
-// order; remove takes the timer itself so backends can use either a
-// positional index (heap) or intrusive links (wheel).
+// eventQueue is the priority queue behind a Scheduler: the timing
+// wheel, or in tests the binary-heap oracle (heap_test.go). Both keep
+// the strict (at, seq) total order; remove takes the timer itself so a
+// queue can use either a positional index (heap) or intrusive links
+// (wheel).
 type eventQueue interface {
 	len() int
 	push(t *Timer)
@@ -155,20 +155,6 @@ type eventQueue interface {
 	popMin() *Timer
 	min() Time // undefined when len() == 0
 }
-
-// Backend selects a Scheduler's event-queue implementation. The zero
-// value is the timing wheel, which every production path uses; the heap
-// exists as the differential-test oracle and benchmark reference.
-type Backend int
-
-// Available event-queue backends.
-const (
-	// BackendWheel is the hierarchical timing wheel (the default).
-	BackendWheel Backend = iota
-	// BackendHeap is the prior binary min-heap, retained as the
-	// differential-testing oracle.
-	BackendHeap
-)
 
 // Scheduler is the discrete-event core. It is not safe for concurrent
 // use; simulations are single-goroutine by design (determinism).
@@ -182,23 +168,10 @@ type Scheduler struct {
 }
 
 // NewScheduler returns a scheduler whose random stream is seeded with
-// seed, using the default timing-wheel event queue. Two schedulers with
+// seed, running on the timing-wheel event queue. Two schedulers with
 // equal seeds and equal event programs produce identical executions.
 func NewScheduler(seed int64) *Scheduler {
-	return NewSchedulerBackend(seed, BackendWheel)
-}
-
-// NewSchedulerBackend is NewScheduler with an explicit event-queue
-// backend. Executions are byte-identical across backends; the choice
-// only affects per-operation cost.
-func NewSchedulerBackend(seed int64, b Backend) *Scheduler {
-	s := &Scheduler{rng: rand.New(rand.NewSource(seed))}
-	if b == BackendHeap {
-		s.q = &heapScheduler{}
-	} else {
-		s.q = newWheelScheduler()
-	}
-	return s
+	return &Scheduler{rng: rand.New(rand.NewSource(seed)), q: newWheelScheduler()}
 }
 
 // Now returns the current virtual time.

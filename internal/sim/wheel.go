@@ -44,7 +44,7 @@ func (lv *wheelLevel) nextSlot(from int) int {
 	}
 }
 
-// wheelScheduler is the hierarchical timing wheel behind BackendWheel.
+// wheelScheduler is the hierarchical timing wheel behind every Scheduler.
 //
 // Placement: a timer at absolute time `at` lives at the level selected
 // by its delta from the cursor, in the slot given by the corresponding
@@ -72,7 +72,7 @@ func (lv *wheelLevel) nextSlot(from int) int {
 // with no scan. Higher-level candidate buckets are resolved by an
 // (at, seq) scan, and across levels candidates are compared by the
 // same key, so the strict (at, seq) total order — including ties
-// created before or after any cascade — matches the heap exactly.
+// created before or after any cascade — matches the heap oracle.
 // Known gap in that argument: a timer's level comes from its delta
 // from the cursor, so a timer armed late and close can sit in a
 // level-1 bucket while an older timer due at the same instant still

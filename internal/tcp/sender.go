@@ -3,6 +3,7 @@ package tcp
 import (
 	"tcphack/internal/packet"
 	"tcphack/internal/sim"
+	"tcphack/internal/trace"
 )
 
 // flightSize returns the bytes in flight.
@@ -126,7 +127,7 @@ func (ep *Endpoint) emitSegment(seq uint32, n int, rtx bool) {
 	if rtx {
 		ep.Stats.Retransmits++
 		if ep.cfg.Tracer != nil {
-			ep.cfg.Tracer.TCPRetransmit(ep.sched.Now(), ep.cfg.LocalPort, seq)
+			ep.cfg.Tracer.Emit(trace.Event{T: ep.sched.Now(), Kind: trace.KindTCPRetransmit, Port: ep.cfg.LocalPort, Seq: seq})
 		}
 	} else if !ep.rttValid && !ep.tsEnabled {
 		// Karn's algorithm: time one un-retransmitted segment.
@@ -268,7 +269,8 @@ func (ep *Endpoint) enterRecovery() {
 // (recovery entry/exit, RTO collapse) — the points a cwnd plot needs.
 func (ep *Endpoint) traceCwnd() {
 	if ep.cfg.Tracer != nil {
-		ep.cfg.Tracer.TCPCwnd(ep.sched.Now(), ep.cfg.LocalPort, int(ep.cwnd), int(ep.ssthresh))
+		ep.cfg.Tracer.Emit(trace.Event{T: ep.sched.Now(), Kind: trace.KindTCPCwnd, Port: ep.cfg.LocalPort,
+			Cwnd: int(ep.cwnd), Ssthresh: int(ep.ssthresh)})
 	}
 }
 
@@ -483,7 +485,7 @@ func (ep *Endpoint) onRTO() {
 	}
 	ep.Stats.Timeouts++
 	if ep.cfg.Tracer != nil {
-		ep.cfg.Tracer.TCPRTO(ep.sched.Now(), ep.cfg.LocalPort, ep.rto)
+		ep.cfg.Tracer.Emit(trace.Event{T: ep.sched.Now(), Kind: trace.KindTCPRTO, Port: ep.cfg.LocalPort, RTO: ep.rto})
 	}
 	// RFC 5681: collapse to one segment, halve ssthresh, and restart
 	// transmission from sndUna (go-back-N; slow start re-grows and

@@ -5,7 +5,8 @@ import "tcphack/internal/sim"
 // Kind names an event's probe in the JSONL schema.
 type Kind string
 
-// Event kinds, one per Tracer method.
+// Event kinds, one per probe; the package doc lists the layer that
+// emits each.
 const (
 	// KindTxStart: a transmission entered the medium.
 	KindTxStart Kind = "tx_start"
@@ -35,9 +36,10 @@ const (
 	KindTCPCwnd Kind = "tcp_cwnd"
 )
 
-// Event is the flat JSONL record every probe maps onto. Unused fields
-// for a given kind are omitted from the encoding; times and durations
-// are simulated nanoseconds.
+// Event is the flat JSONL record every probe emits. Unused fields for
+// a given kind are omitted from the encoding; times and durations are
+// simulated nanoseconds. Tracers receive it by value, so growing it
+// costs every traced probe a wider copy.
 type Event struct {
 	// T is the simulated time of the event.
 	T sim.Time `json:"t"`
@@ -78,7 +80,8 @@ type Event struct {
 	Until sim.Time `json:"until,omitempty"`
 	// StartSeq is the Block ACK bitmap origin (ba_window).
 	StartSeq uint16 `json:"start_seq,omitempty"`
-	// Bitmap is the Block ACK bitmap (ba_window).
+	// Bitmap is the Block ACK bitmap: bit i covers StartSeq+i
+	// (ba_window).
 	Bitmap uint64 `json:"bitmap,omitempty"`
 	// Seq is an MPDU sequence number (mpdu_fate) or TCP sequence
 	// number (tcp_rtx).
@@ -105,67 +108,4 @@ type Event struct {
 	// Cwnd and Ssthresh are congestion state in bytes (tcp_cwnd).
 	Cwnd     int `json:"cwnd,omitempty"`
 	Ssthresh int `json:"ssthresh,omitempty"`
-}
-
-// sink adapts the Tracer probe methods onto a single emit(Event)
-// function — the one shared mapping Recorder and Writer both use, so
-// the two can never disagree on the schema.
-type sink struct{ emit func(Event) }
-
-func (s sink) TxStart(now sim.Time, id uint64, src, dst uint16, class FrameClass,
-	rateKbps, bytes, mpdus, retried int, end sim.Time, extra sim.Duration) {
-	s.emit(Event{T: now, Kind: KindTxStart, ID: id, Src: src, Dst: dst,
-		Class: class.String(), RateKbps: rateKbps, Bytes: bytes,
-		MPDUs: mpdus, Retried: retried, End: end, Extra: extra})
-}
-
-func (s sink) TxEnd(now sim.Time, id uint64, collided bool) {
-	s.emit(Event{T: now, Kind: KindTxEnd, ID: id, Collided: collided})
-}
-
-func (s sink) Collision(now sim.Time, id, otherID uint64) {
-	s.emit(Event{T: now, Kind: KindCollision, ID: id, ID2: otherID})
-}
-
-func (s sink) RxFrame(now sim.Time, src, dst uint16, mpdus, decoded int) {
-	s.emit(Event{T: now, Kind: KindRxFrame, Src: src, Dst: dst, MPDUs: mpdus, Decoded: decoded})
-}
-
-func (s sink) NAV(now sim.Time, sta uint16, until sim.Time) {
-	s.emit(Event{T: now, Kind: KindNAV, Sta: sta, Until: until})
-}
-
-func (s sink) BAWindow(now sim.Time, sta, peer, startSeq uint16, bitmap uint64) {
-	s.emit(Event{T: now, Kind: KindBAWindow, Sta: sta, Peer: peer, StartSeq: startSeq, Bitmap: bitmap})
-}
-
-func (s sink) MPDUFate(now sim.Time, sta, peer, seq uint16, retries int, fate Fate) {
-	s.emit(Event{T: now, Kind: KindMPDUFate, Sta: sta, Peer: peer,
-		Seq: uint32(seq), Retries: retries, Fate: fate.String()})
-}
-
-func (s sink) HackState(now sim.Time, self, peer uint16, from, to DriverState, cause Cause) {
-	s.emit(Event{T: now, Kind: KindHackState, Sta: self, Peer: peer,
-		From: from.String(), To: to.String(), Cause: cause.String()})
-}
-
-func (s sink) ROHCPacket(now sim.Time, sta uint16, ir bool, bytes int) {
-	s.emit(Event{T: now, Kind: KindROHCPacket, Sta: sta, IR: ir, Bytes: bytes})
-}
-
-func (s sink) ROHCResult(now sim.Time, sta uint16, packets, dups, failures int) {
-	s.emit(Event{T: now, Kind: KindROHCResult, Sta: sta,
-		Packets: packets, Dups: dups, Failures: failures})
-}
-
-func (s sink) TCPRetransmit(now sim.Time, port uint16, seq uint32) {
-	s.emit(Event{T: now, Kind: KindTCPRetransmit, Port: port, Seq: seq})
-}
-
-func (s sink) TCPRTO(now sim.Time, port uint16, rto sim.Duration) {
-	s.emit(Event{T: now, Kind: KindTCPRTO, Port: port, RTO: rto})
-}
-
-func (s sink) TCPCwnd(now sim.Time, port uint16, cwnd, ssthresh int) {
-	s.emit(Event{T: now, Kind: KindTCPCwnd, Port: port, Cwnd: cwnd, Ssthresh: ssthresh})
 }

@@ -50,11 +50,11 @@ type ledgerTx struct {
 // AirtimeLedger is a Tracer that accounts every nanosecond of
 // simulated time into per-station Buckets plus idle, exactly: at any
 // snapshot, busy + idle equals the elapsed simulated time with zero
-// remainder. It consumes only TxStart/TxEnd (the embedded Nop absorbs
-// the other probes), so it composes with recorders via Multi. The
-// zero value is not usable; construct with NewAirtimeLedger.
+// remainder. It reads only the medium's tx_start and tx_end events
+// and ignores every other kind, so attach it to channel.Medium's
+// Tracer (composed with others via Multi) rather than to every layer.
+// The zero value is not usable; construct with NewAirtimeLedger.
 type AirtimeLedger struct {
-	Nop
 	lastEdge sim.Time
 	idle     sim.Duration
 	active   []ledgerTx
@@ -81,25 +81,24 @@ func (l *AirtimeLedger) advance(now sim.Time) {
 	l.lastEdge = now
 }
 
-// TxStart implements Tracer.
-func (l *AirtimeLedger) TxStart(now sim.Time, id uint64, src, _ uint16, class FrameClass,
-	_, _, _, _ int, _ sim.Time, extra sim.Duration) {
-	l.advance(now)
-	l.active = append(l.active, ledgerTx{id: id, src: src, class: class, extra: extra})
-}
-
-// TxEnd implements Tracer.
-func (l *AirtimeLedger) TxEnd(now sim.Time, id uint64, _ bool) {
-	l.advance(now)
-	for i := range l.active {
-		if l.active[i].id == id {
-			l.settle(l.stations, l.active[i])
-			l.active = append(l.active[:i], l.active[i+1:]...)
-			return
+// Emit implements Tracer.
+func (l *AirtimeLedger) Emit(e Event) {
+	switch e.Kind {
+	case KindTxStart:
+		l.advance(e.T)
+		l.active = append(l.active, ledgerTx{id: e.ID, src: e.Src, class: classOf(e.Class), extra: e.Extra})
+	case KindTxEnd:
+		l.advance(e.T)
+		for i := range l.active {
+			if l.active[i].id == e.ID {
+				l.settle(l.stations, l.active[i])
+				l.active = append(l.active[:i], l.active[i+1:]...)
+				return
+			}
 		}
+		// A transmission the ledger never saw start (attached
+		// mid-run): nothing accrued, nothing to settle.
 	}
-	// A transmission the ledger never saw start (attached mid-run):
-	// nothing accrued, nothing to settle.
 }
 
 // settle books a finished transmission's accrued time: up to extra

@@ -16,7 +16,6 @@ const DefaultRecorderCap = 1 << 16
 // newest capacity events, overwriting the oldest once full. The zero
 // value is not usable; construct with NewRecorder.
 type Recorder struct {
-	sink
 	buf   []Event
 	next  int // overwrite position once the ring is full
 	total int // events ever emitted, including overwritten ones
@@ -28,12 +27,11 @@ func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultRecorderCap
 	}
-	r := &Recorder{buf: make([]Event, 0, capacity)}
-	r.sink.emit = r.record
-	return r
+	return &Recorder{buf: make([]Event, 0, capacity)}
 }
 
-func (r *Recorder) record(e Event) {
+// Emit implements Tracer.
+func (r *Recorder) Emit(e Event) {
 	if len(r.buf) < cap(r.buf) {
 		r.buf = append(r.buf, e)
 	} else {
@@ -71,7 +69,6 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 // writer when it is an io.Closer) and reports the first error
 // encountered. The zero value is not usable; construct with NewWriter.
 type Writer struct {
-	sink
 	under io.Writer
 	bw    *bufio.Writer
 	enc   *json.Encoder
@@ -83,11 +80,11 @@ type Writer struct {
 func NewWriter(w io.Writer) *Writer {
 	wr := &Writer{under: w, bw: bufio.NewWriter(w)}
 	wr.enc = json.NewEncoder(wr.bw)
-	wr.sink.emit = wr.write
 	return wr
 }
 
-func (w *Writer) write(e Event) {
+// Emit implements Tracer.
+func (w *Writer) Emit(e Event) {
 	if w.err != nil {
 		return
 	}
@@ -123,8 +120,9 @@ var knownKinds = map[Kind]bool{
 
 // ValidateJSONL checks a JSONL trace stream against the schema: every
 // line must decode as an Event with a known kind, timestamps must be
-// non-decreasing, and tx_end / collision records must reference a
-// transmission that started earlier in the stream and has not ended.
+// non-decreasing, tx_end records must reference a transmission that
+// started earlier in the stream and has not ended, and both ends of a
+// collision (id and id2) must be such transmissions.
 // It returns the number of events validated. Transmissions still open
 // at EOF are legal (the trace may end mid-flight).
 func ValidateJSONL(r io.Reader) (int, error) {
@@ -164,8 +162,10 @@ func ValidateJSONL(r io.Reader) (int, error) {
 			}
 			delete(open, e.ID)
 		case KindCollision:
-			if !open[e.ID] {
-				return n, fmt.Errorf("trace: line %d: collision for unknown id %d", line, e.ID)
+			for _, id := range [2]uint64{e.ID, e.ID2} {
+				if !open[id] {
+					return n, fmt.Errorf("trace: line %d: collision for unknown id %d", line, id)
+				}
 			}
 		}
 		last = e

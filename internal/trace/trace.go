@@ -1,10 +1,6 @@
 package trace
 
-import (
-	"fmt"
-
-	"tcphack/internal/sim"
-)
+import "fmt"
 
 // FrameClass labels what a transmission carries, for airtime
 // attribution. The sender computes it at transmit time (the receiver
@@ -26,21 +22,26 @@ const (
 	ClassBAR
 )
 
+// classTokens holds each FrameClass's JSONL token, indexed by class.
+var classTokens = [...]string{"data", "retry", "tcp_ack", "ack", "bar"}
+
 // String returns the class's JSONL token.
 func (c FrameClass) String() string {
-	switch c {
-	case ClassData:
-		return "data"
-	case ClassRetry:
-		return "retry"
-	case ClassTCPAck:
-		return "tcp_ack"
-	case ClassAck:
-		return "ack"
-	case ClassBAR:
-		return "bar"
+	if int(c) < len(classTokens) {
+		return classTokens[c]
 	}
 	return fmt.Sprintf("class%d", uint8(c))
+}
+
+// classOf inverts String: it returns the class whose token is tok,
+// or a class past ClassBAR, which no airtime bucket takes, when tok
+// is unknown.
+func classOf(tok string) FrameClass {
+	c := ClassData
+	for int(c) < len(classTokens) && classTokens[c] != tok {
+		c++
+	}
+	return c
 }
 
 // Fate is the terminal or intermediate outcome of one MPDU
@@ -137,100 +138,26 @@ func (c Cause) String() string {
 	return fmt.Sprintf("cause%d", uint8(c))
 }
 
-// Tracer receives probe events from every simulator layer. All
-// arguments are scalars so that implementations (and in particular
-// Nop) can be called through the interface without heap allocation.
-// Implementations must not mutate simulator state, schedule events,
-// or consume RNG draws: tracing is determinism-neutral by contract.
+// Tracer receives the events of every simulator layer through its one
+// method. Each probe site builds its Event inside the nil check that
+// guards it, so a nil Tracer costs one pointer comparison. The Event
+// travels by value: a pointer passed through the interface would
+// escape, one heap allocation per probe. Implementations must not
+// mutate simulator state, schedule events, or consume RNG draws:
+// tracing is determinism-neutral by contract.
 type Tracer interface {
-	// TxStart reports a transmission entering the medium. id correlates
-	// with TxEnd/Collision; src and dst are MAC addresses; extra is the
-	// share of the frame's duration attributable to an appended HACK
-	// compressed-ACK payload (ClassAck frames only, 0 otherwise); end
-	// is the scheduled end of the transmission.
-	TxStart(now sim.Time, id uint64, src, dst uint16, class FrameClass,
-		rateKbps, bytes, mpdus, retried int, end sim.Time, extra sim.Duration)
-	// TxEnd reports a transmission leaving the medium, and whether it
-	// was destroyed by a collision.
-	TxEnd(now sim.Time, id uint64, collided bool)
-	// Collision reports that transmission id overlapped with otherID.
-	Collision(now sim.Time, id, otherID uint64)
-	// RxFrame reports a received data frame: mpdus of its A-MPDU were
-	// on the air, decoded survived the channel.
-	RxFrame(now sim.Time, src, dst uint16, mpdus, decoded int)
-	// NAV reports a virtual carrier-sense update: sta defers until the
-	// given time.
-	NAV(now sim.Time, sta uint16, until sim.Time)
-	// BAWindow reports the Block ACK state sta advertises to peer:
-	// bitmap bit i covers sequence startSeq+i.
-	BAWindow(now sim.Time, sta, peer, startSeq uint16, bitmap uint64)
-	// MPDUFate reports the outcome of one MPDU transmission attempt
-	// from sta to peer, with the retry count so far.
-	MPDUFate(now sim.Time, sta, peer, seq uint16, retries int, fate Fate)
-	// HackState reports a HACK driver recovery-state transition for the
-	// (self, peer) pair, with its cause.
-	HackState(now sim.Time, self, peer uint16, from, to DriverState, cause Cause)
-	// ROHCPacket reports one TCP ACK leaving the compressor: ir marks
-	// the self-contained IR refresh form, bytes the encoded size.
-	ROHCPacket(now sim.Time, sta uint16, ir bool, bytes int)
-	// ROHCResult reports one decompressed HACK frame's outcome.
-	ROHCResult(now sim.Time, sta uint16, packets, dups, failures int)
-	// TCPRetransmit reports a TCP segment retransmission on the flow
-	// identified by the sender's port.
-	TCPRetransmit(now sim.Time, port uint16, seq uint32)
-	// TCPRTO reports a retransmission-timeout firing, with the RTO that
-	// expired.
-	TCPRTO(now sim.Time, port uint16, rto sim.Duration)
-	// TCPCwnd reports a congestion-window change at a loss event or
-	// recovery exit (not every ACK), in bytes.
-	TCPCwnd(now sim.Time, port uint16, cwnd, ssthresh int)
+	// Emit receives one event; only the fields its Kind uses are set.
+	Emit(e Event)
 }
 
-// Nop is the zero-cost Tracer: every method is an empty function. Its
-// calls through the Tracer interface are allocation-free.
+// Nop is the zero-cost Tracer: Emit discards the event. Its calls
+// through the Tracer interface are allocation-free.
 type Nop struct{}
 
-// TxStart implements Tracer.
-func (Nop) TxStart(sim.Time, uint64, uint16, uint16, FrameClass, int, int, int, int, sim.Time, sim.Duration) {
-}
+// Emit implements Tracer.
+func (Nop) Emit(Event) {}
 
-// TxEnd implements Tracer.
-func (Nop) TxEnd(sim.Time, uint64, bool) {}
-
-// Collision implements Tracer.
-func (Nop) Collision(sim.Time, uint64, uint64) {}
-
-// RxFrame implements Tracer.
-func (Nop) RxFrame(sim.Time, uint16, uint16, int, int) {}
-
-// NAV implements Tracer.
-func (Nop) NAV(sim.Time, uint16, sim.Time) {}
-
-// BAWindow implements Tracer.
-func (Nop) BAWindow(sim.Time, uint16, uint16, uint16, uint64) {}
-
-// MPDUFate implements Tracer.
-func (Nop) MPDUFate(sim.Time, uint16, uint16, uint16, int, Fate) {}
-
-// HackState implements Tracer.
-func (Nop) HackState(sim.Time, uint16, uint16, DriverState, DriverState, Cause) {}
-
-// ROHCPacket implements Tracer.
-func (Nop) ROHCPacket(sim.Time, uint16, bool, int) {}
-
-// ROHCResult implements Tracer.
-func (Nop) ROHCResult(sim.Time, uint16, int, int, int) {}
-
-// TCPRetransmit implements Tracer.
-func (Nop) TCPRetransmit(sim.Time, uint16, uint32) {}
-
-// TCPRTO implements Tracer.
-func (Nop) TCPRTO(sim.Time, uint16, sim.Duration) {}
-
-// TCPCwnd implements Tracer.
-func (Nop) TCPCwnd(sim.Time, uint16, int, int) {}
-
-// Multi fans probes out to several tracers in argument order. Nil
+// Multi fans events out to several tracers in argument order. Nil
 // entries are dropped; Multi returns nil when none remain and the
 // single survivor unwrapped, so call sites can compose optional
 // tracers without paying for absent ones.
@@ -252,81 +179,8 @@ func Multi(trs ...Tracer) Tracer {
 
 type multi []Tracer
 
-func (m multi) TxStart(now sim.Time, id uint64, src, dst uint16, class FrameClass,
-	rateKbps, bytes, mpdus, retried int, end sim.Time, extra sim.Duration) {
+func (m multi) Emit(e Event) {
 	for _, t := range m {
-		t.TxStart(now, id, src, dst, class, rateKbps, bytes, mpdus, retried, end, extra)
-	}
-}
-
-func (m multi) TxEnd(now sim.Time, id uint64, collided bool) {
-	for _, t := range m {
-		t.TxEnd(now, id, collided)
-	}
-}
-
-func (m multi) Collision(now sim.Time, id, otherID uint64) {
-	for _, t := range m {
-		t.Collision(now, id, otherID)
-	}
-}
-
-func (m multi) RxFrame(now sim.Time, src, dst uint16, mpdus, decoded int) {
-	for _, t := range m {
-		t.RxFrame(now, src, dst, mpdus, decoded)
-	}
-}
-
-func (m multi) NAV(now sim.Time, sta uint16, until sim.Time) {
-	for _, t := range m {
-		t.NAV(now, sta, until)
-	}
-}
-
-func (m multi) BAWindow(now sim.Time, sta, peer, startSeq uint16, bitmap uint64) {
-	for _, t := range m {
-		t.BAWindow(now, sta, peer, startSeq, bitmap)
-	}
-}
-
-func (m multi) MPDUFate(now sim.Time, sta, peer, seq uint16, retries int, fate Fate) {
-	for _, t := range m {
-		t.MPDUFate(now, sta, peer, seq, retries, fate)
-	}
-}
-
-func (m multi) HackState(now sim.Time, self, peer uint16, from, to DriverState, cause Cause) {
-	for _, t := range m {
-		t.HackState(now, self, peer, from, to, cause)
-	}
-}
-
-func (m multi) ROHCPacket(now sim.Time, sta uint16, ir bool, bytes int) {
-	for _, t := range m {
-		t.ROHCPacket(now, sta, ir, bytes)
-	}
-}
-
-func (m multi) ROHCResult(now sim.Time, sta uint16, packets, dups, failures int) {
-	for _, t := range m {
-		t.ROHCResult(now, sta, packets, dups, failures)
-	}
-}
-
-func (m multi) TCPRetransmit(now sim.Time, port uint16, seq uint32) {
-	for _, t := range m {
-		t.TCPRetransmit(now, port, seq)
-	}
-}
-
-func (m multi) TCPRTO(now sim.Time, port uint16, rto sim.Duration) {
-	for _, t := range m {
-		t.TCPRTO(now, port, rto)
-	}
-}
-
-func (m multi) TCPCwnd(now sim.Time, port uint16, cwnd, ssthresh int) {
-	for _, t := range m {
-		t.TCPCwnd(now, port, cwnd, ssthresh)
+		t.Emit(e)
 	}
 }

@@ -425,10 +425,11 @@ func AnalyticalDefaults() AnalyticalParams { return analytical.Defaults() }
 // events — without perturbing it: tracing is determinism-neutral by
 // construction, and a nil tracer costs one pointer check per probe.
 type (
-	// Tracer receives simulation probe events (see internal/trace for
-	// the full probe inventory). Implementations must only observe —
-	// never schedule events, consume simulation randomness, or mutate
-	// protocol state.
+	// Tracer receives every simulation event through its one method,
+	// Emit(TraceEvent); internal/trace's package doc lists each event
+	// kind and the layer that emits it. Implementations must only
+	// observe — never schedule events, consume simulation randomness,
+	// or mutate protocol state.
 	Tracer = trace.Tracer
 	// NopTracer is the explicit do-nothing Tracer (zero allocations).
 	NopTracer = trace.Nop
@@ -440,7 +441,8 @@ type (
 	// TraceWriter streams trace events as JSONL to an io.Writer.
 	TraceWriter = trace.Writer
 	// AirtimeLedger is a Tracer that accounts every nanosecond of
-	// medium time into per-station usage buckets.
+	// medium time into per-station usage buckets from the medium's
+	// tx_start and tx_end events.
 	AirtimeLedger = trace.AirtimeLedger
 	// AirtimeReport is a settled snapshot of an AirtimeLedger.
 	AirtimeReport = trace.AirtimeReport
@@ -466,12 +468,14 @@ const DefaultTraceRecorderCap = trace.DefaultRecorderCap
 // JSONL; call Close to flush (and close w if it is an io.Closer).
 func NewTraceWriter(w io.Writer) *TraceWriter { return trace.NewWriter(w) }
 
-// NewAirtimeLedger returns an airtime-accounting Tracer; attach it
-// with WithTracer and call Snapshot at the end of the run.
+// NewAirtimeLedger returns an airtime-accounting Tracer. It reads only
+// the medium's events, so attach it to the built network's medium —
+// n.Medium.Tracer = TraceMulti(n.Medium.Tracer, ledger), as
+// Campaign.Airtime does — and call Snapshot at the end of the run.
 func NewAirtimeLedger() *AirtimeLedger { return trace.NewAirtimeLedger() }
 
-// TraceMulti fans probe events out to several tracers (nils are
-// dropped; returns nil when none remain).
+// TraceMulti fans events out to several tracers (nils are dropped;
+// returns nil when none remain).
 func TraceMulti(trs ...Tracer) Tracer { return trace.Multi(trs...) }
 
 // ValidateTraceJSONL schema-checks a JSONL trace stream and returns

@@ -12,6 +12,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -55,8 +56,9 @@ func traceDigestCases() []traceDigestCase {
 	}
 }
 
-// traceDigests runs c for 0.5 s warm-up plus 0.5 s measured and
-// returns the hex SHA-256 of its JSONL trace and of its result row.
+// traceDigests runs c for 0.5 s warm-up plus 0.5 s measured, checks
+// its JSONL trace against the schema, and returns the hex SHA-256 of
+// that trace and of its result row.
 func traceDigests(t *testing.T, c traceDigestCase) (traceSum, rowSum string) {
 	t.Helper()
 	base := scenario.New(c.opts...)
@@ -72,6 +74,7 @@ func traceDigests(t *testing.T, c traceDigestCase) (traceSum, rowSum string) {
 		t.Fatal(err)
 	}
 	h := sha256.New()
+	var stream bytes.Buffer
 	rows := campaign.Run(campaign.Spec{
 		Name:     c.name,
 		Base:     base,
@@ -80,8 +83,11 @@ func traceDigests(t *testing.T, c traceDigestCase) (traceSum, rowSum string) {
 		Workers:  1,
 		Workload: workload,
 		// The runner closes (flushes) the writer after the run.
-		Trace: func(campaign.Point) trace.Tracer { return trace.NewWriter(h) },
+		Trace: func(campaign.Point) trace.Tracer { return trace.NewWriter(io.MultiWriter(h, &stream)) },
 	})
+	if n, err := trace.ValidateJSONL(&stream); err != nil || n == 0 {
+		t.Errorf("trace of %s: ValidateJSONL = %d, %v; want a valid stream", c.name, n, err)
+	}
 	var row bytes.Buffer
 	if err := rows.WriteJSON(&row); err != nil {
 		t.Fatal(err)
