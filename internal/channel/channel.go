@@ -42,7 +42,12 @@ func (o Outcome) String() string {
 	return fmt.Sprintf("Outcome(%d)", int(o))
 }
 
-// Transmission describes one PPDU in flight.
+// Transmission describes one PPDU in flight. The medium owns the
+// record: it is valid from Transmit until the transmission finishes,
+// when the medium has made its deliveries and carrier edges, zeroes the
+// record and keeps it for a later Transmit. So a radio reads it only
+// inside EndRx, and Transmit's caller reads it before the transmission
+// ends.
 type Transmission struct {
 	// ID numbers transmissions from 1 in transmit order; trace
 	// tx_start / tx_end / collision records correlate through it.
@@ -60,7 +65,8 @@ type Transmission struct {
 	// interfMax is spatial-regime state: per receiver index, the
 	// worst-instant aggregate interference power (mW) seen during the
 	// frame. +Inf marks a receiver that was itself transmitting during
-	// an overlap (half-duplex: it can never decode).
+	// an overlap (half-duplex: it can never decode). A recycled record
+	// keeps the array for its next use.
 	interfMax []float64
 }
 
@@ -86,7 +92,9 @@ type Radio interface {
 	CarrierIdle()
 	// EndRx delivers a completed transmission and its outcome at this
 	// radio (RxOK or RxCollided). Frames are delivered promiscuously;
-	// MAC-layer address filtering is the receiver's job.
+	// MAC-layer address filtering is the receiver's job. tx is valid
+	// only during the call: the medium recycles it once the
+	// transmission finishes (see Transmission).
 	EndRx(tx *Transmission, outcome Outcome)
 }
 
@@ -150,6 +158,8 @@ type Medium struct {
 	// every scan over it (collision probes above all) is deterministic.
 	active   []*Transmission
 	finishFn func(any) // persistent Post callback for transmission ends
+	// txFree holds finished, zeroed Transmission records for reuse.
+	txFree []*Transmission
 
 	// Tracer, when non-nil, receives tx_start / tx_end / collision
 	// events. Assign it before the first Transmit; it observes only and
@@ -176,7 +186,6 @@ type Medium struct {
 	floorMW    float64
 	scratchSum []float64
 	scratchOut []Outcome
-	interfFree [][]float64
 
 	// Stats.
 	TxCount        uint64
@@ -233,7 +242,8 @@ func (m *Medium) StageTx(e trace.Event) { m.staged = e }
 
 // Transmit starts sending frame at rate; the PPDU carries length
 // payload bytes. Completion (and delivery at every other radio) is
-// scheduled automatically. Returns the transmission for tracing.
+// scheduled automatically. It returns the transmission, which is valid
+// only until the transmission finishes (see Transmission).
 // Transmitting from a radio that never attached panics.
 func (m *Medium) Transmit(src Radio, rate phy.Rate, length int, frame any) *Transmission {
 	si, ok := m.radioIdx[src]
@@ -241,15 +251,15 @@ func (m *Medium) Transmit(src Radio, rate phy.Rate, length int, frame any) *Tran
 		panic(fmt.Sprintf("channel: Transmit from radio %p, which is not attached to this medium", src))
 	}
 	now := m.sched.Now()
-	tx := &Transmission{
-		Source: src,
-		srcIdx: si,
-		Rate:   rate,
-		Length: length,
-		Frame:  frame,
-		Start:  now,
-		End:    now + phy.FrameDuration(rate, length),
+	var tx *Transmission
+	if n := len(m.txFree); n > 0 {
+		tx = m.txFree[n-1]
+		m.txFree = m.txFree[:n-1]
+	} else {
+		tx = &Transmission{}
 	}
+	tx.Source, tx.srcIdx, tx.Rate, tx.Length, tx.Frame = src, si, rate, length, frame
+	tx.Start, tx.End = now, now+phy.FrameDuration(rate, length)
 	m.TxCount++
 	tx.ID = m.TxCount
 	if m.Tracer != nil {
@@ -304,11 +314,19 @@ func (m *Medium) removeActive(tx *Transmission) {
 	}
 }
 
+// finish ends tx: it makes the deliveries and carrier edges of the
+// regime in force, then recycles the record.
 func (m *Medium) finish(tx *Transmission) {
 	if m.Geometry != nil {
 		m.finishSpatial(tx)
-		return
+	} else {
+		m.finishScalar(tx)
 	}
+	*tx = Transmission{interfMax: tx.interfMax[:0]}
+	m.txFree = append(m.txFree, tx)
+}
+
+func (m *Medium) finishScalar(tx *Transmission) {
 	m.removeActive(tx)
 	if len(m.active) == 0 {
 		m.AirtimeBusy += m.sched.Now() - m.lastBusyStart

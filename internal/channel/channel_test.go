@@ -467,21 +467,6 @@ func TestPosDistance(t *testing.T) {
 	}
 }
 
-func BenchmarkMediumTransmit(b *testing.B) {
-	s := sim.NewScheduler(1)
-	m := New(s, nil)
-	a := &testRadio{}
-	r := &testRadio{}
-	m.Attach(a)
-	m.Attach(r)
-	b.ReportAllocs()
-	d := phy.FrameDuration(phy.RateA54, 1500)
-	for i := 0; i < b.N; i++ {
-		m.Transmit(a, phy.RateA54, 1500, nil)
-		s.RunUntil(s.Now() + d)
-	}
-}
-
 func BenchmarkFrameErrorRate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		FrameErrorRate(phy.RateA54, 22.5, 1500)

@@ -38,6 +38,10 @@
 // stream, drawing zero additional random numbers. The differential
 // suite in internal/node pins that equivalence.
 //
+// In both regimes the medium owns each Transmission record: it recycles
+// the record once the transmission has finished, zeroed, so a radio
+// reads it only inside EndRx.
+//
 // Error models are orthogonal to both regimes and range from "no
 // loss" through fixed per-link frame loss (used to reproduce the
 // paper's SoRa testbed, which observed 12%/2% loss for stock TCP vs

@@ -198,21 +198,15 @@ func (m *Medium) ensureSpatial() {
 	m.scratchOut = make([]Outcome, n)
 }
 
-// interfBuf returns a zeroed interference-maximum buffer of length n,
-// reusing retired buffers so steady-state transmission is alloc-free.
-func (m *Medium) interfBuf(n int) []float64 {
-	if k := len(m.interfFree); k > 0 {
-		b := m.interfFree[k-1]
-		m.interfFree = m.interfFree[:k-1]
-		if cap(b) >= n {
-			b = b[:n]
-			for i := range b {
-				b[i] = 0
-			}
-			return b
-		}
+// zeroedBuf returns b resized to n and zeroed, reusing its array when
+// it is large enough.
+func zeroedBuf(b []float64, n int) []float64 {
+	if cap(b) < n {
+		return make([]float64, n)
 	}
-	return make([]float64, n)
+	b = b[:n]
+	clear(b)
+	return b
 }
 
 // transmitSpatial is the spatial-regime half of Transmit: it accrues
@@ -223,7 +217,7 @@ func (m *Medium) transmitSpatial(tx *Transmission, now sim.Time) {
 	m.ensureSpatial()
 	nR := len(m.radios)
 	si := tx.srcIdx
-	tx.interfMax = m.interfBuf(nR)
+	tx.interfMax = zeroedBuf(tx.interfMax, nR)
 	row := m.powerMW[si]
 	if len(m.active) == 0 {
 		m.lastBusyStart = now
@@ -392,8 +386,6 @@ func (m *Medium) finishSpatial(tx *Transmission) {
 			r.EndRx(tx, out[j])
 		}
 	}
-	m.interfFree = append(m.interfFree, tx.interfMax)
-	tx.interfMax = nil
 	// Carrier re-evaluation strictly after deliveries: receivers see
 	// the frame before timers that an idle transition may restart.
 	m.updateCarrierSpatial()

@@ -102,6 +102,16 @@
 // it — Driver.ResyncNeeded exposes that condition, and the zero-
 // failure tests assert it never arises in the first place.
 //
+// # Storage
+//
+// A warm driver allocates nothing per ACK. A held ACK keeps its
+// compressed bytes in its own record (rohc.MaxCompressedLen of them),
+// and the records live in two per-peer lists, pending and unconfirmed,
+// that keep their arrays as ACKs move through them; the ready prefix of
+// pending rides in place. BuildAckPayload appends into the link-layer
+// ACK's own buffer, and the decompressor reuses its result list and
+// draws reconstructed ACKs from the network's packet.Pool.
+//
 // # Determinism contract
 //
 // The driver is pure protocol state driven by the owning node's

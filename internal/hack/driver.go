@@ -165,15 +165,18 @@ const (
 
 // heldAck is one TCP ACK held by the driver. The held copy owns one
 // reference to pkt and releases it once the ACK leaves the driver
-// without a native replay.
+// without a native replay. Its compressed bytes live in the record, so
+// the per-peer lists' arrays are the only storage held ACKs use, and
+// they keep it across calls.
 type heldAck struct {
 	pkt     *packet.Packet
-	data    []byte   // compressed form (4-bit MSN; anchored at assembly)
-	msn     uint8    // full master sequence number, for rohc.Anchor
-	cid     byte     // flow context id
-	readyAt sim.Time // when the NIC can see it (DMA complete)
-	expires sim.Time // ModeTimer deadline
-	counted bool     // already counted in Acct (first ride)
+	buf     [rohc.MaxCompressedLen]byte // compressed form (4-bit MSN; anchored at assembly)
+	n       uint8                       // bytes of buf in use
+	msn     uint8                       // full master sequence number, for rohc.AppendAnchor
+	cid     byte                        // flow context id
+	readyAt sim.Time                    // when the NIC can see it (DMA complete)
+	expires sim.Time                    // ModeTimer deadline
+	counted bool                        // already counted in Acct (first ride)
 	// native is the fate of the packet's native copy (opportunistic
 	// mode only): a held ACK whose native copy is known-delivered may
 	// be discarded safely; an in-flight one blocks riding of it and
@@ -181,14 +184,32 @@ type heldAck struct {
 	native nativeFate
 }
 
-// releaseAll drops the held copies' references.
-func releaseAll(hs []heldAck) {
+// data returns the held ACK's compressed bytes.
+func (h *heldAck) data() []byte { return h.buf[:h.n] }
+
+// releaseAll drops the held copies' references and returns hs emptied,
+// keeping its array.
+func releaseAll(hs []heldAck) []heldAck {
 	for i := range hs {
 		hs[i].pkt.Release()
 	}
+	clear(hs)
+	return hs[:0]
 }
 
-// peerState tracks HACK state toward one MAC peer.
+// dropFront removes hs[:n], moving the rest to the front of the same
+// array.
+func dropFront(hs []heldAck, n int) []heldAck {
+	if n == 0 {
+		return hs
+	}
+	m := copy(hs, hs[n:])
+	clear(hs[m:])
+	return hs[:m]
+}
+
+// peerState tracks HACK state toward one MAC peer. Its two lists own
+// the held ACKs and keep their arrays when they empty.
 type peerState struct {
 	state    RecoveryState
 	moreData bool
@@ -381,20 +402,18 @@ func (d *Driver) NativeResolved(dst mac.Addr, p *packet.Packet, delivered bool) 
 // reference now lives; false means the ACK cannot travel compressed
 // (no context yet) and must go natively.
 func (d *Driver) hold(ps *peerState, p *packet.Packet, expires sim.Time) bool {
-	data, msn, ok := d.comp.Compress(p)
+	h := heldAck{pkt: p, readyAt: d.sched.Now() + d.cfg.DriverLatency, expires: expires}
+	data, msn, ok := d.comp.Compress(h.buf[:0], p)
 	if !ok {
 		return false
 	}
 	tuple, _ := p.Tuple()
+	h.n, h.msn, h.cid = uint8(len(data)), msn, d.comp.CID(tuple)
 	if d.cfg.Tracer != nil {
 		d.cfg.Tracer.Emit(trace.Event{T: d.sched.Now(), Kind: trace.KindROHCPacket,
 			Sta: uint16(d.cfg.Addr), IR: rohc.IsIR(data), Bytes: len(data)})
 	}
-	ps.pending = append(ps.pending, heldAck{
-		pkt: p, data: data, msn: msn, cid: d.comp.CID(tuple),
-		readyAt: d.sched.Now() + d.cfg.DriverLatency,
-		expires: expires,
-	})
+	ps.pending = append(ps.pending, h)
 	return true
 }
 
@@ -443,7 +462,6 @@ func (d *Driver) sendNative(dst mac.Addr, p *packet.Packet) bool {
 // references to the native path; the discarded rest are released.
 func (d *Driver) enterResync(dst mac.Addr, ps *peerState, cause trace.Cause) {
 	pending, unconf := ps.pending, ps.unconfirmed
-	ps.pending, ps.unconfirmed = nil, nil
 	ps.syncSeen = false
 	if d.cfg.Mode == ModeTimer && ps.holdTimer != nil {
 		d.sched.Cancel(ps.holdTimer)
@@ -455,34 +473,41 @@ func (d *Driver) enterResync(dst mac.Addr, ps *peerState, cause trace.Cause) {
 	d.setState(dst, ps, StateResyncing, cause)
 
 	// Newest retained ACK per flow, for flows with no pending member
-	// (pending replays supersede retained state of the same flow).
-	inPending := make(map[byte]bool, len(pending))
+	// (pending replays supersede retained state of the same flow):
+	// newest[cid] is one more than its index in unconf, 0 for none, and
+	// order lists those flows by first retained ACK.
+	var inPending [256]bool
 	for i := range pending {
 		inPending[pending[i].cid] = true
 	}
-	newest := make(map[byte]int, len(unconf))
-	var order []byte
+	var newest [256]int
+	var order [256]byte
+	flows := 0
 	for i := range unconf {
 		cid := unconf[i].cid
 		if inPending[cid] {
 			continue
 		}
-		if _, ok := newest[cid]; !ok {
-			order = append(order, cid)
+		if newest[cid] == 0 {
+			order[flows] = cid
+			flows++
 		}
-		newest[cid] = i
+		newest[cid] = i + 1
 	}
 	for i := range unconf {
-		if inPending[unconf[i].cid] || newest[unconf[i].cid] != i {
+		if newest[unconf[i].cid] != i+1 {
 			unconf[i].pkt.Release()
 		}
 	}
-	for _, cid := range order {
-		d.sendNative(dst, unconf[newest[cid]].pkt)
+	for _, cid := range order[:flows] {
+		d.sendNative(dst, unconf[newest[cid]-1].pkt)
 	}
 	for i := range pending {
 		d.sendNative(dst, pending[i].pkt)
 	}
+	clear(pending)
+	clear(unconf)
+	ps.pending, ps.unconfirmed = pending[:0], unconf[:0]
 }
 
 // armHoldTimer schedules the ModeTimer flush for the earliest expiry.
@@ -524,7 +549,7 @@ func (d *Driver) frameSafe(unconf, ride []heldAck) bool {
 	var first [256]uint8
 	var seen [256]bool
 	check := func(h *heldAck) bool {
-		total += len(h.data) + 1 // +1: worst-case anchor widening
+		total += int(h.n) + 1 // +1: worst-case anchor widening
 		if total > d.cfg.MaxPayload {
 			return false
 		}
@@ -547,24 +572,22 @@ func (d *Driver) frameSafe(unconf, ride []heldAck) bool {
 	return true
 }
 
-// BuildAckPayload implements mac.Hooks: assemble the compressed frame
-// to append to the link-layer ACK for peer. Retained (unconfirmed)
-// ACKs are re-sent until confirmed (§3.4); ready pending ACKs join
-// them and become unconfirmed.
-func (d *Driver) BuildAckPayload(peer mac.Addr) []byte {
+// BuildAckPayload implements mac.Hooks: append the compressed frame
+// for the link-layer ACK to peer to dst. Retained (unconfirmed) ACKs
+// are re-sent until confirmed (§3.4); ready pending ACKs join them and
+// become unconfirmed.
+func (d *Driver) BuildAckPayload(dst []byte, peer mac.Addr) []byte {
 	ps := d.peer(peer)
 	now := d.sched.Now()
 
-	// Split pending into NIC-visible (ready) and not-yet-DMA'd.
-	// readyAt is monotone in submission order, so ride is a prefix.
-	var ride, late []heldAck
-	for _, h := range ps.pending {
-		if h.readyAt <= now {
-			ride = append(ride, h)
-		} else {
-			late = append(late, h)
-		}
+	// Split pending into NIC-visible (ready) and not-yet-DMA'd. readyAt
+	// is monotone in submission order, so ride is a prefix, viewed in
+	// place; pending keeps ps.pending[rest:].
+	rest := 0
+	for rest < len(ps.pending) && ps.pending[rest].readyAt <= now {
+		rest++
 	}
+	ride := ps.pending[:rest]
 
 	if d.cfg.Mode == ModeOpportunistic {
 		// Ride only ACKs whose native copy is still withdrawable.
@@ -578,16 +601,18 @@ func (d *Driver) BuildAckPayload(peer mac.Addr) []byte {
 		// is sized to it): stop withdrawing once the budget is spent —
 		// the remaining copies' native twins are still queued, so they
 		// block here and contend natively or ride a later LL ACK.
+		// kept compacts in place: it never passes the scan.
 		budget := 0
-		var kept, blocked []heldAck
-		for i, h := range ride {
-			if budget+len(h.data)+1 > d.cfg.MaxPayload {
-				blocked = append(blocked, ride[i:]...)
+		kept := ride[:0]
+		for i := range ride {
+			h := &ride[i]
+			if budget+int(h.n)+1 > d.cfg.MaxPayload {
+				rest = i
 				break
 			}
 			if d.WithdrawNative != nil && d.WithdrawNative(peer, h.pkt) {
-				budget += len(h.data) + 1
-				kept = append(kept, h)
+				budget += int(h.n) + 1
+				kept = append(kept, *h)
 				continue
 			}
 			if h.native != nativeInFlight {
@@ -597,32 +622,30 @@ func (d *Driver) BuildAckPayload(peer mac.Addr) []byte {
 				continue
 			}
 			// In flight: keep it and everything after it pending.
-			blocked = append(blocked, ride[i:]...)
+			rest = i
 			break
 		}
 		ride = kept
-		late = append(blocked, late...)
 	} else if !d.frameSafe(ps.unconfirmed, ride) {
 		// Guard violation: the chain has outgrown what one link-layer
 		// ACK can safely carry. Re-anchor instead of emitting a frame
 		// the peer would time out on or mis-deduplicate.
-		ps.pending = append(ride, late...)
 		d.enterResync(peer, ps, trace.CauseGuard)
-		return nil
+		return dst
 	}
 
 	// Assemble the frame, widening the first MSN of each flow to the
 	// 8-bit anchor form (paper §3.4) — done here, at frame-assembly
 	// time, because which ACK leads the frame is only known now.
-	var payload []byte
+	payload := dst
 	var anchored [256 / 8]byte // per-CID bitmap; frames carry few flows
 	emit := func(h *heldAck) {
 		if bit := &anchored[h.cid/8]; *bit&(1<<(h.cid%8)) == 0 {
 			*bit |= 1 << (h.cid % 8)
-			payload = rohc.AppendAnchor(payload, h.data, h.msn)
+			payload = rohc.AppendAnchor(payload, h.data(), h.msn)
 			return
 		}
-		payload = append(payload, h.data...)
+		payload = append(payload, h.data()...)
 	}
 	for i := range ps.unconfirmed {
 		emit(&ps.unconfirmed[i])
@@ -632,7 +655,7 @@ func (d *Driver) BuildAckPayload(peer mac.Addr) []byte {
 		if !ride[i].counted {
 			ride[i].counted = true
 			d.Acct.CompressedAcks++
-			d.Acct.CompressedBytes += uint64(len(ride[i].data))
+			d.Acct.CompressedBytes += uint64(ride[i].n)
 			d.Acct.UncompressedOf += uint64(ride[i].pkt.Len())
 		}
 	}
@@ -642,13 +665,13 @@ func (d *Driver) BuildAckPayload(peer mac.Addr) []byte {
 		// re-anchors that flow constantly in this mode; if the
 		// link-layer ACK is lost, the peer retransmits its data and
 		// TCP's cumulative ACKs recover.
+		// (So unconfirmed stays empty in this mode.)
 		releaseAll(ride)
-		ps.unconfirmed = nil
-		ps.pending = late
+		ps.pending = dropFront(ps.pending, rest)
 		return payload
 	}
 	ps.unconfirmed = append(ps.unconfirmed, ride...)
-	ps.pending = late
+	ps.pending = dropFront(ps.pending, rest)
 
 	if d.cfg.Mode == ModeMoreData && !ps.moreData {
 		// No more data is coming (Figure 7): if this link-layer ACK is
@@ -730,8 +753,7 @@ func (d *Driver) DataIndication(peer mac.Addr, ind mac.DataInd) {
 	case ind.Progress:
 		// The peer demonstrably received our previous link-layer ACK
 		// (Figures 5a/5b): retained state is delivered.
-		releaseAll(ps.unconfirmed)
-		ps.unconfirmed = nil
+		ps.unconfirmed = releaseAll(ps.unconfirmed)
 		ps.syncSeen = false
 	}
 }

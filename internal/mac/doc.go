@@ -29,6 +29,19 @@
 // frame for NAV, not one per station, in the same order of execution
 // (navLapse gives the argument).
 //
+// # Frame ownership
+//
+// A warm station allocates no frame per transmission. It owns one
+// exchange record, allocated with it, holding its one data frame and
+// its one Block ACK Request: only one exchange is ever outstanding,
+// and a frame lives exactly as long as its exchange. Link-layer ACKs
+// and Block ACKs come from a freelist linked through the frames; a
+// response's frame goes back when its transmission ends, after the
+// medium's deliveries, and keeps its payload buffer, into which the
+// driver appends the next HACK payload (Hooks.BuildAckPayload). MPDU
+// wrappers and MSDUs come from per-station freelists. Receivers read a
+// frame only inside EndRx, so none of this reuse can alias.
+//
 // # Rate adaptation
 //
 // The RateAdapter interface decouples rate selection from the

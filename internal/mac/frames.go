@@ -167,13 +167,16 @@ func (f *DataFrame) String() string {
 
 // AckFrame is a link-layer acknowledgment: either a plain ACK or a
 // compressed Block ACK. Payload carries HACK's compressed TCP ACK
-// frame, opaque to the MAC.
+// frame, opaque to the MAC. The sending station recycles the frame,
+// Payload's array included, once its transmission ends: a receiver
+// reads it only inside EndRx.
 type AckFrame struct {
 	From, To Addr
 	Block    bool
 	StartSeq uint16 // Block ACK only: bitmap origin
 	Bitmap   uint64 // Block ACK only: bit i = StartSeq+i received
 	Payload  []byte
+	next     *AckFrame // the sending station's freelist link
 }
 
 // WireLen returns the control frame length including any appended
@@ -217,14 +220,20 @@ func (f *BARFrame) String() string {
 }
 
 // Hooks is the driver-facing extension interface that carries HACK.
-// All methods may be called with high frequency; implementations must
-// not retain the payload slices they return across mutations.
+// All methods may be called with high frequency.
 type Hooks interface {
-	// BuildAckPayload returns opaque bytes to append to the LL ACK or
-	// Block ACK about to be transmitted to peer, or nil.
-	BuildAckPayload(peer Addr) []byte
+	// BuildAckPayload appends the opaque bytes for the LL ACK or Block
+	// ACK about to be transmitted to peer to dst and returns the
+	// extended slice (dst itself when there are none). dst is the
+	// frame's own payload buffer: empty, with the capacity earlier
+	// payloads left it. The MAC owns the result; it reuses the array
+	// for a later response once this one's transmission ends, so the
+	// driver keeps no reference to it.
+	BuildAckPayload(dst []byte, peer Addr) []byte
 	// AckPayloadReceived delivers opaque bytes found on a received LL
-	// ACK or Block ACK from peer.
+	// ACK or Block ACK from peer. payload is valid only during the
+	// call: the sender reuses the array once the frame's transmission
+	// ends.
 	AckPayloadReceived(peer Addr, payload []byte)
 	// DataIndication reports a successfully received data frame from
 	// peer, before its MSDUs are delivered upward.
@@ -248,7 +257,7 @@ type DataInd struct {
 type NopHooks struct{}
 
 // BuildAckPayload implements Hooks.
-func (NopHooks) BuildAckPayload(Addr) []byte { return nil }
+func (NopHooks) BuildAckPayload(dst []byte, _ Addr) []byte { return dst }
 
 // AckPayloadReceived implements Hooks.
 func (NopHooks) AckPayloadReceived(Addr, []byte) {}

@@ -439,7 +439,7 @@ type payloadHooks struct {
 	inds     []DataInd
 }
 
-func (h *payloadHooks) BuildAckPayload(Addr) []byte { return h.payload }
+func (h *payloadHooks) BuildAckPayload(dst []byte, _ Addr) []byte { return append(dst, h.payload...) }
 func (h *payloadHooks) AckPayloadReceived(_ Addr, p []byte) {
 	h.received = append(h.received, append([]byte(nil), p...))
 }

@@ -120,15 +120,24 @@ func (q *destQueue) hasWork() bool {
 	return q.awaitingBAR || q.retryQ.len() > 0 || q.fifo.len() > 0
 }
 
-// exchange is one in-flight frame exchange awaiting its response. The
-// response deadline lives in the station's persistent respTimeout
-// timer (only one exchange is ever outstanding).
+// exchange is the station's frame exchange awaiting its response. Only
+// one is ever outstanding, so the station allocates one record with
+// itself and every exchange reuses it: q is nil while none is
+// outstanding. The response deadline lives in the station's persistent
+// respTimeout timer.
+//
+// The record also owns the station's one DataFrame and one BARFrame:
+// a frame lives exactly as long as its exchange, since receivers read
+// it only inside EndRx and the exchange resolves (response received or
+// deadline passed) after the frame's transmission has finished.
 type exchange struct {
-	q         *destQueue
-	frame     *DataFrame // nil for BAR exchanges
-	bar       *BARFrame  // nil for data exchanges
+	q         *destQueue // nil while no exchange is outstanding
+	isBAR     bool       // bar is on the air, not data
 	txEnd     sim.Time
 	allTCPAck bool
+
+	data DataFrame
+	bar  BARFrame
 }
 
 // Station is one 802.11 station (client or AP — the MAC is symmetric).
@@ -144,7 +153,7 @@ type Station struct {
 	order  []Addr
 	rrNext int
 
-	waiting     *exchange
+	waiting     *exchange  // the station's one exchange record, never nil
 	respTimeout *sim.Timer // persistent (Block) ACK deadline for waiting
 	respPending bool
 	respTimer   *sim.Timer // persistent SIFS-turnaround timer
@@ -157,20 +166,23 @@ type Station struct {
 	rxLastSeq map[Addr]int32
 	rxBA      map[Addr]*baRecipient
 
-	// mpduPool and framePool recycle the per-transmission wrapper
-	// objects (ROADMAP perf follow-on: ≈10% of steady-state
-	// allocations). An MPDU returns to its pool when its fate resolves
-	// (delivered or dropped at the retry limit); a DataFrame when its
-	// exchange resolves. Receivers never retain either — they extract
-	// the MSDU at EndRx — so reuse after those points cannot alias.
-	// msduPool recycles the MSDUs created by EnqueuePacket; unlike the
-	// other two, an MSDU can outlive the sender's exchange (the
-	// receiver's Block ACK reorder buffer holds it for up to
-	// reorderTimeout), so MSDUs are reference-counted and return here
-	// only when the last holder releases.
-	mpduPool  []*MPDU
-	framePool []*DataFrame
-	msduPool  []*MSDU
+	// mpduPool recycles the per-transmission MPDU wrappers: an MPDU
+	// returns to it when its fate resolves (delivered or dropped at the
+	// retry limit). Receivers never retain one — they extract the MSDU
+	// at EndRx — so reuse after that point cannot alias. msduPool
+	// recycles the MSDUs created by EnqueuePacket; an MSDU can outlive
+	// the sender's exchange (the receiver's Block ACK reorder buffer
+	// holds it for up to reorderTimeout), so MSDUs are
+	// reference-counted and return here only when the last holder
+	// releases. Data and BAR frames live in the exchange record.
+	mpduPool []*MPDU
+	msduPool []*MSDU
+	// ackFree heads the freelist of AckFrames, linked through their
+	// next field. A response's frame returns here in respDone, when its
+	// transmission ends; by then the medium has made its deliveries.
+	// One frame per station is not enough: a response that replaces a
+	// pending one can go on the air while the first is still there.
+	ackFree *AckFrame
 
 	// rxScratch is the reusable decode buffer for rxData (per-frame MPDU
 	// filtering); no callee retains the slice.
@@ -207,6 +219,7 @@ func NewStation(sched *sim.Scheduler, medium *channel.Medium, cfg Config) *Stati
 		cfg:       cfg.withDefaults(),
 		rng:       sched.ForkRand(),
 		queues:    make(map[Addr]*destQueue),
+		waiting:   &exchange{},
 		rxLastSeq: make(map[Addr]int32),
 		rxBA:      make(map[Addr]*baRecipient),
 		Hooks:     NopHooks{},
@@ -216,7 +229,8 @@ func NewStation(sched *sim.Scheduler, medium *channel.Medium, cfg Config) *Stati
 	st.respTimer = sim.NewTimer(func() {
 		st.sendResponse(st.respPeer, st.respBlock, st.respElicitRate)
 	})
-	st.respDone = func(any) {
+	st.respDone = func(a any) {
+		st.putAck(a.(*AckFrame))
 		st.respPending = false
 		// The carrier-idle edge for this transmission fires earlier in
 		// the same instant (the medium delivers it before this event),
@@ -297,7 +311,7 @@ func (st *Station) RemoveQueued(dst Addr, match func(*MSDU) bool) bool {
 // Backlogged reports whether any transmission work remains (queued,
 // awaiting retry, or awaiting Block ACK resolution).
 func (st *Station) Backlogged() bool {
-	if st.waiting != nil {
+	if st.waiting.q != nil {
 		return true
 	}
 	for _, q := range st.queues {
@@ -319,7 +333,7 @@ func (st *Station) queue(dst Addr) *destQueue {
 }
 
 func (st *Station) canTransmit() bool {
-	return st.waiting == nil && !st.respPending
+	return st.waiting.q == nil && !st.respPending
 }
 
 func (st *Station) hasTraffic() bool {
@@ -400,26 +414,32 @@ func (st *Station) putMPDU(m *MPDU) {
 	st.mpduPool = append(st.mpduPool, m)
 }
 
-// getFrame returns a recycled (or new) empty DataFrame, retaining the
-// recycled frame's MPDU slice capacity.
-func (st *Station) getFrame() *DataFrame {
-	if n := len(st.framePool); n > 0 {
-		f := st.framePool[n-1]
-		st.framePool = st.framePool[:n-1]
-		return f
-	}
-	return &DataFrame{}
+// endExchange resolves the outstanding exchange, zeroing the record
+// for the next one. The data frame drops its MPDU pointers (the MPDUs
+// live on in retry queues or their own pool) and keeps the slice's
+// capacity.
+func (st *Station) endExchange() {
+	ex := st.waiting
+	clear(ex.data.MPDUs)
+	*ex = exchange{data: DataFrame{MPDUs: ex.data.MPDUs[:0]}}
 }
 
-// putFrame recycles a DataFrame once its exchange resolved. MPDU
-// pointers are cleared (the MPDUs live on in retry queues or their own
-// pool); the slice capacity is kept for the next frame.
-func (st *Station) putFrame(f *DataFrame) {
-	for i := range f.MPDUs {
-		f.MPDUs[i] = nil
+// getAck returns a recycled (or new) zeroed AckFrame, keeping a
+// recycled frame's Payload capacity.
+func (st *Station) getAck() *AckFrame {
+	f := st.ackFree
+	if f == nil {
+		return &AckFrame{}
 	}
-	*f = DataFrame{MPDUs: f.MPDUs[:0]}
-	st.framePool = append(st.framePool, f)
+	st.ackFree, f.next = f.next, nil
+	return f
+}
+
+// putAck zeroes f, keeping its Payload capacity, and returns it to the
+// freelist. It runs when f's transmission ends.
+func (st *Station) putAck(f *AckFrame) {
+	*f = AckFrame{Payload: f.Payload[:0], next: st.ackFree}
+	st.ackFree = f
 }
 
 // lapseFor returns the NAV lapse, due at `at`, of this station's
@@ -519,8 +539,8 @@ func (st *Station) sendData(q *destQueue, waited sim.Duration) {
 		st.TCPAckTime.TCPAckAir += tx.Duration()
 	}
 
-	ex := &exchange{q: q, frame: frame, txEnd: tx.End, allTCPAck: allAck}
-	st.waiting = ex
+	ex := st.waiting
+	ex.q, ex.txEnd, ex.allTCPAck = q, tx.End, allAck
 	st.sched.Reset(st.respTimeout, st.respDeadline(tx.End, frame.Aggregated, rate))
 }
 
@@ -531,11 +551,11 @@ func (st *Station) respDeadline(txEnd sim.Time, block bool, dataRate phy.Rate) s
 		st.cfg.AckTimeoutSlack + sim.Microsecond
 }
 
-// buildFrame assembles the next DataFrame for transmission at rate:
-// pending retransmissions first, then fresh MSDUs, within the A-MPDU
-// and TXOP limits.
+// buildFrame assembles the next DataFrame for transmission at rate, in
+// the exchange record's frame: pending retransmissions first, then
+// fresh MSDUs, within the A-MPDU and TXOP limits.
 func (st *Station) buildFrame(q *destQueue, rate phy.Rate) *DataFrame {
-	f := st.getFrame()
+	f := &st.waiting.data
 	f.From, f.To, f.Aggregated = st.cfg.Addr, q.dst, st.cfg.Aggregation
 	ht := rate.HT
 
@@ -602,8 +622,9 @@ func (st *Station) buildFrame(q *destQueue, rate phy.Rate) *DataFrame {
 
 // sendBAR transmits a Block ACK Request for q's oldest unresolved MPDU.
 func (st *Station) sendBAR(q *destQueue, waited sim.Duration) {
-	start := st.oldestUnresolved(q)
-	bar := &BARFrame{From: st.cfg.Addr, To: q.dst, StartSeq: start}
+	ex := st.waiting
+	bar := &ex.bar
+	*bar = BARFrame{From: st.cfg.Addr, To: q.dst, StartSeq: st.oldestUnresolved(q)}
 	dataRate := st.lastRateFor(q)
 	bar.Dur = phy.SIFS + st.expectedRespDur(dataRate, true)
 	rate := st.ackRateFor(dataRate)
@@ -614,8 +635,7 @@ func (st *Station) sendBAR(q *destQueue, waited sim.Duration) {
 	}
 	tx := st.medium.Transmit(st, rate, barLen, bar)
 	st.Stats.BARsSent++
-	ex := &exchange{q: q, bar: bar, txEnd: tx.End}
-	st.waiting = ex
+	ex.q, ex.isBAR, ex.txEnd = q, true, tx.End
 	st.sched.Reset(st.respTimeout, st.respDeadline(tx.End, true, dataRate))
 	_ = waited
 }
@@ -734,11 +754,12 @@ func (st *Station) scheduleResponse(peer Addr, block bool, elicitRate phy.Rate) 
 }
 
 func (st *Station) sendResponse(peer Addr, block bool, elicitRate phy.Rate) {
-	f := &AckFrame{From: st.cfg.Addr, To: peer, Block: block}
+	f := st.getAck()
+	f.From, f.To, f.Block = st.cfg.Addr, peer, block
 	if block {
 		f.StartSeq, f.Bitmap = st.baRecipient(peer).bitmap()
 	}
-	f.Payload = st.Hooks.BuildAckPayload(peer)
+	f.Payload = st.Hooks.BuildAckPayload(f.Payload, peer)
 	rate := st.ackRateFor(elicitRate)
 	if st.cfg.Tracer != nil && block {
 		st.cfg.Tracer.Emit(trace.Event{T: st.sched.Now(), Kind: trace.KindBAWindow,
@@ -772,7 +793,7 @@ func (st *Station) sendResponse(peer Addr, block bool, elicitRate phy.Rate) {
 		}
 		st.TCPAckTime.ROHCAir += tx.Duration() - phy.FrameDuration(rate, base)
 	}
-	st.sched.Post(tx.End, st.respDone, nil)
+	st.sched.Post(tx.End, st.respDone, f)
 }
 
 func (st *Station) rxAck(f *AckFrame, tx *channel.Transmission) {
@@ -790,21 +811,19 @@ func (st *Station) rxAck(f *AckFrame, tx *channel.Transmission) {
 		st.Hooks.AckPayloadReceived(f.From, f.Payload)
 	}
 	ex := st.waiting
-	if ex == nil || ex.q.dst != f.From {
+	if ex.q == nil || ex.q.dst != f.From {
 		return // stale or unexpected response (e.g. after our timeout)
 	}
 	st.sched.Cancel(st.respTimeout)
-	st.waiting = nil
-	if ex.allTCPAck {
-		st.TCPAckTime.LLAckOverhead += st.sched.Now() - ex.txEnd
+	q, allTCPAck, txEnd := ex.q, ex.allTCPAck, ex.txEnd
+	st.endExchange()
+	if allTCPAck {
+		st.TCPAckTime.LLAckOverhead += st.sched.Now() - txEnd
 	}
 	if f.Block {
-		st.processBlockAck(ex.q, f)
+		st.processBlockAck(q, f)
 	} else {
-		st.processAck(ex.q)
-	}
-	if ex.frame != nil {
-		st.putFrame(ex.frame)
+		st.processAck(q)
 	}
 	st.dcf.onTxSuccess()
 	st.postTx()
@@ -906,17 +925,17 @@ func (st *Station) rxBAR(f *BARFrame, tx *channel.Transmission) {
 // onRespTimeout handles an expired (Block) ACK wait.
 func (st *Station) onRespTimeout() {
 	ex := st.waiting
-	if ex == nil {
+	if ex.q == nil {
 		return
 	}
-	st.waiting = nil
-	st.Stats.AckTimeouts++
+	q, isBAR, aggregated := ex.q, ex.isBAR, ex.data.Aggregated
 	if ex.allTCPAck {
 		st.TCPAckTime.LLAckOverhead += st.sched.Now() - ex.txEnd
 	}
-	q := ex.q
+	st.endExchange()
+	st.Stats.AckTimeouts++
 	switch {
-	case ex.bar != nil:
+	case isBAR:
 		q.barRetries++
 		if q.barRetries > st.cfg.RetryLimit {
 			// Give up soliciting (paper Fig. 8): recycle the outstanding
@@ -934,10 +953,9 @@ func (st *Station) onRespTimeout() {
 		} else {
 			st.dcf.onTxFailure()
 		}
-	case ex.frame.Aggregated:
+	case aggregated:
 		// No Block ACK: solicit one with a BAR (paper §3.4).
 		q.awaitingBAR = true
-		st.putFrame(ex.frame)
 		st.dcf.onTxFailure()
 	default:
 		// Single-MPDU exchange: retransmit the same sequence number.
@@ -963,7 +981,6 @@ func (st *Station) onRespTimeout() {
 			}
 			st.dcf.onTxFailure()
 		}
-		st.putFrame(ex.frame)
 	}
 	st.postTx()
 }

@@ -1,7 +1,9 @@
 package rohc
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tcphack/internal/packet"
@@ -114,7 +116,7 @@ func TestCompressDecompressStayInSync(t *testing.T) {
 		p.IP.ID++
 		p.TCP.Ack += 2920
 		p.TCP.Opt.TSVal++
-		data, msn, ok := comp.Compress(p)
+		data, msn, ok := comp.Compress(nil, p)
 		if !ok {
 			t.Fatalf("ack %d did not compress", i)
 		}
@@ -130,4 +132,197 @@ func TestCompressDecompressStayInSync(t *testing.T) {
 			t.Fatalf("ack %d reconstructed differently:\n got %x\nwant %x", i, got, want)
 		}
 	}
+}
+
+// ackStream is one TCP flow's ACKs, advanced in place so that producing
+// the next ACK allocates nothing, with a compressor and a decompressor
+// that have both seen its first ACK natively.
+type ackStream struct {
+	p    *packet.Packet
+	comp *Compressor
+	dec  *Decompressor
+}
+
+func newAckStream(seed int64) *ackStream {
+	s := &ackStream{p: testAck(seed), comp: NewCompressor(), dec: NewDecompressor()}
+	s.dec.Pool = &packet.Pool{}
+	s.comp.Observe(s.p)
+	s.dec.Observe(s.p)
+	return s
+}
+
+// next advances the ACK by one full-sized segment.
+func (s *ackStream) next() *packet.Packet {
+	s.p.IP.ID++
+	s.p.TCP.Ack += 2920
+	s.p.TCP.Opt.TSVal++
+	return s.p
+}
+
+// frames compresses the stream's next n ACKs, one anchored ACK per
+// frame, as the driver frames a lone held ACK.
+func (s *ackStream) frames(tb testing.TB, n int) [][]byte {
+	var all []byte
+	ends := make([]int, n)
+	for i := range ends {
+		data, msn, ok := s.comp.Compress(nil, s.next())
+		if !ok {
+			tb.Fatalf("ack %d did not compress", i)
+		}
+		all = AppendAnchor(all, data, msn)
+		ends[i] = len(all)
+	}
+	out := make([][]byte, n)
+	for i, start := 0, 0; i < n; start, i = ends[i], i+1 {
+		out[i] = all[start:ends[i]]
+	}
+	return out
+}
+
+// TestCodecAllocFree pins the per-ACK codec at zero allocations on warm
+// objects: Compress appending into caller storage with room for
+// MaxCompressedLen, and Decompress reusing its Result.Packets array and
+// drawing its reconstructions from a warm pool.
+func TestCodecAllocFree(t *testing.T) {
+	s := newAckStream(3)
+	frames := s.frames(t, 201)
+	buf := make([]byte, 0, MaxCompressedLen)
+	if n := testing.AllocsPerRun(200, func() {
+		if _, _, ok := s.comp.Compress(buf[:0], s.next()); !ok {
+			t.Fatal("ACK did not compress")
+		}
+	}); n != 0 {
+		t.Errorf("Compress into caller storage: %v allocs/op, want 0", n)
+	}
+	i := 0
+	if n := testing.AllocsPerRun(200, func() {
+		res, err := s.dec.Decompress(frames[i])
+		i++
+		if err != nil || len(res.Packets) != 1 {
+			t.Fatalf("frame %d: %v, %d packets", i, err, len(res.Packets))
+		}
+		res.Packets[0].Release()
+	}); n != 0 {
+		t.Errorf("Decompress: %v allocs/op, want 0", n)
+	}
+}
+
+// TestMaxCompressedLen builds the widest record Compress can emit, an
+// IR refresh with timestamps and three SACK blocks whose every varint
+// takes five bytes, and checks that it is exactly MaxCompressedLen.
+func TestMaxCompressedLen(t *testing.T) {
+	c := NewCompressor()
+	p := testAck(5)
+	c.Observe(p) // the next Compress is an IR refresh
+	p = p.Clone()
+	big := uint32(1) << 31
+	p.TCP.Seq, p.TCP.Ack = big, big
+	p.TCP.Opt.TSVal, p.TCP.Opt.TSEcr = big, big
+	p.IP.ID = 1 << 15
+	for k := uint32(1); k <= 3; k++ {
+		left := p.TCP.Ack + k<<29
+		p.TCP.Opt.SACKBlocks = append(p.TCP.Opt.SACKBlocks, [2]uint32{left, left + 1<<28})
+	}
+	data, _, ok := c.Compress(nil, p)
+	if !ok || !IsIR(data) {
+		t.Fatalf("Compress = %x, ok=%v; want an IR refresh", data, ok)
+	}
+	if len(data) != MaxCompressedLen {
+		t.Errorf("widest IR refresh is %d bytes, MaxCompressedLen is %d", len(data), MaxCompressedLen)
+	}
+}
+
+// BenchmarkCompress measures Compress in append form on a warm flow.
+func BenchmarkCompress(b *testing.B) {
+	s := newAckStream(6)
+	buf := make([]byte, 0, MaxCompressedLen)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, ok := s.comp.Compress(buf[:0], s.next()); !ok {
+			b.Fatal("ACK did not compress")
+		}
+	}
+}
+
+// BenchmarkDecompress measures Decompress of one-ACK frames on a warm
+// decompressor, releasing each reconstruction back to its pool.
+func BenchmarkDecompress(b *testing.B) {
+	s := newAckStream(7)
+	frames := s.frames(b, b.N+1)
+	res, err := s.dec.Decompress(frames[0]) // the IR refresh; warms the pool
+	if err != nil || len(res.Packets) != 1 {
+		b.Fatalf("IR refresh: %v, %d packets", err, len(res.Packets))
+	}
+	res.Packets[0].Release()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		res, err := s.dec.Decompress(frames[i])
+		if err != nil || len(res.Packets) != 1 {
+			b.Fatalf("frame %d: %v, %d packets", i, err, len(res.Packets))
+		}
+		res.Packets[0].Release()
+	}
+}
+
+// FuzzDecompress feeds the decompressor one arbitrary frame amid valid
+// traffic of one flow: an IR refresh establishes the flow, the fuzzed
+// frame follows, then the compressor refreshes the flow with a second
+// IR and sends one delta ACK. Decompress must never panic, and once the
+// caller has released every packet it returned, the pool must have
+// none outstanding.
+//
+// When the fuzzed frame delivers no packet, the second IR must
+// re-establish the flow and the delta must decode to the original ACK,
+// whatever the frame did to the context. A frame that does deliver
+// packets passed CRC-8 on each; the decompressor trusts a CRC-valid
+// header by design, so a forged newer state can hold off a real IR,
+// and for such frames only the first property is checked.
+func FuzzDecompress(f *testing.F) {
+	s := newAckStream(11)
+	fr := s.frames(f, 4)
+	ir, delta := fr[0], fr[1]
+	f.Add([]byte{})
+	f.Add(ir)                                                                   // a replay: a duplicate
+	f.Add(delta)                                                                // the flow's next ACK
+	f.Add(append(slices.Clone(fr[2]), fr[3]...))                                // two ACKs, the second unanchored
+	f.Add(ir[:len(ir)-1])                                                       // truncated
+	f.Add(append(slices.Clone(delta[:len(delta)-1]), delta[len(delta)-1]^0xff)) // CRC mismatch
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		s := newAckStream(11)
+		pool := s.dec.Pool
+		start := pool.Outstanding()
+		var held []*packet.Packet
+		decode := func(fr []byte) (Result, error) {
+			res, err := s.dec.Decompress(fr)
+			held = append(held, res.Packets...)
+			return res, err
+		}
+		if res, err := decode(s.frames(t, 1)[0]); err != nil || len(res.Packets) != 1 {
+			t.Fatalf("first IR: %v, %d packets", err, len(res.Packets))
+		}
+		res, _ := decode(frame)
+		accepted := len(res.Packets) > 0
+
+		s.comp.Refresh(tupleOf(s.p))
+		irRes, irErr := decode(s.frames(t, 1)[0])
+		d := s.frames(t, 1)[0]
+		want := s.p.Marshal()
+		dRes, dErr := decode(d)
+		if !accepted {
+			if irErr != nil || len(irRes.Packets) != 1 {
+				t.Errorf("IR after the fuzzed frame: %v, %d packets (failures %d, duplicates %d); want it delivered",
+					irErr, len(irRes.Packets), irRes.Failures, irRes.Duplicates)
+			}
+			if dErr != nil || len(dRes.Packets) != 1 || !bytes.Equal(dRes.Packets[0].Marshal(), want) {
+				t.Errorf("delta after the IR: %v, %d packets; want the original ACK", dErr, len(dRes.Packets))
+			}
+		}
+		for _, p := range held {
+			p.Release()
+		}
+		if n := pool.Outstanding(); n != start {
+			t.Errorf("%d packets outstanding after releasing every returned packet, want %d", n, start)
+		}
+	})
 }

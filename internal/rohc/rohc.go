@@ -427,31 +427,42 @@ func IsIR(data []byte) bool {
 	return data[i]&optIR != 0
 }
 
+// MaxCompressedLen bounds what one Compress call appends: an IR
+// refresh with timestamps and three SACK blocks, every varint at its
+// widest (3 + 5 ack + 2 window + 1 options + 15 static chain + 10
+// timestamps + 3 IP-ID + 5 seq + 30 SACK + 1 CRC). A delta record,
+// even once Anchor widens it, is shorter. Callers that hold compressed
+// ACKs in fixed storage size it with this.
+const MaxCompressedLen = 75
+
 // Compress encodes a pure TCP ACK against its flow context, in the
-// compact 4-bit-MSN form; msn is the ACK's full master sequence
-// number, which the frame assembler passes to Anchor for the first
-// ACK of each flow in a frame. It returns ok=false when the ACK
-// cannot travel compressed (no context yet, option shape change, >3
-// SACK blocks); such ACKs must travel natively, which establishes the
-// context at both ends.
-func (c *Compressor) Compress(p *packet.Packet) (data []byte, msn uint8, ok bool) {
+// compact 4-bit-MSN form, appending the record to dst and returning
+// the extended slice; it appends at most MaxCompressedLen bytes, so a
+// dst with that much spare capacity is never reallocated. msn is the
+// ACK's full master sequence number, which the frame assembler passes
+// to AppendAnchor for the first ACK of each flow in a frame. It
+// returns dst unchanged and ok=false when the ACK cannot travel
+// compressed (no context yet, option shape change, >3 SACK blocks);
+// such ACKs must travel natively, which establishes the context at
+// both ends.
+func (c *Compressor) Compress(dst []byte, p *packet.Packet) (data []byte, msn uint8, ok bool) {
 	if !p.IsTCPAck() {
-		return nil, 0, false
+		return dst, 0, false
 	}
 	tuple := tupleOf(p)
 	cid := c.cids.cid(tuple)
 	ctx, exists := c.contexts[cid]
 	if !exists || !ctx.valid || ctx.tuple != tuple {
-		return nil, 0, false
+		return dst, 0, false
 	}
 	t := p.TCP
 	if t.Opt.HasTimestamps != ctx.hasTS && !ctx.refreshed {
-		return nil, 0, false // option shape changed; refresh natively
+		return dst, 0, false // option shape changed; refresh natively
 	}
 
 	nSACK := len(t.Opt.SACKBlocks)
 	if nSACK > 3 {
-		return nil, 0, false // beyond the encodable range; send natively
+		return dst, 0, false // beyond the encodable range; send natively
 	}
 
 	if ctx.refreshed {
@@ -459,7 +470,7 @@ func (c *Compressor) Compress(p *packet.Packet) (data []byte, msn uint8, ok bool
 		// decompressor's context state is unknowable (the anchor may be
 		// parked in the peer's reorder buffer), so emit a
 		// self-contained IR refresh rather than a delta.
-		return c.compressIR(p, ctx, cid)
+		return c.compressIR(dst, p, ctx, cid)
 	}
 
 	ctx.msn++
@@ -498,11 +509,9 @@ func (c *Compressor) Compress(p *packet.Packet) (data []byte, msn uint8, ok bool
 		flags |= flagOptExt
 	}
 
-	buf := make([]byte, 0, 8)
-	buf = append(buf, cid, flags<<4|msn&0x0f)
-	var tmp [binary.MaxVarintLen64]byte
+	buf := append(dst, cid, flags<<4|msn&0x0f)
 	if !ackImplicit {
-		buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(ackD))]...)
+		buf = binary.AppendUvarint(buf, uint64(ackD))
 	}
 	if flags&flagWinChanged != 0 {
 		buf = append(buf, byte(t.Window>>8), byte(t.Window))
@@ -510,21 +519,16 @@ func (c *Compressor) Compress(p *packet.Packet) (data []byte, msn uint8, ok bool
 	if flags&flagOptExt != 0 {
 		buf = append(buf, opt)
 		if opt&optTS != 0 && opt&optTSExplicit != 0 {
-			buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(tsValD))]...)
-			buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(tsEcrD))]...)
+			buf = binary.AppendUvarint(buf, uint64(tsValD))
+			buf = binary.AppendUvarint(buf, uint64(tsEcrD))
 		}
 		if opt&optIPID != 0 {
-			buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(ipIDD))]...)
+			buf = binary.AppendUvarint(buf, uint64(ipIDD))
 		}
 		if opt&optSeqChanged != 0 {
-			buf = append(buf, tmp[:binary.PutVarint(tmp[:], seqD)]...)
+			buf = binary.AppendVarint(buf, seqD)
 		}
-		for _, blk := range t.Opt.SACKBlocks {
-			rel := blk[0] - t.Ack
-			length := blk[1] - blk[0]
-			buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(rel))]...)
-			buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(length))]...)
-		}
+		buf = appendSACK(buf, t)
 	}
 	buf = append(buf, headerCRC(p, &c.scratch))
 	if debugLog != nil {
@@ -541,12 +545,22 @@ func (c *Compressor) Compress(p *packet.Packet) (data []byte, msn uint8, ok bool
 	return buf, msn, true
 }
 
-// compressIR encodes p as an IR refresh: every field absolute, static
-// chain included, so the decompressor can (re)establish the flow
-// context from the frame alone. The compressor commits the same
+// appendSACK appends t's SACK blocks, each as its offset from the
+// cumulative ACK and its length.
+func appendSACK(buf []byte, t *packet.TCP) []byte {
+	for _, blk := range t.Opt.SACKBlocks {
+		buf = binary.AppendUvarint(buf, uint64(blk[0]-t.Ack))
+		buf = binary.AppendUvarint(buf, uint64(blk[1]-blk[0]))
+	}
+	return buf
+}
+
+// compressIR appends p to dst as an IR refresh: every field absolute,
+// static chain included, so the decompressor can (re)establish the
+// flow context from the frame alone. The compressor commits the same
 // absolute state (stride predictors reset) that the IR installs at the
 // decompressor, re-synchronizing both ends by construction.
-func (c *Compressor) compressIR(p *packet.Packet, ctx *context, cid byte) (data []byte, msn uint8, ok bool) {
+func (c *Compressor) compressIR(dst []byte, p *packet.Packet, ctx *context, cid byte) (data []byte, msn uint8, ok bool) {
 	t := p.TCP
 	nSACK := len(t.Opt.SACKBlocks)
 	ctx.msn++
@@ -558,10 +572,8 @@ func (c *Compressor) compressIR(p *packet.Packet, ctx *context, cid byte) (data 
 		opt |= optTS | optTSExplicit
 	}
 
-	buf := make([]byte, 0, 48)
-	buf = append(buf, cid, flags<<4|msn&0x0f, msn)
-	var tmp [binary.MaxVarintLen64]byte
-	buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(t.Ack))]...)
+	buf := append(dst, cid, flags<<4|msn&0x0f, msn)
+	buf = binary.AppendUvarint(buf, uint64(t.Ack))
 	buf = append(buf, byte(t.Window>>8), byte(t.Window))
 	buf = append(buf, opt)
 	tuple := tupleOf(p)
@@ -571,17 +583,12 @@ func (c *Compressor) compressIR(p *packet.Packet, ctx *context, cid byte) (data 
 		byte(tuple.DstPort>>8), byte(tuple.DstPort), tuple.Proto,
 		p.IP.TTL, p.IP.TOS)
 	if opt&optTS != 0 {
-		buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(t.Opt.TSVal))]...)
-		buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(t.Opt.TSEcr))]...)
+		buf = binary.AppendUvarint(buf, uint64(t.Opt.TSVal))
+		buf = binary.AppendUvarint(buf, uint64(t.Opt.TSEcr))
 	}
-	buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(p.IP.ID))]...)
-	buf = append(buf, tmp[:binary.PutVarint(tmp[:], int64(t.Seq))]...)
-	for _, blk := range t.Opt.SACKBlocks {
-		rel := blk[0] - t.Ack
-		length := blk[1] - blk[0]
-		buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(rel))]...)
-		buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(length))]...)
-	}
+	buf = binary.AppendUvarint(buf, uint64(p.IP.ID))
+	buf = binary.AppendVarint(buf, int64(t.Seq))
+	buf = appendSACK(buf, t)
 	buf = append(buf, headerCRC(p, &c.scratch))
 
 	ctx.absorb(p)
@@ -619,7 +626,10 @@ func reconstruct(pool *packet.Pool, tuple packet.FiveTuple, tos, ttl byte, ipID 
 type Result struct {
 	// Packets are the reconstituted TCP ACKs, in frame order,
 	// duplicates excluded. Each carries one reference that passes to
-	// the caller, also when Decompress returns an error.
+	// the caller, also when Decompress returns an error. The slice
+	// itself belongs to the Decompressor, which reuses its array: it is
+	// valid until the next Decompress call, so a caller that needs the
+	// list longer copies it (the packets stay the caller's).
 	Packets []*packet.Packet
 	// Duplicates counts ACKs discarded by MSN-based dedup (normal
 	// under link-layer retransmission, paper Figure 6).
@@ -641,7 +651,8 @@ type Decompressor struct {
 
 	contexts map[byte]*context
 	cids     cidCache
-	scratch  []byte // headerCRC marshal buffer
+	scratch  []byte           // headerCRC marshal buffer
+	packets  []*packet.Packet // Result.Packets' array, reused per frame
 
 	// Per-frame MSN chain (the prevMSN map of Decompress, flattened):
 	// prevMSN[cid] is valid for the current frame iff prevEpoch[cid]
@@ -726,18 +737,23 @@ var (
 // aborts the remainder of the frame (framing is self-delimiting only
 // while the stream is intact); per-ACK CRC or context failures skip
 // the affected ACK and poison its context until a native refresh.
+//
+// Result.Packets reuses one array per Decompressor and is valid until
+// the next call.
 func (d *Decompressor) Decompress(frame []byte) (Result, error) {
-	var res Result
+	res := Result{Packets: d.packets[:0]}
 	d.epoch++ // invalidate the previous frame's per-CID MSN chain
-	i := 0
-	for i < len(frame) {
-		n, err := d.one(frame[i:], &res)
-		if err != nil {
-			return res, fmt.Errorf("at offset %d: %w", i, err)
+	var err error
+	for i := 0; i < len(frame); {
+		n, e := d.one(frame[i:], &res)
+		if e != nil {
+			err = fmt.Errorf("at offset %d: %w", i, e)
+			break
 		}
 		i += n
 	}
-	return res, nil
+	d.packets = res.Packets
+	return res, err
 }
 
 // one parses a single compressed ACK, returning its encoded length.

@@ -64,7 +64,7 @@ func pair(f *flowGen) (*Compressor, *Decompressor) {
 
 // compress1 compresses p as a standalone single-ACK frame (anchored).
 func compress1(c *Compressor, p *packet.Packet) ([]byte, bool) {
-	data, msn, ok := c.Compress(p)
+	data, msn, ok := c.Compress(nil, p)
 	if !ok {
 		return nil, false
 	}
@@ -81,7 +81,7 @@ type frame struct {
 func newFrame() *frame { return &frame{anchored: make(map[byte]bool)} }
 
 func (fr *frame) add(c *Compressor, p *packet.Packet) bool {
-	data, msn, ok := c.Compress(p)
+	data, msn, ok := c.Compress(nil, p)
 	if !ok {
 		return false
 	}
@@ -132,7 +132,7 @@ func TestSteadyStateSize(t *testing.T) {
 	c, _ := pair(f)
 	var last int
 	for i := 0; i < 10; i++ {
-		data, _, ok := c.Compress(f.ackPkt(2920))
+		data, _, ok := c.Compress(nil, f.ackPkt(2920))
 		if !ok {
 			t.Fatal("no context")
 		}
@@ -145,7 +145,7 @@ func TestSteadyStateSize(t *testing.T) {
 	ft := newFlow(true)
 	ct, _ := pair(ft)
 	for i := 0; i < 10; i++ {
-		data, _, ok := ct.Compress(ft.ackPkt(2920))
+		data, _, ok := ct.Compress(nil, ft.ackPkt(2920))
 		if !ok {
 			t.Fatal("no context")
 		}
@@ -159,8 +159,8 @@ func TestSteadyStateSize(t *testing.T) {
 func TestAnchorForm(t *testing.T) {
 	f := newFlow(false)
 	c, _ := pair(f)
-	c.Compress(f.ackPkt(2920)) // first post-anchor ACK travels as IR
-	data, msn, ok := c.Compress(f.ackPkt(2920))
+	c.Compress(nil, f.ackPkt(2920)) // first post-anchor ACK travels as IR
+	data, msn, ok := c.Compress(nil, f.ackPkt(2920))
 	if !ok {
 		t.Fatal("no context")
 	}
@@ -268,7 +268,7 @@ func TestMSNDedup(t *testing.T) {
 	// A frame carrying the old ACKs plus a new one delivers only the new.
 	frame2 := append([]byte(nil), fr.buf...)
 	newOrig := f.ackPkt(2920)
-	data, msn, ok := c.Compress(newOrig)
+	data, msn, ok := c.Compress(nil, newOrig)
 	if !ok {
 		t.Fatal("no context")
 	}
@@ -389,8 +389,8 @@ func TestStaleNativeDoesNotDesync(t *testing.T) {
 func TestNoContextFailure(t *testing.T) {
 	f := newFlow(false)
 	c, _ := pair(f)
-	c.Compress(f.ackPkt(2920))  // IR form; skip it
-	dFresh := NewDecompressor() // never observed the flow
+	c.Compress(nil, f.ackPkt(2920)) // IR form; skip it
+	dFresh := NewDecompressor()     // never observed the flow
 	data, _ := compress1(c, f.ackPkt(2920))
 	res, err := dFresh.Decompress(data)
 	if err != nil {
@@ -466,14 +466,14 @@ func TestIRDedupAndNoRegression(t *testing.T) {
 func TestCompressRequiresContext(t *testing.T) {
 	c := NewCompressor()
 	f := newFlow(false)
-	if _, _, ok := c.Compress(f.ackPkt(2920)); ok {
+	if _, _, ok := c.Compress(nil, f.ackPkt(2920)); ok {
 		t.Error("compressed without a context")
 	}
 	// Non-ACK packets are refused.
 	p := f.ackPkt(0)
 	p.TCP.Flags |= packet.FlagSYN
 	c.Observe(p) // must be ignored
-	if _, _, ok := c.Compress(p); ok {
+	if _, _, ok := c.Compress(nil, p); ok {
 		t.Error("compressed a SYN")
 	}
 }
@@ -522,7 +522,7 @@ func TestSACKBlocks(t *testing.T) {
 	// Four blocks exceed the format: refuse, forcing native transmission.
 	big := f.ackPkt(0)
 	big.TCP.Opt.SACKBlocks = make([][2]uint32, 4)
-	if _, _, ok := c.Compress(big); ok {
+	if _, _, ok := c.Compress(nil, big); ok {
 		t.Error("compressed 4 SACK blocks")
 	}
 }
@@ -577,7 +577,7 @@ func TestMissingAnchorIsFailureNotCorruption(t *testing.T) {
 		d.Decompress(ir) // consume the IR so the next form is compact
 	}
 	orig := f.ackPkt(2920)
-	data, _, ok := c.Compress(orig) // compact, never anchored
+	data, _, ok := c.Compress(nil, orig) // compact, never anchored
 	if !ok {
 		t.Fatal("no context")
 	}
@@ -623,7 +623,7 @@ func TestCIDCollisionFallsBackToNative(t *testing.T) {
 	}
 	// The real property: a valid context owned by flow A never absorbs
 	// or serves another tuple.
-	if _, _, ok := c.Compress(pb); ok {
+	if _, _, ok := c.Compress(nil, pb); ok {
 		t.Error("compressed against a foreign context")
 	}
 }
@@ -715,34 +715,6 @@ func TestCRC8KnownBehaviour(t *testing.T) {
 	}
 }
 
-func BenchmarkCompress(b *testing.B) {
-	f := newFlow(true)
-	c, _ := pair(f)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, ok := c.Compress(f.ackPkt(2920)); !ok {
-			b.Fatal("no context")
-		}
-	}
-}
-
-func BenchmarkDecompress(b *testing.B) {
-	f := newFlow(true)
-	c, d := pair(f)
-	frames := make([][]byte, 256)
-	for i := range frames {
-		data, _ := compress1(c, f.ackPkt(2920))
-		frames[i] = data
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := d.Decompress(frames[i%len(frames)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestDamageSurface exercises the explicit context-damage API: an
 // invalidated compressor context refuses the flow until a native
 // re-anchor; an invalidated decompressor context drops deltas (counted,
@@ -760,7 +732,7 @@ func TestDamageSurface(t *testing.T) {
 	if !c.ResyncNeeded() {
 		t.Error("compressor ResyncNeeded false after Invalidate")
 	}
-	if _, _, ok := c.Compress(f.ackPkt(2920)); ok {
+	if _, _, ok := c.Compress(nil, f.ackPkt(2920)); ok {
 		t.Fatal("invalidated context still compresses")
 	}
 	native := f.ackPkt(2920)

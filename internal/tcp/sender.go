@@ -386,38 +386,35 @@ func (ep *Endpoint) pruneSACK() {
 	ep.sacked = kept
 }
 
-// insertInterval merges iv into a sorted, disjoint interval list.
+// insertInterval merges iv into a disjoint interval list in place,
+// reusing the list's array. Members that overlap or abut iv are
+// absorbed into it; the rest keep their order, and iv goes before the
+// first of them that starts after it. The list need not be sorted (the
+// receiver moves its newest SACK block to the front), so every member
+// is classified.
 func insertInterval(list []interval, iv interval) []interval {
 	out := list[:0]
 	for _, cur := range list {
-		switch {
-		case seqGT(iv.s, cur.e):
-			out = append(out, cur) // cur entirely before iv
-		case seqGT(cur.s, iv.e):
-			out = append(out, cur) // cur entirely after iv (order restored below)
-		default: // overlap or adjacency: absorb
-			if seqGT(iv.s, cur.s) {
-				iv.s = cur.s
-			}
-			if seqGT(cur.e, iv.e) {
-				iv.e = cur.e
-			}
+		if seqGT(iv.s, cur.e) || seqGT(cur.s, iv.e) {
+			out = append(out, cur) // disjoint: entirely before or after iv
+			continue
+		}
+		// Overlap or adjacency: absorb.
+		if seqGT(iv.s, cur.s) {
+			iv.s = cur.s
+		}
+		if seqGT(cur.e, iv.e) {
+			iv.e = cur.e
 		}
 	}
-	// Insert iv preserving sequence order.
-	res := make([]interval, 0, len(out)+1)
-	inserted := false
-	for _, cur := range out {
-		if !inserted && seqGT(cur.s, iv.s) {
-			res = append(res, iv)
-			inserted = true
-		}
-		res = append(res, cur)
+	i := 0
+	for i < len(out) && !seqGT(out[i].s, iv.s) {
+		i++
 	}
-	if !inserted {
-		res = append(res, iv)
-	}
-	return res
+	out = append(out, interval{})
+	copy(out[i+1:], out[i:])
+	out[i] = iv
+	return out
 }
 
 // RTO management (RFC 6298).
