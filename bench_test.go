@@ -139,8 +139,8 @@ const (
 // per-client UDP downloads. A non-nil
 // geometry runs the grid on the spatial PHY (2 m spacing keeps every
 // station inside carrier-sense range, so the collision-domain shape
-// matches the scalar channel while the power-matrix and per-receiver
-// sensing code carry the load).
+// matches a nil geometry's single collision domain while the
+// power-matrix and per-receiver sensing code carry the load).
 func scaleNetwork(stations int, geom *channel.Geometry) *node.Network {
 	cfg := scenario.New(scenario.With80211n(), scenario.WithGrid(stations, 2))
 	cfg.Geometry = geom
@@ -197,7 +197,8 @@ func BenchmarkScale(b *testing.B) { benchScale(b, nil) }
 // BenchmarkScaleSpatial runs the identical workload on the spatial PHY
 // (default path-loss geometry) — the cost of the power matrix,
 // per-receiver carrier sensing, and SINR capture relative to the
-// scalar channel, gated in CI against the same heap point's ns/op.
+// single collision domain, gated in CI against the same heap point's
+// ns/op.
 func BenchmarkScaleSpatial(b *testing.B) {
 	benchScale(b, channel.DefaultGeometry())
 }

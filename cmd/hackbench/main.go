@@ -13,7 +13,6 @@
 //	hackbench -xval              # §4.2 cross-validation
 //	hackbench -measure 10s -runs 5 -fig 10
 //	hackbench -workers 4 -fig 11 # bound the worker pool
-//	hackbench -fig 11 -fig11-method envelope   # legacy fixed-rate sweep
 //
 //	# ad-hoc campaign: sweep a named scenario, emit structured rows
 //	hackbench -sweep ht150-stock -sweep-modes off,more-data \
@@ -31,11 +30,9 @@
 //	hackbench -sweep sora-stock -sweep-modes off,more-data -runs 3 \
 //	    -baseline baseline.json          # exits 1 on regression
 //
-//	# spatial PHY: sweep registered topologies as a campaign axis, or
-//	# pin the channel geometry for the whole sweep
+//	# spatial PHY: sweep registered topologies as a campaign axis
 //	hackbench -sweep ht150-stock -sweep-modes off,more-data \
 //	    -sweep-topologies 2bss-overlap,2bss-hidden -airtime
-//	hackbench -sweep ht150-stock -geometry degenerate -format json
 //
 // The comparison aggregates rows with group-by (swept axes minus the
 // seed by default; -groupby overrides) and flags any group whose
@@ -73,9 +70,8 @@ func main() {
 	sweepLoss := flag.String("sweep-loss", "", "comma-separated uniform loss probabilities to sweep")
 	sweepAdapters := flag.String("sweep-adapters", "", "comma-separated rate adapters to sweep (fixed, fixed:<rate>, ideal, argmax, minstrel)")
 	sweepRates := flag.String("sweep-rates", "", "comma-separated PHY rates to sweep (a6..a54, mcs0..mcs7, mcs<i>x<streams>)")
-	sweepTopologies := flag.String("sweep-topologies", "", "comma-separated registered topology names to sweep (default, degenerate, 2bss-hidden, 2bss-overlap, grid-3x3-dense)")
-	geometry := flag.String("geometry", "", "pin the sweep's channel geometry: scalar (legacy channel), pathloss (default spatial), or degenerate (spatial pinned to scalar semantics)")
-	fig11Method := flag.String("fig11-method", "ideal", "Figure 11 method: ideal, minstrel (one simulation per SNR), or envelope (legacy fixed-rate sweep)")
+	sweepTopologies := flag.String("sweep-topologies", "", "comma-separated registered topology names to sweep ("+strings.Join(tcphack.TopologyNames(), ", ")+")")
+	fig11Method := flag.String("fig11-method", "ideal", "Figure 11 rate adapter: ideal or minstrel (one simulation per SNR)")
 	format := flag.String("format", "text", "sweep output: text, csv, json")
 	saveBaseline := flag.String("save-baseline", "", "aggregate the sweep and persist it as a baseline JSON file")
 	baseline := flag.String("baseline", "", "compare the sweep against this baseline file; exit 1 on regression")
@@ -112,9 +108,9 @@ func main() {
 	// profiling starts, so no later path needs to bail out past the
 	// profile flushing.
 	switch *fig11Method {
-	case "ideal", "minstrel", "envelope":
+	case "ideal", "minstrel":
 	default:
-		fmt.Fprintf(os.Stderr, "unknown -fig11-method %q (want ideal, minstrel, or envelope)\n", *fig11Method)
+		fmt.Fprintf(os.Stderr, "unknown -fig11-method %q (want ideal or minstrel)\n", *fig11Method)
 		os.Exit(2)
 	}
 
@@ -190,7 +186,6 @@ func main() {
 			modes:    *sweepModes, clients: *sweepClients, loss: *sweepLoss,
 			adapters: *sweepAdapters, rates: *sweepRates,
 			topologies:   *sweepTopologies,
-			geometry:     *geometry,
 			format:       *format,
 			saveBaseline: *saveBaseline, baseline: *baseline,
 			groupBy: *groupBy, tol: *tolFlag,
@@ -208,11 +203,6 @@ func main() {
 			// tracer hooks (and must not, to keep shard results memoizable).
 			if sw.traceDir != "" || sw.airtime {
 				finish(2, fmt.Errorf("-trace and -airtime apply to local sweeps only, not -submit"))
-			}
-			// Geometry mutates the base configuration, which the wire
-			// protocol cannot carry; topologies travel by name instead.
-			if sw.geometry != "" {
-				finish(2, fmt.Errorf("-geometry applies to local sweeps only, not -submit; sweep the degenerate topology instead"))
 			}
 			finish(runSubmit(sw, o, *server, *shardSize, *wait, *minCached, retry))
 		}
@@ -259,7 +249,6 @@ type sweepConfig struct {
 	scenario                                string
 	modes, clients, loss, adapters, rates   string
 	topologies                              string
-	geometry                                string
 	format, saveBaseline, baseline, groupBy string
 	tol                                     string
 	progress                                bool
@@ -337,18 +326,6 @@ func runSweep(sw sweepConfig, o tcphack.ExperimentOptions) (int, error) {
 			axes.Topologies = append(axes.Topologies, name)
 		}
 	}
-	switch sw.geometry {
-	case "":
-	case "scalar":
-		tcphack.WithGeometry(nil)(&base)
-	case "pathloss":
-		tcphack.WithPathLoss()(&base)
-	case "degenerate":
-		tcphack.WithGeometry(tcphack.DegenerateGeometry())(&base)
-	default:
-		return 0, fmt.Errorf("unknown geometry %q (want scalar, pathloss, or degenerate)", sw.geometry)
-	}
-
 	workload, err := tcphack.NamedCampaignWorkload(tcphack.ScenarioWorkload(sw.scenario))
 	if err != nil {
 		return 0, err
@@ -660,17 +637,8 @@ func fig10(o tcphack.ExperimentOptions) {
 	fmt.Println("paper: MORE DATA HACK gains 15% (1 client) → 22% (10 clients); opportunistic ≈ stock.")
 }
 
-func fig11(o tcphack.ExperimentOptions, method string) {
-	var res tcphack.Fig11Result
-	switch method {
-	case "ideal", "minstrel":
-		res = tcphack.Fig11Adaptive(o, nil, nil, method)
-	case "envelope":
-		res = tcphack.Fig11Envelope(o, nil, nil)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -fig11-method %q (want ideal, minstrel, or envelope)\n", method)
-		os.Exit(2)
-	}
+func fig11(o tcphack.ExperimentOptions, adapter string) {
+	res := tcphack.Fig11Adaptive(o, nil, nil, adapter)
 	fmt.Printf("method: %s\n", res.Method)
 	snrs := make([]float64, 0, len(res.EnvelopeTCP))
 	for snr := range res.EnvelopeTCP {

@@ -3,9 +3,9 @@
 // simulation per SNR point), reporting the goodput ideal rate
 // adaptation achieves for stock TCP and TCP/HACK. The paper's
 // original method — try every fixed rate and take the envelope — is
-// available as tcphack.Fig11Envelope. Also demonstrates §3.4's claim:
-// HACK's loss recovery produces no decompression failures even on
-// terrible links.
+// the reference TestFig11AdapterMatchesEnvelope checks this against.
+// Also demonstrates §3.4's claim: HACK's loss recovery produces no
+// decompression failures even on terrible links.
 package main
 
 import (

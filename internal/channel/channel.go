@@ -62,11 +62,11 @@ type Transmission struct {
 
 	// srcIdx is the source's radio index (its Attach order).
 	srcIdx int
-	// interfMax is spatial-regime state: per receiver index, the
-	// worst-instant aggregate interference power (mW) seen during the
-	// frame. +Inf marks a receiver that was itself transmitting during
-	// an overlap (half-duplex: it can never decode). A recycled record
-	// keeps the array for its next use.
+	// interfMax is general-engine state (see ensureState): per
+	// receiver index, the worst-instant aggregate interference power
+	// (mW) seen during the frame. +Inf marks a receiver that was itself
+	// transmitting during an overlap (half-duplex: it can never
+	// decode). A recycled record keeps the array for its next use.
 	interfMax []float64
 }
 
@@ -74,9 +74,9 @@ type Transmission struct {
 func (t *Transmission) Duration() sim.Duration { return t.End - t.Start }
 
 // Radio is the channel-facing side of a station. The medium invokes
-// CarrierBusy/CarrierIdle as the channel transitions between any
-// activity and silence, and EndRx once per completed transmission from
-// another radio.
+// CarrierBusy/CarrierIdle as the carrier the radio senses turns busy
+// or idle, and EndRx once per completed transmission from another
+// radio that reaches it.
 //
 // The medium decides collisions (overlap in time); noise corruption is
 // drawn by the receiver per decoded unit via Medium.Corrupted, so that
@@ -152,7 +152,7 @@ type Medium struct {
 	rng    *rand.Rand
 	radios []Radio
 	// radioIdx maps each attached radio to its index in radios, which
-	// identifies a transmission's source in both regimes.
+	// identifies a transmission's source.
 	radioIdx map[Radio]int
 	// active lists the transmissions on the air in start order, so
 	// every scan over it (collision probes above all) is deterministic.
@@ -168,15 +168,21 @@ type Medium struct {
 	// staged is the next Transmit's tx_start event (see StageTx).
 	staged trace.Event
 
-	// Geometry, when non-nil, switches the medium to the spatial PHY:
-	// per-pair path loss, per-receiver carrier sensing, and SINR-based
-	// capture (see doc.go). Assign it before the first Transmit; radio
-	// positions are sampled when the power matrix is built and must not
-	// move afterwards. Nil keeps the scalar single-collision-domain
-	// channel bit-identical to pre-spatial builds.
+	// Geometry sets the radio physics: per-pair path loss,
+	// per-receiver carrier sensing and SINR capture (see doc.go). Nil
+	// means one collision domain, as do DegenerateGeometry's values:
+	// every radio senses and receives every frame, and any overlap
+	// collides. Assign it before the first Transmit; radio positions
+	// are sampled when the power matrix is built and must not move
+	// afterwards.
 	Geometry *Geometry
 
-	// Spatial-regime state, built lazily by ensureSpatial.
+	// Engine state, built by ensureState at the first Transmit. A
+	// single collision domain uses only allBusy: no power matrix,
+	// carrier sums or per-radio carrier state.
+	built      bool
+	oneDomain  bool
+	allBusy    bool        // carrier state last reported to every radio
 	powerMW    [][]float64 // symmetric rx-power matrix, diagonal 0
 	txOwn      []int       // in-flight transmissions per source radio
 	senseBusy  []bool      // last carrier state reported to each radio
@@ -188,13 +194,12 @@ type Medium struct {
 	scratchOut []Outcome
 
 	// Stats.
-	TxCount        uint64
-	CollidedTx     uint64
-	CorruptedRx    uint64
-	DeliveredRx    uint64
-	AirtimeBusy    sim.Duration
-	lastBusyStart  sim.Time
-	busyDepthTotal int
+	TxCount       uint64
+	CollidedTx    uint64
+	CorruptedRx   uint64
+	DeliveredRx   uint64
+	AirtimeBusy   sim.Duration
+	lastBusyStart sim.Time
 }
 
 // New creates a medium using the scheduler's clock and a forked random
@@ -269,39 +274,44 @@ func (m *Medium) Transmit(src Radio, rate phy.Rate, length int, frame any) *Tran
 		e.RateKbps, e.Bytes, e.End = rate.Kbps, length, tx.End
 		m.Tracer.Emit(e)
 	}
-	if m.Geometry != nil {
-		m.transmitSpatial(tx, now)
-		m.sched.Post(tx.End, m.finishFn, tx)
-		return tx
-	}
-	// Any overlap collides every involved transmission, both ways. A
-	// transmission ending exactly now does not overlap (its finish event
-	// may simply not have run yet at this instant).
-	for _, other := range m.active {
-		if other.End <= now {
-			continue
-		}
-		if m.Tracer != nil {
-			m.Tracer.Emit(trace.Event{T: now, Kind: trace.KindCollision, ID: tx.ID, ID2: other.ID})
-		}
-		if !tx.collided {
-			tx.collided = true
-			m.CollidedTx++
-		}
-		if !other.collided {
-			other.collided = true
-			m.CollidedTx++
-		}
-	}
+	m.ensureState()
 	if len(m.active) == 0 {
 		m.lastBusyStart = now
-		for _, r := range m.radios {
-			r.CarrierBusy()
+	}
+	if m.oneDomain {
+		// Any overlap collides every involved transmission, both ways.
+		// A transmission ending exactly now does not overlap (its
+		// finish event may simply not have run yet at this instant).
+		for _, o := range m.active {
+			if o.End > now {
+				m.collide(tx, o)
+			}
 		}
+	} else {
+		m.addPower(tx, now)
 	}
 	m.active = append(m.active, tx)
+	m.updateCarrier()
 	m.sched.Post(tx.End, m.finishFn, tx)
 	return tx
+}
+
+// collide marks the overlapping transmissions tx and o collided,
+// tracing the pair and counting each transmission once.
+func (m *Medium) collide(tx, o *Transmission) {
+	if m.Tracer != nil {
+		m.Tracer.Emit(trace.Event{T: m.sched.Now(), Kind: trace.KindCollision, ID: tx.ID, ID2: o.ID})
+	}
+	m.markCollided(tx)
+	m.markCollided(o)
+}
+
+// markCollided sets tx's collision mark, counting it the first time.
+func (m *Medium) markCollided(tx *Transmission) {
+	if !tx.collided {
+		tx.collided = true
+		m.CollidedTx++
+	}
 }
 
 // removeActive drops tx from the on-air list, keeping start order.
@@ -314,43 +324,44 @@ func (m *Medium) removeActive(tx *Transmission) {
 	}
 }
 
-// finish ends tx: it makes the deliveries and carrier edges of the
-// regime in force, then recycles the record.
+// finish ends tx: it decides the outcome at every receiver, makes the
+// deliveries in attach order and then the carrier edges, and recycles
+// the record.
 func (m *Medium) finish(tx *Transmission) {
-	if m.Geometry != nil {
-		m.finishSpatial(tx)
-	} else {
-		m.finishScalar(tx)
-	}
-	*tx = Transmission{interfMax: tx.interfMax[:0]}
-	m.txFree = append(m.txFree, tx)
-}
-
-func (m *Medium) finishScalar(tx *Transmission) {
+	now := m.sched.Now()
+	m.ensureState()
 	m.removeActive(tx)
 	if len(m.active) == 0 {
-		m.AirtimeBusy += m.sched.Now() - m.lastBusyStart
+		m.AirtimeBusy += now - m.lastBusyStart
+	}
+	// In a single collision domain every radio but the source receives
+	// the frame, collided if it overlapped anything.
+	all := RxOK
+	if !m.oneDomain {
+		m.removePower(tx)
+	} else if tx.collided {
+		all = RxCollided
 	}
 	if m.Tracer != nil {
-		m.Tracer.Emit(trace.Event{T: m.sched.Now(), Kind: trace.KindTxEnd, ID: tx.ID, Collided: tx.collided})
+		m.Tracer.Emit(trace.Event{T: now, Kind: trace.KindTxEnd, ID: tx.ID, Collided: tx.collided})
 	}
 	for j, r := range m.radios {
 		if j == tx.srcIdx {
 			continue
 		}
-		outcome := RxOK
-		if tx.collided {
-			outcome = RxCollided
+		outcome := all
+		if !m.oneDomain {
+			if outcome = m.scratchOut[j]; outcome == rxNone {
+				continue
+			}
 		}
 		r.EndRx(tx, outcome)
 	}
-	// Idle notification strictly after deliveries: receivers see the
-	// frame before timers that the idle transition may restart.
-	if len(m.active) == 0 {
-		for _, r := range m.radios {
-			r.CarrierIdle()
-		}
-	}
+	// Carrier edges strictly after deliveries: receivers see the frame
+	// before timers that an idle transition may restart.
+	m.updateCarrier()
+	*tx = Transmission{interfMax: tx.interfMax[:0]}
+	m.txFree = append(m.txFree, tx)
 }
 
 // Corrupted draws whether a decode unit of length bytes from src

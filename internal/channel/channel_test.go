@@ -117,7 +117,7 @@ func TestNonOverlappingNoCollision(t *testing.T) {
 
 // TestUnattachedRadioPanics: a transmission from a radio that never
 // attached, or a second Attach of the same radio, is a caller bug.
-// Both regimes refuse it loudly rather than fall back to radio 0's
+// Both engines refuse it loudly rather than fall back to radio 0's
 // index (its power row, half-duplex mark and delivery skip).
 func TestUnattachedRadioPanics(t *testing.T) {
 	for _, tc := range []struct {
@@ -489,8 +489,8 @@ func TestIndependentComposition(t *testing.T) {
 	}
 }
 
-// TestCollisionProbesDeterministic: three overlapping transmissions on
-// the scalar channel must emit their Collision probes in one order on
+// TestCollisionProbesDeterministic: three overlapping transmissions in
+// one collision domain must emit their Collision probes in one order on
 // every run, so JSONL traces are byte-reproducible. The third
 // transmission overlaps two others; scanning an unordered set would
 // emit its two probes in either order.

@@ -1,17 +1,7 @@
-// Package channel models the shared wireless medium in one of two
-// regimes selected by Medium.Geometry.
+// Package channel models the shared wireless medium: one engine whose
+// physics Medium.Geometry sets.
 //
-// # Scalar regime (Geometry == nil)
-//
-// The legacy single collision domain: every attached radio hears every
-// transmission, any overlap in time collides every involved frame at
-// every receiver (no capture effect), and non-collided frames are
-// subject to an error model. This is the regime every pre-spatial
-// golden baseline was recorded under, and it remains bit-identical.
-//
-// # Spatial regime (Geometry != nil)
-//
-// Radios have positions and the medium computes physics per pair:
+// Radios have positions and the engine computes physics per pair:
 //
 //   - A log-distance path-loss model yields a symmetric per-pair
 //     received-power matrix (Geometry.RxPowerDBm), built lazily from
@@ -30,19 +20,30 @@
 //     always decodes. Overlapping transmitters can never decode each
 //     other (half-duplex). Receivers below Geometry.DeliveryFloorDBm
 //     get no EndRx at all — no NAV, no EIFS, no promiscuous copy.
+//     Geometry.CaptureOK applies the same rule to given powers.
 //
-// The scalar regime is exactly the degenerate point of the spatial
-// one: DegenerateGeometry() (carrier sense and delivery floor at -Inf,
-// capture margin +Inf) reproduces the scalar channel's busy edges,
-// collision marking, and deliveries byte-for-byte on the same event
-// stream, drawing zero additional random numbers. The differential
-// suite in internal/node pins that equivalence.
+// # One collision domain
 //
-// In both regimes the medium owns each Transmission record: it recycles
-// the record once the transmission has finished, zeroed, so a radio
-// reads it only inside EndRx.
+// The paper's setting is one collision domain: every radio hears every
+// transmission and any overlap collides every involved frame at every
+// receiver (no capture effect). That is the engine's limit with carrier
+// sense and delivery floor at -Inf and capture margin +Inf
+// (DegenerateGeometry), and a nil Geometry means the same. The medium
+// detects it from the geometry's values at the first Transmit and then
+// keeps no per-pair state: no power matrix, no sensed-power sums, no
+// per-receiver SINR decisions. Every overlap collides, every other
+// radio receives the frame, and carrier edges fire on every radio when
+// the medium as a whole turns busy or idle. The differential suite
+// (here and in internal/node) compares this path with the general
+// engine under a finite near-degenerate geometry, which couples every
+// radio to every other without being detected, and requires the same
+// outcomes, carrier edges, event traces and campaign rows.
 //
-// Error models are orthogonal to both regimes and range from "no
+// The medium owns each Transmission record: it recycles the record
+// once the transmission has finished, zeroed, so a radio reads it only
+// inside EndRx.
+//
+// Error models are orthogonal to the geometry and range from "no
 // loss" through fixed per-link frame loss (used to reproduce the
 // paper's SoRa testbed, which observed 12%/2% loss for stock TCP vs
 // TCP/HACK) to a physical SNR model: log-distance path loss feeding

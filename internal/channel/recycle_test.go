@@ -16,8 +16,9 @@ func (*quietRadio) CarrierBusy()                 {}
 func (*quietRadio) CarrierIdle()                 {}
 func (*quietRadio) EndRx(*Transmission, Outcome) {}
 
-// quietMedium attaches n quiet radios on a 2 m grid, all inside one
-// another's carrier-sense range, to a medium in the regime g selects.
+// quietMedium attaches n quiet radios on a 2 m grid, ten to a row, to
+// a medium with geometry g. A grid of up to 100 radios lies inside
+// DefaultGeometry's carrier-sense range.
 func quietMedium(n int, g *Geometry) (*sim.Scheduler, *Medium, []Radio) {
 	s := sim.NewScheduler(1)
 	m := New(s, nil)
@@ -42,14 +43,20 @@ var airCycleCases = []struct {
 	name   string
 	radios int
 	geom   func() *Geometry
+	// oneDomain marks a single collision domain, which the medium runs
+	// without a power matrix or sensed sums.
+	oneDomain bool
 }{
-	{"scalar", 2, func() *Geometry { return nil }},
-	{"spatial-100", 100, DefaultGeometry},
+	{"scalar", 2, func() *Geometry { return nil }, true},
+	{"spatial-100", 100, DefaultGeometry, false},
+	{"degenerate-1000", 1000, DegenerateGeometry, true},
 }
 
 // TestTransmitAllocFree pins Transmit and finish at zero allocations on
-// a warm medium, in both regimes: the medium recycles each
-// Transmission, and with it the spatial interference buffer.
+// a warm medium, on both engines: the medium recycles each
+// Transmission, and with it the interference buffer. A single
+// collision domain builds no per-pair state at all, however many
+// radios attach.
 func TestTransmitAllocFree(t *testing.T) {
 	for _, c := range airCycleCases {
 		s, m, radios := quietMedium(c.radios, c.geom())
@@ -59,6 +66,10 @@ func TestTransmitAllocFree(t *testing.T) {
 		}
 		if m.CollidedTx == 0 {
 			t.Errorf("%s: the overlapping frames did not collide", c.name)
+		}
+		if c.oneDomain && (m.powerMW != nil || m.senseMW != nil) {
+			t.Errorf("%s: single collision domain holds a %d-row power matrix and %d sensed sums, want none",
+				c.name, len(m.powerMW), len(m.senseMW))
 		}
 	}
 }
@@ -81,7 +92,7 @@ func TestTransmissionRecycled(t *testing.T) {
 }
 
 // BenchmarkMediumTransmit measures one airCycle (two overlapping
-// frames, transmitted and finished) on a warm medium in each regime.
+// frames, transmitted and finished) on a warm medium in each case.
 func BenchmarkMediumTransmit(b *testing.B) {
 	for _, c := range airCycleCases {
 		b.Run(c.name, func(b *testing.B) {

@@ -7,10 +7,9 @@ import (
 
 	"tcphack/internal/phy"
 	"tcphack/internal/sim"
-	"tcphack/internal/trace"
 )
 
-// Geometry configures the spatial PHY regime (see doc.go): log-distance
+// Geometry configures the medium's physics (see doc.go): log-distance
 // path loss, per-receiver carrier sensing, and SINR capture. A Geometry
 // is read-only once in use — one instance may be shared by many
 // concurrently running media (campaign workers).
@@ -27,7 +26,7 @@ type Geometry struct {
 	// CSThresholdDBm is the energy-detect carrier-sense threshold: a
 	// radio reports busy while the summed received power of in-flight
 	// transmissions is at or above it. -Inf makes every radio sense
-	// every transmission (the scalar channel's global busy state).
+	// every transmission.
 	CSThresholdDBm float64
 	// DeliveryFloorDBm is the weakest received power at which a frame
 	// is still handed to a receiver at all. Below it there is no EndRx:
@@ -35,7 +34,7 @@ type Geometry struct {
 	DeliveryFloorDBm float64
 	// CaptureMarginDB is added to the rate's SINR decode threshold when
 	// a frame suffered overlap. 0 models ideal capture; +Inf disables
-	// capture entirely (any overlap collides, the scalar semantics).
+	// capture entirely (any overlap collides).
 	CaptureMarginDB float64
 }
 
@@ -55,18 +54,26 @@ func DefaultGeometry() *Geometry {
 	}
 }
 
-// DegenerateGeometry returns the spatial configuration that reproduces
-// the scalar channel exactly regardless of radio positions: every radio
-// senses every transmission (CS threshold -Inf), every frame reaches
-// every radio (delivery floor -Inf), and capture never succeeds
-// (margin +Inf), so any overlap collides everywhere. It is the oracle
-// geometry for the differential suite.
+// DegenerateGeometry returns the single collision domain as geometry
+// values, whatever the radio positions: every radio senses every
+// transmission (CS threshold -Inf), every frame reaches every radio
+// (delivery floor -Inf), and capture never succeeds (margin +Inf), so
+// any overlap collides everywhere. The medium treats it exactly as a
+// nil Geometry (see oneDomain).
 func DegenerateGeometry() *Geometry {
 	g := DefaultGeometry()
 	g.CSThresholdDBm = math.Inf(-1)
 	g.DeliveryFloorDBm = math.Inf(-1)
 	g.CaptureMarginDB = math.Inf(1)
 	return g
+}
+
+// oneDomain reports whether g couples every radio to every other: nil,
+// or DegenerateGeometry's carrier-sense threshold, delivery floor and
+// capture margin. The medium then needs no per-pair physics.
+func (g *Geometry) oneDomain() bool {
+	return g == nil || math.IsInf(g.CSThresholdDBm, -1) &&
+		math.IsInf(g.DeliveryFloorDBm, -1) && math.IsInf(g.CaptureMarginDB, 1)
 }
 
 // RxPowerDBm returns the received power at distance metres under the
@@ -83,38 +90,55 @@ func (g *Geometry) RxPowerDBm(distance float64) float64 {
 // decodes despite the given concurrent interferers: its SINR must
 // clear SINRThresholdDB(rate) plus the capture margin. With no
 // interferers the frame always decodes (noise corruption is the error
-// model's job, drawn separately). The decision is deterministic and
+// model's job, drawn separately). It applies the medium's own capture
+// rule to these powers, and the decision is deterministic and
 // independent of interferer order.
 func (g *Geometry) CaptureOK(rate phy.Rate, signalDBm float64, interferersDBm []float64) bool {
 	if len(interferersDBm) == 0 {
 		return true
 	}
-	return SINRdB(signalDBm, interferersDBm, g.NoiseDBm) >= SINRThresholdDB(rate)+g.CaptureMarginDB
+	return captures(phy.DBmToMilliwatts(signalDBm), phy.DBmToMilliwatts(g.NoiseDBm),
+		interferenceMW(interferersDBm), SINRThresholdDB(rate)+g.CaptureMarginDB)
 }
 
 // SINRdB returns the signal-to-interference-plus-noise ratio in dB for
 // a signal received at signalDBm over the given interferer powers and
-// noise floor. Summation is performed in a canonical order, so the
-// result is bit-identical under any permutation of interferersDBm.
+// noise floor, with the arithmetic of the medium's capture decision.
+// The interferers are summed in a canonical order, so the result is
+// bit-identical under any permutation of interferersDBm.
 func SINRdB(signalDBm float64, interferersDBm []float64, noiseDBm float64) float64 {
-	terms := make([]float64, 0, len(interferersDBm)+1)
-	terms = append(terms, phy.DBmToMilliwatts(noiseDBm))
-	for _, p := range interferersDBm {
-		terms = append(terms, phy.DBmToMilliwatts(p))
+	return sinrDB(phy.DBmToMilliwatts(signalDBm), phy.DBmToMilliwatts(noiseDBm), interferenceMW(interferersDBm))
+}
+
+// interferenceMW sums interferer powers in mW in descending canonical
+// order: float addition is commutative but not associative, so a fixed
+// order is what makes the sum permutation-independent (FuzzCapture
+// pins this).
+func interferenceMW(interferersDBm []float64) float64 {
+	terms := make([]float64, len(interferersDBm))
+	for i, p := range interferersDBm {
+		terms[i] = phy.DBmToMilliwatts(p)
 	}
-	// Descending canonical order: float addition is commutative but not
-	// associative, so a fixed order is what makes the decode decision
-	// permutation-independent (FuzzCapture pins this).
 	sort.Sort(sort.Reverse(sort.Float64Slice(terms)))
-	denom := 0.0
+	sum := 0.0
 	for _, t := range terms {
-		denom += t
+		sum += t
 	}
-	sig := phy.DBmToMilliwatts(signalDBm)
-	if denom == 0 {
-		return math.Inf(1)
-	}
-	return 10 * math.Log10(sig/denom)
+	return sum
+}
+
+// sinrDB is the SINR in dB of a signal over noise plus aggregate
+// interference, all in mW.
+func sinrDB(signalMW, noiseMW, interfMW float64) float64 {
+	return 10 * math.Log10(signalMW/(noiseMW+interfMW))
+}
+
+// captures is the capture rule: a frame received at signalMW decodes
+// over noiseMW plus interfMW of aggregate interference iff its SINR
+// reaches thresholdDB, the rate's decode threshold plus the capture
+// margin.
+func captures(signalMW, noiseMW, interfMW, thresholdDB float64) bool {
+	return sinrDB(signalMW, noiseMW, interfMW) >= thresholdDB
 }
 
 // sinrThresholds caches SINRThresholdDB per rate; phy.Rate is a
@@ -123,7 +147,7 @@ var sinrThresholds sync.Map
 
 // SINRThresholdDB returns the decode threshold for rate: the lowest
 // SINR (dB) at which a 1460-byte frame's FrameErrorRate is at most
-// 10%. It reuses the scalar channel's SNR→FER tables, so the capture
+// 10%. It reuses the error model's SNR→FER tables, so the capture
 // model and the noise model share one waterfall per rate.
 func SINRThresholdDB(rate phy.Rate) float64 {
 	if v, ok := sinrThresholds.Load(rate); ok {
@@ -147,13 +171,19 @@ func SINRThresholdDB(rate phy.Rate) float64 {
 // (below the delivery floor, or the source itself).
 const rxNone Outcome = -1
 
-// ensureSpatial (idempotently) extends the spatial state to cover all
-// attached radios: symmetric power matrix, per-radio carrier state,
-// and linear-domain thresholds. Radios attached after the first
-// Transmit get rows appended; existing indices never move.
-func (m *Medium) ensureSpatial() {
+// ensureState builds the engine's state at the first Transmit and
+// extends it to radios attached since; existing indices never move.
+// The first call decides whether the geometry is one collision domain
+// (Geometry.oneDomain), which needs no state. Otherwise it builds the
+// symmetric power matrix, per-radio carrier state and linear-domain
+// thresholds.
+func (m *Medium) ensureState() {
+	if !m.built {
+		m.built = true
+		m.oneDomain = m.Geometry.oneDomain()
+	}
 	n := len(m.radios)
-	if len(m.powerMW) == n {
+	if m.oneDomain || len(m.powerMW) == n {
 		return
 	}
 	g := m.Geometry
@@ -209,22 +239,17 @@ func zeroedBuf(b []float64, n int) []float64 {
 	return b
 }
 
-// transmitSpatial is the spatial-regime half of Transmit: it accrues
-// interference maxima on every overlapping transmission, marks coupled
-// collisions, registers the transmission, and re-evaluates per-radio
-// carrier state. It draws no randomness.
-func (m *Medium) transmitSpatial(tx *Transmission, now sim.Time) {
-	m.ensureSpatial()
+// addPower is the general engine's half of Transmit: tx's power joins
+// every radio's sensed sum, tx and every transmission it overlaps
+// accrue their interference maxima, and coupled pairs collide. It
+// draws no randomness.
+func (m *Medium) addPower(tx *Transmission, now sim.Time) {
 	nR := len(m.radios)
 	si := tx.srcIdx
 	tx.interfMax = zeroedBuf(tx.interfMax, nR)
 	row := m.powerMW[si]
-	if len(m.active) == 0 {
-		m.lastBusyStart = now
-	}
-	// Sensed-energy bookkeeping: the new transmission's power lands at
-	// every radio. A fresh busy period copies rather than accumulates,
-	// which also discards any float drift from the previous period.
+	// A fresh busy period copies rather than accumulates, which also
+	// discards any float drift from the previous period.
 	if len(m.active) == 0 {
 		copy(m.senseMW, row)
 	} else {
@@ -291,17 +316,7 @@ func (m *Medium) transmitSpatial(tx *Transmission, now sim.Time) {
 				}
 			}
 			if coupled {
-				if m.Tracer != nil {
-					m.Tracer.Emit(trace.Event{T: now, Kind: trace.KindCollision, ID: tx.ID, ID2: o.ID})
-				}
-				if !tx.collided {
-					tx.collided = true
-					m.CollidedTx++
-				}
-				if !o.collided {
-					o.collided = true
-					m.CollidedTx++
-				}
+				m.collide(tx, o)
 			}
 		}
 		for j := 0; j < nR; j++ {
@@ -314,45 +329,31 @@ func (m *Medium) transmitSpatial(tx *Transmission, now sim.Time) {
 		}
 	}
 	m.txOwn[si]++
-	m.active = append(m.active, tx)
-	m.updateCarrierSpatial()
 }
 
-// finishSpatial is the spatial-regime half of finish: per-receiver
-// decode decisions from the accrued interference maxima, deliveries in
-// attach order, then carrier re-evaluation strictly after deliveries.
-func (m *Medium) finishSpatial(tx *Transmission) {
-	now := m.sched.Now()
-	m.removeActive(tx)
-	m.ensureSpatial()
+// removePower is the general engine's half of finish: tx's power
+// leaves the sensed sums, and each receiver's outcome lands in
+// scratchOut, decided by the capture rule from the interference tx
+// accrued.
+func (m *Medium) removePower(tx *Transmission) {
 	si := tx.srcIdx
 	m.txOwn[si]--
-	if len(m.active) == 0 {
-		m.AirtimeBusy += now - m.lastBusyStart
-	}
-	g := m.Geometry
 	row := m.powerMW[si]
-	// The departing transmission's power leaves the air; a fully idle
-	// medium resets the sums exactly, bounding float drift to one busy
-	// period.
+	// A fully idle medium resets the sums exactly, bounding float drift
+	// to one busy period.
 	if len(m.active) == 0 {
-		for j := range m.senseMW {
-			m.senseMW[j] = 0
-		}
+		clear(m.senseMW)
 	} else {
 		for j := range m.senseMW {
 			m.senseMW[j] -= row[j]
 		}
 	}
-	thr := SINRThresholdDB(tx.Rate) + g.CaptureMarginDB
+	thr := SINRThresholdDB(tx.Rate) + m.Geometry.CaptureMarginDB
 	out := m.scratchOut
 	for j := range out {
 		out[j] = rxNone
-		if j == si {
-			continue
-		}
 		rp := row[j]
-		if rp < m.floorMW {
+		if j == si || rp < m.floorMW {
 			continue
 		}
 		iv := 0.0
@@ -366,50 +367,53 @@ func (m *Medium) finishSpatial(tx *Transmission) {
 			out[j] = RxOK
 		case math.IsInf(iv, 1):
 			out[j] = RxCollided
+		case captures(rp, m.noiseMW, iv, thr):
+			out[j] = RxOK
 		default:
-			if 10*math.Log10(rp/(m.noiseMW+iv)) >= thr {
-				out[j] = RxOK
-			} else {
-				out[j] = RxCollided
-			}
+			out[j] = RxCollided
 		}
-		if out[j] == RxCollided && !tx.collided {
-			tx.collided = true
-			m.CollidedTx++
+		if out[j] == RxCollided {
+			m.markCollided(tx)
 		}
 	}
-	if m.Tracer != nil {
-		m.Tracer.Emit(trace.Event{T: now, Kind: trace.KindTxEnd, ID: tx.ID, Collided: tx.collided})
-	}
-	for j, r := range m.radios {
-		if j < len(out) && out[j] != rxNone {
-			r.EndRx(tx, out[j])
-		}
-	}
-	// Carrier re-evaluation strictly after deliveries: receivers see
-	// the frame before timers that an idle transition may restart.
-	m.updateCarrierSpatial()
 }
 
-// updateCarrierSpatial re-reads each radio's sensed-energy state (the
-// senseMW sums maintained by transmitSpatial/finishSpatial) and emits
-// CarrierBusy/CarrierIdle edges for radios whose state changed, in
-// attach order. A radio is busy while it is transmitting or while the
-// summed power of transmissions on the air reaches the carrier-sense
-// threshold. Transmissions past their End but not yet finished still
-// count — they are on the air until their finish event runs, which
-// keeps idle edges strictly after deliveries.
-func (m *Medium) updateCarrierSpatial() {
+// updateCarrier emits the carrier edges the last change to the air
+// caused, in attach order. In a single collision domain every radio
+// turns busy or idle with the medium as a whole. Otherwise a radio is
+// busy while it is transmitting or while the summed power of
+// transmissions on the air reaches the carrier-sense threshold.
+// Transmissions past their End but not yet finished still count — they
+// are on the air until their finish event runs, which keeps idle edges
+// strictly after deliveries.
+func (m *Medium) updateCarrier() {
 	onAir := len(m.active) > 0
-	for j, r := range m.radios {
-		busy := m.txOwn[j] > 0 || (onAir && m.senseMW[j] >= m.csMW)
-		if busy != m.senseBusy[j] {
-			m.senseBusy[j] = busy
-			if busy {
+	if m.oneDomain {
+		if onAir == m.allBusy {
+			return
+		}
+		m.allBusy = onAir
+		if onAir {
+			for _, r := range m.radios {
 				r.CarrierBusy()
-			} else {
+			}
+		} else {
+			for _, r := range m.radios {
 				r.CarrierIdle()
 			}
+		}
+		return
+	}
+	for j, r := range m.radios {
+		busy := m.txOwn[j] > 0 || (onAir && m.senseMW[j] >= m.csMW)
+		if busy == m.senseBusy[j] {
+			continue
+		}
+		m.senseBusy[j] = busy
+		if busy {
+			r.CarrierBusy()
+		} else {
+			r.CarrierIdle()
 		}
 	}
 }

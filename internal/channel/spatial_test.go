@@ -12,8 +12,8 @@ import (
 
 // scriptedMedium builds a medium with three radios in the legacy test
 // layout and runs a fixed transmission script with overlapping and
-// sequential frames — the stimulus for the degenerate-geometry
-// equivalence check.
+// sequential frames — the stimulus for the single-domain differential
+// check.
 func scriptedMedium(g *Geometry) (*Medium, []*testRadio) {
 	s := sim.NewScheduler(1)
 	m := New(s, nil)
@@ -35,34 +35,52 @@ func scriptedMedium(g *Geometry) (*Medium, []*testRadio) {
 	return m, []*testRadio{a, b, c}
 }
 
+// nearDegenerateGeometry is DefaultGeometry with carrier sense and the
+// delivery floor at -300 dBm and a 10⁶ dB capture margin. Its values
+// are finite, so the medium runs the general engine (power matrix,
+// sensed sums, SINR decisions), yet every radio still senses and
+// receives every frame and any overlap collides: it is the oracle for
+// the single-collision-domain path.
+func nearDegenerateGeometry() *Geometry {
+	g := DefaultGeometry()
+	g.CSThresholdDBm = -300
+	g.DeliveryFloorDBm = -300
+	g.CaptureMarginDB = 1e6
+	return g
+}
+
 // TestDegenerateMatchesScalar is the channel-level differential check:
-// the spatial engine pinned to the degenerate geometry must reproduce
-// the scalar channel's observable behavior — outcomes, frames, carrier
-// edges, and counters — exactly.
+// the single-collision-domain path (a nil Geometry) must reproduce the
+// general engine's observable behavior under the near-degenerate
+// geometry — outcomes, frames, carrier edges, and counters — exactly.
 func TestDegenerateMatchesScalar(t *testing.T) {
 	lm, lr := scriptedMedium(nil)
-	sm, sr := scriptedMedium(DegenerateGeometry())
+	sm, sr := scriptedMedium(nearDegenerateGeometry())
+	if lm.powerMW != nil || sm.powerMW == nil {
+		t.Fatalf("engines: nil geometry built a power matrix %v, near-degenerate %v; want false, true",
+			lm.powerMW != nil, sm.powerMW != nil)
+	}
 
 	for i := range lr {
 		if !reflect.DeepEqual(lr[i].received, sr[i].received) {
-			t.Errorf("radio %d outcomes: scalar %v, spatial %v", i, lr[i].received, sr[i].received)
+			t.Errorf("radio %d outcomes: single-domain %v, general %v", i, lr[i].received, sr[i].received)
 		}
 		if !reflect.DeepEqual(lr[i].frames, sr[i].frames) {
-			t.Errorf("radio %d frames: scalar %v, spatial %v", i, lr[i].frames, sr[i].frames)
+			t.Errorf("radio %d frames: single-domain %v, general %v", i, lr[i].frames, sr[i].frames)
 		}
 		if lr[i].busy != sr[i].busy || lr[i].idle != sr[i].idle {
-			t.Errorf("radio %d busy/idle: scalar %d/%d, spatial %d/%d",
+			t.Errorf("radio %d busy/idle: single-domain %d/%d, general %d/%d",
 				i, lr[i].busy, lr[i].idle, sr[i].busy, sr[i].idle)
 		}
 	}
 	if lm.TxCount != sm.TxCount {
-		t.Errorf("TxCount: scalar %d, spatial %d", lm.TxCount, sm.TxCount)
+		t.Errorf("TxCount: single-domain %d, general %d", lm.TxCount, sm.TxCount)
 	}
 	if lm.CollidedTx != sm.CollidedTx {
-		t.Errorf("CollidedTx: scalar %d, spatial %d", lm.CollidedTx, sm.CollidedTx)
+		t.Errorf("CollidedTx: single-domain %d, general %d", lm.CollidedTx, sm.CollidedTx)
 	}
 	if lm.AirtimeBusy != sm.AirtimeBusy {
-		t.Errorf("AirtimeBusy: scalar %v, spatial %v", lm.AirtimeBusy, sm.AirtimeBusy)
+		t.Errorf("AirtimeBusy: single-domain %v, general %v", lm.AirtimeBusy, sm.AirtimeBusy)
 	}
 }
 
@@ -226,11 +244,11 @@ func TestPowerMatrixSymmetry(t *testing.T) {
 		radios[i] = &testRadio{pos: Pos{X: rng.Float64() * 100, Y: rng.Float64() * 100}}
 		m.Attach(radios[i])
 	}
-	m.ensureSpatial()
+	m.ensureState()
 	// Mid-run attach: the matrix is extended, old entries preserved.
 	late := &testRadio{pos: Pos{X: 33, Y: 44}}
 	m.Attach(late)
-	m.ensureSpatial()
+	m.ensureState()
 	n := len(m.powerMW)
 	if n != 7 {
 		t.Fatalf("matrix order %d, want 7", n)

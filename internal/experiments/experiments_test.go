@@ -3,6 +3,11 @@ package experiments
 import (
 	"testing"
 
+	"tcphack/internal/campaign"
+	"tcphack/internal/channel"
+	"tcphack/internal/hack"
+	"tcphack/internal/node"
+	"tcphack/internal/phy"
 	"tcphack/internal/sim"
 )
 
@@ -188,25 +193,58 @@ func TestFig11Shape(t *testing.T) {
 	}
 }
 
+// fixedRateEnvelope is the paper's own Figure 11 method: sweep SNR ×
+// every fixed single-stream HT rate and take, per SNR and protocol, the
+// best goodput as what an ideal rate-adaptation algorithm would
+// achieve. It multiplies the grid by the rate count, so Fig11 runs the
+// IdealSNR adapter instead and this stays as its reference.
+func fixedRateEnvelope(o Options, snrsDB []float64) (tcp, hck map[float64]float64) {
+	base := ht150Base(hack.ModeOff)
+	base.AckRate = phy.Rate{} // basic-rate rules per eliciting frame
+	spec := o.withDefaults().spec("fig11-envelope", base)
+	spec.Axes = campaign.Axes{
+		Modes:  []hack.Mode{hack.ModeOff, hack.ModeMoreData},
+		Rates:  phy.RatesHT40SGI1(),
+		SNRsDB: snrsDB,
+		Seeds:  []int64{o.Seed},
+	}
+	// Skip hopeless (rate, SNR) pairs cheaply: if even a Block ACK
+	// sized frame fails with near-certainty, goodput is 0.
+	spec.Skip = func(pt campaign.Point) bool {
+		return channel.FrameErrorRate(pt.Rate, pt.SNRdB, 1538) > 0.999
+	}
+	spec.Workload = func(n *node.Network, pt campaign.Point) {
+		n.StartDownload(0, 0, 0)
+	}
+	tcp, hck = make(map[float64]float64), make(map[float64]float64)
+	for _, r := range campaign.Run(spec) {
+		best := tcp
+		if r.Mode == hack.ModeMoreData {
+			best = hck
+		}
+		best[r.SNRdB] = max(best[r.SNRdB], r.AggregateMbps)
+	}
+	return tcp, hck
+}
+
 // TestFig11AdapterMatchesEnvelope cross-validates the reworked Figure
-// 11 against the legacy method it replaced: at usable SNRs the
+// 11 against the fixed-rate envelope it replaced: at usable SNRs the
 // IdealSNR adapter (one simulation per SNR) must land within 10% of
-// the fixed-rate-sweep envelope, and the stock-vs-HACK ordering must
-// be preserved.
+// the envelope, and the stock-vs-HACK ordering must be preserved.
 func TestFig11AdapterMatchesEnvelope(t *testing.T) {
 	snrs := []float64{25, 30}
 	adaptive := Fig11(quick, snrs, nil)
-	envelope := Fig11Envelope(quick, snrs, nil)
-	if adaptive.Method != "ideal" || envelope.Method != "envelope" {
-		t.Fatalf("methods: %q / %q", adaptive.Method, envelope.Method)
+	envTCP, envHACK := fixedRateEnvelope(quick, snrs)
+	if adaptive.Method != "ideal" {
+		t.Fatalf("method: %q", adaptive.Method)
 	}
 	for _, snr := range snrs {
 		for _, c := range []struct {
 			proto   string
 			ad, env float64
 		}{
-			{proto: "TCP", ad: adaptive.EnvelopeTCP[snr], env: envelope.EnvelopeTCP[snr]},
-			{proto: "HACK", ad: adaptive.EnvelopeHACK[snr], env: envelope.EnvelopeHACK[snr]},
+			{proto: "TCP", ad: adaptive.EnvelopeTCP[snr], env: envTCP[snr]},
+			{proto: "HACK", ad: adaptive.EnvelopeHACK[snr], env: envHACK[snr]},
 		} {
 			if c.env <= 0 {
 				t.Fatalf("%s envelope empty at %v dB", c.proto, snr)

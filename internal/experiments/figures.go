@@ -98,23 +98,13 @@ func Fig10(o Options, clientCounts []int) []Fig10Row {
 	return rows
 }
 
-// Fig11Point is one (SNR, rate) cell of Figure 11's envelope sweep.
-type Fig11Point struct {
-	SNRdB    float64
-	Rate     phy.Rate
-	TCPMbps  float64
-	HACKMbps float64
-}
-
-// Fig11Result carries the per-SNR goodput curves. Method records how
-// they were produced: a rate adapter ("ideal", "minstrel") running
-// one simulation per SNR point, or the legacy fixed-rate envelope
-// ("envelope"), whose per-(rate, SNR) cells are then also in Points.
+// Fig11Result carries the per-SNR goodput curves and the rate adapter
+// ("ideal", "minstrel") that produced them, one simulation per SNR
+// point.
 type Fig11Result struct {
 	Method string
-	Points []Fig11Point
-	// EnvelopeTCP/EnvelopeHACK map SNR → goodput under (ideal or
-	// emulated-ideal) rate adaptation, per protocol.
+	// EnvelopeTCP/EnvelopeHACK map SNR → goodput under rate
+	// adaptation, per protocol.
 	EnvelopeTCP  map[float64]float64
 	EnvelopeHACK map[float64]float64
 	// MeanImprovementPct is HACK's average envelope gain (paper: 12.6%).
@@ -141,8 +131,8 @@ func finishFig11(res *Fig11Result, snrsDB []float64) {
 // IdealSNR adapter (the oracle the paper's "ideal rate adaptation"
 // assumes), so the whole figure is one {mode × SNR} campaign — one
 // simulation per SNR point instead of one per (rate, SNR) cell. The
-// legacy fixed-rate-sweep-plus-envelope method survives as
-// Fig11Envelope for cross-validation.
+// paper's fixed-rate-sweep-plus-envelope method is the reference in
+// TestFig11AdapterMatchesEnvelope.
 func Fig11(o Options, snrsDB []float64, rates []phy.Rate) Fig11Result {
 	return Fig11Adaptive(o, snrsDB, rates, "ideal")
 }
@@ -191,74 +181,6 @@ func Fig11Adaptive(o Options, snrsDB []float64, rates []phy.Rate, adapter string
 		key := results.Num(snr)
 		res.EnvelopeTCP[snr] = agg.MeanAt("aggregate_mbps", hack.ModeOff.String(), key)
 		res.EnvelopeHACK[snr] = agg.MeanAt("aggregate_mbps", hack.ModeMoreData.String(), key)
-	}
-	finishFig11(&res, snrsDB)
-	return res
-}
-
-// Fig11Envelope is the legacy Figure 11 method the paper's text
-// describes verbatim: sweep SNR × every fixed PHY rate and take the
-// per-SNR envelope as the goodput an ideal rate-adaptation algorithm
-// would achieve. It multiplies the grid by the rate count — kept for
-// cross-validating the adapter-based Fig11 (the xval test asserts the
-// two agree at usable SNRs).
-func Fig11Envelope(o Options, snrsDB []float64, rates []phy.Rate) Fig11Result {
-	o = o.withDefaults()
-	if snrsDB == nil {
-		snrsDB = []float64{0, 5, 10, 15, 20, 25, 30}
-	}
-	if rates == nil {
-		rates = phy.RatesHT40SGI1()
-	}
-	base := ht150Base(hack.ModeOff)
-	base.AckRate = phy.Rate{} // basic-rate rules per eliciting frame
-	spec := o.spec("fig11-envelope", base)
-	spec.Axes = campaign.Axes{
-		Modes:  []hack.Mode{hack.ModeOff, hack.ModeMoreData},
-		Rates:  rates,
-		SNRsDB: snrsDB,
-		Seeds:  []int64{o.Seed},
-	}
-	// Skip hopeless (rate, SNR) pairs cheaply: if even a Block ACK
-	// sized frame fails with near-certainty, goodput is 0.
-	spec.Skip = func(pt campaign.Point) bool {
-		return channel.FrameErrorRate(pt.Rate, pt.SNRdB, 1538) > 0.999
-	}
-	spec.Workload = func(n *node.Network, pt campaign.Point) {
-		n.StartDownload(0, 0, 0)
-	}
-	agg, err := results.FromResults(campaign.Run(spec)).Aggregate("mode", "rate_kbps", "snr_db")
-	if err != nil {
-		panic(err) // static group-by columns
-	}
-
-	// Skipped (hopeless) cells are absent from the aggregation and
-	// read as zero goodput.
-	goodput := func(mode hack.Mode, rate phy.Rate, snr float64) float64 {
-		return agg.MeanAt("aggregate_mbps",
-			mode.String(), results.Num(float64(rate.Kbps)), results.Num(snr))
-	}
-
-	res := Fig11Result{
-		Method:       "envelope",
-		EnvelopeTCP:  make(map[float64]float64),
-		EnvelopeHACK: make(map[float64]float64),
-	}
-	for _, snr := range snrsDB {
-		bestTCP, bestHACK := 0.0, 0.0
-		for _, rate := range rates {
-			tcp := goodput(hack.ModeOff, rate, snr)
-			hck := goodput(hack.ModeMoreData, rate, snr)
-			res.Points = append(res.Points, Fig11Point{SNRdB: snr, Rate: rate, TCPMbps: tcp, HACKMbps: hck})
-			if tcp > bestTCP {
-				bestTCP = tcp
-			}
-			if hck > bestHACK {
-				bestHACK = hck
-			}
-		}
-		res.EnvelopeTCP[snr] = bestTCP
-		res.EnvelopeHACK[snr] = bestHACK
 	}
 	finishFig11(&res, snrsDB)
 	return res

@@ -1,11 +1,12 @@
-// Differential geometry harness: the scalar channel (the engine's
-// original medium) is the oracle for the spatial PHY pinned to the
-// degenerate geometry — every radio senses everything, every frame
-// reaches everyone, any overlap collides. Driven from the same ht150
-// network workload as the scheduler differential suite, the two
-// regimes must produce identical event-time traces, and a campaign
-// sweep over the degenerate geometry must emit byte-identical result
-// rows. Any divergence is a spatial-engine semantics bug.
+// Differential geometry harness: the medium's general engine is the
+// oracle for its single-collision-domain path. The oracle runs the
+// near-degenerate geometry, whose finite values keep the power matrix,
+// the sensed-power sums and the SINR decisions in play while still
+// coupling every radio to every other, so it must agree with a nil
+// Geometry. Driven from the same ht150 network workload as the
+// scheduler differential suite, the two paths must produce identical
+// event-time traces, and a campaign sweep must emit byte-identical
+// result rows. Any divergence is a bug in one of the two paths.
 package node_test
 
 import (
@@ -20,9 +21,22 @@ import (
 	"tcphack/internal/sim"
 )
 
+// nearDegenerate is DefaultGeometry with carrier sense and the
+// delivery floor at -300 dBm and a 10⁶ dB capture margin: every radio
+// senses and receives every frame and any overlap collides, but the
+// values are finite, so the medium does not take its single-domain
+// path.
+func nearDegenerate() *channel.Geometry {
+	g := channel.DefaultGeometry()
+	g.CSThresholdDBm = -300
+	g.DeliveryFloorDBm = -300
+	g.CaptureMarginDB = 1e6
+	return g
+}
+
 // geometryTrace runs the ht150 network (aggregated 802.11n, HACK
-// MORE-DATA, 3 TCP downloads) on the given channel regime and records
-// the virtual time of every executed event.
+// MORE-DATA, 3 TCP downloads) on the given geometry and records the
+// virtual time of every executed event.
 func geometryTrace(geom *channel.Geometry, loss float64, maxEvents int) ([]sim.Time, uint64) {
 	opts := []scenario.Option{
 		scenario.With80211n(),
@@ -45,11 +59,11 @@ func geometryTrace(geom *channel.Geometry, loss float64, maxEvents int) ([]sim.T
 	return trace, n.Sched.EventsFired()
 }
 
-// TestDifferentialGeometryTrace requires the spatial engine under the
-// degenerate geometry to replay the scalar channel's event trace
-// exactly, lossless and at 5% uniform loss. Loss exercises the RNG
-// path: the spatial regime must draw exactly the same random numbers
-// at the same points, or retry timers shift and the traces diverge.
+// TestDifferentialGeometryTrace requires the single-domain path to
+// replay the general engine's event trace under the near-degenerate
+// geometry exactly, lossless and at 5% uniform loss. Loss exercises the
+// RNG path: both must draw exactly the same random numbers at the same
+// points, or retry timers shift and the traces diverge.
 func TestDifferentialGeometryTrace(t *testing.T) {
 	const maxEvents = 200_000
 	for _, tc := range []struct {
@@ -57,29 +71,29 @@ func TestDifferentialGeometryTrace(t *testing.T) {
 		loss float64
 	}{{"lossless", 0}, {"loss5pct", 0.05}} {
 		t.Run(tc.name, func(t *testing.T) {
-			scalar, scalarFired := geometryTrace(nil, tc.loss, maxEvents)
-			spatial, spatialFired := geometryTrace(channel.DegenerateGeometry(), tc.loss, maxEvents)
-			if len(scalar) != len(spatial) {
-				t.Fatalf("trace length: scalar %d, spatial %d", len(scalar), len(spatial))
+			single, singleFired := geometryTrace(nil, tc.loss, maxEvents)
+			general, generalFired := geometryTrace(nearDegenerate(), tc.loss, maxEvents)
+			if len(single) != len(general) {
+				t.Fatalf("trace length: single-domain %d, general %d", len(single), len(general))
 			}
-			if len(scalar) < maxEvents/2 {
-				t.Fatalf("degenerate trace: only %d events", len(scalar))
+			if len(single) < maxEvents/2 {
+				t.Fatalf("single-domain trace: only %d events", len(single))
 			}
-			for i := range scalar {
-				if scalar[i] != spatial[i] {
-					t.Fatalf("trace diverges at event %d: scalar %v, spatial %v",
-						i, scalar[i], spatial[i])
+			for i := range single {
+				if single[i] != general[i] {
+					t.Fatalf("trace diverges at event %d: single-domain %v, general %v",
+						i, single[i], general[i])
 				}
 			}
-			if scalarFired != spatialFired {
-				t.Fatalf("events fired: scalar %d, spatial %d", scalarFired, spatialFired)
+			if singleFired != generalFired {
+				t.Fatalf("events fired: single-domain %d, general %d", singleFired, generalFired)
 			}
 		})
 	}
 }
 
-// TestDifferentialCampaignRows runs one small sweep twice — scalar
-// base vs the same base pinned to the degenerate geometry — and
+// TestDifferentialCampaignRows runs one small sweep twice — a nil
+// Geometry vs the same base on the near-degenerate geometry — and
 // requires the emitted JSON result rows to be byte-identical: every
 // metric, counter, and airtime bucket, across modes, seeds, and a
 // lossy point.
@@ -101,15 +115,15 @@ func TestDifferentialCampaignRows(t *testing.T) {
 			Airtime: true,
 		}
 	}
-	var scalar, spatial bytes.Buffer
-	if err := campaign.Run(spec(nil)).WriteJSON(&scalar); err != nil {
+	var single, general bytes.Buffer
+	if err := campaign.Run(spec(nil)).WriteJSON(&single); err != nil {
 		t.Fatal(err)
 	}
-	if err := campaign.Run(spec(channel.DegenerateGeometry())).WriteJSON(&spatial); err != nil {
+	if err := campaign.Run(spec(nearDegenerate())).WriteJSON(&general); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(scalar.Bytes(), spatial.Bytes()) {
-		t.Errorf("campaign rows diverge between scalar and degenerate-spatial runs:\n--- scalar ---\n%s\n--- spatial ---\n%s",
-			scalar.String(), spatial.String())
+	if !bytes.Equal(single.Bytes(), general.Bytes()) {
+		t.Errorf("campaign rows diverge between the single-domain path and the general engine:\n--- single-domain ---\n%s\n--- general ---\n%s",
+			single.String(), general.String())
 	}
 }

@@ -75,7 +75,7 @@ type Config struct {
 	BSSs []BSSSpec
 	// Geometry, when non-nil, switches the shared medium to the
 	// spatial PHY (per-pair path loss, per-receiver carrier sense,
-	// SINR capture). Nil keeps the scalar collision-domain channel.
+	// SINR capture). Nil keeps one collision domain.
 	Geometry *channel.Geometry
 
 	// Queues: the paper sizes the AP transmit queue at 126 packets per

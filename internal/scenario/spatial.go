@@ -10,7 +10,7 @@ import (
 
 // WithGeometry installs a spatial PHY configuration on the medium
 // (per-pair path loss, per-receiver carrier sense, SINR capture). Nil
-// restores the scalar collision-domain channel.
+// restores the single collision domain.
 func WithGeometry(g *channel.Geometry) Option {
 	return func(c *node.Config) { c.Geometry = g }
 }
@@ -147,10 +147,7 @@ func TopologyNames() []string {
 //   - grid-3x3-dense: one BSS, nine clients on a 5 m grid — the dense
 //     deployment where everyone senses everyone.
 func init() {
-	RegisterTopology("default", "scalar channel, legacy star topology")
-	RegisterTopology("degenerate",
-		"spatial PHY pinned to the scalar channel's semantics (differential oracle)",
-		WithGeometry(channel.DegenerateGeometry()))
+	RegisterTopology("default", "one collision domain, legacy star topology")
 	RegisterTopology("2bss-hidden",
 		"two BSSs 80 m apart, mutually hidden APs, client clusters in the crossfire",
 		WithPathLoss(),

@@ -111,7 +111,7 @@ type (
 	// ExperimentOptions scales the paper-reproduction runners.
 	ExperimentOptions = experiments.Options
 	// Fig11Result carries Figure 11's per-SNR goodput curves and the
-	// method that produced them (rate adapter or fixed-rate envelope).
+	// rate adapter that produced them.
 	Fig11Result = experiments.Fig11Result
 	// AnalyticalParams parameterizes the closed-form capacity models.
 	AnalyticalParams = analytical.Params
@@ -162,7 +162,7 @@ var (
 	WithTopology = scenario.WithTopology
 	// WithGeometry installs a spatial PHY configuration on the medium
 	// (per-pair path loss, per-receiver carrier sense, SINR capture);
-	// nil restores the scalar collision-domain channel.
+	// nil restores the single collision domain.
 	WithGeometry = scenario.WithGeometry
 	// WithPathLoss switches to the spatial PHY with the default
 	// geometry (≈51.5 m sense/delivery range).
@@ -222,11 +222,6 @@ type (
 // DefaultGeometry returns the paper's indoor spatial PHY constants
 // with an 802.11-style -82 dBm carrier-sense threshold.
 func DefaultGeometry() *Geometry { return channel.DefaultGeometry() }
-
-// DegenerateGeometry returns the spatial configuration that reproduces
-// the scalar channel exactly regardless of positions — the oracle
-// geometry for differential testing.
-func DegenerateGeometry() *Geometry { return channel.DegenerateGeometry() }
 
 // TopologyNames lists registered topology names, sorted — the
 // vocabulary of the campaign topology axis.
@@ -400,7 +395,6 @@ var (
 	Fig10           = experiments.Fig10
 	Fig11           = experiments.Fig11
 	Fig11Adaptive   = experiments.Fig11Adaptive
-	Fig11Envelope   = experiments.Fig11Envelope
 	Fig12           = experiments.Fig12
 	Table2          = experiments.Table2
 	Table3          = experiments.Table3
