@@ -27,6 +27,7 @@ import (
 	"tcphack/internal/node"
 	"tcphack/internal/scenario"
 	"tcphack/internal/sim"
+	"tcphack/internal/trace"
 )
 
 // allocBudgetMargin is the mallocs per simulated second each budget
@@ -127,7 +128,7 @@ func TestScaleAllocBudget(t *testing.T) {
 // downloading clients and tr on every layer, and runs it for 2 s:
 // handshakes, buffer growth, pool fill.
 func warmDownloads(tr Tracer) *node.Network {
-	cfg := Scenario80211n(ModeMoreData, 2)
+	cfg := NewScenario(With80211n(), WithMode(ModeMoreData), WithClients(2))
 	cfg.Tracer = tr
 	n := node.New(cfg)
 	for ci := 0; ci < 2; ci++ {
@@ -138,7 +139,7 @@ func warmDownloads(tr Tracer) *node.Network {
 }
 
 // TestNopTracerAllocFree asserts that no probe site allocates: with
-// NopTracer on every layer, where each probe site builds its event and
+// trace.Nop on every layer, where each probe site builds its event and
 // calls Emit, a warm window of the 2-client HACK scenario (channel,
 // MAC, HACK, ROHC and TCP probes) allocates exactly as much as the
 // same window untraced. Emit itself is guarded by internal/trace's
@@ -146,11 +147,11 @@ func warmDownloads(tr Tracer) *node.Network {
 func TestNopTracerAllocFree(t *testing.T) {
 	defer exactWindow()()
 	var mallocs [2]uint64
-	for i, tr := range []Tracer{nil, NopTracer{}} {
+	for i, tr := range []Tracer{nil, trace.Nop{}} {
 		_, mallocs[i] = windowMallocs(t, warmDownloads(tr), 3*sim.Second)
 	}
 	if mallocs[1] != mallocs[0] {
-		t.Errorf("NopTracer on every layer: %d mallocs over 1 s, untraced %d; want equal",
+		t.Errorf("trace.Nop on every layer: %d mallocs over 1 s, untraced %d; want equal",
 			mallocs[1], mallocs[0])
 	}
 }

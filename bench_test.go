@@ -36,7 +36,7 @@ var benchOpts = struct {
 func benchCampaignSpec(workers int) campaign.Spec {
 	return campaign.Spec{
 		Name: "bench",
-		Base: Scenario80211n(ModeOff, 1),
+		Base: NewScenario(With80211n(), WithMode(ModeOff), WithClients(1)),
 		Axes: campaign.Axes{
 			Modes:   []hack.Mode{hack.ModeOff, hack.ModeMoreData},
 			Clients: []int{1, 2},
@@ -75,7 +75,7 @@ func BenchmarkCampaignRun(b *testing.B) {
 // --- Ablations (DESIGN.md §5) ---
 
 func ablationRun(b *testing.B, mutate func(*node.Config)) float64 {
-	cfg := Scenario80211n(ModeMoreData, 1)
+	cfg := NewScenario(With80211n(), WithMode(ModeMoreData), WithClients(1))
 	mutate(&cfg)
 	n := node.New(cfg)
 	f := n.StartDownload(0, 0, 0)
@@ -209,7 +209,7 @@ func BenchmarkSimulatorEventRate(b *testing.B) {
 	b.ReportAllocs()
 	var events uint64
 	for i := 0; i < b.N; i++ {
-		cfg := Scenario80211n(ModeMoreData, 10)
+		cfg := NewScenario(With80211n(), WithMode(ModeMoreData), WithClients(10))
 		n := node.New(cfg)
 		for ci := 0; ci < 10; ci++ {
 			n.StartDownload(ci, 0, 0)

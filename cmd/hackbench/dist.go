@@ -81,7 +81,7 @@ func runServe(addr, stateDir string, leaseTTL time.Duration, shardSize int) (int
 // exercise): the in-flight point is abandoned, the lease expires, and
 // another worker re-simulates only the points this one had not yet
 // streamed.
-func runWorker(url, name string, poll, maxPoll time.Duration, retry tcphack.DistRetryPolicy) (int, error) {
+func runWorker(url, name string, poll time.Duration) (int, error) {
 	if name == "" {
 		host, _ := os.Hostname()
 		name = fmt.Sprintf("%s-%d", host, os.Getpid())
@@ -110,16 +110,17 @@ func runWorker(url, name string, poll, maxPoll time.Duration, retry tcphack.Dist
 		}
 	}()
 
-	retry.Seed = name
-	retry.OnRetry = func(path string, attempt int, err error) {
-		fmt.Fprintf(os.Stderr, "worker %s: retrying %s (attempt %d failed: %v)\n", name, path, attempt, err)
+	retry := tcphack.DistRetryPolicy{
+		Seed: name,
+		OnRetry: func(path string, attempt int, err error) {
+			fmt.Fprintf(os.Stderr, "worker %s: retrying %s (attempt %d failed: %v)\n", name, path, attempt, err)
+		},
 	}
 	w := &tcphack.DistWorker{
-		Client:  tcphack.DistClient{BaseURL: url, Retry: retry},
-		Name:    name,
-		Poll:    poll,
-		MaxPoll: maxPoll,
-		Kill:    kill,
+		Client: tcphack.DistClient{BaseURL: url, Retry: retry},
+		Name:   name,
+		Poll:   poll,
+		Kill:   kill,
 		OnShard: func(grant tcphack.DistLeaseGrant, dup bool) {
 			note := ""
 			if dup {
@@ -164,11 +165,11 @@ func runStoreGC(stateDir string, dryRun bool) (int, error) {
 
 // runStatus prints a job's status ("all" lists every job, "metrics"
 // prints the metrics snapshot) as indented JSON.
-func runStatus(server, target string, retry tcphack.DistRetryPolicy) (int, error) {
+func runStatus(server, target string) (int, error) {
 	if server == "" {
 		return 0, fmt.Errorf("-status needs -server <url>")
 	}
-	c := tcphack.DistClient{BaseURL: server, Retry: retry}
+	c := tcphack.DistClient{BaseURL: server}
 	var v any
 	var err error
 	switch target {
@@ -193,20 +194,15 @@ func runStatus(server, target string, retry tcphack.DistRetryPolicy) (int, error
 // minCached > 0 additionally gates on the memoization hit fraction
 // (the repeated-sweep CI assertion).
 func runSubmit(sw sweepConfig, o tcphack.ExperimentOptions, server string,
-	shardSize int, wait bool, minCached float64, retry tcphack.DistRetryPolicy) (int, error) {
+	shardSize int, wait bool, minCached float64) (int, error) {
 	if server == "" {
 		return 0, fmt.Errorf("-submit needs -server <url>")
 	}
-	switch sw.format {
-	case "text", "csv", "json":
-	default:
-		return 0, fmt.Errorf("unknown format %q (want text, csv, or json)", sw.format)
-	}
-	spec, err := wireFromSweep(sw, o)
+	spec, _, err := wireFromSweep(sw, o)
 	if err != nil {
 		return 0, err
 	}
-	c := tcphack.DistClient{BaseURL: server, Retry: retry}
+	c := tcphack.DistClient{BaseURL: server}
 	st, err := c.Submit(spec, shardSize)
 	if err != nil {
 		return 0, err
@@ -226,7 +222,7 @@ func runSubmit(sw sweepConfig, o tcphack.ExperimentOptions, server string,
 	if err != nil {
 		return 0, err
 	}
-	code, err := emitAndCompare(sw, rows)
+	code, err := emitAndCompare(os.Stdout, sw, rows)
 	if err != nil {
 		return code, err
 	}
@@ -247,7 +243,7 @@ func runSubmit(sw sweepConfig, o tcphack.ExperimentOptions, server string,
 // expected memoization hits against the -state store — without
 // simulating anything.
 func runDryRun(sw sweepConfig, o tcphack.ExperimentOptions, stateDir string, shardSize int) (int, error) {
-	spec, err := wireFromSweep(sw, o)
+	spec, _, err := wireFromSweep(sw, o)
 	if err != nil {
 		return 0, err
 	}
@@ -283,9 +279,12 @@ func runDryRun(sw sweepConfig, o tcphack.ExperimentOptions, stateDir string, sha
 	return 0, nil
 }
 
-// wireFromSweep converts the -sweep flag set into a wire-form campaign
-// spec, validating it by materializing once locally.
-func wireFromSweep(sw sweepConfig, o tcphack.ExperimentOptions) (tcphack.WireCampaign, error) {
+// wireFromSweep is the one place the -sweep flag set becomes a
+// campaign: it returns the wire-form spec that -submit and -dry-run
+// send, and that spec materialized, which a local sweep runs. It
+// rejects an unknown -format here, before anything is simulated or
+// submitted.
+func wireFromSweep(sw sweepConfig, o tcphack.ExperimentOptions) (tcphack.WireCampaign, tcphack.Campaign, error) {
 	w := tcphack.WireCampaign{
 		Scenario: sw.scenario,
 		Axes: tcphack.WireCampaignAxes{
@@ -298,24 +297,27 @@ func wireFromSweep(sw sweepConfig, o tcphack.ExperimentOptions) (tcphack.WireCam
 		Warmup:  o.Warmup,
 		Measure: o.Measure,
 	}
+	switch sw.format {
+	case "text", "csv", "json":
+	default:
+		return w, tcphack.Campaign{}, fmt.Errorf("unknown format %q (want text, csv, or json)", sw.format)
+	}
 	for _, s := range splitCSV(sw.clients) {
 		n, err := strconv.Atoi(s)
 		if err != nil {
-			return w, fmt.Errorf("bad client count %q", s)
+			return w, tcphack.Campaign{}, fmt.Errorf("bad client count %q", s)
 		}
 		w.Axes.Clients = append(w.Axes.Clients, n)
 	}
 	for _, s := range splitCSV(sw.loss) {
 		p, err := strconv.ParseFloat(s, 64)
 		if err != nil {
-			return w, fmt.Errorf("bad loss probability %q", s)
+			return w, tcphack.Campaign{}, fmt.Errorf("bad loss probability %q", s)
 		}
 		w.Axes.Loss = append(w.Axes.Loss, p)
 	}
-	if _, err := w.Spec(); err != nil {
-		return w, err
-	}
-	return w, nil
+	spec, err := w.Spec()
+	return w, spec, err
 }
 
 // splitCSV splits a comma-separated flag into trimmed fields ("" → no

@@ -43,6 +43,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -89,11 +90,7 @@ func main() {
 	shardSize := flag.Int("shard", 0, "grid points per distributed shard (0 = server default)")
 	workerURL := flag.String("worker", "", "run a shard worker against this daemon URL")
 	workerName := flag.String("worker-name", "", "with -worker: worker name for leases and liveness (default host-pid)")
-	poll := flag.Duration("poll", 0, "with -worker: idle poll base interval, doubling with jitter up to -max-poll when the queue stays empty (0 = 200ms default)")
-	maxPoll := flag.Duration("max-poll", 0, "with -worker: idle poll backoff ceiling (0 = 5s default)")
-	retries := flag.Int("retries", 0, "daemon API attempts per request before giving up, for -worker/-submit/-status (0 = 5 default)")
-	retryWait := flag.Duration("retry-wait", 0, "base backoff before the first daemon API retry, doubling with jitter (0 = 100ms default)")
-	reqTimeout := flag.Duration("req-timeout", 0, "per-attempt daemon API request timeout (0 = 15s default)")
+	poll := flag.Duration("poll", 0, "with -worker: idle poll base interval, doubling with jitter up to 5s when the queue stays empty (0 = 200ms default)")
 	storeGC := flag.Bool("store-gc", false, "purge -state's memoization cache of entries from other code versions and quarantined corrupt files")
 	gcDryRun := flag.Bool("gc-dry-run", false, "with -store-gc: count stale entries without deleting anything")
 	server := flag.String("server", "", "daemon URL for -submit and -status")
@@ -164,18 +161,13 @@ func main() {
 		}
 		exit(code)
 	}
-	retry := tcphack.DistRetryPolicy{
-		MaxAttempts: *retries,
-		BaseDelay:   *retryWait,
-		Timeout:     *reqTimeout,
-	}
 	switch {
 	case *serve != "":
 		finish(runServe(*serve, *stateDir, *leaseTTL, *shardSize))
 	case *workerURL != "":
-		finish(runWorker(*workerURL, *workerName, *poll, *maxPoll, retry))
+		finish(runWorker(*workerURL, *workerName, *poll))
 	case *status != "":
-		finish(runStatus(*server, *status, retry))
+		finish(runStatus(*server, *status))
 	case *storeGC:
 		finish(runStoreGC(*stateDir, *gcDryRun))
 	}
@@ -204,14 +196,9 @@ func main() {
 			if sw.traceDir != "" || sw.airtime {
 				finish(2, fmt.Errorf("-trace and -airtime apply to local sweeps only, not -submit"))
 			}
-			finish(runSubmit(sw, o, *server, *shardSize, *wait, *minCached, retry))
+			finish(runSubmit(sw, o, *server, *shardSize, *wait, *minCached))
 		}
-		code, err := runSweep(sw, o)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit(2)
-		}
-		exit(code)
+		finish(runSweep(os.Stdout, sw, o))
 	}
 
 	all := *fig == "" && *table == 0 && !*xval
@@ -256,90 +243,20 @@ type sweepConfig struct {
 	airtime                                 bool
 }
 
-// runSweep executes an ad-hoc campaign over a named scenario and
-// optionally persists/compares its aggregated statistics. The int is
+// runSweep executes an ad-hoc campaign over a named scenario, writes
+// its rows to out and optionally persists/compares its aggregated
+// statistics. The campaign is the one -submit and -dry-run send
+// (wireFromSweep) plus the hooks only a local run has: the worker
+// pool, the airtime ledger, per-point traces and progress. The int is
 // the process exit code: 0 clean, 1 when a baseline comparison found
 // regressions.
-func runSweep(sw sweepConfig, o tcphack.ExperimentOptions) (int, error) {
-	switch sw.format {
-	case "text", "csv", "json":
-	default:
-		return 0, fmt.Errorf("unknown format %q (want text, csv, or json)", sw.format)
-	}
-	base, ok := tcphack.LookupScenario(sw.scenario)
-	if !ok {
-		return 0, fmt.Errorf("unknown scenario %q; hacksim -list shows the registry", sw.scenario)
-	}
-	axes := tcphack.CampaignAxes{Seeds: tcphack.CampaignSeeds(o.Seed, o.Runs)}
-	if sw.modes != "" {
-		for _, s := range strings.Split(sw.modes, ",") {
-			m, err := tcphack.ParseMode(strings.TrimSpace(s))
-			if err != nil {
-				return 0, err
-			}
-			axes.Modes = append(axes.Modes, m)
-		}
-	}
-	if sw.clients != "" {
-		for _, s := range strings.Split(sw.clients, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				return 0, fmt.Errorf("bad client count %q", s)
-			}
-			axes.Clients = append(axes.Clients, n)
-		}
-	}
-	if sw.loss != "" {
-		for _, s := range strings.Split(sw.loss, ",") {
-			p, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-			if err != nil {
-				return 0, fmt.Errorf("bad loss probability %q", s)
-			}
-			axes.Loss = append(axes.Loss, p)
-		}
-	}
-	if sw.adapters != "" {
-		for _, s := range strings.Split(sw.adapters, ",") {
-			a := strings.TrimSpace(s)
-			if err := tcphack.ParseRateAdapter(a); err != nil {
-				return 0, err
-			}
-			axes.Adapters = append(axes.Adapters, a)
-		}
-	}
-	if sw.rates != "" {
-		for _, s := range strings.Split(sw.rates, ",") {
-			r, err := tcphack.ParseNamedRate(strings.TrimSpace(s))
-			if err != nil {
-				return 0, err
-			}
-			axes.Rates = append(axes.Rates, r)
-		}
-	}
-	if sw.topologies != "" {
-		for _, s := range strings.Split(sw.topologies, ",") {
-			name := strings.TrimSpace(s)
-			if _, ok := tcphack.TopologyOption(name); !ok {
-				return 0, fmt.Errorf("unknown topology %q (want one of %v)",
-					name, tcphack.TopologyNames())
-			}
-			axes.Topologies = append(axes.Topologies, name)
-		}
-	}
-	workload, err := tcphack.NamedCampaignWorkload(tcphack.ScenarioWorkload(sw.scenario))
+func runSweep(out io.Writer, sw sweepConfig, o tcphack.ExperimentOptions) (int, error) {
+	_, spec, err := wireFromSweep(sw, o)
 	if err != nil {
 		return 0, err
 	}
-	spec := tcphack.Campaign{
-		Name:     sw.scenario,
-		Base:     base,
-		Axes:     axes,
-		Warmup:   o.Warmup,
-		Measure:  o.Measure,
-		Workers:  o.Workers,
-		Workload: workload,
-		Airtime:  sw.airtime,
-	}
+	spec.Workers = o.Workers
+	spec.Airtime = sw.airtime
 	if sw.traceDir != "" {
 		if err := os.MkdirAll(sw.traceDir, 0o755); err != nil {
 			return 0, err
@@ -377,7 +294,7 @@ func runSweep(sw sweepConfig, o tcphack.ExperimentOptions) (int, error) {
 			}
 		}
 	}
-	return emitAndCompare(sw, tcphack.RunCampaign(spec))
+	return emitAndCompare(out, sw, tcphack.RunCampaign(spec))
 }
 
 // pointTraceName derives a grid point's trace filename from its axis
@@ -418,28 +335,28 @@ func groupInt(n int) string {
 	return b.String()
 }
 
-// emitAndCompare writes a sweep's rows in sw.format and runs the
-// baseline workflow when requested — shared by local sweeps and
+// emitAndCompare writes a sweep's rows to out in sw.format and runs
+// the baseline workflow when requested — shared by local sweeps and
 // distributed -submit -wait so both emit byte-identical output.
-func emitAndCompare(sw sweepConfig, results tcphack.CampaignResults) (int, error) {
+func emitAndCompare(out io.Writer, sw sweepConfig, results tcphack.CampaignResults) (int, error) {
 	switch sw.format {
 	case "json":
-		if err := results.WriteJSON(os.Stdout); err != nil {
+		if err := results.WriteJSON(out); err != nil {
 			return 0, err
 		}
 	case "csv":
-		if err := results.WriteCSV(os.Stdout); err != nil {
+		if err := results.WriteCSV(out); err != nil {
 			return 0, err
 		}
 	default:
-		fmt.Printf("%-16s %-14s %8s %6s %-10s %9s %10s %8s %10s\n",
+		fmt.Fprintf(out, "%-16s %-14s %8s %6s %-10s %9s %10s %8s %10s\n",
 			"campaign", "mode", "clients", "seed", "adapter", "loss%", "Mbps", "busy%", "no-retry%")
 		for _, r := range results {
 			adapter := r.Adapter
 			if adapter == "" {
 				adapter = "fixed"
 			}
-			fmt.Printf("%-16s %-14s %8d %6d %-10s %9.2f %10.2f %8.1f %10.1f\n",
+			fmt.Fprintf(out, "%-16s %-14s %8d %6d %-10s %9.2f %10.2f %8.1f %10.1f\n",
 				r.Campaign, r.ModeName, r.Clients, r.Seed, adapter, r.LossPct,
 				r.AggregateMbps, r.AirtimeBusyPct, r.NoRetryPct)
 		}
@@ -448,12 +365,12 @@ func emitAndCompare(sw sweepConfig, results tcphack.CampaignResults) (int, error
 	if sw.saveBaseline == "" && sw.baseline == "" {
 		return 0, nil
 	}
-	return baselineWorkflow(sw, results)
+	return baselineWorkflow(out, sw, results)
 }
 
 // baselineWorkflow aggregates the sweep and persists and/or compares
-// it.
-func baselineWorkflow(sw sweepConfig, rs tcphack.CampaignResults) (int, error) {
+// it. In text mode the comparison report follows the rows on out.
+func baselineWorkflow(out io.Writer, sw sweepConfig, rs tcphack.CampaignResults) (int, error) {
 	table := tcphack.NewResultsTable(rs)
 
 	var stored *tcphack.Baseline
@@ -503,9 +420,9 @@ func baselineWorkflow(sw sweepConfig, rs tcphack.CampaignResults) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	// Text mode owns stdout; with machine-readable formats the rows
-	// own stdout and the report must not corrupt them.
-	report := os.Stdout
+	// Text mode owns out; with machine-readable formats the rows own
+	// out and the report must not corrupt them.
+	report := out
 	if sw.format != "text" {
 		report = os.Stderr
 	}
@@ -638,7 +555,7 @@ func fig10(o tcphack.ExperimentOptions) {
 }
 
 func fig11(o tcphack.ExperimentOptions, adapter string) {
-	res := tcphack.Fig11Adaptive(o, nil, nil, adapter)
+	res := tcphack.Fig11(o, nil, nil, adapter)
 	fmt.Printf("method: %s\n", res.Method)
 	snrs := make([]float64, 0, len(res.EnvelopeTCP))
 	for snr := range res.EnvelopeTCP {

@@ -21,7 +21,7 @@ func main() {
 		Measure: 2 * tcphack.Second,
 		Seed:    7,
 	}
-	res := tcphack.Fig11(opts, []float64{0, 5, 10, 15, 20, 25, 30}, nil)
+	res := tcphack.Fig11(opts, []float64{0, 5, 10, 15, 20, 25, 30}, nil, "ideal")
 
 	snrs := make([]float64, 0, len(res.EnvelopeTCP))
 	for snr := range res.EnvelopeTCP {

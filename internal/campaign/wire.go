@@ -37,7 +37,9 @@ type WireAxes struct {
 }
 
 // Axes parses the wire form back into executable Axes, validating
-// every mode name, rate name, and adapter spec.
+// every mode name, rate name, adapter spec and topology name, and
+// rejecting client counts below 1 and loss probabilities outside
+// [0, 1) (NaN included).
 func (w WireAxes) Axes() (Axes, error) {
 	var a Axes
 	for _, s := range w.Modes {
@@ -47,7 +49,12 @@ func (w WireAxes) Axes() (Axes, error) {
 		}
 		a.Modes = append(a.Modes, m)
 	}
-	a.Clients = append(a.Clients, w.Clients...)
+	for _, n := range w.Clients {
+		if n < 1 {
+			return Axes{}, fmt.Errorf("clients axis value %d out of range (want ≥ 1)", n)
+		}
+		a.Clients = append(a.Clients, n)
+	}
 	a.Seeds = append(a.Seeds, w.Seeds...)
 	for _, s := range w.Rates {
 		r, err := phy.ParseRate(s)
@@ -62,7 +69,12 @@ func (w WireAxes) Axes() (Axes, error) {
 		}
 		a.Adapters = append(a.Adapters, s)
 	}
-	a.Loss = append(a.Loss, w.Loss...)
+	for _, p := range w.Loss {
+		if !(p >= 0 && p < 1) {
+			return Axes{}, fmt.Errorf("loss axis value %v out of range (want a probability in [0, 1))", p)
+		}
+		a.Loss = append(a.Loss, p)
+	}
 	a.SNRsDB = append(a.SNRsDB, w.SNRsDB...)
 	for _, s := range w.Topologies {
 		if _, ok := scenario.TopologyOption(s); !ok {
@@ -121,7 +133,11 @@ func (w WireSpec) ResolvedWorkload() string {
 
 // Spec materializes the wire spec into an executable campaign Spec,
 // resolving the scenario from the registry and the workload from the
-// named-workload vocabulary. The resolution is deterministic: every
+// named-workload vocabulary, and rejecting out-of-range axis values
+// (see WireAxes.Axes) and negative measurement windows. It is the one
+// place a sweep declared outside the process is validated: hackbench's
+// local sweeps, -submit and -dry-run, and the daemon's job admission
+// all come through here. The resolution is deterministic: every
 // process holding the same registry (i.e. the same build) produces an
 // equivalent Spec, which is the distributed layer's correctness
 // foundation.
@@ -133,6 +149,10 @@ func (w WireSpec) Spec() (Spec, error) {
 	axes, err := w.Axes.Axes()
 	if err != nil {
 		return Spec{}, fmt.Errorf("campaign: bad wire axes: %v", err)
+	}
+	if w.Warmup < 0 || w.Measure < 0 || w.Duration < 0 {
+		return Spec{}, fmt.Errorf("campaign: negative measurement window (warmup_ns %d, measure_ns %d, duration_ns %d)",
+			w.Warmup, w.Measure, w.Duration)
 	}
 	workload, err := NamedWorkload(w.ResolvedWorkload())
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 
@@ -79,6 +80,76 @@ func TestWireSpecValidation(t *testing.T) {
 			t.Errorf("%s: Spec() accepted %+v", tc.name, w)
 		}
 	}
+}
+
+// TestWireSpecRejectsOutOfRange: a value the campaign cannot simulate
+// as labelled fails materialization instead of producing a wrong row.
+func TestWireSpecRejectsOutOfRange(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*WireSpec)
+	}{
+		{"zero clients", func(w *WireSpec) { w.Axes.Clients = []int{1, 0} }},
+		{"negative clients", func(w *WireSpec) { w.Axes.Clients = []int{-1} }},
+		{"negative loss", func(w *WireSpec) { w.Axes.Loss = []float64{-0.01} }},
+		{"loss of one", func(w *WireSpec) { w.Axes.Loss = []float64{1} }},
+		{"loss above one", func(w *WireSpec) { w.Axes.Loss = []float64{0, 1.5} }},
+		{"NaN loss", func(w *WireSpec) { w.Axes.Loss = []float64{math.NaN()} }},
+		{"infinite loss", func(w *WireSpec) { w.Axes.Loss = []float64{math.Inf(1)} }},
+		{"negative warmup", func(w *WireSpec) { w.Warmup = -sim.Millisecond }},
+		{"negative measure", func(w *WireSpec) { w.Measure = -1 }},
+		{"negative duration", func(w *WireSpec) { w.Duration = -sim.Second }},
+	} {
+		w := testWireSpec()
+		tc.mutate(&w)
+		if _, err := w.Spec(); err == nil {
+			t.Errorf("%s: Spec() accepted %+v", tc.name, w)
+		}
+	}
+	w := testWireSpec()
+	w.Axes.Clients = []int{1, 10}
+	w.Axes.Loss = []float64{0, 0.999}
+	if _, err := w.Spec(); err != nil {
+		t.Errorf("in-range axes rejected: %v", err)
+	}
+}
+
+// FuzzWireSpec: any JSON a daemon or CLI can receive as a wire spec
+// either fails materialization or yields a grid whose every point
+// simulates what it is labelled with — never a panic.
+func FuzzWireSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var w WireSpec
+		if json.Unmarshal(in, &w) != nil {
+			return
+		}
+		spec, err := w.Spec()
+		if err != nil {
+			return
+		}
+		// The grid is the product of the axis lengths; keep the
+		// enumeration small enough to build.
+		a := w.Axes
+		size := 1
+		for _, n := range []int{len(a.Modes), len(a.Clients), len(a.Seeds), len(a.Rates),
+			len(a.Adapters), len(a.Loss), len(a.SNRsDB), len(a.Topologies)} {
+			if size *= max(n, 1); size > 1<<14 {
+				return
+			}
+		}
+		pts := spec.Points()
+		if len(pts) != size {
+			t.Fatalf("%d points, want %d", len(pts), size)
+		}
+		for _, pt := range pts {
+			if pt.Clients < 1 {
+				t.Fatalf("point %d: clients %d", pt.Index, pt.Clients)
+			}
+			if !(pt.LossPct >= 0 && pt.LossPct < 100) {
+				t.Fatalf("point %d: loss %v%%", pt.Index, pt.LossPct)
+			}
+		}
+	})
 }
 
 // TestWireSpecWorkloadResolution: the explicit field wins; otherwise

@@ -176,7 +176,7 @@ func TestFig10Shape(t *testing.T) {
 }
 
 func TestFig11Shape(t *testing.T) {
-	res := Fig11(quick, []float64{10, 25}, nil)
+	res := Fig11(quick, []float64{10, 25}, nil, "ideal")
 	// Envelope must grow with SNR.
 	if res.EnvelopeTCP[25] <= res.EnvelopeTCP[10] {
 		t.Errorf("TCP envelope not increasing: %v", res.EnvelopeTCP)
@@ -233,7 +233,7 @@ func fixedRateEnvelope(o Options, snrsDB []float64) (tcp, hck map[float64]float6
 // the envelope, and the stock-vs-HACK ordering must be preserved.
 func TestFig11AdapterMatchesEnvelope(t *testing.T) {
 	snrs := []float64{25, 30}
-	adaptive := Fig11(quick, snrs, nil)
+	adaptive := Fig11(quick, snrs, nil, "ideal")
 	envTCP, envHACK := fixedRateEnvelope(quick, snrs)
 	if adaptive.Method != "ideal" {
 		t.Fatalf("method: %q", adaptive.Method)
@@ -266,8 +266,8 @@ func TestFig11AdapterMatchesEnvelope(t *testing.T) {
 // operating point (it pays for probes and learning).
 func TestFig11MinstrelUsable(t *testing.T) {
 	snrs := []float64{30}
-	oracle := Fig11(quick, snrs, nil)
-	minstrel := Fig11Adaptive(quick, snrs, nil, "minstrel")
+	oracle := Fig11(quick, snrs, nil, "ideal")
+	minstrel := Fig11(quick, snrs, nil, "minstrel")
 	for _, m := range []map[float64]float64{minstrel.EnvelopeTCP, minstrel.EnvelopeHACK} {
 		if m[30] <= 0 {
 			t.Fatalf("minstrel produced no goodput: %v", minstrel)

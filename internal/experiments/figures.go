@@ -111,37 +111,17 @@ type Fig11Result struct {
 	MeanImprovementPct float64
 }
 
-// finishFig11 computes the mean HACK-over-TCP gain across usable SNRs.
-func finishFig11(res *Fig11Result, snrsDB []float64) {
-	var gains, count float64
-	for _, snr := range snrsDB {
-		tcp, hck := res.EnvelopeTCP[snr], res.EnvelopeHACK[snr]
-		if tcp > 1 { // meaningful operating points only
-			gains += (hck - tcp) / tcp * 100
-			count++
-		}
-	}
-	if count > 0 {
-		res.MeanImprovementPct = gains / count
-	}
-}
-
 // Fig11 reproduces Figure 11 with in-simulation rate adaptation: one
-// client downloads at each SNR with every station running the
-// IdealSNR adapter (the oracle the paper's "ideal rate adaptation"
-// assumes), so the whole figure is one {mode × SNR} campaign — one
-// simulation per SNR point instead of one per (rate, SNR) cell. The
-// paper's fixed-rate-sweep-plus-envelope method is the reference in
+// client downloads at each SNR with every station running the named
+// rate adapter, so the whole figure is one {mode × SNR} campaign — one
+// simulation per SNR point instead of one per (rate, SNR) cell.
+// "ideal" is the IdealSNR oracle the paper's "ideal rate adaptation"
+// assumes; "minstrel" is the Minstrel-style learner. rates bounds the
+// hopeless-point pruning (nil: the single-stream HT ladder, which is
+// also the adapters' candidate set). The paper's
+// fixed-rate-sweep-plus-envelope method is the reference in
 // TestFig11AdapterMatchesEnvelope.
-func Fig11(o Options, snrsDB []float64, rates []phy.Rate) Fig11Result {
-	return Fig11Adaptive(o, snrsDB, rates, "ideal")
-}
-
-// Fig11Adaptive runs the Figure 11 SNR sweep with the named rate
-// adapter ("ideal" or "minstrel") at every station, one simulation per
-// (mode, SNR) point. rates bounds the hopeless-point pruning (nil: the
-// single-stream HT ladder, which is also the adapters' candidate set).
-func Fig11Adaptive(o Options, snrsDB []float64, rates []phy.Rate, adapter string) Fig11Result {
+func Fig11(o Options, snrsDB []float64, rates []phy.Rate, adapter string) Fig11Result {
 	o = o.withDefaults()
 	if snrsDB == nil {
 		snrsDB = []float64{0, 5, 10, 15, 20, 25, 30}
@@ -182,7 +162,18 @@ func Fig11Adaptive(o Options, snrsDB []float64, rates []phy.Rate, adapter string
 		res.EnvelopeTCP[snr] = agg.MeanAt("aggregate_mbps", hack.ModeOff.String(), key)
 		res.EnvelopeHACK[snr] = agg.MeanAt("aggregate_mbps", hack.ModeMoreData.String(), key)
 	}
-	finishFig11(&res, snrsDB)
+	// The mean HACK-over-TCP gain counts usable SNRs only.
+	var gains, count float64
+	for _, snr := range snrsDB {
+		tcp, hck := res.EnvelopeTCP[snr], res.EnvelopeHACK[snr]
+		if tcp > 1 {
+			gains += (hck - tcp) / tcp * 100
+			count++
+		}
+	}
+	if count > 0 {
+		res.MeanImprovementPct = gains / count
+	}
 	return res
 }
 

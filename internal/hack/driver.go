@@ -288,9 +288,6 @@ func NewDriver(sched *sim.Scheduler, cfg Config) *Driver {
 	}
 }
 
-// Mode returns the driver's holding policy.
-func (d *Driver) Mode() Mode { return d.cfg.Mode }
-
 func (d *Driver) peer(a mac.Addr) *peerState {
 	p, ok := d.peers[a]
 	if !ok {

@@ -288,9 +288,6 @@ func (st *Station) EnqueuePacket(dst Addr, p *packet.Packet, isTCPAck bool) bool
 	return true
 }
 
-// QueueLen returns the number of MSDUs queued for dst.
-func (st *Station) QueueLen(dst Addr) int { return st.queue(dst).fifo.len() }
-
 // RemoveQueued withdraws the first MSDU for dst matching match from
 // the transmit queue, reporting whether one was found. HACK's
 // opportunistic mode uses this to cancel a native TCP ACK whose

@@ -73,9 +73,6 @@ var (
 	R56 = CodeRate{5, 6}
 )
 
-// Value returns the code rate as a float in (0, 1].
-func (r CodeRate) Value() float64 { return float64(r.Num) / float64(r.Den) }
-
 func (r CodeRate) String() string { return fmt.Sprintf("%d/%d", r.Num, r.Den) }
 
 // IsZero reports whether r is the zero CodeRate (no code selected).

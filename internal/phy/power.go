@@ -11,12 +11,3 @@ func DBmToMilliwatts(dbm float64) float64 {
 	}
 	return math.Pow(10, dbm/10)
 }
-
-// MilliwattsToDBm converts linear milliwatts to dBm. 0 mW maps to
-// -Inf dBm, the inverse of DBmToMilliwatts.
-func MilliwattsToDBm(mw float64) float64 {
-	if mw <= 0 {
-		return math.Inf(-1)
-	}
-	return 10 * math.Log10(mw)
-}

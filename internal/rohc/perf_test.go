@@ -79,20 +79,23 @@ func TestHotPathAllocFree(t *testing.T) {
 	}
 }
 
-// TestAppendAnchorMatchesAnchor checks the in-place anchor path against
-// the allocating reference for fresh, already-anchored, and malformed
-// inputs.
+// TestAppendAnchorMatchesAnchor checks the anchor path against the
+// anchored wire form written out by hand for fresh, already-anchored,
+// and malformed inputs, with and without a prefix in dst.
 func TestAppendAnchorMatchesAnchor(t *testing.T) {
-	cases := [][]byte{
-		{0x11, 0x23, 0x99, 0xab},       // unanchored
-		{0x11, 0x83, 0x07, 0x99, 0xab}, // already anchored (ExtMSN set)
-		{0x42},                         // malformed: too short
+	cases := []struct{ data, want []byte }{
+		// unanchored: ExtMSN set, the full MSN inserted after the flags
+		{[]byte{0x11, 0x23, 0x99, 0xab}, []byte{0x11, 0xa3, 0x55, 0x99, 0xab}},
+		// already anchored (ExtMSN set): verbatim
+		{[]byte{0x11, 0x83, 0x07, 0x99, 0xab}, []byte{0x11, 0x83, 0x07, 0x99, 0xab}},
+		// malformed, too short: verbatim
+		{[]byte{0x42}, []byte{0x42}},
 	}
-	for _, data := range cases {
-		want := Anchor(append([]byte(nil), data...), 0x55)
+	for _, tc := range cases {
+		data, want := tc.data, tc.want
 		got := AppendAnchor(nil, data, 0x55)
 		if string(got) != string(want) {
-			t.Errorf("AppendAnchor(%x) = %x, Anchor = %x", data, got, want)
+			t.Errorf("AppendAnchor(%x) = %x, want %x", data, got, want)
 		}
 		pre := []byte{0xde, 0xad}
 		got = AppendAnchor(pre, data, 0x55)
@@ -120,7 +123,7 @@ func TestCompressDecompressStayInSync(t *testing.T) {
 		if !ok {
 			t.Fatalf("ack %d did not compress", i)
 		}
-		res, err := dec.Decompress(Anchor(data, msn))
+		res, err := dec.Decompress(AppendAnchor(nil, data, msn))
 		if err != nil {
 			t.Fatalf("ack %d: %v", i, err)
 		}

@@ -349,13 +349,7 @@ func (c *Compressor) Observe(p *packet.Packet) {
 		if ctx.valid && ctx.tuple == tupleOf(p) {
 			ctx.refreshed = true
 		}
-		if debugLog != nil {
-			debugLog("CNAT-SKIP cid=%d native.ack=%d ctx.ack=%d", cid, p.TCP.Ack, ctx.ack)
-		}
 		return
-	}
-	if debugLog != nil {
-		debugLog("CNAT-ABSORB cid=%d native.ack=%d ctx.ack=%d", cid, p.TCP.Ack, ctx.ack)
 	}
 	ctx.absorb(p)
 	// The MSN counter deliberately survives the absorb: it must stay
@@ -365,25 +359,14 @@ func (c *Compressor) Observe(p *packet.Packet) {
 	// whatever MSN the next compressed ACK carries).
 }
 
-// Anchor widens a compressed ACK's master sequence number to the
-// 8-bit form (paper §3.4: the first compressed ACK in a link-layer
-// ACK carries its full MSN, since an A-MPDU can elicit 64 of them).
-// The driver applies it at frame-assembly time to the first ACK of
-// each flow in the payload — mirroring the paper's NIC, which widens
-// the leading descriptor's MSN when it concatenates the frame.
-func Anchor(data []byte, msn uint8) []byte {
-	if len(data) < 2 || data[1]>>4&flagExtMSN != 0 {
-		// Already anchored (or malformed); return as-is.
-		return data
-	}
-	out := make([]byte, 0, len(data)+1)
-	out = append(out, data[0], data[1]|flagExtMSN<<4, msn)
-	return append(out, data[2:]...)
-}
-
-// AppendAnchor appends data to dst in Anchor's widened form (or
-// verbatim when already anchored/malformed), without the intermediate
-// allocation — the frame assembler's hot path.
+// AppendAnchor appends the compressed ACK data to dst with its master
+// sequence number widened to the 8-bit form (paper §3.4: the first
+// compressed ACK in a link-layer ACK carries its full MSN, since an
+// A-MPDU can elicit 64 of them). The HACK driver applies it at
+// frame-assembly time to the first ACK of each flow in the payload —
+// mirroring the paper's NIC, which widens the leading descriptor's MSN
+// when it concatenates the frame. Already-anchored or malformed data
+// is appended verbatim.
 func AppendAnchor(dst, data []byte, msn uint8) []byte {
 	if len(data) < 2 || data[1]>>4&flagExtMSN != 0 {
 		return append(dst, data...)
@@ -431,8 +414,8 @@ func IsIR(data []byte) bool {
 // refresh with timestamps and three SACK blocks, every varint at its
 // widest (3 + 5 ack + 2 window + 1 options + 15 static chain + 10
 // timestamps + 3 IP-ID + 5 seq + 30 SACK + 1 CRC). A delta record,
-// even once Anchor widens it, is shorter. Callers that hold compressed
-// ACKs in fixed storage size it with this.
+// even once AppendAnchor widens it, is shorter. Callers that hold
+// compressed ACKs in fixed storage size it with this.
 const MaxCompressedLen = 75
 
 // Compress encodes a pure TCP ACK against its flow context, in the
@@ -531,10 +514,6 @@ func (c *Compressor) Compress(dst []byte, p *packet.Packet) (data []byte, msn ui
 		buf = appendSACK(buf, t)
 	}
 	buf = append(buf, headerCRC(p, &c.scratch))
-	if debugLog != nil {
-		debugLog("COMP cid=%d msn=%d ack=%d seq=%d win=%d tsv=%d tse=%d ipid=%d sack=%d flags=%x opt=%x",
-			cid, msn, t.Ack, t.Seq, t.Window, t.Opt.TSVal, t.Opt.TSEcr, p.IP.ID, nSACK, flags, opt)
-	}
 
 	// Commit the context only after a successful encode.
 	ctx.seq, ctx.ack = t.Seq, t.Ack
@@ -670,12 +649,6 @@ func NewDecompressor() *Decompressor {
 	}
 }
 
-// debugLog, when set, receives decompressor diagnostics (tests only).
-var debugLog func(format string, args ...any)
-
-// SetDebugLog installs a diagnostic logger (tests only).
-func SetDebugLog(f func(string, ...any)) { debugLog = f }
-
 // Observe records a natively-received TCP ACK, establishing the flow
 // context, re-anchoring it on newer state, or restoring it after CRC
 // damage. The absorb rule mirrors the compressor's exactly.
@@ -690,13 +663,7 @@ func (d *Decompressor) Observe(p *packet.Packet) {
 		d.contexts[cid] = ctx
 	}
 	if !ctx.shouldAbsorb(p) {
-		if debugLog != nil {
-			debugLog("OBS-SKIP cid=%d native.ack=%d ctx.ack=%d valid=%v", cid, p.TCP.Ack, ctx.ack, ctx.valid)
-		}
 		return
-	}
-	if debugLog != nil {
-		debugLog("OBS-ABSORB cid=%d native.ack=%d ctx.ack=%d wasvalid=%v", cid, p.TCP.Ack, ctx.ack, ctx.valid)
 	}
 	ctx.absorb(p)
 	ctx.msn = 0
@@ -937,12 +904,6 @@ func (d *Decompressor) one(b []byte, res *Result) (int, error) {
 		ctx.seq+uint32(seqD), ctx.ack+uint32(ackD), window,
 		opt&optTS != 0, ctx.tsVal+uint32(tsValD), ctx.tsEcr+uint32(tsEcrD), sacks)
 
-	if debugLog != nil && headerCRC(p, &d.scratch) != wantCRC {
-		debugLog("CRCFAIL cid=%d msn=%d ctx.ack=%d recon=[ack=%d seq=%d win=%d tsv=%d tse=%d ipid=%d] strides[ack=%d tsv=%d tse=%d ipid=%d] lasts[%d %d %d %d] flags=%x opt=%x started=%v",
-			cid, msn, ctx.ack, p.TCP.Ack, p.TCP.Seq, p.TCP.Window, p.TCP.Opt.TSVal, p.TCP.Opt.TSEcr, p.IP.ID,
-			ctx.ackStride, ctx.tsValStride, ctx.tsEcrStride, ctx.ipIDStride,
-			ctx.lastAckD, ctx.lastTSValD, ctx.lastTSEcrD, ctx.lastIPIDD, flags, opt, ctx.started)
-	}
 	if headerCRC(p, &d.scratch) != wantCRC {
 		// Context damage: reject and distrust until a native or IR
 		// refresh (paper §3.4 — damage must not persist; the flow's
@@ -961,9 +922,6 @@ func (d *Decompressor) one(b []byte, res *Result) (int, error) {
 	ctx.learn(uint32(ackD), uint32(tsValD), uint32(tsEcrD), uint16(ipIDD))
 	ctx.msn = msn
 	ctx.started = true
-	if debugLog != nil {
-		debugLog("DELIV cid=%d msn=%d ack=%d", cid, msn, p.TCP.Ack)
-	}
 	res.Packets = append(res.Packets, p)
 	return i, nil
 }
@@ -1035,9 +993,6 @@ func (d *Decompressor) installIR(f irFields, ctx *context, res *Result) error {
 	ctx.absorb(p)
 	ctx.msn = f.msn
 	ctx.started = true
-	if debugLog != nil {
-		debugLog("DELIV-IR cid=%d msn=%d ack=%d", f.cid, f.msn, p.TCP.Ack)
-	}
 	res.Packets = append(res.Packets, p)
 	return nil
 }

@@ -68,7 +68,7 @@ func compress1(c *Compressor, p *packet.Packet) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	return Anchor(data, msn), true
+	return AppendAnchor(nil, data, msn), true
 }
 
 // frame assembles compressed ACKs into one HACK frame, anchoring the
@@ -89,7 +89,7 @@ func (fr *frame) add(c *Compressor, p *packet.Packet) bool {
 	cid := CID(t)
 	if !fr.anchored[cid] {
 		fr.anchored[cid] = true
-		data = Anchor(data, msn)
+		data = AppendAnchor(nil, data, msn)
 	}
 	fr.buf = append(fr.buf, data...)
 	return true
@@ -164,7 +164,7 @@ func TestAnchorForm(t *testing.T) {
 	if !ok {
 		t.Fatal("no context")
 	}
-	anchored := Anchor(data, msn)
+	anchored := AppendAnchor(nil, data, msn)
 	if len(anchored) != len(data)+1 {
 		t.Errorf("anchored len %d, want %d", len(anchored), len(data)+1)
 	}
@@ -172,11 +172,11 @@ func TestAnchorForm(t *testing.T) {
 		t.Errorf("anchor MSN byte %d, want %d", anchored[2], msn)
 	}
 	// Anchoring an anchored frame is a no-op.
-	if again := Anchor(anchored, msn); len(again) != len(anchored) {
+	if again := AppendAnchor(nil, anchored, msn); len(again) != len(anchored) {
 		t.Error("double anchor changed length")
 	}
 	// Degenerate input.
-	if got := Anchor([]byte{1}, 5); len(got) != 1 {
+	if got := AppendAnchor(nil, []byte{1}, 5); len(got) != 1 {
 		t.Error("short input mishandled")
 	}
 }

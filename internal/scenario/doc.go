@@ -27,8 +27,7 @@
 //     "minstrel" (sampling adapter). See mac.RateAdapter.
 //   - WithUniformLoss, WithSNR, WithBurstyLoss: channel error models.
 //     These compose — each layers onto whatever model is already
-//     installed as independent loss processes — while WithErrorModel
-//     replaces the model outright.
+//     installed as independent loss processes.
 //   - WithConfig: the escape hatch for fields without an option.
 //
 // # Registry

@@ -151,13 +151,6 @@ func WithBurstyLoss(gToB, bToG, pGood, pBad float64) Option {
 	}
 }
 
-// WithErrorModel installs an arbitrary channel error model, replacing
-// whatever was there (the absolute form; the loss options above
-// compose instead).
-func WithErrorModel(em channel.ErrorModel) Option {
-	return func(c *node.Config) { c.Err = em }
-}
-
 // WithTopology places client i at the returned position (metres from
 // the AP at the origin). The default is a 10 m circle.
 func WithTopology(fn func(i int) channel.Pos) Option {

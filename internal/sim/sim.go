@@ -283,13 +283,6 @@ func (s *Scheduler) Cancel(t *Timer) {
 	s.release(t)
 }
 
-// Reschedule cancels t (if pending) and schedules fn at the new time,
-// returning the replacement timer.
-func (s *Scheduler) Reschedule(t *Timer, d Duration, fn func()) *Timer {
-	s.Cancel(t)
-	return s.After(d, fn)
-}
-
 // release drops a finished timer's callback references (so the
 // scheduler does not retain dead packets) and returns pooled timers to
 // the free list. Persistent timers keep their callback for the next

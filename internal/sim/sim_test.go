@@ -102,18 +102,6 @@ func TestSchedulerCancelOneOfMany(t *testing.T) {
 	}
 }
 
-func TestSchedulerReschedule(t *testing.T) {
-	s := NewScheduler(1)
-	var at Time = -1
-	tm := s.After(10, func() { at = s.Now() })
-	tm = s.Reschedule(tm, 50, func() { at = s.Now() })
-	s.Run()
-	if at != 50 {
-		t.Errorf("rescheduled timer fired at %v, want 50", at)
-	}
-	_ = tm
-}
-
 func TestSchedulerPastPanics(t *testing.T) {
 	s := NewScheduler(1)
 	s.At(100, func() {})

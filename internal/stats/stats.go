@@ -7,7 +7,6 @@ package stats
 
 import (
 	"fmt"
-	"math"
 
 	"tcphack/internal/sim"
 )
@@ -139,42 +138,4 @@ func (g *Goodput) Mbps(now sim.Time) float64 {
 		return 0
 	}
 	return float64(g.total) * 8 / now.Seconds() / 1e6
-}
-
-// Summary aggregates mean and standard deviation across repeated runs
-// (the paper reports means over five runs with stddev error bars).
-type Summary struct {
-	n               int
-	sum, sumSquares float64
-}
-
-// Observe adds one run's value.
-func (s *Summary) Observe(v float64) {
-	s.n++
-	s.sum += v
-	s.sumSquares += v * v
-}
-
-// N returns the number of observations.
-func (s *Summary) N() int { return s.n }
-
-// Mean returns the sample mean (0 with no observations).
-func (s *Summary) Mean() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.sum / float64(s.n)
-}
-
-// StdDev returns the sample standard deviation (0 for n < 2).
-func (s *Summary) StdDev() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	mean := s.Mean()
-	variance := (s.sumSquares - float64(s.n)*mean*mean) / float64(s.n-1)
-	if variance < 0 {
-		variance = 0
-	}
-	return math.Sqrt(variance)
 }

@@ -76,29 +76,3 @@ func TestGoodputWindows(t *testing.T) {
 		t.Error("no time elapsed should be 0")
 	}
 }
-
-func TestSummary(t *testing.T) {
-	var s Summary
-	if s.Mean() != 0 || s.StdDev() != 0 || s.N() != 0 {
-		t.Error("empty summary not zero")
-	}
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Observe(v)
-	}
-	if s.N() != 8 {
-		t.Errorf("N = %d", s.N())
-	}
-	if math.Abs(s.Mean()-5) > 1e-12 {
-		t.Errorf("mean = %v, want 5", s.Mean())
-	}
-	// Sample stddev of that classic set is sqrt(32/7).
-	want := math.Sqrt(32.0 / 7.0)
-	if math.Abs(s.StdDev()-want) > 1e-9 {
-		t.Errorf("stddev = %v, want %v", s.StdDev(), want)
-	}
-	var one Summary
-	one.Observe(3)
-	if one.StdDev() != 0 {
-		t.Error("single observation stddev should be 0")
-	}
-}

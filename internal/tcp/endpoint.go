@@ -455,15 +455,3 @@ func (ep *Endpoint) handleSegment(p *packet.Packet) {
 		ep.handleData(p)
 	}
 }
-
-// DebugString exposes sender internals for diagnostics.
-func (ep *Endpoint) DebugString() string {
-	return fmt.Sprintf("cwnd=%d ssthresh=%d inRec=%v una=%d nxt=%d max=%d rto=%v flight=%d sacked=%d dupacks=%d",
-		ep.cwnd, ep.ssthresh, ep.inRec, ep.sndUna, ep.sndNxt, ep.sndMax, ep.rto, ep.flightSize(), len(ep.sacked), ep.dupAcks)
-}
-
-// DebugRecvString exposes receiver internals for diagnostics.
-func (ep *Endpoint) DebugRecvString() string {
-	return fmt.Sprintf("rcvNxt=%d finPending=%v finSeq=%d ooo=%v delack=%d",
-		ep.rcvNxt, ep.finPending, ep.finSeq, ep.ooo, ep.delackCount)
-}

@@ -37,13 +37,9 @@ type (
 	DistWorker = dist.Worker
 	// DistClient speaks the daemon's HTTP/JSON API.
 	DistClient = dist.Client
-	// DistJobStatus is one job's externally visible state.
-	DistJobStatus = dist.JobStatus
 	// DistLeaseGrant is one leased shard: the job, the wire spec, and
 	// the grid-point indexes to simulate.
 	DistLeaseGrant = dist.LeaseGrant
-	// DistMetrics is the daemon's /metrics payload.
-	DistMetrics = dist.Metrics
 	// DistStore is the content-addressed memoization backend.
 	DistStore = dist.Store
 	// DistPlan is a spec resolved against a store: fingerprinted
@@ -53,16 +49,6 @@ type (
 	// exponential backoff with deterministic jitter, per-attempt
 	// timeouts, and no retries on 4xx verdicts.
 	DistRetryPolicy = dist.RetryPolicy
-	// DistStorePurger is the optional garbage-collection side of a
-	// DistStore (hackbench -store-gc); the file-dir store implements it.
-	DistStorePurger = dist.Purger
-	// DistFaultStore wraps a DistStore with a seeded deterministic
-	// fault schedule — failure, delay, and post-Put corruption — for
-	// chaos testing against your own store deployments.
-	DistFaultStore = dist.FaultStore
-	// DistFaultTransport is a fault-injecting http.RoundTripper for the
-	// DistClient: seeded drops, duplicates, 503s, and delays.
-	DistFaultTransport = dist.FaultTransport
 )
 
 // NewDistServer assembles a daemon, resuming any jobs persisted in the
@@ -95,12 +81,3 @@ func PurgeDistStore(dir, keepVersion string, dryRun bool) (int, error) {
 // SimCodeVersion is the simulator behavior version salted into every
 // memoization fingerprint (results.CodeVersion).
 const SimCodeVersion = results.CodeVersion
-
-// RunCampaignPoints simulates just the listed grid points of a
-// campaign — the shard-extraction primitive distributed workers use.
-var RunCampaignPoints = campaign.RunPoints
-
-// MergeCampaignResults assembles partial row sets into the complete
-// n-point result slice in grid order, rejecting conflicting duplicates
-// and gaps (results.Merge).
-var MergeCampaignResults = results.Merge

@@ -5,7 +5,12 @@
 // link-layer acknowledgments, eliminating the medium acquisitions that
 // TCP ACK packets otherwise require.
 //
-// The public API has two pillars:
+// The package is the one public entry point to the simulator for code
+// outside this module: a thin layer of re-exports over the internal
+// packages. It exports what the two commands (cmd/hacksim,
+// cmd/hackbench), the examples, README.md and this documentation use,
+// and nothing else; internal/doccheck's TestFacadeSurface fails on an
+// export none of them names. Its parts:
 //
 // Scenario builder. A scenario is a NetworkConfig composed from
 // functional options — a preset (With80211n, WithSoRa) refined by
@@ -46,7 +51,22 @@
 //	// ... later, after a fresh run of the same sweep:
 //	base, _ := tcphack.LoadBaselineFile("baseline.json")
 //	cmp, _ := tcphack.CompareBaseline(agg, base, nil)
-//	cmp.Report(os.Stdout) // cmp.HasRegressions() gates CI
+//	cmp.Report(os.Stdout) // cmp.Clean() is the gate verdict
+//
+// Campaign service. A DistServer daemon runs WireCampaign jobs — a
+// registered scenario name plus axes in command-line vocabulary — on
+// DistWorkers, memoizing every grid point; merged rows are
+// byte-identical to a local RunCampaign (internal/dist documents the
+// determinism and lease contracts).
+//
+// Observability. A Tracer attached with WithTracer sees every layer's
+// events; NewTraceWriter streams them as JSONL, NewTraceRecorder keeps
+// the most recent in memory, and NewAirtimeLedger accounts medium time
+// per station.
+//
+// Paper runners. Fig1a through Fig12, Table2, Table3,
+// CrossValidation and LossResilience regenerate the paper's
+// evaluation, each as a campaign.
 //
 // Underneath sit the subsystems the options parameterize:
 //
@@ -78,7 +98,6 @@ import (
 	"context"
 	"io"
 
-	"tcphack/internal/analytical"
 	"tcphack/internal/campaign"
 	"tcphack/internal/channel"
 	"tcphack/internal/experiments"
@@ -98,8 +117,6 @@ type (
 	NetworkConfig = node.Config
 	// Network is an assembled simulation.
 	Network = node.Network
-	// Flow is one TCP transfer with measurement hooks.
-	Flow = node.Flow
 	// Mode selects the HACK ACK-holding policy.
 	Mode = hack.Mode
 	// Rate is an 802.11 PHY rate.
@@ -110,11 +127,6 @@ type (
 	Pos = channel.Pos
 	// ExperimentOptions scales the paper-reproduction runners.
 	ExperimentOptions = experiments.Options
-	// Fig11Result carries Figure 11's per-SNR goodput curves and the
-	// rate adapter that produced them.
-	Fig11Result = experiments.Fig11Result
-	// AnalyticalParams parameterizes the closed-form capacity models.
-	AnalyticalParams = analytical.Params
 )
 
 // Scenario builder.
@@ -146,23 +158,17 @@ var (
 	// WithRate sets the PHY data rate (LL ACK rate follows the 802.11
 	// control-response rules).
 	WithRate = scenario.WithRate
-	// WithAckRate pins the link-layer ACK rate.
-	WithAckRate = scenario.WithAckRate
 	// WithRateAdapter selects per-station rate adaptation:
 	// "fixed", "fixed:<rate>", "ideal", or "minstrel".
 	WithRateAdapter = scenario.WithRateAdapter
 	// WithUniformLoss applies a uniform per-frame loss probability.
 	WithUniformLoss = scenario.WithUniformLoss
-	// WithBurstyLoss layers a Gilbert-Elliott bursty loss process onto
-	// the channel (forked per network, campaign-safe).
-	WithBurstyLoss = scenario.WithBurstyLoss
 	// WithSNR fixes the channel SNR in dB via the physical error model.
 	WithSNR = scenario.WithSNR
-	// WithTopology places client i at the returned position.
-	WithTopology = scenario.WithTopology
 	// WithGeometry installs a spatial PHY configuration on the medium
-	// (per-pair path loss, per-receiver carrier sense, SINR capture);
-	// nil restores the single collision domain.
+	// (per-pair path loss, per-receiver carrier sense, SINR capture),
+	// typically DefaultGeometry() refined field by field; nil restores
+	// the single collision domain.
 	WithGeometry = scenario.WithGeometry
 	// WithPathLoss switches to the spatial PHY with the default
 	// geometry (≈51.5 m sense/delivery range).
@@ -171,10 +177,10 @@ var (
 	// carrier-sense threshold in dBm.
 	WithCSThreshold = scenario.WithCSThreshold
 	// WithPositions pins the AP and every client to explicit
-	// coordinates (metres).
+	// coordinates: one Pos, in metres, per radio.
 	WithPositions = scenario.WithPositions
 	// WithBSSLayout replaces the single-BSS star with overlapping BSSs
-	// contending on one medium.
+	// contending on one medium, one BSSSpec per BSS.
 	WithBSSLayout = scenario.WithBSSLayout
 	// WithWire sets the server—AP wired backhaul.
 	WithWire = scenario.WithWire
@@ -185,9 +191,6 @@ var (
 // Scenarios lists the named scenarios in the registry, sorted by name.
 func Scenarios() []ScenarioEntry { return scenario.All() }
 
-// ScenarioNames lists registered scenario names, sorted.
-func ScenarioNames() []string { return scenario.Names() }
-
 // LookupScenario builds a named scenario's NetworkConfig, applying
 // extra options on top (e.g. WithClients, WithSeed).
 func LookupScenario(name string, extra ...ScenarioOption) (NetworkConfig, bool) {
@@ -196,12 +199,6 @@ func LookupScenario(name string, extra ...ScenarioOption) (NetworkConfig, bool) 
 		return NetworkConfig{}, false
 	}
 	return e.Config(extra...), true
-}
-
-// RegisterScenario names a scenario built from opts so CLIs and tests
-// can look it up; registering an existing name replaces it.
-func RegisterScenario(name, desc string, opts ...ScenarioOption) {
-	scenario.Register(name, desc, opts...)
 }
 
 // ScenarioWorkload returns the named scenario's traffic-workload kind
@@ -226,10 +223,6 @@ func DefaultGeometry() *Geometry { return channel.DefaultGeometry() }
 // TopologyNames lists registered topology names, sorted — the
 // vocabulary of the campaign topology axis.
 func TopologyNames() []string { return scenario.TopologyNames() }
-
-// TopologyOption returns a single scenario option applying the named
-// topology, and whether the name is registered.
-func TopologyOption(name string) (ScenarioOption, bool) { return scenario.TopologyOption(name) }
 
 // RegisterTopology names a topology built from opts for the campaign
 // topology axis; registering an existing name replaces it.
@@ -287,35 +280,23 @@ type (
 	// (or re-loaded from the CSV/JSON emitters' output), ready for
 	// group-by aggregation.
 	ResultsTable = results.Table
-	// ResultsAgg is a grouped aggregation of a ResultsTable.
-	ResultsAgg = results.Agg
-	// ResultsGroup is one aggregation cell (a group key and a
-	// statistical summary per metric).
-	ResultsGroup = results.Group
-	// ResultsStat summarizes one metric within one group.
-	ResultsStat = results.Stat
 	// Baseline is a persisted aggregation used as a regression
 	// reference.
 	Baseline = results.Baseline
 	// Tolerance bounds one metric's allowed movement in its worse
 	// direction before CompareBaseline flags a regression.
 	Tolerance = results.Tolerance
-	// Comparison is the outcome of CompareBaseline.
-	Comparison = results.Comparison
 )
 
 // NewResultsTable builds a ResultsTable from campaign rows.
 func NewResultsTable(rs CampaignResults) *ResultsTable { return results.FromResults(rs) }
 
 // Results-layer helpers, re-exported for CLIs and scripts: CSV/JSON
-// table loaders, the canonical numeric axis-value formatter, the
-// metric/axis schema, baseline persistence, the default per-metric
-// tolerances, and the comparison engine.
+// table loaders, the metric schema, baseline persistence, the default
+// per-metric tolerances, and the comparison engine.
 var (
 	ReadResultsCSV       = results.ReadCSV
 	ReadResultsJSON      = results.ReadJSON
-	ResultsNum           = results.Num
-	ResultsAxisColumns   = results.AxisColumns
 	ResultsScalarMetrics = results.ScalarMetrics
 	NewBaseline          = results.NewBaseline
 	SaveBaselineFile     = results.SaveBaselineFile
@@ -342,8 +323,9 @@ const (
 // NewNetwork assembles a network from cfg.
 func NewNetwork(cfg NetworkConfig) *Network { return node.New(cfg) }
 
-// ParseMode resolves a HACK mode by its command-line name
-// ("off", "more-data", "opportunistic", "timer").
+// ParseMode resolves a HACK mode by its command-line name: "off"
+// (ModeOff), "more-data" (ModeMoreData), "opportunistic"
+// (ModeOpportunistic) or "timer" (ModeTimer).
 func ParseMode(s string) (Mode, error) { return hack.ParseMode(s) }
 
 // ParseRateAdapter validates a rate-adapter spec ("fixed",
@@ -363,28 +345,12 @@ var Rate54Mbps = phy.RateA54
 // paper's 150 Mbps configuration.
 func HTRate(mcs, streams int) Rate { return phy.HTRate(mcs, streams) }
 
-// ParseNamedRate resolves a PHY rate by its command-line name ("a6"
-// through "a54", "mcs0" through "mcs7", "mcs<i>x<streams>").
-func ParseNamedRate(s string) (Rate, error) { return phy.ParseRate(s) }
-
 // Regression directions for Tolerance.Worse: goodput-like metrics
 // regress downward, error counters upward.
 const (
 	LowerIsWorse  = results.LowerIsWorse
 	HigherIsWorse = results.HigherIsWorse
 )
-
-// Scenario80211n builds the paper's §4.3 simulation scenario — a thin
-// wrapper over NewScenario(With80211n(), ...).
-func Scenario80211n(mode Mode, clients int) NetworkConfig {
-	return NewScenario(With80211n(), WithMode(mode), WithClients(clients))
-}
-
-// ScenarioSoRa builds the paper's §4.1 testbed model — a thin wrapper
-// over NewScenario(WithSoRa(), ...).
-func ScenarioSoRa(mode Mode, clients int) NetworkConfig {
-	return NewScenario(WithSoRa(), WithMode(mode), WithClients(clients))
-}
 
 // Experiment runners (one per table/figure in the paper), each
 // executing its scenario grid as a parallel campaign.
@@ -394,7 +360,6 @@ var (
 	Fig9            = experiments.Fig9
 	Fig10           = experiments.Fig10
 	Fig11           = experiments.Fig11
-	Fig11Adaptive   = experiments.Fig11Adaptive
 	Fig12           = experiments.Fig12
 	Table2          = experiments.Table2
 	Table3          = experiments.Table3
@@ -404,12 +369,6 @@ var (
 	// loss (every cell must report zero ROHC decompression failures).
 	LossResilience = experiments.LossResilience
 )
-
-// LossResilienceRow is one cell of the loss-resilience grid.
-type LossResilienceRow = experiments.LossResilienceRow
-
-// AnalyticalDefaults returns the paper's capacity-model parameters.
-func AnalyticalDefaults() AnalyticalParams { return analytical.Defaults() }
 
 // Observability: flight-recorder tracing and the airtime ledger
 // (internal/trace). A Tracer attached via WithTracer (or
@@ -425,8 +384,6 @@ type (
 	// observe — never schedule events, consume simulation randomness,
 	// or mutate protocol state.
 	Tracer = trace.Tracer
-	// NopTracer is the explicit do-nothing Tracer (zero allocations).
-	NopTracer = trace.Nop
 	// TraceEvent is one probe event in the flight-recorder schema.
 	TraceEvent = trace.Event
 	// TraceRecorder is a bounded in-memory ring of the most recent
@@ -443,8 +400,6 @@ type (
 	// AirtimeBuckets splits airtime into data / wifi-ACK / BAR /
 	// TCP-ACK / retry components.
 	AirtimeBuckets = trace.Buckets
-	// StationAirtime is one station's share of an AirtimeReport.
-	StationAirtime = trace.StationAirtime
 )
 
 // WithTracer attaches a Tracer to every layer of the scenario's
@@ -452,11 +407,8 @@ type (
 var WithTracer = scenario.WithTracer
 
 // NewTraceRecorder returns a flight recorder retaining the most
-// recent capacity events (DefaultTraceRecorderCap when capacity <= 0).
+// recent capacity events (65536 when capacity <= 0).
 func NewTraceRecorder(capacity int) *TraceRecorder { return trace.NewRecorder(capacity) }
-
-// DefaultTraceRecorderCap is the default flight-recorder ring size.
-const DefaultTraceRecorderCap = trace.DefaultRecorderCap
 
 // NewTraceWriter returns a Tracer that streams every event to w as
 // JSONL; call Close to flush (and close w if it is an io.Closer).

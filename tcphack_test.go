@@ -5,44 +5,22 @@ import (
 	"testing"
 )
 
-// TestLegacyConstructorsAreBuilderWrappers: the compatibility
-// constructors must produce exactly what the builder produces.
-func TestLegacyConstructorsAreBuilderWrappers(t *testing.T) {
-	for _, mode := range []Mode{ModeOff, ModeMoreData, ModeOpportunistic, ModeTimer} {
-		for _, clients := range []int{1, 2, 10} {
-			ht := Scenario80211n(mode, clients)
-			htBuilt := NewScenario(With80211n(), WithMode(mode), WithClients(clients))
-			if !reflect.DeepEqual(ht, htBuilt) {
-				t.Errorf("Scenario80211n(%v,%d) != builder: %+v vs %+v", mode, clients, ht, htBuilt)
-			}
-			sora := ScenarioSoRa(mode, clients)
-			soraBuilt := NewScenario(WithSoRa(), WithMode(mode), WithClients(clients))
-			if !reflect.DeepEqual(sora, soraBuilt) {
-				t.Errorf("ScenarioSoRa(%v,%d) != builder: %+v vs %+v", mode, clients, sora, soraBuilt)
-			}
-		}
-	}
-}
-
 // TestRegistryMatchesConstructors: looking a scenario up by name must
-// yield the same configuration as the equivalent constructor call.
+// yield the same configuration as the equivalent NewScenario call.
 func TestRegistryMatchesConstructors(t *testing.T) {
 	cfg, ok := LookupScenario("ht150-moredata", WithClients(4))
 	if !ok {
 		t.Fatal("ht150-moredata not registered")
 	}
-	if want := Scenario80211n(ModeMoreData, 4); !reflect.DeepEqual(cfg, want) {
-		t.Errorf("ht150-moredata != Scenario80211n: %+v vs %+v", cfg, want)
+	if want := NewScenario(With80211n(), WithMode(ModeMoreData), WithClients(4)); !reflect.DeepEqual(cfg, want) {
+		t.Errorf("ht150-moredata != NewScenario: %+v vs %+v", cfg, want)
 	}
 	cfg, ok = LookupScenario("sora-stock")
 	if !ok {
 		t.Fatal("sora-stock not registered")
 	}
-	if want := ScenarioSoRa(ModeOff, 1); !reflect.DeepEqual(cfg, want) {
-		t.Errorf("sora-stock != ScenarioSoRa: %+v vs %+v", cfg, want)
-	}
-	if len(Scenarios()) != len(ScenarioNames()) {
-		t.Error("Scenarios()/ScenarioNames() disagree")
+	if want := NewScenario(WithSoRa(), WithMode(ModeOff), WithClients(1)); !reflect.DeepEqual(cfg, want) {
+		t.Errorf("sora-stock != NewScenario: %+v vs %+v", cfg, want)
 	}
 }
 
