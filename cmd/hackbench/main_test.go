@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"tcphack"
@@ -65,5 +66,17 @@ func TestGoldenBaselines(t *testing.T) {
 				t.Errorf("exit code %d, err %v; rows and comparison:\n%s", code, err, out.String())
 			}
 		})
+	}
+}
+
+// TestDryRunRejectsOversizedGrid: `hackbench -dry-run -sweep ht150-stock
+// -runs 100000` fails from the axis lengths alone, before a point is
+// enumerated or fingerprinted. runDryRun returns the bound's error,
+// which main reports with exit status 2.
+func TestDryRunRejectsOversizedGrid(t *testing.T) {
+	o := tcphack.ExperimentOptions{Runs: 100000, Seed: 1}
+	code, err := runDryRun(sweepConfig{scenario: "ht150-stock", format: "text"}, o, "", 0)
+	if err == nil || !strings.Contains(err.Error(), "more than 16384 points") {
+		t.Errorf("dry run of 100000 seeds: code %d, err %v; want the grid bound's error", code, err)
 	}
 }

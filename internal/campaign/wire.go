@@ -86,6 +86,28 @@ func (w WireAxes) Axes() (Axes, error) {
 	return a, nil
 }
 
+// maxWirePoints bounds the grid a wire spec may plan. Planning a job
+// enumerates and fingerprints every point (about 1.2 kB each), so
+// without a bound a few kB of JSON could ask for millions of them.
+const maxWirePoints = 1 << 14
+
+// gridSize returns the number of points the axes span, the product of
+// their lengths with an empty axis counting once, or false once that
+// product passes maxWirePoints. It multiplies lengths only, so it
+// rejects an oversized grid before anything is enumerated, and it
+// cannot overflow.
+func (w WireAxes) gridSize() (int, bool) {
+	n := 1
+	for _, l := range []int{len(w.Modes), len(w.Clients), len(w.Seeds), len(w.Rates),
+		len(w.Adapters), len(w.Loss), len(w.SNRsDB), len(w.Topologies)} {
+		if l = max(l, 1); l > maxWirePoints/n {
+			return 0, false
+		}
+		n *= l
+	}
+	return n, true
+}
+
 // WireSpec is the serializable subset of Spec: a campaign declared as
 // a registered scenario name plus wire-form axes and the measurement
 // windows. It deliberately omits Spec's function hooks (Build,
@@ -134,7 +156,8 @@ func (w WireSpec) ResolvedWorkload() string {
 // Spec materializes the wire spec into an executable campaign Spec,
 // resolving the scenario from the registry and the workload from the
 // named-workload vocabulary, and rejecting out-of-range axis values
-// (see WireAxes.Axes) and negative measurement windows. It is the one
+// (see WireAxes.Axes), grids of more than maxWirePoints (16384) points
+// and negative measurement windows. It is the one
 // place a sweep declared outside the process is validated: hackbench's
 // local sweeps, -submit and -dry-run, and the daemon's job admission
 // all come through here. The resolution is deterministic: every
@@ -145,6 +168,9 @@ func (w WireSpec) Spec() (Spec, error) {
 	e, ok := scenario.Lookup(w.Scenario)
 	if !ok {
 		return Spec{}, fmt.Errorf("campaign: unknown scenario %q in wire spec", w.Scenario)
+	}
+	if _, ok := w.Axes.gridSize(); !ok {
+		return Spec{}, fmt.Errorf("campaign: wire axes span more than %d points", maxWirePoints)
 	}
 	axes, err := w.Axes.Axes()
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"tcphack/internal/sim"
@@ -114,6 +115,31 @@ func TestWireSpecRejectsOutOfRange(t *testing.T) {
 	}
 }
 
+// TestWireSpecGridBound: Spec() accepts a grid of exactly
+// maxWirePoints points and rejects one point more, from the axis
+// lengths alone.
+func TestWireSpecGridBound(t *testing.T) {
+	w := testWireSpec() // 2 modes
+	w.Axes.Seeds = Seeds(1, maxWirePoints/2)
+	if _, err := w.Spec(); err != nil {
+		t.Errorf("grid of %d points rejected: %v", maxWirePoints, err)
+	}
+	w.Axes.Seeds = Seeds(1, maxWirePoints/2+1)
+	if _, err := w.Spec(); err == nil || !strings.Contains(err.Error(), "more than 16384 points") {
+		t.Errorf("grid of %d points: err %v, want the bound", maxWirePoints+2, err)
+	}
+	// Eight axes of 4 values each span 65536 points; the bound trips
+	// on their lengths before any value is parsed.
+	four := []string{"a", "b", "c", "d"}
+	big := WireSpec{Scenario: "sora-stock", Axes: WireAxes{
+		Modes: four, Clients: []int{1, 2, 3, 4}, Seeds: Seeds(1, 4), Rates: four,
+		Adapters: four, Loss: []float64{0, 0, 0, 0}, SNRsDB: []float64{1, 2, 3, 4}, Topologies: four,
+	}}
+	if _, err := big.Spec(); err == nil || !strings.Contains(err.Error(), "more than 16384 points") {
+		t.Errorf("65536-point grid: err %v, want the bound", err)
+	}
+}
+
 // FuzzWireSpec: any JSON a daemon or CLI can receive as a wire spec
 // either fails materialization or yields a grid whose every point
 // simulates what it is labelled with — never a panic.
@@ -127,15 +153,16 @@ func FuzzWireSpec(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// The grid is the product of the axis lengths; keep the
-		// enumeration small enough to build.
+		// An accepted grid is the product of the axis lengths, at most
+		// maxWirePoints.
 		a := w.Axes
 		size := 1
 		for _, n := range []int{len(a.Modes), len(a.Clients), len(a.Seeds), len(a.Rates),
 			len(a.Adapters), len(a.Loss), len(a.SNRsDB), len(a.Topologies)} {
-			if size *= max(n, 1); size > 1<<14 {
-				return
-			}
+			size *= max(n, 1)
+		}
+		if size > maxWirePoints {
+			t.Fatalf("accepted a grid of %d points, over the %d bound", size, maxWirePoints)
 		}
 		pts := spec.Points()
 		if len(pts) != size {

@@ -401,10 +401,14 @@ func (f *FixedLoss) SetLink(src, dst Radio, p float64) {
 	f.PerLink[[2]Radio{src, dst}] = p
 }
 
-// LossProb implements ErrorModel.
+// LossProb implements ErrorModel. Most models list no links, and they
+// skip the probe: a map keyed by interfaces checks its key's
+// hashability on every access, even when empty.
 func (f *FixedLoss) LossProb(src, dst Radio, _ phy.Rate, _ int) float64 {
-	if p, ok := f.PerLink[[2]Radio{src, dst}]; ok {
-		return p
+	if len(f.PerLink) > 0 {
+		if p, ok := f.PerLink[[2]Radio{src, dst}]; ok {
+			return p
+		}
 	}
 	return f.Default
 }

@@ -51,7 +51,14 @@
 // points; a daemon restarted over the same state directory re-plans
 // its persisted job specs and finds the completed points in the store;
 // a re-submitted or overlapping sweep simulates only fingerprints the
-// store does not hold.
+// store does not hold. A persisted job whose spec no longer plans (a
+// bound tightened since it was admitted, a scenario gone from the
+// registry) is logged and skipped at restart, its record left on disk
+// and its ID never reused; the other jobs resume.
+//
+// Admission plans every point of a grid, so the wire spec bounds the
+// grid: campaign.WireSpec.Spec rejects more than 16384 points from the
+// axis lengths alone, and POST /jobs answers such a spec with 400.
 //
 // The file-dir store wraps every entry in a CRC-32 integrity envelope,
 // written via temp-file + fsync + atomic rename. An entry that fails

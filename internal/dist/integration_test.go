@@ -1,8 +1,16 @@
 package dist
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -269,5 +277,89 @@ func TestHTTPErrors(t *testing.T) {
 	}
 	if _, ok, err := c.Lease("w2"); err != nil || ok {
 		t.Errorf("empty queue lease: ok=%v err=%v (want 204 → ok=false)", ok, err)
+	}
+}
+
+// TestResumeSkipsUnplannableJob: a state directory holding a job whose
+// spec no longer plans (clients 0, admitted before the axes were
+// range-checked) must not keep the daemon from starting. That job is
+// logged and skipped with its record left on disk, the valid job
+// resumes and finishes, and a new submission gets a fresh ID.
+func TestResumeSkipsUnplannableJob(t *testing.T) {
+	state := t.TempDir()
+	s1, err := NewServer(ServerConfig{StateDir: state, ShardSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid, err := s1.Submit(testWire(), 1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := testWire()
+	bad.Axes.Clients = []int{0}
+	rec, err := json.Marshal(jobRecord{ID: "j2", Spec: bad, ShardSize: 1, Created: time.Now().UTC()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	badPath := filepath.Join(state, "jobs", "j2.json")
+	if err := os.WriteFile(badPath, rec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var logs []string
+	s2, err := NewServer(ServerConfig{StateDir: state, ShardSize: 1, Logf: func(format string, args ...any) {
+		logs = append(logs, fmt.Sprintf(format, args...))
+	}})
+	if err != nil {
+		t.Fatalf("daemon refused to start: %v", err)
+	}
+	if len(logs) != 1 || !strings.Contains(logs[0], "j2") || !strings.Contains(logs[0], "clients axis value 0") {
+		t.Errorf("logs = %q, want one line naming j2 and its plan error", logs)
+	}
+	if _, err := s2.Status("j2"); err == nil {
+		t.Error("unplannable job j2 was resumed")
+	}
+	if _, err := os.Stat(badPath); err != nil {
+		t.Errorf("j2's record is gone: %v", err)
+	}
+
+	_, c := startDaemon(t, s2)
+	if final := runWorkers(t, c, valid.ID, 1); final.State != "done" {
+		t.Errorf("resumed job %s ended %q, want done", valid.ID, final.State)
+	}
+	next, err := c.Submit(testWire(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.ID != "j3" {
+		t.Errorf("new submission got ID %s, want j3", next.ID)
+	}
+}
+
+// TestSubmitRejectsOversizedGrid: POST /jobs refuses a grid over the
+// wire bound with 400 before planning it — the axes of
+// `hackbench -sweep ht150-stock -runs 100000`.
+func TestSubmitRejectsOversizedGrid(t *testing.T) {
+	s, err := NewServer(ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, _ := startDaemon(t, s)
+	w := campaign.WireSpec{Scenario: "ht150-stock", Axes: campaign.WireAxes{Seeds: campaign.Seeds(1, 100000)}}
+	body, err := json.Marshal(map[string]any{"spec": w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("POST /jobs with 100000 seeds: status %d (%s), want 400", resp.StatusCode, msg)
+	}
+	if len(s.Jobs()) != 0 {
+		t.Errorf("oversized grid admitted: %+v", s.Jobs())
 	}
 }

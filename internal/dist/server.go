@@ -214,7 +214,9 @@ type jobRecord struct {
 // NewServer assembles a daemon and, when the config names a state
 // directory, resumes every persisted job: each spec is re-planned
 // against the store, so points whose rows were already persisted come
-// back as cache hits and only the remaining shards are queued.
+// back as cache hits and only the remaining shards are queued. A job
+// whose spec no longer plans is skipped and logged through Logf; its
+// record stays on disk and its ID is not reused.
 func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Salt == "" {
 		cfg.Salt = results.CodeVersion
@@ -285,17 +287,22 @@ func (s *Server) resume() error {
 	}
 	sort.Slice(recs, func(i, j int) bool { return jobSeq(recs[i].ID) < jobSeq(recs[j].ID) })
 	for _, rec := range recs {
+		// A job that is not resumed still holds its ID.
+		if n := jobSeq(rec.ID); n > s.seq {
+			s.seq = n
+		}
 		j, err := s.buildJob(rec)
 		if err != nil {
-			return fmt.Errorf("dist: resuming job %s: %v", rec.ID, err)
+			// The spec no longer plans (a tightened bound, a scenario
+			// gone from the registry): skip that one job, keep its
+			// record, and keep the daemon up for the rest.
+			s.cfg.Logf("dist: not resuming job %s (record kept in %s): %v", rec.ID, dir, err)
+			continue
 		}
 		s.jobs[j.id] = j
 		s.order = append(s.order, j.id)
 		if rec.Token != "" {
 			s.tokens[rec.Token] = j.id
-		}
-		if n := jobSeq(j.id); n > s.seq {
-			s.seq = n
 		}
 	}
 	return nil

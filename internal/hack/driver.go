@@ -246,6 +246,11 @@ type Driver struct {
 	dec  *rohc.Decompressor
 
 	peers map[mac.Addr]*peerState
+	// last and lastAddr remember the latest peer looked up: a
+	// client's driver has one peer, and an AP's sees a peer's frames
+	// and ACKs in runs.
+	last     *peerState
+	lastAddr mac.Addr
 
 	// EnqueueNative transmits a TCP ACK as an ordinary packet (MAC
 	// transmit queue), taking the packet's reference. It reports
@@ -289,11 +294,15 @@ func NewDriver(sched *sim.Scheduler, cfg Config) *Driver {
 }
 
 func (d *Driver) peer(a mac.Addr) *peerState {
+	if d.last != nil && d.lastAddr == a {
+		return d.last
+	}
 	p, ok := d.peers[a]
 	if !ok {
 		p = &peerState{}
 		d.peers[a] = p
 	}
+	d.last, d.lastAddr = p, a
 	return p
 }
 

@@ -14,6 +14,24 @@
 // engine; framing and wire sizes in frames.go; the Block ACK
 // recipient scoreboard in ba.go.
 //
+// A station keeps one record per peer — its transmit queue to that
+// peer, the last unaggregated sequence number from it, and the receive
+// side of its Block ACK agreement — found by indexing with the peer's
+// address, so the per-frame path probes no map. The transmit round
+// robin visits queues in the order of their first enqueue.
+//
+// # Block ACK receive side
+//
+// The recipient's reorder buffer is a ring of 64 MSDU slots indexed by
+// sequence number mod 64, plus a 64-bit word whose bit s is set while
+// slot s holds an MSDU. Every buffered sequence number lies inside the
+// 64-wide window that starts at winStart, and 4096 is a multiple of 64,
+// so a slot names one sequence number of the window even across the
+// 4095→0 wrap. The compressed Block ACK bitmap is that word rotated so
+// winStart's slot lands on bit 0; the hole-recovery flush advances
+// past the highest set bit of that bitmap; and the flush timer stays
+// armed while the word is non-zero.
+//
 // # Virtual carrier sense
 //
 // A data frame's or Block ACK Request's Duration field reserves the

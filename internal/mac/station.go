@@ -116,6 +116,16 @@ type destQueue struct {
 	lastDataRate phy.Rate
 }
 
+// peerState is the station's state toward one peer: the transmit
+// queue to it, the last unaggregated sequence number received from it,
+// and the receive side of its Block ACK agreement.
+type peerState struct {
+	q      destQueue
+	queued bool         // q is in the station's round-robin order
+	rxLast int32        // last unaggregated seq received; -1 before any
+	ba     *baRecipient // nil until the first aggregate or BAR
+}
+
 func (q *destQueue) hasWork() bool {
 	return q.awaitingBAR || q.retryQ.len() > 0 || q.fifo.len() > 0
 }
@@ -149,8 +159,14 @@ type Station struct {
 
 	dcf dcf
 
-	queues map[Addr]*destQueue
-	order  []Addr
+	// peers holds the per-peer records, peers[a-peerBase] for address
+	// a. Addresses are handed out sequentially, so a client's one peer
+	// and an AP's clients each fill a short dense run.
+	peers    []*peerState
+	peerBase Addr
+	// order lists the transmit queues in first-enqueue order, the
+	// order pickQueue's round robin visits them in.
+	order  []*destQueue
 	rrNext int
 
 	waiting     *exchange  // the station's one exchange record, never nil
@@ -162,9 +178,6 @@ type Station struct {
 	respPeer       Addr
 	respBlock      bool
 	respElicitRate phy.Rate
-
-	rxLastSeq map[Addr]int32
-	rxBA      map[Addr]*baRecipient
 
 	// mpduPool recycles the per-transmission MPDU wrappers: an MPDU
 	// returns to it when its fate resolves (delivered or dropped at the
@@ -214,16 +227,13 @@ type Station struct {
 // it for traffic.
 func NewStation(sched *sim.Scheduler, medium *channel.Medium, cfg Config) *Station {
 	st := &Station{
-		sched:     sched,
-		medium:    medium,
-		cfg:       cfg.withDefaults(),
-		rng:       sched.ForkRand(),
-		queues:    make(map[Addr]*destQueue),
-		waiting:   &exchange{},
-		rxLastSeq: make(map[Addr]int32),
-		rxBA:      make(map[Addr]*baRecipient),
-		Hooks:     NopHooks{},
-		Deliver:   func(*MSDU) {},
+		sched:   sched,
+		medium:  medium,
+		cfg:     cfg.withDefaults(),
+		rng:     sched.ForkRand(),
+		waiting: &exchange{},
+		Hooks:   NopHooks{},
+		Deliver: func(*MSDU) {},
 	}
 	st.respTimeout = sim.NewTimer(st.onRespTimeout)
 	st.respTimer = sim.NewTimer(func() {
@@ -311,7 +321,7 @@ func (st *Station) Backlogged() bool {
 	if st.waiting.q != nil {
 		return true
 	}
-	for _, q := range st.queues {
+	for _, q := range st.order {
 		if q.hasWork() || len(q.outstanding) > 0 {
 			return true
 		}
@@ -319,14 +329,42 @@ func (st *Station) Backlogged() bool {
 	return false
 }
 
-func (st *Station) queue(dst Addr) *destQueue {
-	q, ok := st.queues[dst]
-	if !ok {
-		q = &destQueue{dst: dst}
-		st.queues[dst] = q
-		st.order = append(st.order, dst)
+// peerOf returns a's record, creating it on first use.
+func (st *Station) peerOf(a Addr) *peerState {
+	if i := int(a) - int(st.peerBase); uint(i) < uint(len(st.peers)) {
+		if p := st.peers[i]; p != nil {
+			return p
+		}
 	}
-	return q
+	return st.newPeer(a)
+}
+
+// newPeer creates a's record, widening peers to cover a.
+func (st *Station) newPeer(a Addr) *peerState {
+	if len(st.peers) == 0 {
+		st.peerBase = a
+	}
+	i := int(a) - int(st.peerBase)
+	if i < 0 {
+		wider := make([]*peerState, len(st.peers)-i)
+		copy(wider[-i:], st.peers)
+		st.peers, st.peerBase, i = wider, a, 0
+	}
+	for len(st.peers) <= i {
+		st.peers = append(st.peers, nil)
+	}
+	p := &peerState{q: destQueue{dst: a}, rxLast: -1}
+	st.peers[i] = p
+	return p
+}
+
+func (st *Station) queue(dst Addr) *destQueue {
+	p := st.peerOf(dst)
+	if !p.queued {
+		p.queued = true
+		st.order = append(st.order, &p.q)
+	}
+	return &p.q
 }
 
 func (st *Station) canTransmit() bool {
@@ -334,7 +372,7 @@ func (st *Station) canTransmit() bool {
 }
 
 func (st *Station) hasTraffic() bool {
-	for _, q := range st.queues {
+	for _, q := range st.order {
 		if q.hasWork() {
 			return true
 		}
@@ -487,8 +525,7 @@ func (st *Station) txOpportunity(waited sim.Duration) {
 func (st *Station) pickQueue() *destQueue {
 	n := len(st.order)
 	for i := 0; i < n; i++ {
-		dst := st.order[(st.rrNext+i)%n]
-		if q := st.queues[dst]; q.hasWork() {
+		if q := st.order[(st.rrNext+i)%n]; q.hasWork() {
 			st.rrNext = (st.rrNext + i + 1) % n
 			return q
 		}
@@ -702,10 +739,10 @@ func (st *Station) rxData(f *DataFrame, tx *channel.Transmission) {
 	}
 	st.dcf.noteRxOK()
 
+	p := st.peerOf(f.From)
 	progress := true
 	if !f.Aggregated {
-		last, seen := st.rxLastSeq[f.From]
-		progress = !seen || seqLT(uint16(last), decoded[0].Seq)
+		progress = p.rxLast < 0 || seqLT(uint16(p.rxLast), decoded[0].Seq)
 	}
 	st.Hooks.DataIndication(f.From, DataInd{
 		MoreData: f.MoreData,
@@ -715,28 +752,24 @@ func (st *Station) rxData(f *DataFrame, tx *channel.Transmission) {
 	})
 
 	if f.Aggregated {
-		r := st.baRecipient(f.From)
+		r := p.recipient(st)
 		for _, m := range decoded {
 			r.receive(m)
 		}
-	} else {
-		m := decoded[0]
-		last, seen := st.rxLastSeq[f.From]
-		if !seen || uint16(last) != m.Seq {
-			st.rxLastSeq[f.From] = int32(m.Seq)
-			st.deliverUp(m.MSDU)
-		}
+	} else if m := decoded[0]; p.rxLast < 0 || uint16(p.rxLast) != m.Seq {
+		p.rxLast = int32(m.Seq)
+		st.deliverUp(m.MSDU)
 	}
 	st.scheduleResponse(f.From, f.Aggregated, tx.Rate)
 }
 
-func (st *Station) baRecipient(peer Addr) *baRecipient {
-	r, ok := st.rxBA[peer]
-	if !ok {
-		r = newBARecipient(st, peer)
-		st.rxBA[peer] = r
+// recipient returns the receive side of p's Block ACK agreement,
+// creating it on first use.
+func (p *peerState) recipient(st *Station) *baRecipient {
+	if p.ba == nil {
+		p.ba = newBARecipient(st)
 	}
-	return r
+	return p.ba
 }
 
 func (st *Station) scheduleResponse(peer Addr, block bool, elicitRate phy.Rate) {
@@ -754,7 +787,7 @@ func (st *Station) sendResponse(peer Addr, block bool, elicitRate phy.Rate) {
 	f := st.getAck()
 	f.From, f.To, f.Block = st.cfg.Addr, peer, block
 	if block {
-		f.StartSeq, f.Bitmap = st.baRecipient(peer).bitmap()
+		f.StartSeq, f.Bitmap = st.peerOf(peer).recipient(st).bitmap()
 	}
 	f.Payload = st.Hooks.BuildAckPayload(f.Payload, peer)
 	rate := st.ackRateFor(elicitRate)
@@ -912,7 +945,7 @@ func (st *Station) rxBAR(f *BARFrame, tx *channel.Transmission) {
 		return
 	}
 	st.dcf.noteRxOK()
-	r := st.baRecipient(f.From)
+	r := st.peerOf(f.From).recipient(st)
 	if r.started && seqLT(r.winStart, f.StartSeq) {
 		r.advanceTo(f.StartSeq)
 	}

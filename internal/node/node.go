@@ -257,6 +257,36 @@ func (l *Link) Send(p *packet.Packet) {
 	l.sched.Post(l.busyUntil+l.delay, l.deliver, p)
 }
 
+// endpointTable finds a host's TCP endpoints by their five-tuple. The
+// latest endpoint found sits in front of the map: a host meets a
+// flow's packets in runs, so most lookups compare one tuple and hash
+// nothing. The zero value is ready to use.
+type endpointTable struct {
+	m         map[packet.FiveTuple]*tcp.Endpoint
+	last      *tcp.Endpoint
+	lastTuple packet.FiveTuple
+}
+
+func (t *endpointTable) add(ep *tcp.Endpoint) {
+	if t.m == nil {
+		t.m = make(map[packet.FiveTuple]*tcp.Endpoint)
+	}
+	t.m[ep.Tuple()] = ep
+	t.last = nil // ep may replace the cached endpoint
+}
+
+// find returns the endpoint whose tuple is k, or nil.
+func (t *endpointTable) find(k packet.FiveTuple) *tcp.Endpoint {
+	if t.last != nil && t.lastTuple == k {
+		return t.last
+	}
+	ep := t.m[k]
+	if ep != nil {
+		t.last, t.lastTuple = ep, k
+	}
+	return ep
+}
+
 // WifiNode is a WiFi station with a host stack and HACK driver.
 type WifiNode struct {
 	net     *Network
@@ -272,7 +302,7 @@ type WifiNode struct {
 	localIn func(any)
 	routeFn func(any)
 
-	endpoints map[packet.FiveTuple]*tcp.Endpoint
+	endpoints endpointTable
 	// Goodput measures application bytes received at this node
 	// (TCP payload or UDP payload).
 	Goodput stats.Goodput
@@ -291,11 +321,19 @@ type Network struct {
 	// BSSes lists the assembled BSSs; a legacy single-BSS network has
 	// exactly one.
 	BSSes []*BSS
-	// Server endpoints/state (nil when WireRateKbps == 0).
-	serverEndpoints map[packet.FiveTuple]*tcp.Endpoint
+	// Server endpoints/state (empty when WireRateKbps == 0).
+	serverEndpoints endpointTable
 	clientIdx       map[packet.Addr]int
 	clientBSS       []int // global client index → BSS index
 	addrBSS         map[mac.Addr]int
+
+	// lastIP, lastClient and lastIsClient hold clientByIP's latest
+	// answer: an AP forwards a flow's packets, and the ACKs a link-layer
+	// ACK carried, in runs. The zero value answers 0.0.0.0, which is
+	// no client's address, as the map would.
+	lastIP       packet.Addr
+	lastClient   int
+	lastIsClient bool
 
 	Flows []*Flow
 
@@ -325,14 +363,13 @@ func New(cfg Config) *Network {
 	medium.Tracer = cfg.Tracer
 	medium.Geometry = cfg.Geometry
 	n := &Network{
-		Cfg:             cfg,
-		Sched:           sched,
-		Medium:          medium,
-		serverEndpoints: make(map[packet.FiveTuple]*tcp.Endpoint),
-		clientIdx:       make(map[packet.Addr]int),
-		addrBSS:         make(map[mac.Addr]int),
-		nextPort:        basePort,
-		pool:            &packet.Pool{},
+		Cfg:       cfg,
+		Sched:     sched,
+		Medium:    medium,
+		clientIdx: make(map[packet.Addr]int),
+		addrBSS:   make(map[mac.Addr]int),
+		nextPort:  basePort,
+		pool:      &packet.Pool{},
 	}
 
 	// Address/position plan: MAC addresses assigned sequentially in
@@ -470,7 +507,6 @@ func New(cfg Config) *Network {
 func (n *Network) newNode(st *mac.Station, ip packet.Addr, addr mac.Addr) *WifiNode {
 	w := &WifiNode{
 		net: n, MAC: st, IP: ip, MACAddr: addr,
-		endpoints: make(map[packet.FiveTuple]*tcp.Endpoint),
 	}
 	w.localIn = func(a any) { w.localInput(a.(*packet.Packet)) }
 	w.routeFn = func(a any) { w.route(a.(*packet.Packet)) }
@@ -530,7 +566,7 @@ func (w *WifiNode) localInput(p *packet.Packet) {
 	if p.UDP != nil {
 		w.Goodput.Add(w.net.Sched.Now(), p.PayloadLen)
 	} else if t, ok := p.Tuple(); ok {
-		if ep, found := w.endpoints[t.Reverse()]; found {
+		if ep := w.endpoints.find(t.Reverse()); ep != nil {
 			ep.Input(p)
 		}
 	}
@@ -572,8 +608,11 @@ func (w *WifiNode) sendWifi(dst mac.Addr, p *packet.Packet) {
 }
 
 func (n *Network) clientByIP(ip packet.Addr) (int, bool) {
-	ci, ok := n.clientIdx[ip]
-	return ci, ok
+	if ip != n.lastIP {
+		n.lastClient, n.lastIsClient = n.clientIdx[ip]
+		n.lastIP = ip
+	}
+	return n.lastClient, n.lastIsClient
 }
 
 // bssOf returns the BSS owning global client index ci.
@@ -593,7 +632,7 @@ func (n *Network) BSSOfAddr(a mac.Addr) int {
 // its last holder.
 func (n *Network) serverInput(p *packet.Packet) {
 	if t, ok := p.Tuple(); ok {
-		if ep, found := n.serverEndpoints[t.Reverse()]; found {
+		if ep := n.serverEndpoints.find(t.Reverse()); ep != nil {
 			ep.Input(p)
 		}
 	}
@@ -660,12 +699,12 @@ func (n *Network) finishFlow(f *Flow, ci int, sender, receiver *tcp.Endpoint, to
 	bss := n.bssOf(ci)
 
 	bindWifi := func(w *WifiNode, ep *tcp.Endpoint) {
-		w.endpoints[ep.Tuple()] = ep
+		w.endpoints.add(ep)
 		ep.Output = func(p *packet.Packet) { w.route(p) }
 		ep.Pool = n.pool
 	}
 	bindServer := func(ep *tcp.Endpoint) {
-		n.serverEndpoints[ep.Tuple()] = ep
+		n.serverEndpoints.add(ep)
 		ep.Output = func(p *packet.Packet) { bss.wireDn.Send(p) }
 		ep.Pool = n.pool
 	}

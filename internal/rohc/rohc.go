@@ -50,17 +50,78 @@ func CID(t packet.FiveTuple) byte {
 }
 
 // cidCache memoizes CID per five-tuple. A flow's CID never changes, so
-// one MD5 per flow suffices; lookups are a single map probe and
-// allocation-free.
-type cidCache map[packet.FiveTuple]byte
+// one MD5 per flow suffices. The latest flow looked up sits in front of
+// the map: a codec meets a flow's ACKs in runs (one link-layer ACK
+// carries a batch of them), so most lookups compare one tuple and hash
+// nothing. The zero value is ready to use; lookups are allocation-free
+// once a flow is known.
+type cidCache struct {
+	m      map[packet.FiveTuple]byte
+	last   packet.FiveTuple
+	lastID byte
+	primed bool // last holds a looked-up flow
+}
 
-func (c cidCache) cid(t packet.FiveTuple) byte {
-	if id, ok := c[t]; ok {
-		return id
+func (c *cidCache) cid(t packet.FiveTuple) byte {
+	if c.primed && c.last == t {
+		return c.lastID
 	}
-	id := CID(t)
-	c[t] = id
+	id, ok := c.m[t]
+	if !ok {
+		if c.m == nil {
+			c.m = make(map[packet.FiveTuple]byte)
+		}
+		id = CID(t)
+		c.m[t] = id
+	}
+	c.last, c.lastID, c.primed = t, id, true
 	return id
+}
+
+// contextTable holds a codec's flow contexts by CID. A context is made
+// once per CID and never replaced, so the latest one looked up sits in
+// front of the map without going stale, for the same runs cidCache
+// exploits. The zero value is ready to use.
+type contextTable struct {
+	m       map[byte]*context
+	last    *context
+	lastCID byte
+}
+
+// get returns cid's context, or nil if it has none.
+func (t *contextTable) get(cid byte) *context {
+	if t.last != nil && t.lastCID == cid {
+		return t.last
+	}
+	ctx := t.m[cid]
+	if ctx != nil {
+		t.last, t.lastCID = ctx, cid
+	}
+	return ctx
+}
+
+// getOrAdd returns cid's context, creating an empty one if it has none.
+func (t *contextTable) getOrAdd(cid byte) *context {
+	if ctx := t.get(cid); ctx != nil {
+		return ctx
+	}
+	if t.m == nil {
+		t.m = make(map[byte]*context)
+	}
+	ctx := &context{}
+	t.m[cid] = ctx
+	t.last, t.lastCID = ctx, cid
+	return ctx
+}
+
+// resyncNeeded reports whether any context is untrusted.
+func (t *contextTable) resyncNeeded() bool {
+	for _, ctx := range t.m {
+		if !ctx.valid {
+			return true
+		}
+	}
+	return false
 }
 
 // crc8Table is the 256-entry lookup table for the ROHC CRC-8
@@ -238,18 +299,13 @@ func tupleOf(p *packet.Packet) packet.FiveTuple {
 
 // Compressor turns pure TCP ACKs into compressed representations.
 type Compressor struct {
-	contexts map[byte]*context
+	contexts contextTable
 	cids     cidCache
 	scratch  []byte // headerCRC marshal buffer
 }
 
 // NewCompressor returns an empty compressor.
-func NewCompressor() *Compressor {
-	return &Compressor{
-		contexts: make(map[byte]*context),
-		cids:     make(cidCache),
-	}
-}
+func NewCompressor() *Compressor { return &Compressor{} }
 
 // CID returns the context identifier for a flow, memoized per
 // five-tuple (the MD5 in the package-level CID runs once per flow).
@@ -265,7 +321,7 @@ func (c *Compressor) CID(t packet.FiveTuple) byte { return c.cids.cid(t) }
 // force the "regeneration unsafe until a fresh anchor" condition
 // explicitly.
 func (c *Compressor) Invalidate(t packet.FiveTuple) {
-	if ctx, ok := c.contexts[c.cids.cid(t)]; ok && ctx.tuple == t {
+	if ctx := c.contexts.get(c.cids.cid(t)); ctx != nil && ctx.tuple == t {
 		ctx.valid = false
 	}
 }
@@ -277,7 +333,7 @@ func (c *Compressor) Invalidate(t packet.FiveTuple) {
 // self-contained encoding survives arbitrary gaps in what the
 // decompressor has seen.
 func (c *Compressor) Refresh(t packet.FiveTuple) {
-	if ctx, ok := c.contexts[c.cids.cid(t)]; ok && ctx.valid && ctx.tuple == t {
+	if ctx := c.contexts.get(c.cids.cid(t)); ctx != nil && ctx.valid && ctx.tuple == t {
 		ctx.refreshed = true
 	}
 }
@@ -285,14 +341,7 @@ func (c *Compressor) Refresh(t packet.FiveTuple) {
 // ResyncNeeded reports whether any flow context is invalid — i.e. at
 // least one flow must re-anchor through a native ACK before compressed
 // regeneration is safe again.
-func (c *Compressor) ResyncNeeded() bool {
-	for _, ctx := range c.contexts {
-		if !ctx.valid {
-			return true
-		}
-	}
-	return false
-}
+func (c *Compressor) ResyncNeeded() bool { return c.contexts.resyncNeeded() }
 
 // shouldAbsorb decides whether a natively-travelling ACK re-anchors a
 // context. Both ends apply the same rule, and every absorb forces the
@@ -339,12 +388,7 @@ func (c *Compressor) Observe(p *packet.Packet) {
 	if !p.IsTCPAck() {
 		return
 	}
-	cid := c.cids.cid(tupleOf(p))
-	ctx, ok := c.contexts[cid]
-	if !ok {
-		ctx = &context{}
-		c.contexts[cid] = ctx
-	}
+	ctx := c.contexts.getOrAdd(c.cids.cid(tupleOf(p)))
 	if !ctx.shouldAbsorb(p) {
 		if ctx.valid && ctx.tuple == tupleOf(p) {
 			ctx.refreshed = true
@@ -434,8 +478,8 @@ func (c *Compressor) Compress(dst []byte, p *packet.Packet) (data []byte, msn ui
 	}
 	tuple := tupleOf(p)
 	cid := c.cids.cid(tuple)
-	ctx, exists := c.contexts[cid]
-	if !exists || !ctx.valid || ctx.tuple != tuple {
+	ctx := c.contexts.get(cid)
+	if ctx == nil || !ctx.valid || ctx.tuple != tuple {
 		return dst, 0, false
 	}
 	t := p.TCP
@@ -628,7 +672,7 @@ type Decompressor struct {
 	// (see packet.Pool).
 	Pool *packet.Pool
 
-	contexts map[byte]*context
+	contexts contextTable
 	cids     cidCache
 	scratch  []byte           // headerCRC marshal buffer
 	packets  []*packet.Packet // Result.Packets' array, reused per frame
@@ -642,12 +686,7 @@ type Decompressor struct {
 }
 
 // NewDecompressor returns an empty decompressor.
-func NewDecompressor() *Decompressor {
-	return &Decompressor{
-		contexts: make(map[byte]*context),
-		cids:     make(cidCache),
-	}
-}
+func NewDecompressor() *Decompressor { return &Decompressor{} }
 
 // Observe records a natively-received TCP ACK, establishing the flow
 // context, re-anchoring it on newer state, or restoring it after CRC
@@ -656,12 +695,7 @@ func (d *Decompressor) Observe(p *packet.Packet) {
 	if !p.IsTCPAck() {
 		return
 	}
-	cid := d.cids.cid(tupleOf(p))
-	ctx, ok := d.contexts[cid]
-	if !ok {
-		ctx = &context{}
-		d.contexts[cid] = ctx
-	}
+	ctx := d.contexts.getOrAdd(d.cids.cid(tupleOf(p)))
 	if !ctx.shouldAbsorb(p) {
 		return
 	}
@@ -677,7 +711,7 @@ func (d *Decompressor) Observe(p *packet.Packet) {
 // drivers and tests can declare damage explicitly and probe it via
 // ResyncNeeded instead of inferring it from failure counters.
 func (d *Decompressor) Invalidate(cid byte) {
-	if ctx := d.contexts[cid]; ctx != nil {
+	if ctx := d.contexts.get(cid); ctx != nil {
 		ctx.valid = false
 	}
 }
@@ -685,14 +719,7 @@ func (d *Decompressor) Invalidate(cid byte) {
 // ResyncNeeded reports whether any flow context is damaged and awaiting
 // a native re-anchor — the §3.4 condition under which compressed ACKs
 // cannot be regenerated and are being dropped.
-func (d *Decompressor) ResyncNeeded() bool {
-	for _, ctx := range d.contexts {
-		if !ctx.valid {
-			return true
-		}
-	}
-	return false
-}
+func (d *Decompressor) ResyncNeeded() bool { return d.contexts.resyncNeeded() }
 
 var (
 	errTruncated = errors.New("rohc: truncated compressed frame")
@@ -733,7 +760,7 @@ func (d *Decompressor) one(b []byte, res *Result) (int, error) {
 	msnLow := b[1] & 0x0f
 	i := 2
 
-	ctx := d.contexts[cid]
+	ctx := d.contexts.get(cid)
 
 	var msn uint8
 	haveMSN := true
@@ -955,8 +982,7 @@ func (d *Decompressor) installIR(f irFields, ctx *context, res *Result) error {
 		return nil
 	}
 	if ctx == nil {
-		ctx = &context{}
-		d.contexts[f.cid] = ctx
+		ctx = d.contexts.getOrAdd(f.cid)
 	}
 	if ctx.valid && ctx.tuple != f.tuple {
 		// CID collision against a live flow: like the native absorb
