@@ -4,9 +4,9 @@
 // memoization entries, and -dry-run prints the planned grid with
 // per-point fingerprints and expected memoization hits without
 // simulating. All long-running modes drain gracefully on
-// SIGINT/SIGTERM: the daemon stops accepting requests and flushes
-// in-flight completions; a worker finishes and delivers the shard it
-// holds before exiting — a second SIGINT hard-aborts the worker (the
+// SIGINT/SIGTERM: the daemon stops accepting requests and finishes the
+// ones in flight; a worker finishes and streams the shard it holds
+// before exiting — a second SIGINT hard-aborts the worker (the
 // streamed points are already checkpointed on the server, so recovery
 // costs only the unstreamed remainder of the shard).
 package main
@@ -76,7 +76,7 @@ func runServe(addr, stateDir string, leaseTTL time.Duration, shardSize int) (int
 }
 
 // runWorker runs the shard-pulling loop. The first SIGINT/SIGTERM
-// drains gracefully — the in-flight shard is finished and delivered; a
+// drains gracefully — the in-flight shard is finished and streamed; a
 // second signal hard-aborts (the SIGKILL path the chaos tests
 // exercise): the in-flight point is abandoned, the lease expires, and
 // another worker re-simulates only the points this one had not yet
@@ -97,7 +97,7 @@ func runWorker(url, name string, poll time.Duration) (int, error) {
 	go func() {
 		select {
 		case <-sig:
-			fmt.Fprintln(os.Stderr, "worker: draining — delivering the shard in flight (^C again to abort it)")
+			fmt.Fprintln(os.Stderr, "worker: draining — finishing the shard in flight (^C again to abort it)")
 			cancel()
 		case <-done:
 			return
@@ -121,13 +121,9 @@ func runWorker(url, name string, poll time.Duration) (int, error) {
 		Name:   name,
 		Poll:   poll,
 		Kill:   kill,
-		OnShard: func(grant tcphack.DistLeaseGrant, dup bool) {
-			note := ""
-			if dup {
-				note = " (duplicate; another delivery won)"
-			}
-			fmt.Fprintf(os.Stderr, "worker %s: job %s shard %d done, %d point(s)%s\n",
-				name, grant.Job, grant.Shard, len(grant.Indexes), note)
+		OnShard: func(grant tcphack.DistLeaseGrant) {
+			fmt.Fprintf(os.Stderr, "worker %s: job %s shard %d done, %d point(s)\n",
+				name, grant.Job, grant.Shard, len(grant.Indexes))
 		},
 		OnAbandon: func(grant tcphack.DistLeaseGrant, err error) {
 			fmt.Fprintf(os.Stderr, "worker %s: abandoning job %s shard %d to lease expiry: %v\n",

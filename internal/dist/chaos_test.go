@@ -38,14 +38,7 @@ func TestChaosCrashMidShardResimulatesOnlyUnstreamed(t *testing.T) {
 	if !ok || len(grant.Indexes) != 4 {
 		t.Fatalf("grant = %+v ok=%v, want all 4 points", grant, ok)
 	}
-	spec, err := grant.Spec.Spec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := campaign.RunPoints(context.Background(), spec, grant.Indexes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := grantRows(t, grant)
 
 	// The victim streams two points, then the kernel takes it.
 	for _, r := range rows[:2] {
@@ -66,19 +59,13 @@ func TestChaosCrashMidShardResimulatesOnlyUnstreamed(t *testing.T) {
 		t.Fatalf("re-lease grants %v, want only the unstreamed %v", re.Indexes, grant.Indexes[2:])
 	}
 
-	// The rescuer simulates just those two points and completes with
-	// only them — the rest of the shard is already on the server.
-	rerows, err := campaign.RunPoints(context.Background(), spec, re.Indexes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rerows {
+	// The rescuer simulates and streams just those two points — the
+	// rest of the shard is already on the server, so its last row
+	// closes the shard.
+	for _, r := range grantRows(t, re) {
 		if dup, err := s.streamPoint("rescuer", re.Job, re.Shard, r); err != nil || dup {
 			t.Fatalf("rescuer stream: dup=%v err=%v", dup, err)
 		}
-	}
-	if dup, err := s.complete("rescuer", re.Job, re.Shard, rerows); err != nil || dup {
-		t.Fatalf("partial complete: dup=%v err=%v", dup, err)
 	}
 
 	final, err := s.Status(st.ID)
@@ -196,7 +183,7 @@ func TestChaosStoreUnavailableDegrades(t *testing.T) {
 		if !ok {
 			break
 		}
-		completeShard(t, s, "w", grant)
+		streamShard(t, s, "w", grant)
 	}
 	final, err := s.Status(st.ID)
 	if err != nil {

@@ -92,13 +92,13 @@ func (e retryableError) Error() string { return e.err.Error() }
 func (e retryableError) Unwrap() error { return e.err }
 
 // Client speaks the Server's HTTP/JSON API — the submit/status side
-// for CLIs and the lease/stream/complete side for workers. Every call
+// for CLIs and the lease/heartbeat/stream side for workers. Every call
 // runs under Retry's backoff loop.
 type Client struct {
 	// BaseURL is the daemon root, e.g. "http://127.0.0.1:8077".
 	BaseURL string
 	// HTTPClient overrides http.DefaultClient (chaos tests install a
-	// FaultTransport here).
+	// fault-injecting transport here).
 	HTTPClient *http.Client
 	// Retry bounds the per-call retry loop (zero value = defaults).
 	Retry RetryPolicy
@@ -268,10 +268,12 @@ func (c *Client) Heartbeat(worker, jobID string, shardID int) (bool, error) {
 }
 
 // StreamPoint reports one finished grid point of a leased shard — the
-// worker-side checkpoint. The server persists the row immediately, so
-// a worker crash after this call costs at most the points still
-// unstreamed. duplicate=true means the row was already known (another
-// worker streamed it first); the call is idempotent.
+// worker-side checkpoint and the only way a row reaches the server.
+// The server persists the row immediately, so a worker crash after
+// this call costs at most the points still unstreamed, and the row
+// that completes the shard closes it. duplicate=true means the row was
+// already known (another worker streamed it first); the call is
+// idempotent.
 func (c *Client) StreamPoint(worker, jobID string, shardID int, row campaign.Result) (duplicate bool, err error) {
 	req := struct {
 		Worker string          `json:"worker"`
@@ -281,22 +283,6 @@ func (c *Client) StreamPoint(worker, jobID string, shardID int, row campaign.Res
 		Duplicate bool `json:"duplicate"`
 	}
 	_, err = c.do("POST", fmt.Sprintf("/jobs/%s/shards/%d/points", jobID, shardID), req, &resp)
-	return resp.Duplicate, err
-}
-
-// Complete delivers a shard's rows; duplicate=true means another
-// delivery won (identical rows, by the determinism contract).
-func (c *Client) Complete(worker, jobID string, shardID int, rows campaign.Results) (bool, error) {
-	req := struct {
-		Worker string           `json:"worker"`
-		Job    string           `json:"job"`
-		Shard  int              `json:"shard"`
-		Rows   campaign.Results `json:"rows"`
-	}{worker, jobID, shardID, rows}
-	var resp struct {
-		Duplicate bool `json:"duplicate"`
-	}
-	_, err := c.do("POST", "/complete", req, &resp)
 	return resp.Duplicate, err
 }
 

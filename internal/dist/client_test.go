@@ -242,7 +242,7 @@ func TestWaitDoneAbsorbsOutages(t *testing.T) {
 	if !ok {
 		t.Fatal("no lease")
 	}
-	completeShard(t, s, "w", grant)
+	streamShard(t, s, "w", grant)
 
 	// The daemon is "down" for the first few polls.
 	inner := s.Handler()

@@ -170,9 +170,8 @@ func TestDirStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// completeShard simulates one granted shard the way a worker would and
-// delivers it.
-func completeShard(t *testing.T, s *Server, worker string, grant LeaseGrant) {
+// grantRows simulates a grant's points the way a worker would.
+func grantRows(t *testing.T, grant LeaseGrant) campaign.Results {
 	t.Helper()
 	spec, err := grant.Spec.Spec()
 	if err != nil {
@@ -182,8 +181,17 @@ func completeShard(t *testing.T, s *Server, worker string, grant LeaseGrant) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.complete(worker, grant.Job, grant.Shard, rows); err != nil {
-		t.Fatal(err)
+	return rows
+}
+
+// streamShard simulates one granted shard and streams each row, as a
+// worker does.
+func streamShard(t *testing.T, s *Server, worker string, grant LeaseGrant) {
+	t.Helper()
+	for _, r := range grantRows(t, grant) {
+		if _, err := s.streamPoint(worker, grant.Job, grant.Shard, r); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -244,7 +252,7 @@ func TestLeaseExpiryRequeuedExactlyOnce(t *testing.T) {
 		t.Fatalf("after re-lease: %+v", st)
 	}
 
-	completeShard(t, s, "successor", regrant)
+	streamShard(t, s, "successor", regrant)
 	st, _ = s.Status(grant.Job)
 	if st.State != "done" || st.Requeues != 1 {
 		t.Fatalf("after completion: %+v", st)
@@ -252,8 +260,8 @@ func TestLeaseExpiryRequeuedExactlyOnce(t *testing.T) {
 }
 
 // TestCompleteIdempotentDuplicate: a worker that lost its lease and
-// finished anyway delivers a duplicate; the first delivery stands and
-// the duplicate is acknowledged as such.
+// finished anyway streams duplicates; the first rows stand and the
+// duplicates are acknowledged as such.
 func TestCompleteIdempotentDuplicate(t *testing.T) {
 	clock := newFakeClock()
 	s, err := NewServer(ServerConfig{LeaseTTL: time.Minute, Now: clock.now})
@@ -264,14 +272,7 @@ func TestCompleteIdempotentDuplicate(t *testing.T) {
 		t.Fatal(err)
 	}
 	grant, _ := s.lease("slow")
-	spec, err := grant.Spec.Spec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := campaign.RunPoints(context.Background(), spec, grant.Indexes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := grantRows(t, grant)
 
 	// The lease expires and the shard is redone by another worker.
 	clock.advance(2 * time.Minute)
@@ -279,25 +280,33 @@ func TestCompleteIdempotentDuplicate(t *testing.T) {
 	if !ok {
 		t.Fatal("expired shard not re-leased")
 	}
-	if dup, err := s.complete("fast", regrant.Job, regrant.Shard, rows); err != nil || dup {
-		t.Fatalf("first delivery: dup=%v err=%v", dup, err)
+	for _, r := range rows {
+		if dup, err := s.streamPoint("fast", regrant.Job, regrant.Shard, r); err != nil || dup {
+			t.Fatalf("first stream of point %d: dup=%v err=%v", r.Index, dup, err)
+		}
 	}
-	// The slow worker's late delivery is a duplicate, not an error.
-	if dup, err := s.complete("slow", grant.Job, grant.Shard, rows); err != nil || !dup {
-		t.Fatalf("late delivery: dup=%v err=%v", dup, err)
+	// The slow worker's late rows are duplicates, not errors.
+	for _, r := range rows {
+		if dup, err := s.streamPoint("slow", grant.Job, grant.Shard, r); err != nil || !dup {
+			t.Fatalf("late stream of point %d: dup=%v err=%v", r.Index, dup, err)
+		}
 	}
 
+	st, _ := s.Status(grant.Job)
+	if st.State != "done" || st.PointsStreamed != 4 || st.PointsResimulated != 4 {
+		t.Errorf("status = %+v, want done with 4 streamed and 4 resimulated", st)
+	}
 	got, err := s.Rows(grant.Job, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, serialRows(t, testWire())) {
-		t.Error("rows after duplicate delivery differ from serial")
+		t.Error("rows after duplicate streams differ from serial")
 	}
 }
 
-// TestCompleteValidation: deliveries with wrong row counts or foreign
-// indexes are rejected.
+// TestCompleteValidation: streamed rows with a foreign index or for an
+// unknown job are rejected, and land nothing.
 func TestCompleteValidation(t *testing.T) {
 	s, err := NewServer(ServerConfig{})
 	if err != nil {
@@ -307,23 +316,55 @@ func TestCompleteValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	grant, _ := s.lease("w")
-	spec, _ := grant.Spec.Spec()
-	rows, err := campaign.RunPoints(context.Background(), spec, grant.Indexes)
+	rows := grantRows(t, grant)
+	for _, idx := range []int{3, -1, 4} { // the other shard's, and off the grid
+		foreign := rows[0]
+		foreign.Index = idx
+		if _, err := s.streamPoint("w", grant.Job, grant.Shard, foreign); err == nil ||
+			!strings.Contains(err.Error(), "not in shard") {
+			t.Errorf("foreign index %d accepted: %v", idx, err)
+		}
+	}
+	if _, err := s.streamPoint("w", "j99", 0, rows[0]); err == nil {
+		t.Error("unknown job accepted")
+	}
+	if st, _ := s.Status(grant.Job); st.DoneRows != 0 || st.PointsStreamed != 0 {
+		t.Errorf("rejected rows landed: %+v", st)
+	}
+}
+
+// TestLastStreamedRowClosesShard: streaming every row of a leased
+// shard, with no other call, closes it — the stream is the only row
+// path, so nothing else would.
+func TestLastStreamedRowClosesShard(t *testing.T) {
+	s, err := NewServer(ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.complete("w", grant.Job, grant.Shard, rows[:1]); err == nil ||
-		!strings.Contains(err.Error(), "missing") {
-		t.Errorf("short delivery accepted: %v", err)
+	st, err := s.Submit(testWire(), 2, "")
+	if err != nil {
+		t.Fatal(err)
 	}
-	foreign := append(campaign.Results{}, rows...)
-	foreign[0].Index = 3 // belongs to the other shard
-	if _, err := s.complete("w", grant.Job, grant.Shard, foreign); err == nil ||
-		!strings.Contains(err.Error(), "not in shard") {
-		t.Errorf("foreign index accepted: %v", err)
+	grant, ok := s.lease("w")
+	if !ok || len(grant.Indexes) != 2 {
+		t.Fatalf("grant = %+v ok=%v, want a 2-point shard", grant, ok)
 	}
-	if _, err := s.complete("w", "j99", 0, rows); err == nil {
-		t.Error("unknown job accepted")
+	rows := grantRows(t, grant)
+	if _, err := s.streamPoint("w", grant.Job, grant.Shard, rows[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := s.Status(st.ID); got.ShardsInflight != 1 || got.ShardsDone != 0 {
+		t.Fatalf("after the first row: %+v, want the shard still leased", got)
+	}
+	if _, err := s.streamPoint("w", grant.Job, grant.Shard, rows[1]); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := s.Status(st.ID)
+	if got.ShardsDone != 1 || got.ShardsInflight != 0 || got.ShardsPending != 1 || got.DoneRows != 2 {
+		t.Errorf("after the last row: %+v, want 1 shard done, 1 pending and 2 rows", got)
+	}
+	if renewed, _ := s.heartbeat("w", grant.Job, grant.Shard); renewed {
+		t.Error("a closed shard's lease renewed")
 	}
 }
 
@@ -346,14 +387,14 @@ func TestRowsStates(t *testing.T) {
 	}
 
 	grant, _ := s.lease("w")
-	completeShard(t, s, "w", grant)
+	streamShard(t, s, "w", grant)
 	partial, err := s.Rows(st.ID, true)
 	if err != nil || len(partial) != 2 {
 		t.Fatalf("partial after one shard = %d rows, %v", len(partial), err)
 	}
 
 	grant2, _ := s.lease("w")
-	completeShard(t, s, "w", grant2)
+	streamShard(t, s, "w", grant2)
 	got, err := s.Rows(st.ID, false)
 	if err != nil {
 		t.Fatal(err)
@@ -375,7 +416,7 @@ func TestSubmitFullyCachedBornDone(t *testing.T) {
 		t.Fatal(err)
 	}
 	grant, _ := s.lease("w")
-	completeShard(t, s, "w", grant)
+	streamShard(t, s, "w", grant)
 
 	again, err := s.Submit(testWire(), 4, "")
 	if err != nil {

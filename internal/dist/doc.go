@@ -6,11 +6,12 @@
 // campaign.WireSpec — a registered scenario plus wire-form axes —
 // planned into shards of grid-point indexes. Workers (hackbench
 // -worker <url>) lease shards over HTTP/JSON, simulate them point by
-// point with campaign.RunPoints, stream each finished row back
-// immediately, and deliver the whole shard at the end; the server
-// merges rows by grid index through results.Merge and serves the
-// completed job in campaign.Results form. A submit client (hackbench
-// -submit) posts specs and fetches rows.
+// point with campaign.RunPoints, and stream each finished row back
+// immediately. That stream is the only way a row reaches the server:
+// the row that leaves a shard with nothing missing closes it. The
+// server merges rows by grid index through results.Merge and serves
+// the completed job in campaign.Results form. A submit client
+// (hackbench -submit) posts specs and fetches rows.
 //
 // # Determinism contract
 //
@@ -21,7 +22,7 @@
 // many points were served from the memoization store. The contract
 // holds only across processes running the same build:
 // results.CodeVersion salts every memoization key, and both the
-// streaming endpoint and results.Merge reject conflicting duplicate
+// stream endpoint and results.Merge reject conflicting duplicate
 // rows, so a version skew between workers surfaces as an explicit
 // error rather than silently mixed output.
 //
@@ -32,7 +33,9 @@
 // keep long shards alive; a lease that expires (worker crash, network
 // partition, missed heartbeats) is re-queued exactly once per expiry
 // and handed to the next worker that asks — granting only the points
-// the previous holder had not already streamed back. A point may
+// the previous holder had not already streamed back. A worker whose
+// stream still fails after its client's retries abandons the shard,
+// and the same expiry re-grants the points with no row. A point may
 // therefore be simulated more than once — at-least-once execution —
 // which is safe precisely because of the determinism contract:
 // duplicate rows are identical, verified to be, and acknowledged
@@ -44,17 +47,19 @@
 // Every row is persisted into a content-addressed Store keyed by its
 // point fingerprint (results.PointFingerprint over
 // campaign.WireSpec.FingerprintFields plus the code-version salt) the
-// moment it reaches the server — streamed rows individually, the rest
-// at shard completion, always before the delivery is acknowledged.
-// The store is therefore both the checkpoint and the cache, at point
-// granularity: a worker killed mid-shard costs only its unstreamed
-// points; a daemon restarted over the same state directory re-plans
-// its persisted job specs and finds the completed points in the store;
-// a re-submitted or overlapping sweep simulates only fingerprints the
-// store does not hold. A persisted job whose spec no longer plans (a
-// bound tightened since it was admitted, a scenario gone from the
-// registry) is logged and skipped at restart, its record left on disk
-// and its ID never reused; the other jobs resume.
+// moment its stream reaches the server, before the stream is
+// acknowledged. The store is therefore both the checkpoint and the
+// cache, at point granularity: a worker killed mid-shard costs only
+// its unstreamed points; a daemon restarted over the same state
+// directory re-plans its persisted job specs and finds the completed
+// points in the store; a re-submitted or overlapping sweep simulates
+// only fingerprints the store does not hold. Job records are written
+// the way store entries are (temp file + fsync + rename). A persisted
+// record that does not parse (torn, or damaged since it was written),
+// or whose spec no longer plans (a bound tightened since it was
+// admitted, a scenario gone from the registry), is logged and skipped
+// at restart, its file left on disk and the ID in its name never
+// reused; the other jobs resume.
 //
 // Admission plans every point of a grid, so the wire spec bounds the
 // grid: campaign.WireSpec.Spec rejects more than 16384 points from the
@@ -103,24 +108,25 @@
 //	POST /jobs/{id}/shards/{sid}/points
 //	                  Idempotent: a row the server already holds is
 //	                  verified equal and acknowledged duplicate=true;
-//	                  a conflicting row is rejected 4xx. Persists the
-//	                  checkpoint before responding and refreshes the
-//	                  streamer's lease.
-//	POST /complete    Idempotent: a delivery for a shard already done
-//	                  is acknowledged duplicate=true; held rows always
-//	                  win and deliveries are verified against them.
-//	                  Partial deliveries are accepted when the missing
-//	                  points already streamed in.
+//	                  a conflicting row or a point outside the shard is
+//	                  rejected 4xx. Persists the checkpoint before
+//	                  responding; closes the shard when its last row
+//	                  lands, and otherwise refreshes the streamer's
+//	                  lease.
 //	GET  /jobs, /jobs/{id}, /jobs/{id}/rows, /metrics
 //	                  Read-only, trivially idempotent.
 //
 // # Fault injection
 //
-// FaultStore and FaultTransport wrap the store and the client's HTTP
-// transport with seeded deterministic fault schedules — failures,
-// delays, silent post-write corruption, dropped requests and
+// The fault harness lives in the package's tests (fault_test.go), not
+// in the package: FaultStore and FaultTransport wrap the store and the
+// client's HTTP transport with seeded deterministic fault schedules —
+// failures, delays, silent post-write corruption, dropped requests and
 // responses, duplicates, synthetic 503s — each firing counted per
-// class. The chaos tests (and CI's chaos-smoke job) run full sweeps
-// under kills and faults and assert both that the output stayed
+// class. The chaos tests (go test -run TestChaos, which CI's
+// chaos-smoke job runs under the race detector) run full sweeps under
+// kills and faults and assert both that the output stayed
 // byte-identical and that every fault class actually fired.
+// FuzzServerHandler drives the HTTP handler with fuzzed routes, path
+// parameters and bodies.
 package dist

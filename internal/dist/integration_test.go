@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -122,7 +123,7 @@ func TestDaemonRestartResumesJob(t *testing.T) {
 	if !ok {
 		t.Fatal("no lease")
 	}
-	completeShard(t, s1, "w", grant)
+	streamShard(t, s1, "w", grant)
 
 	s2, err := NewServer(ServerConfig{StateDir: state, ShardSize: 1})
 	if err != nil {
@@ -280,59 +281,169 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
-// TestResumeSkipsUnplannableJob: a state directory holding a job whose
-// spec no longer plans (clients 0, admitted before the axes were
+// TestResumeSkipsUnplannableJob: a state directory holding a job
+// record that does not parse (torn by a daemon killed mid-write) or
+// whose spec no longer plans (clients 0, admitted before the axes were
 // range-checked) must not keep the daemon from starting. That job is
 // logged and skipped with its record left on disk, the valid job
 // resumes and finishes, and a new submission gets a fresh ID.
 func TestResumeSkipsUnplannableJob(t *testing.T) {
-	state := t.TempDir()
-	s1, err := NewServer(ServerConfig{StateDir: state, ShardSize: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	valid, err := s1.Submit(testWire(), 1, "")
-	if err != nil {
-		t.Fatal(err)
-	}
 	bad := testWire()
 	bad.Axes.Clients = []int{0}
-	rec, err := json.Marshal(jobRecord{ID: "j2", Spec: bad, ShardSize: 1, Created: time.Now().UTC()})
+	unplannable, err := json.Marshal(jobRecord{ID: "j2", Spec: bad, ShardSize: 1, Created: time.Now().UTC()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	badPath := filepath.Join(state, "jobs", "j2.json")
-	if err := os.WriteFile(badPath, rec, 0o644); err != nil {
+	for _, tc := range []struct {
+		name   string
+		record []byte
+		logs   []string // fragments of the one log line
+	}{
+		{"unplannable", unplannable, []string{"j2", "clients axis value 0"}},
+		{"torn", unplannable[:len(unplannable)/2], []string{"j2.json", "unexpected end of JSON input"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			state := t.TempDir()
+			s1, err := NewServer(ServerConfig{StateDir: state, ShardSize: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			valid, err := s1.Submit(testWire(), 1, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			badPath := filepath.Join(state, "jobs", "j2.json")
+			if err := os.WriteFile(badPath, tc.record, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			var logs []string
+			s2, err := NewServer(ServerConfig{StateDir: state, ShardSize: 1, Logf: func(format string, args ...any) {
+				logs = append(logs, fmt.Sprintf(format, args...))
+			}})
+			if err != nil {
+				t.Fatalf("daemon refused to start: %v", err)
+			}
+			if len(logs) != 1 {
+				t.Fatalf("logs = %q, want one line", logs)
+			}
+			for _, frag := range tc.logs {
+				if !strings.Contains(logs[0], frag) {
+					t.Errorf("log %q does not name %q", logs[0], frag)
+				}
+			}
+			if _, err := s2.Status("j2"); err == nil {
+				t.Error("job j2 was resumed")
+			}
+			if _, err := os.Stat(badPath); err != nil {
+				t.Errorf("j2's record is gone: %v", err)
+			}
+
+			_, c := startDaemon(t, s2)
+			if final := runWorkers(t, c, valid.ID, 1); final.State != "done" {
+				t.Errorf("resumed job %s ended %q, want done", valid.ID, final.State)
+			}
+			next, err := c.Submit(testWire(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if next.ID != "j3" {
+				t.Errorf("new submission got ID %s, want j3", next.ID)
+			}
+		})
+	}
+}
+
+// TestWorkerSendsEachRowOnce: a worker on a 4-point job in 2-point
+// shards sends each row exactly once, on its point's stream — no other
+// request carries a row — and the job already reads done inside the
+// last point's OnPoint callback. The rows equal a serial run's.
+func TestWorkerSendsEachRowOnce(t *testing.T) {
+	s, err := NewServer(ServerConfig{ShardSize: 2})
+	if err != nil {
 		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	requests, rowRequests := map[string]int{}, map[string]int{}
+	inner := s.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		var fields map[string]json.RawMessage
+		carriesRow := json.Unmarshal(body, &fields) == nil && (fields["row"] != nil || fields["rows"] != nil)
+		mu.Lock()
+		requests[r.URL.Path]++
+		if carriesRow {
+			rowRequests[r.URL.Path]++
+		}
+		mu.Unlock()
+		inner.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	c := Client{BaseURL: ts.URL}
+
+	w := testWire()
+	st, err := c.Submit(w, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.TotalPoints != 4 || st.ShardsTotal != 2 {
+		t.Fatalf("submit status %+v, want 4 points in 2 shards", st)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	points, stateAtLast := 0, ""
+	wk := &Worker{
+		Client: c,
+		Name:   "w",
+		Poll:   5 * time.Millisecond,
+		OnPoint: func(_ LeaseGrant, idx int, dup bool, err error) {
+			if err != nil || dup {
+				t.Errorf("point %d: dup=%v err=%v", idx, dup, err)
+			}
+			if points++; points == st.TotalPoints {
+				got, err := s.Status(st.ID)
+				if err != nil {
+					t.Error(err)
+				}
+				stateAtLast = got.State
+				cancel() // drain: the worker stops once this shard is done
+			}
+		},
+	}
+	if err := wk.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if stateAtLast != "done" {
+		t.Errorf("job %q inside the last point's callback, want done", stateAtLast)
 	}
 
-	var logs []string
-	s2, err := NewServer(ServerConfig{StateDir: state, ShardSize: 1, Logf: func(format string, args ...any) {
-		logs = append(logs, fmt.Sprintf(format, args...))
-	}})
-	if err != nil {
-		t.Fatalf("daemon refused to start: %v", err)
+	mu.Lock()
+	streams, carrying := 0, 0
+	for path, n := range requests {
+		if strings.HasSuffix(path, "/points") {
+			streams += n
+		}
 	}
-	if len(logs) != 1 || !strings.Contains(logs[0], "j2") || !strings.Contains(logs[0], "clients axis value 0") {
-		t.Errorf("logs = %q, want one line naming j2 and its plan error", logs)
+	for path, n := range rowRequests {
+		carrying += n
+		if !strings.HasSuffix(path, "/points") {
+			t.Errorf("%d request(s) to %s carry rows", n, path)
+		}
 	}
-	if _, err := s2.Status("j2"); err == nil {
-		t.Error("unplannable job j2 was resumed")
+	mu.Unlock()
+	if streams != 4 || carrying != 4 {
+		t.Errorf("%d stream request(s), %d carrying rows; want 4 and 4 (requests %v)", streams, carrying, requests)
 	}
-	if _, err := os.Stat(badPath); err != nil {
-		t.Errorf("j2's record is gone: %v", err)
-	}
-
-	_, c := startDaemon(t, s2)
-	if final := runWorkers(t, c, valid.ID, 1); final.State != "done" {
-		t.Errorf("resumed job %s ended %q, want done", valid.ID, final.State)
-	}
-	next, err := c.Submit(testWire(), 1)
+	rows, err := c.Rows(st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if next.ID != "j3" {
-		t.Errorf("new submission got ID %s, want j3", next.ID)
+	if got, want := rowsJSON(t, rows), rowsJSON(t, serialRows(t, w)); got != want {
+		t.Errorf("rows not byte-identical to serial:\n got:  %s\n want: %s", got, want)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 
 // DefaultShardSize is the grid points per shard when a submit does not
 // choose: small enough that a lost lease wastes little work, large
-// enough that lease/complete round trips amortize.
+// enough that lease round trips amortize.
 const DefaultShardSize = 4
 
 // PlannedPoint is one grid point annotated with its memoization fate.

@@ -67,12 +67,10 @@ func writePrometheus(w io.Writer, m Metrics) {
 		func(j JobStatus) float64 { return float64(j.Requeues) })
 	jobGauge("tcphack_job_rows_per_sec", "Simulated-row completion rate since submission.",
 		func(j JobStatus) float64 { return j.RowsPerSec })
-	jobGauge("tcphack_job_points_streamed", "Rows landed through the point-level streaming checkpoint.",
+	jobGauge("tcphack_job_points_streamed", "Simulated rows, each landed by its point-level stream.",
 		func(j JobStatus) float64 { return float64(j.PointsStreamed) })
 	jobGauge("tcphack_job_points_resimulated", "Streamed rows the server already held (work repeated after lease churn).",
 		func(j JobStatus) float64 { return float64(j.PointsResimulated) })
-	jobGauge("tcphack_job_duplicate_completes", "Whole-shard deliveries acknowledged idempotently as duplicates.",
-		func(j JobStatus) float64 { return float64(j.DuplicateCompletes) })
 	jobGauge("tcphack_job_degraded", "Whether the job fell back to compute-everything mode after a store failure.",
 		func(j JobStatus) float64 {
 			if j.Degraded {

@@ -67,7 +67,6 @@ func TestMetricsContentNegotiation(t *testing.T) {
 		"tcphack_job_degraded{job=\"" + st.ID + "\"",
 		"tcphack_job_points_streamed",
 		"tcphack_job_points_resimulated",
-		"tcphack_job_duplicate_completes",
 		"# TYPE tcphack_store_get_errors gauge",
 		"tcphack_store_put_errors 0",
 		"tcphack_store_corrupt_quarantined 0",

@@ -79,7 +79,6 @@ type job struct {
 	created   time.Time
 
 	cachedPoints int
-	simRows      int
 	lastRow      time.Time
 
 	// degraded marks a job that hit a store error and fell back to
@@ -87,10 +86,9 @@ type job struct {
 	// unaffected, but checkpoint/resume and memoization coverage are
 	// reduced for the failed entries.
 	degraded bool
-	// Streaming and idempotency accounting (see JobStatus).
-	pointsStreamed     int
-	pointsResimulated  int
-	duplicateCompletes int
+	// Streaming accounting (see JobStatus).
+	pointsStreamed    int
+	pointsResimulated int
 }
 
 // done reports whether every shard completed.
@@ -126,15 +124,12 @@ type JobStatus struct {
 	ShardsPending  int `json:"shards_pending"`
 	// Requeues counts lease expiries across the job's shards.
 	Requeues int `json:"requeues"`
-	// PointsStreamed counts rows delivered through the point-level
-	// streaming checkpoint; PointsResimulated counts streamed rows the
+	// PointsStreamed counts simulated rows, each landed by its
+	// point-level stream; PointsResimulated counts streamed rows the
 	// server already had (work repeated after a crash or lease churn —
 	// the smaller, the better the checkpointing worked).
 	PointsStreamed    int `json:"points_streamed"`
 	PointsResimulated int `json:"points_resimulated"`
-	// DuplicateCompletes counts whole-shard deliveries that lost the
-	// at-least-once race and were acknowledged idempotently.
-	DuplicateCompletes int `json:"duplicate_completes"`
 	// Degraded reports the job fell back to compute-everything mode
 	// after a store failure: output is still exact, but some rows were
 	// not checkpointed/memoized.
@@ -148,7 +143,7 @@ type JobStatus struct {
 
 // WorkerStatus is one worker's liveness as seen by the server.
 type WorkerStatus struct {
-	// LastSeen is the worker's most recent lease/heartbeat/complete.
+	// LastSeen is the worker's most recent lease, heartbeat or stream.
 	LastSeen time.Time `json:"last_seen"`
 	// Live reports recent contact (within two lease TTLs).
 	Live bool `json:"live"`
@@ -272,25 +267,28 @@ func (s *Server) resume() error {
 	}
 	var recs []jobRecord
 	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), ".json") {
+		name := e.Name()
+		if !strings.HasSuffix(name, ".json") {
 			continue
 		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		// A job that is not resumed still holds its ID.
+		s.seq = max(s.seq, jobSeq(strings.TrimSuffix(name, ".json")))
+		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			return err
 		}
 		var rec jobRecord
 		if err := json.Unmarshal(data, &rec); err != nil {
-			return fmt.Errorf("dist: corrupt job record %s: %v", e.Name(), err)
+			// A torn or damaged record: skip it like an unplannable
+			// one.
+			s.cfg.Logf("dist: not resuming job record %s (kept in %s): %v", name, dir, err)
+			continue
 		}
 		recs = append(recs, rec)
 	}
 	sort.Slice(recs, func(i, j int) bool { return jobSeq(recs[i].ID) < jobSeq(recs[j].ID) })
 	for _, rec := range recs {
-		// A job that is not resumed still holds its ID.
-		if n := jobSeq(rec.ID); n > s.seq {
-			s.seq = n
-		}
+		s.seq = max(s.seq, jobSeq(rec.ID))
 		j, err := s.buildJob(rec)
 		if err != nil {
 			// The spec no longer plans (a tightened bound, a scenario
@@ -387,7 +385,7 @@ func (s *Server) Submit(spec campaign.WireSpec, shardSize int, token string) (Jo
 			return JobStatus{}, err
 		}
 		path := filepath.Join(s.cfg.StateDir, "jobs", rec.ID+".json")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
+		if err := writeAtomic(path, data, nil); err != nil {
 			return JobStatus{}, err
 		}
 	}
@@ -403,19 +401,18 @@ func (s *Server) Submit(spec campaign.WireSpec, shardSize int, token string) (Jo
 // statusLocked snapshots one job's status (caller holds s.mu).
 func (s *Server) statusLocked(j *job) JobStatus {
 	st := JobStatus{
-		ID:                 j.id,
-		Campaign:           j.spec.Name,
-		Scenario:           j.wire.Scenario,
-		State:              "running",
-		TotalPoints:        len(j.points),
-		CachedPoints:       j.cachedPoints,
-		ShardsTotal:        len(j.shards),
-		Requeues:           0,
-		PointsStreamed:     j.pointsStreamed,
-		PointsResimulated:  j.pointsResimulated,
-		DuplicateCompletes: j.duplicateCompletes,
-		Degraded:           j.degraded,
-		Created:            j.created,
+		ID:                j.id,
+		Campaign:          j.spec.Name,
+		Scenario:          j.wire.Scenario,
+		State:             "running",
+		TotalPoints:       len(j.points),
+		CachedPoints:      j.cachedPoints,
+		ShardsTotal:       len(j.shards),
+		Requeues:          0,
+		PointsStreamed:    j.pointsStreamed,
+		PointsResimulated: j.pointsResimulated,
+		Degraded:          j.degraded,
+		Created:           j.created,
 	}
 	for _, have := range j.have {
 		if have {
@@ -436,8 +433,8 @@ func (s *Server) statusLocked(j *job) JobStatus {
 	if j.done() {
 		st.State = "done"
 	}
-	if j.simRows > 0 && j.lastRow.After(j.created) {
-		st.RowsPerSec = float64(j.simRows) / j.lastRow.Sub(j.created).Seconds()
+	if j.pointsStreamed > 0 && j.lastRow.After(j.created) {
+		st.RowsPerSec = float64(j.pointsStreamed) / j.lastRow.Sub(j.created).Seconds()
 	}
 	return st
 }
@@ -497,8 +494,8 @@ func remainingLocked(j *job, sh *shard) []int {
 // LeaseGrant is the server's answer to a lease request: one shard of
 // one job, the spec to materialize it from, and the lease terms.
 type LeaseGrant struct {
-	// Job and Shard identify the lease; echo them in heartbeats,
-	// streamed points, and the completion.
+	// Job and Shard identify the lease; echo them in heartbeats and
+	// streamed points.
 	Job   string `json:"job"`
 	Shard int    `json:"shard"`
 	// Spec is the job's wire spec — workers are stateless.
@@ -512,9 +509,8 @@ type LeaseGrant struct {
 }
 
 // lease hands the oldest pending shard to a worker (ok=false when no
-// work is pending). A pending shard whose every point already has a
-// row (all streamed before its previous lease expired) is closed on
-// the spot instead of granted.
+// work is pending). A pending shard always lacks a row: the stream
+// that lands a shard's last row closes it.
 func (s *Server) lease(worker string) (LeaseGrant, bool) {
 	now := s.cfg.Now()
 	s.mu.Lock()
@@ -527,11 +523,6 @@ func (s *Server) lease(worker string) (LeaseGrant, bool) {
 			if sh.state != shardPending {
 				continue
 			}
-			rem := remainingLocked(j, sh)
-			if len(rem) == 0 {
-				sh.state = shardDone
-				continue
-			}
 			sh.state = shardLeased
 			sh.worker = worker
 			sh.expiry = now.Add(s.cfg.LeaseTTL)
@@ -539,7 +530,7 @@ func (s *Server) lease(worker string) (LeaseGrant, bool) {
 				Job:       j.id,
 				Shard:     sh.id,
 				Spec:      j.wire,
-				Indexes:   rem,
+				Indexes:   remainingLocked(j, sh),
 				TTLMillis: s.cfg.LeaseTTL.Milliseconds(),
 			}, true
 		}
@@ -549,7 +540,8 @@ func (s *Server) lease(worker string) (LeaseGrant, bool) {
 
 // heartbeat extends a lease the worker still holds; renewed=false
 // tells the worker its lease was lost (expired and possibly
-// re-leased), so its eventual completion may be a duplicate.
+// re-leased, or closed by its last row), so its streamed rows may be
+// duplicates.
 func (s *Server) heartbeat(worker, jobID string, shardID int) (renewed bool, err error) {
 	now := s.cfg.Now()
 	s.mu.Lock()
@@ -581,10 +573,12 @@ func (s *Server) shardLocked(jobID string, shardID int) (*job, *shard, error) {
 }
 
 // streamPoint lands one worker-reported row the moment its simulation
-// finishes — the point-level checkpoint. The row is persisted to the
-// store and merged into the job immediately, so a worker crash after
-// this call costs at most the points still unstreamed; the streaming
-// worker's lease is refreshed as a side effect (a streaming worker is
+// finishes — the point-level checkpoint and the only way a row reaches
+// the server. The row is persisted to the store and merged into the
+// job immediately, so a worker crash after this call costs at most the
+// points still unstreamed. The row that leaves its shard with nothing
+// missing closes the shard, whatever its lease state; any other row
+// refreshes the streaming worker's lease (a streaming worker is
 // evidently alive). Duplicates — the point re-simulated after lease
 // churn — are verified against the held row and acknowledged.
 func (s *Server) streamPoint(worker, jobID string, shardID int, row campaign.Result) (duplicate bool, err error) {
@@ -608,6 +602,9 @@ func (s *Server) streamPoint(worker, jobID string, shardID int, row campaign.Res
 		return false, fmt.Errorf("dist: job %s shard %d: streamed point %d not in shard",
 			jobID, shardID, row.Index)
 	}
+	// Canonicalize before comparing or storing: the wire trip drops
+	// the Point's unexported sweep flags, and the label/index fields
+	// are job-local (rehydrate's contract).
 	rehydrate(&row, j.spec.Name, j.points[row.Index])
 	if j.have[row.Index] {
 		if !reflect.DeepEqual(j.rows[row.Index], row) {
@@ -619,89 +616,24 @@ func (s *Server) streamPoint(worker, jobID string, shardID int, row campaign.Res
 	}
 	s.putRowLocked(j, row.Index, row)
 	j.pointsStreamed++
-	j.simRows++
 	j.lastRow = now
-	if sh.state == shardLeased && sh.worker == worker {
+	switch {
+	case len(remainingLocked(j, sh)) == 0:
+		sh.state = shardDone
+	case sh.state == shardLeased && sh.worker == worker:
 		sh.expiry = now.Add(s.cfg.LeaseTTL)
 	}
-	return false, nil
-}
-
-// complete accepts a shard's rows. Deliveries covering only part of
-// the shard are fine as long as the rest already streamed in; the
-// shard closes when every one of its points has a row. Duplicate
-// deliveries (a worker that lost its lease and finished anyway) are
-// acknowledged idempotently: held rows stand — identical by the
-// determinism contract, and verified to be — and duplicate=true tells
-// the worker. Rows are persisted to the memoization store before the
-// shard is acknowledged, so a daemon crash after an ack can always
-// resume from the store (unless degraded).
-func (s *Server) complete(worker, jobID string, shardID int, rows campaign.Results) (duplicate bool, err error) {
-	now := s.cfg.Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.expireLocked(now)
-	s.touchLocked(worker, now)
-	j, sh, err := s.shardLocked(jobID, shardID)
-	if err != nil {
-		return false, err
-	}
-	if sh.state == shardDone {
-		j.duplicateCompletes++
-		return true, nil
-	}
-	inShard := map[int]bool{}
-	for _, i := range sh.indexes {
-		inShard[i] = true
-	}
-	// Canonicalize before storing: the wire trip drops the Point's
-	// unexported sweep flags, and the label/index fields are job-local
-	// (rehydrate's contract), so rebuild them from the job's own grid.
-	seen := map[int]bool{}
-	added := 0
-	for i := range rows {
-		r := &rows[i]
-		if !inShard[r.Index] {
-			return false, fmt.Errorf("dist: job %s shard %d: row index %d not in shard",
-				jobID, shardID, r.Index)
-		}
-		if seen[r.Index] {
-			return false, fmt.Errorf("dist: job %s shard %d: row index %d delivered twice",
-				jobID, shardID, r.Index)
-		}
-		seen[r.Index] = true
-		rehydrate(r, j.spec.Name, j.points[r.Index])
-		if j.have[r.Index] {
-			if !reflect.DeepEqual(j.rows[r.Index], *r) {
-				return false, fmt.Errorf("dist: job %s: delivered row %d conflicts with held row (non-deterministic producer or code-version mismatch)",
-					jobID, r.Index)
-			}
-			continue
-		}
-		s.putRowLocked(j, r.Index, *r)
-		added++
-	}
-	if missing := remainingLocked(j, sh); len(missing) > 0 {
-		return false, fmt.Errorf("dist: job %s shard %d: delivery leaves %d point(s) missing (first %d)",
-			jobID, shardID, len(missing), missing[0])
-	}
-	j.simRows += added
-	if added > 0 {
-		j.lastRow = now
-	}
-	sh.state = shardDone
-	sh.worker = worker
 	return false, nil
 }
 
 // Rows returns a completed job's merged rows — byte-identical, through
 // the campaign emitters, to a serial campaign.Run of the same spec.
 // The merge re-validates completeness from the individual row parts
-// (streamed points and shard deliveries land rows one by one), so a
-// bookkeeping bug surfaces as an explicit merge error rather than a
-// zero-filled row. For a running job it errors unless partial is set,
-// in which case the completed rows are returned as-is (missing points
-// absent, not zero-filled).
+// (streamed points land rows one by one), so a bookkeeping bug
+// surfaces as an explicit merge error rather than a zero-filled row.
+// For a running job it errors unless partial is set, in which case the
+// completed rows are returned as-is (missing points absent, not
+// zero-filled).
 func (s *Server) Rows(jobID string, partial bool) (campaign.Results, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -786,7 +718,6 @@ func (s *Server) MetricsSnapshot() Metrics {
 //	                      {"worker": w, "row": Result} → {"duplicate": bool}
 //	POST /lease           {"worker": w} → LeaseGrant | 204
 //	POST /heartbeat       {"worker": w, "job": id, "shard": n} → {"renewed": bool}
-//	POST /complete        {"worker": w, "job": id, "shard": n, "rows": [...]} → {"duplicate": bool}
 //	GET  /metrics         → Metrics (JSON; Prometheus text exposition
 //	                        when the Accept header prefers text/plain)
 //
@@ -888,24 +819,6 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		writeJSON(w, map[string]bool{"renewed": renewed})
-	})
-	mux.HandleFunc("POST /complete", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Worker string           `json:"worker"`
-			Job    string           `json:"job"`
-			Shard  int              `json:"shard"`
-			Rows   campaign.Results `json:"rows"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		dup, err := s.complete(req.Worker, req.Job, req.Shard, req.Rows)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		writeJSON(w, map[string]bool{"duplicate": dup})
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		if wantsPrometheus(r) {

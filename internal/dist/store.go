@@ -34,18 +34,6 @@ type Store interface {
 	Put(fp string, r campaign.Result) error
 }
 
-// Purger is the optional garbage-collection side of a Store: Purge
-// deletes entries whose recorded code version differs from
-// keepVersion (they can never be served again — the version salts the
-// fingerprint, so no current plan will ever probe them) along with
-// quarantined corrupt entries. dryRun counts without deleting.
-// DirStore implements it; hackbench -store-gc is the CLI.
-type Purger interface {
-	// Purge removes (or, with dryRun, counts) stale and quarantined
-	// entries, returning how many were affected.
-	Purge(keepVersion string, dryRun bool) (int, error)
-}
-
 // storeEntry is the on-disk form of one cached row: the row's JSON
 // bytes guarded by a CRC-32 (IEEE) over exactly those bytes, plus the
 // code version that produced them (Purge's eviction key; Get does not
@@ -176,11 +164,21 @@ func (s *DirStore) Put(fp string, r campaign.Result) error {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(s.dir, "put-*")
+	return writeAtomic(path, data, s.putWrite)
+}
+
+// writeAtomic writes data to path through a temp file in path's
+// directory, fsynced and then renamed into place, so a crash leaves
+// the old file or the new one under path, never a torn one. write
+// overrides the temp-file write+sync (nil = write everything and
+// fsync). The temp file's name does not end in .json, so neither
+// DirStore.Purge nor the daemon's resume takes a leftover one for an
+// entry.
+func writeAtomic(path string, data []byte, write func(f *os.File, data []byte) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
 	}
-	write := s.putWrite
 	if write == nil {
 		write = func(f *os.File, data []byte) error {
 			if _, err := f.Write(data); err != nil {
@@ -201,32 +199,12 @@ func (s *DirStore) Put(fp string, r campaign.Result) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// CorruptEntry flips bytes in the middle of fp's stored file in place
-// — the fault-injection hook FaultStore uses to model bit rot. A
-// subsequent Get fails the CRC check and quarantines the entry.
-// Missing entries are a no-op.
-func (s *DirStore) CorruptEntry(fp string) error {
-	path, err := s.path(fp)
-	if err != nil {
-		return err
-	}
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	for i := len(data) / 2; i < len(data)/2+8 && i < len(data); i++ {
-		data[i] ^= 0xff
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
-// Purge implements Purger: entries whose recorded CodeVersion differs
-// from keepVersion, entries too corrupt to read a version out of, and
-// previously quarantined *.corrupt files are deleted (or only counted,
-// with dryRun).
+// Purge garbage-collects the store (hackbench -store-gc): entries
+// whose recorded CodeVersion differs from keepVersion (the version
+// salts the fingerprint, so no current plan will ever probe them),
+// entries too corrupt to read a version out of, and previously
+// quarantined *.corrupt files are deleted (or only counted, with
+// dryRun). It returns how many entries were affected.
 func (s *DirStore) Purge(keepVersion string, dryRun bool) (int, error) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {

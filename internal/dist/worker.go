@@ -12,15 +12,15 @@ import (
 
 // Worker pulls shards from a daemon and simulates them point by
 // point: lease, materialize the spec, simulate each granted grid
-// point, stream its row back immediately (the point-level checkpoint),
-// heartbeat while simulating, and deliver the whole shard at the end.
-// Cancelling the context stops the worker gracefully: it finishes and
-// delivers the shard it holds (abandoning mid-shard would only burn
-// the lease TTL before a re-queue) and then stops leasing. Closing
-// Kill stops it the way SIGKILL would — the in-flight simulation is
-// abandoned without a completion, and recovery is entirely the
-// server's job (the streamed points are already checkpointed; the
-// lease expires and the remainder is re-granted).
+// point and stream its row back immediately (the point-level
+// checkpoint, and the only delivery: the shard's last row closes it),
+// heartbeating while simulating. Cancelling the context stops the
+// worker gracefully: it finishes and streams the shard it holds
+// (abandoning mid-shard would only burn the lease TTL before a
+// re-queue) and then stops leasing. Closing Kill stops it the way
+// SIGKILL would — the in-flight simulation is abandoned, and recovery
+// is entirely the server's job (the streamed points are already
+// checkpointed; the lease expires and the remainder is re-granted).
 type Worker struct {
 	// Client targets the daemon. Give Client.Retry.Seed the worker's
 	// name so retry jitter decorrelates across a fleet.
@@ -34,17 +34,19 @@ type Worker struct {
 	// 200 ms, 5 s).
 	Poll, MaxPoll time.Duration
 	// Kill, when closed, aborts the worker immediately — the chaos
-	// tests' SIGKILL. No drain, no completion, no further requests.
+	// tests' SIGKILL. No drain, no further requests.
 	Kill <-chan struct{}
-	// OnShard, when set, observes each delivered shard (logging).
-	OnShard func(grant LeaseGrant, duplicate bool)
+	// OnShard, when set, observes each shard whose granted points were
+	// all streamed (logging).
+	OnShard func(grant LeaseGrant)
 	// OnPoint, when set, observes each simulated point after its
-	// streaming attempt: the grant, the grid index, whether the server
-	// already had the row, and the streaming error if any (streaming
-	// failures are non-fatal — the completion still carries the row).
+	// stream: the grant, the grid index, whether the server already
+	// had the row, and the stream error if any (an error abandons the
+	// shard).
 	OnPoint func(grant LeaseGrant, index int, duplicate bool, err error)
 	// OnAbandon, when set, observes a shard the worker gave up on
-	// because delivery kept failing; the lease expiry will requeue it.
+	// because a stream still failed after the client's retries; lease
+	// expiry re-grants its points that have no row.
 	OnAbandon func(grant LeaseGrant, err error)
 }
 
@@ -52,7 +54,7 @@ type Worker struct {
 var errKilled = errors.New("dist: worker killed")
 
 // Run executes the lease loop until the context is cancelled (graceful
-// drain: an in-flight shard is finished and delivered first) or Kill
+// drain: an in-flight shard is finished and streamed first) or Kill
 // is closed (immediate abandonment). Transient daemon failures are
 // absorbed by the idle backoff; Run returns nil on both stop paths.
 func (w *Worker) Run(ctx context.Context) error {
@@ -129,10 +131,9 @@ func (w *Worker) idleDelay(attempt int) time.Duration {
 }
 
 // runShard simulates one leased shard point by point, streaming each
-// finished row back as a checkpoint, and delivers the full shard at
-// the end, heartbeating in the background throughout. Delivery
-// failures that outlast the retry budget abandon the shard to lease
-// expiry rather than killing the worker.
+// finished row back, heartbeating in the background throughout. A
+// stream failure that outlasts the retry budget abandons the shard to
+// lease expiry rather than killing the worker.
 func (w *Worker) runShard(killCtx context.Context, grant LeaseGrant) error {
 	spec, err := grant.Spec.Spec()
 	if err != nil {
@@ -153,7 +154,7 @@ func (w *Worker) runShard(killCtx context.Context, grant LeaseGrant) error {
 			case <-killCtx.Done():
 				return
 			case <-time.After(interval):
-				// A lost lease is not fatal: completion is idempotent.
+				// A lost lease is not fatal: streaming is idempotent.
 				w.Client.Heartbeat(w.Name, grant.Job, grant.Shard)
 			}
 		}
@@ -163,9 +164,8 @@ func (w *Worker) runShard(killCtx context.Context, grant LeaseGrant) error {
 		<-hbDone
 	}()
 
-	rows := make(campaign.Results, 0, len(grant.Indexes))
 	for _, idx := range grant.Indexes {
-		ptRows, err := campaign.RunPoints(killCtx, spec, []int{idx})
+		rows, err := campaign.RunPoints(killCtx, spec, []int{idx})
 		if killCtx.Err() != nil {
 			return errKilled
 		}
@@ -173,32 +173,22 @@ func (w *Worker) runShard(killCtx context.Context, grant LeaseGrant) error {
 			return fmt.Errorf("dist: worker %s: job %s shard %d point %d: %v",
 				w.Name, grant.Job, grant.Shard, idx, err)
 		}
-		row := ptRows[0]
-		rows = append(rows, row)
-		// Stream the checkpoint. Failure is non-fatal: the row rides
-		// along in the completion, and the server tolerates gaps in
-		// the stream.
-		dup, err := w.Client.StreamPoint(w.Name, grant.Job, grant.Shard, row)
+		dup, err := w.Client.StreamPoint(w.Name, grant.Job, grant.Shard, rows[0])
 		if w.OnPoint != nil {
 			w.OnPoint(grant, idx, dup, err)
 		}
-	}
-	if killCtx.Err() != nil {
-		return errKilled
-	}
-	dup, err := w.Client.Complete(w.Name, grant.Job, grant.Shard, rows)
-	if err != nil {
-		// The shard's rows are likely already streamed; whatever is
-		// missing will be re-granted when the lease expires. Abandon
-		// rather than dying — a worker fleet should outlive a flaky
-		// daemon.
-		if w.OnAbandon != nil {
-			w.OnAbandon(grant, err)
+		if err != nil {
+			// Abandon rather than dying — a worker fleet should
+			// outlive a flaky daemon. Whatever has no row yet is
+			// re-granted when the lease expires.
+			if w.OnAbandon != nil {
+				w.OnAbandon(grant, err)
+			}
+			return nil
 		}
-		return nil
 	}
 	if w.OnShard != nil {
-		w.OnShard(grant, dup)
+		w.OnShard(grant)
 	}
 	return nil
 }

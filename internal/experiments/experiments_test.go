@@ -303,39 +303,3 @@ func TestFig12Shape(t *testing.T) {
 			top.SimGainPct, top.TheoGainPct)
 	}
 }
-
-func TestSpatialGridShape(t *testing.T) {
-	rows := SpatialGrid(quick, []int{1, 2}, []int{1})
-	if len(rows) != 4 {
-		t.Fatalf("rows %d, want 4", len(rows))
-	}
-	get := func(aps int, mode string) SpatialRow {
-		for _, r := range rows {
-			if r.APs == aps && r.Mode == mode {
-				return r
-			}
-		}
-		t.Fatalf("missing row aps=%d mode=%s", aps, mode)
-		return SpatialRow{}
-	}
-	for _, aps := range []int{1, 2} {
-		off := get(aps, "off")
-		hck := get(aps, "more-data")
-		if off.AggregateMbps <= 0 || hck.AggregateMbps <= 0 {
-			t.Errorf("aps=%d: zero goodput (off %.1f, hack %.1f)",
-				aps, off.AggregateMbps, hck.AggregateMbps)
-		}
-		if hck.GainOverTCPPct < 0 {
-			t.Errorf("aps=%d: HACK gain %.1f%% negative", aps, hck.GainOverTCPPct)
-		}
-		if off.Efficiency <= 0 || off.Efficiency >= 1 {
-			t.Errorf("aps=%d: efficiency %.3f outside (0,1)", aps, off.Efficiency)
-		}
-	}
-	// Two contending BSSs split one channel: aggregate must not double,
-	// and per-deployment goodput cannot exceed the single-BSS cell by
-	// much (the exposed-terminal sharing regime at 30 m spacing).
-	if one, two := get(1, "off").AggregateMbps, get(2, "off").AggregateMbps; two > 1.5*one {
-		t.Errorf("2-BSS aggregate %.1f vs 1-BSS %.1f — contention should cap sharing", two, one)
-	}
-}

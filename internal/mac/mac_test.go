@@ -7,6 +7,7 @@ import (
 	"tcphack/internal/packet"
 	"tcphack/internal/phy"
 	"tcphack/internal/sim"
+	"tcphack/internal/trace"
 )
 
 // udpMSDU builds an MSDU whose IP datagram totals ipLen bytes, tagged
@@ -147,9 +148,12 @@ func TestRetryAndDedup(t *testing.T) {
 func TestRetryLimitExpiry(t *testing.T) {
 	model := &channel.FixedLoss{Default: 1.0}
 	e := newEnv(5, model)
-	a := e.station(Config{Addr: 1, DataRate: phy.RateA54, RetryLimit: 3})
+	rec := trace.NewRecorder(0)
+	a := e.station(Config{Addr: 1, DataRate: phy.RateA54, RetryLimit: 3, Tracer: rec})
 	b := e.station(Config{Addr: 2, DataRate: phy.RateA54})
 	ids := collectIDs(b)
+	var resolved []bool
+	a.OnMSDUResolved = func(_ *MSDU, delivered bool) { resolved = append(resolved, delivered) }
 	a.Enqueue(udpMSDU(1, 2, 1500, 0))
 	e.sched.RunUntil(sim.Second)
 	if len(*ids) != 0 {
@@ -164,6 +168,23 @@ func TestRetryLimitExpiry(t *testing.T) {
 	}
 	if a.Backlogged() {
 		t.Error("still backlogged after expiry")
+	}
+	// The drop resolves the MSDU once, as undelivered, and leaves a
+	// fresh contention window for the next one.
+	if a.dcf.cw != a.cfg.CWMin {
+		t.Errorf("contention window %d after the drop, want CWMin %d", a.dcf.cw, a.cfg.CWMin)
+	}
+	if len(resolved) != 1 || resolved[0] {
+		t.Errorf("OnMSDUResolved reported %v, want one undelivered MSDU", resolved)
+	}
+	fates := map[string]int{}
+	for _, ev := range rec.Events() {
+		if ev.Kind == trace.KindMPDUFate {
+			fates[ev.Fate]++
+		}
+	}
+	if fates["expired"] != 1 || fates["retry"] != 3 || len(fates) != 2 {
+		t.Errorf("mpdu_fate events %v, want 3 retry and 1 expired", fates)
 	}
 }
 

@@ -912,7 +912,10 @@ func (st *Station) traceFate(q *destQueue, m *MPDU, fate trace.Fate) {
 		Sta: uint16(st.cfg.Addr), Peer: uint16(q.dst), Seq: uint32(m.Seq), Retries: m.Retries, Fate: fate.String()})
 }
 
-func (st *Station) retryOrDrop(q *destQueue, m *MPDU) {
+// retryOrDrop resolves one failed MPDU: it requeues m for
+// retransmission, or drops it once its retry budget is spent and
+// reports dropped=true.
+func (st *Station) retryOrDrop(q *destQueue, m *MPDU) (dropped bool) {
 	st.cfg.RateAdapter.OnTxResult(q.dst, st.lastRateFor(q), false, m.Retries)
 	m.Retries++
 	if m.Retries > st.cfg.RetryLimit {
@@ -925,13 +928,14 @@ func (st *Station) retryOrDrop(q *destQueue, m *MPDU) {
 		}
 		m.MSDU.release()
 		st.putMPDU(m)
-		return
+		return true
 	}
 	st.Stats.Retries++
 	if st.cfg.Tracer != nil {
 		st.traceFate(q, m, trace.FateRetry)
 	}
 	q.retryQ.push(m)
+	return false
 }
 
 func (st *Station) rxBAR(f *BARFrame, tx *channel.Transmission) {
@@ -988,27 +992,12 @@ func (st *Station) onRespTimeout() {
 		q.awaitingBAR = true
 		st.dcf.onTxFailure()
 	default:
-		// Single-MPDU exchange: retransmit the same sequence number.
-		m := q.retryQ.front()
-		st.cfg.RateAdapter.OnTxResult(q.dst, st.lastRateFor(q), false, m.Retries)
-		m.Retries++
-		if m.Retries > st.cfg.RetryLimit {
-			st.Stats.Expired++
-			q.retryQ.pop()
-			if st.cfg.Tracer != nil {
-				st.traceFate(q, m, trace.FateExpired)
-			}
-			if st.OnMSDUResolved != nil {
-				st.OnMSDUResolved(m.MSDU, false)
-			}
-			m.MSDU.release()
-			st.putMPDU(m)
-			st.dcf.onTxSuccess()
+		// Single-MPDU exchange: without aggregation the retry queue
+		// holds exactly this MPDU, so popping it and letting
+		// retryOrDrop requeue it retransmits the same sequence number.
+		if st.retryOrDrop(q, q.retryQ.pop()) {
+			st.dcf.onTxSuccess() // fresh contention state for the next MSDU
 		} else {
-			st.Stats.Retries++
-			if st.cfg.Tracer != nil {
-				st.traceFate(q, m, trace.FateRetry)
-			}
 			st.dcf.onTxFailure()
 		}
 	}
