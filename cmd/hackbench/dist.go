@@ -3,12 +3,13 @@
 // job, -status inspects jobs/metrics, -store-gc purges stale
 // memoization entries, and -dry-run prints the planned grid with
 // per-point fingerprints and expected memoization hits without
-// simulating. All long-running modes drain gracefully on
-// SIGINT/SIGTERM: the daemon stops accepting requests and finishes the
-// ones in flight; a worker finishes and streams the shard it holds
-// before exiting — a second SIGINT hard-aborts the worker (the
-// streamed points are already checkpointed on the server, so recovery
-// costs only the unstreamed remainder of the shard).
+// simulating. A worker simulates one leased shard per core at once
+// (-workers N bounds it to N). All long-running modes drain gracefully
+// on SIGINT/SIGTERM: the daemon stops accepting requests and finishes
+// the ones in flight; a worker stops leasing, finishes and streams the
+// shards in flight before exiting — a second SIGINT hard-aborts the
+// worker (the streamed points are already checkpointed on the server,
+// so recovery costs only the unstreamed remainder of each shard).
 package main
 
 import (
@@ -19,6 +20,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -75,13 +77,17 @@ func runServe(addr, stateDir string, leaseTTL time.Duration, shardSize int) (int
 	return 0, nil
 }
 
-// runWorker runs the shard-pulling loop. The first SIGINT/SIGTERM
-// drains gracefully — the in-flight shard is finished and streamed; a
-// second signal hard-aborts (the SIGKILL path the chaos tests
-// exercise): the in-flight point is abandoned, the lease expires, and
-// another worker re-simulates only the points this one had not yet
-// streamed.
-func runWorker(url, name string, poll time.Duration) (int, error) {
+// runWorker runs the shard-pulling loop, simulating up to GOMAXPROCS
+// shards at once; slots > 0 sets GOMAXPROCS to it. The first
+// SIGINT/SIGTERM drains gracefully — the shards in flight are finished
+// and streamed; a second signal hard-aborts (the SIGKILL path the
+// chaos tests exercise): the in-flight points are abandoned, the
+// leases expire, and other workers re-simulate only the points this
+// one had not yet streamed.
+func runWorker(url, name string, poll time.Duration, slots int) (int, error) {
+	if slots > 0 {
+		runtime.GOMAXPROCS(slots)
+	}
 	if name == "" {
 		host, _ := os.Hostname()
 		name = fmt.Sprintf("%s-%d", host, os.Getpid())
@@ -97,14 +103,14 @@ func runWorker(url, name string, poll time.Duration) (int, error) {
 	go func() {
 		select {
 		case <-sig:
-			fmt.Fprintln(os.Stderr, "worker: draining — finishing the shard in flight (^C again to abort it)")
+			fmt.Fprintln(os.Stderr, "worker: draining — finishing the shards in flight (^C again to abort them)")
 			cancel()
 		case <-done:
 			return
 		}
 		select {
 		case <-sig:
-			fmt.Fprintln(os.Stderr, "worker: hard abort — abandoning the shard to lease expiry")
+			fmt.Fprintln(os.Stderr, "worker: hard abort — abandoning the shards in flight to lease expiry")
 			close(kill)
 		case <-done:
 		}
@@ -130,7 +136,8 @@ func runWorker(url, name string, poll time.Duration) (int, error) {
 				name, grant.Job, grant.Shard, err)
 		},
 	}
-	fmt.Fprintf(os.Stderr, "hackbench worker %s pulling from %s\n", name, url)
+	fmt.Fprintf(os.Stderr, "hackbench worker %s pulling from %s, up to %d shard(s) at once\n",
+		name, url, runtime.GOMAXPROCS(0))
 	if err := w.Run(ctx); err != nil {
 		return 0, err
 	}

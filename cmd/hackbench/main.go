@@ -14,6 +14,13 @@
 //	hackbench -measure 10s -runs 5 -fig 10
 //	hackbench -workers 4 -fig 11 # bound the worker pool
 //
+//	# campaign service: a daemon, a worker per machine (one shard per
+//	# core; -workers N bounds it), and a submitting client
+//	hackbench -serve 127.0.0.1:8077 -state st
+//	hackbench -worker http://127.0.0.1:8077 -workers 2
+//	hackbench -sweep ht150-stock -sweep-modes off,more-data \
+//	    -server http://127.0.0.1:8077 -submit -wait -format json
+//
 //	# ad-hoc campaign: sweep a named scenario, emit structured rows
 //	hackbench -sweep ht150-stock -sweep-modes off,more-data \
 //	    -sweep-clients 1,2,4,10 -sweep-adapters fixed,ideal,minstrel \
@@ -64,7 +71,7 @@ func main() {
 	warmup := flag.Duration("warmup", 2*time.Second, "warmup before measurement (simulated)")
 	runs := flag.Int("runs", 1, "repetitions to average (paper used 5)")
 	seed := flag.Int64("seed", 1, "base RNG seed")
-	workers := flag.Int("workers", 0, "campaign worker pool size (0 = GOMAXPROCS, 1 = serial)")
+	workers := flag.Int("workers", 0, "campaign worker pool size; with -worker, the shards simulated at once (0 = GOMAXPROCS, 1 = serial)")
 	sweep := flag.String("sweep", "", "run an ad-hoc campaign over this named scenario (see hacksim -list)")
 	sweepModes := flag.String("sweep-modes", "", "comma-separated HACK modes to sweep (off,more-data,opportunistic,timer)")
 	sweepClients := flag.String("sweep-clients", "", "comma-separated client counts to sweep")
@@ -165,7 +172,7 @@ func main() {
 	case *serve != "":
 		finish(runServe(*serve, *stateDir, *leaseTTL, *shardSize))
 	case *workerURL != "":
-		finish(runWorker(*workerURL, *workerName, *poll))
+		finish(runWorker(*workerURL, *workerName, *poll, *workers))
 	case *status != "":
 		finish(runStatus(*server, *status))
 	case *storeGC:

@@ -200,7 +200,7 @@ func (p Params) Goodput80211n(rate phy.Rate, mode Mode) float64 {
 		return float64(n*p.MSS) * 8 / total.Seconds() / 1e6
 	case ModeHACK:
 		nAcks := (n + p.DelayedAckRatio - 1) / p.DelayedAckRatio
-		baHack := phy.FrameDuration(ctrl, blockAckLen+int(float64(nAcks)*p.CompressedAckLen+0.5))
+		baHack := phy.FrameDuration(ctrl, blockAckLen+int(float64(float64(nAcks)*p.CompressedAckLen)+0.5))
 		total := acq + ampdu + phy.SIFS + baHack
 		return float64(n*p.MSS) * 8 / total.Seconds() / 1e6
 	}

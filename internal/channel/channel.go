@@ -521,7 +521,7 @@ func (s *SNRModel) SNRAt(distance float64) float64 {
 	if distance < 1 {
 		distance = 1
 	}
-	pl := s.RefLossDB + 10*s.Exponent*math.Log10(distance)
+	pl := s.RefLossDB + float64(10*s.Exponent*math.Log10(distance))
 	return s.TxPowerDBm - pl - s.NoiseDBm
 }
 
@@ -623,7 +623,7 @@ func CodedBER(rate phy.Rate, snrDB float64) float64 {
 	d := math.Sqrt(4 * p * (1 - p))
 	var pe float64
 	for i, a := range spec.ad {
-		pe += a * math.Pow(d, float64(spec.dfree+i*spec.step))
+		pe += float64(a * math.Pow(d, float64(spec.dfree+i*spec.step)))
 	}
 	pe /= float64(2 * spec.step)
 	if pe > 0.5 {

@@ -83,7 +83,7 @@ func (g *Geometry) RxPowerDBm(distance float64) float64 {
 	if distance < 1 {
 		distance = 1
 	}
-	return g.TxPowerDBm - g.RefLossDB - 10*g.Exponent*math.Log10(distance)
+	return g.TxPowerDBm - g.RefLossDB - float64(10*g.Exponent*math.Log10(distance))
 }
 
 // CaptureOK reports whether a frame at rate received at signalDBm

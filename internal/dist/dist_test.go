@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -401,6 +402,150 @@ func TestRowsStates(t *testing.T) {
 	}
 	if rowsJSON(t, got) != rowsJSON(t, serialRows(t, testWire())) {
 		t.Error("merged rows not byte-identical to serial")
+	}
+}
+
+// gatedStore is a MemStore whose Get, once armed, announces itself on
+// entered and then blocks until open is called: a submit stopped in
+// the middle of planning its grid.
+type gatedStore struct {
+	*MemStore
+	armed atomic.Bool
+	// entered has room for one announcement per submit a test holds;
+	// announcements beyond that are dropped.
+	entered chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+// newGatedStore returns an unarmed gatedStore that announces up to
+// submits blocked Gets and opens when the test ends.
+func newGatedStore(t *testing.T, submits int) *gatedStore {
+	g := &gatedStore{MemStore: NewMemStore(), entered: make(chan struct{}, submits), release: make(chan struct{})}
+	t.Cleanup(g.open)
+	return g
+}
+
+func (g *gatedStore) Get(fp string) (*campaign.Result, error) {
+	if g.armed.Load() {
+		select {
+		case g.entered <- struct{}{}:
+		default:
+		}
+		<-g.release
+	}
+	return g.MemStore.Get(fp)
+}
+
+// open releases every Get blocked now or later.
+func (g *gatedStore) open() { g.once.Do(func() { close(g.release) }) }
+
+// waitEntered waits for n Gets to block, failing the test after 10 s.
+func (g *gatedStore) waitEntered(t *testing.T, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		select {
+		case <-g.entered:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of %d submits reached planning", i, n)
+		}
+	}
+}
+
+// TestSubmitPlansOutsideLock: while a submit is stuck planning its grid
+// against a slow store, lease, Status and streamPoint on an earlier job
+// still answer.
+func TestSubmitPlansOutsideLock(t *testing.T) {
+	store := newGatedStore(t, 1)
+	s, err := NewServer(ServerConfig{Store: store, ShardSize: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := s.Submit(testWire(), 2, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	grant, ok := s.lease("w")
+	if !ok {
+		t.Fatal("no lease")
+	}
+	row := grantRows(t, grant)[0]
+
+	store.armed.Store(true)
+	later := testWire()
+	later.Axes.Seeds = []int64{3, 4}
+	submitted := make(chan error, 1)
+	go func() {
+		_, err := s.Submit(later, 2, "")
+		submitted <- err
+	}()
+	store.waitEntered(t, 1)
+
+	var wg sync.WaitGroup
+	within := func(name string, call func() error) {
+		done := make(chan error, 1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			done <- call()
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+		case <-time.After(time.Second):
+			t.Errorf("%s still blocked 1 s into another submit's planning", name)
+		}
+	}
+	within("lease", func() error {
+		_, _ = s.lease("w2")
+		return nil
+	})
+	within("Status", func() error {
+		_, err := s.Status(first.ID)
+		return err
+	})
+	within("streamPoint", func() error {
+		_, err := s.streamPoint("w", grant.Job, grant.Shard, row)
+		return err
+	})
+	store.open()
+	if err := <-submitted; err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if jobs := s.Jobs(); len(jobs) != 2 {
+		t.Errorf("%d jobs, want 2", len(jobs))
+	}
+}
+
+// TestConcurrentSubmitsOneToken: two submits carrying one token, both
+// planning at once, admit a single job and both report it.
+func TestConcurrentSubmitsOneToken(t *testing.T) {
+	store := newGatedStore(t, 2)
+	store.armed.Store(true)
+	s, err := NewServer(ServerConfig{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make(chan string, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			st, err := s.Submit(testWire(), 0, "tok")
+			if err != nil {
+				t.Error(err)
+			}
+			ids <- st.ID
+		}()
+	}
+	store.waitEntered(t, 2)
+	store.open()
+	if a, b := <-ids, <-ids; a != b || a == "" {
+		t.Errorf("submits admitted %q and %q, want one job", a, b)
+	}
+	if jobs := s.Jobs(); len(jobs) != 1 {
+		t.Errorf("%d jobs admitted, want 1", len(jobs))
 	}
 }
 

@@ -7,7 +7,10 @@
 // planned into shards of grid-point indexes. Workers (hackbench
 // -worker <url>) lease shards over HTTP/JSON, simulate them point by
 // point with campaign.RunPoints, and stream each finished row back
-// immediately. That stream is the only way a row reaches the server:
+// immediately. A worker simulates up to GOMAXPROCS shards at once, one
+// goroutine per leased shard, so one worker per machine uses every
+// core; a shard's own points still run and stream in order. That
+// stream is the only way a row reaches the server:
 // the row that leaves a shard with nothing missing closes it. The
 // server merges rows by grid index through results.Merge and serves
 // the completed job in campaign.Results form. A submit client
@@ -29,11 +32,14 @@
 // # At-least-once lease contract
 //
 // Shards are leased, not assigned: a lease grants one worker the right
-// to simulate a shard until the lease expires. Workers heartbeat to
-// keep long shards alive; a lease that expires (worker crash, network
-// partition, missed heartbeats) is re-queued exactly once per expiry
-// and handed to the next worker that asks — granting only the points
-// the previous holder had not already streamed back. A worker whose
+// to simulate a shard until the lease expires. A worker may hold
+// several leases at once, one per shard it is simulating, and
+// heartbeats each on its own to keep long shards alive; it asks for
+// another only while it has a free slot. A lease that expires (worker
+// crash, network partition, missed heartbeats) is re-queued exactly
+// once per expiry and handed to the next worker that asks — granting
+// only the points the previous holder had not already streamed back;
+// a killed worker's leases each expire this way. A worker whose
 // stream still fails after its client's retries abandons the shard,
 // and the same expiry re-grants the points with no row. A point may
 // therefore be simulated more than once — at-least-once execution —
@@ -64,6 +70,9 @@
 // Admission plans every point of a grid, so the wire spec bounds the
 // grid: campaign.WireSpec.Spec rejects more than 16384 points from the
 // axis lengths alone, and POST /jobs answers such a spec with 400.
+// The daemon plans a submission before it takes its lock, so leases,
+// heartbeats, streams and status calls are answered while a large
+// grid is being fingerprinted and probed against the store.
 //
 // The file-dir store wraps every entry in a CRC-32 integrity envelope,
 // written via temp-file + fsync + atomic rename. An entry that fails

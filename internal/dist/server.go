@@ -289,7 +289,7 @@ func (s *Server) resume() error {
 	sort.Slice(recs, func(i, j int) bool { return jobSeq(recs[i].ID) < jobSeq(recs[j].ID) })
 	for _, rec := range recs {
 		s.seq = max(s.seq, jobSeq(rec.ID))
-		j, err := s.buildJob(rec)
+		plan, err := NewPlan(rec.Spec, s.cfg.Store, s.cfg.Salt, rec.ShardSize)
 		if err != nil {
 			// The spec no longer plans (a tightened bound, a scenario
 			// gone from the registry): skip that one job, keep its
@@ -297,6 +297,7 @@ func (s *Server) resume() error {
 			s.cfg.Logf("dist: not resuming job %s (record kept in %s): %v", rec.ID, dir, err)
 			continue
 		}
+		j := s.buildJob(rec, plan)
 		s.jobs[j.id] = j
 		s.order = append(s.order, j.id)
 		if rec.Token != "" {
@@ -313,14 +314,12 @@ func jobSeq(id string) int {
 	return n
 }
 
-// buildJob plans a submission into an executable job. Store failures
-// during planning do not fail admission: the affected points plan as
-// misses and the job is marked degraded.
-func (s *Server) buildJob(rec jobRecord) (*job, error) {
-	plan, err := NewPlan(rec.Spec, s.cfg.Store, s.cfg.Salt, rec.ShardSize)
-	if err != nil {
-		return nil, err
-	}
+// buildJob turns a submission's plan into an executable job. Store
+// failures during planning do not fail admission: the affected points
+// planned as misses, and the job is marked degraded, counted in the
+// daemon's store errors and logged (caller holds s.mu, or is
+// NewServer's resume).
+func (s *Server) buildJob(rec jobRecord, plan *Plan) *job {
 	j := &job{
 		id:        rec.ID,
 		wire:      rec.Spec,
@@ -348,7 +347,7 @@ func (s *Server) buildJob(rec jobRecord) (*job, error) {
 	for i, idxs := range plan.Shards {
 		j.shards = append(j.shards, &shard{id: i, indexes: idxs})
 	}
-	return j, nil
+	return j
 }
 
 // Submit admits a spec as a new job (shardSize ≤ 0 uses the server
@@ -356,28 +355,37 @@ func (s *Server) buildJob(rec jobRecord) (*job, error) {
 // in the store is born done — the repeated-sweep fast path. A
 // non-empty token makes the call idempotent: retries and transport
 // duplicates carrying a token the server has seen return the original
-// job instead of admitting another.
+// job instead of admitting another. The grid is planned (fingerprinted
+// and probed against the store) before the server's lock is taken, so
+// a large admission never stalls leases, heartbeats, streams or status
+// calls; of two concurrent submits with one token, the first to take
+// the lock admits its job and the other's plan is dropped.
 func (s *Server) Submit(spec campaign.WireSpec, shardSize int, token string) (JobStatus, error) {
 	if shardSize <= 0 {
 		shardSize = s.cfg.ShardSize
 	}
 	s.mu.Lock()
+	st, seen := s.tokenStatusLocked(token)
+	s.mu.Unlock()
+	if seen {
+		return st, nil
+	}
+	created := s.cfg.Now().UTC()
+	plan, err := NewPlan(spec, s.cfg.Store, s.cfg.Salt, shardSize)
+	if err != nil {
+		return JobStatus{}, err
+	}
+	s.mu.Lock()
 	defer s.mu.Unlock()
-	if token != "" {
-		if id, ok := s.tokens[token]; ok {
-			return s.statusLocked(s.jobs[id]), nil
-		}
+	if st, seen := s.tokenStatusLocked(token); seen {
+		return st, nil
 	}
 	rec := jobRecord{
 		ID:        fmt.Sprintf("j%d", s.seq+1),
 		Spec:      spec,
 		ShardSize: shardSize,
-		Created:   s.cfg.Now().UTC(),
+		Created:   created,
 		Token:     token,
-	}
-	j, err := s.buildJob(rec)
-	if err != nil {
-		return JobStatus{}, err
 	}
 	if s.cfg.StateDir != "" {
 		data, err := json.MarshalIndent(rec, "", "  ")
@@ -389,6 +397,7 @@ func (s *Server) Submit(spec campaign.WireSpec, shardSize int, token string) (Jo
 			return JobStatus{}, err
 		}
 	}
+	j := s.buildJob(rec, plan)
 	s.seq++
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
@@ -396,6 +405,16 @@ func (s *Server) Submit(spec campaign.WireSpec, shardSize int, token string) (Jo
 		s.tokens[token] = j.id
 	}
 	return s.statusLocked(j), nil
+}
+
+// tokenStatusLocked returns the status of the job a submit token
+// already admitted; an empty token never matches (caller holds s.mu).
+func (s *Server) tokenStatusLocked(token string) (JobStatus, bool) {
+	id, ok := s.tokens[token]
+	if !ok {
+		return JobStatus{}, false
+	}
+	return s.statusLocked(s.jobs[id]), true
 }
 
 // statusLocked snapshots one job's status (caller holds s.mu).

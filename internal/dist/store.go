@@ -22,7 +22,9 @@ import (
 // verify (torn write, bit rot) is reported as a miss, not as data. The
 // file-dir backend is the first implementation; the interface is
 // deliberately narrow (get/put, no enumeration) so a sqlite backend
-// can slot in without touching the planner or server.
+// can slot in without touching the planner or server. The daemon
+// plans admissions outside its lock, so Get may run concurrently with
+// Put and with other Gets.
 type Store interface {
 	// Get returns the cached row for a fingerprint, nil on a miss.
 	// Unverifiable (corrupt) entries are a miss, not an error; errors

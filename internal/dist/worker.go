@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"runtime"
+	"sync"
 	"time"
 
 	"tcphack/internal/campaign"
@@ -14,13 +16,18 @@ import (
 // point: lease, materialize the spec, simulate each granted grid
 // point and stream its row back immediately (the point-level
 // checkpoint, and the only delivery: the shard's last row closes it),
-// heartbeating while simulating. Cancelling the context stops the
-// worker gracefully: it finishes and streams the shard it holds
-// (abandoning mid-shard would only burn the lease TTL before a
-// re-queue) and then stops leasing. Closing Kill stops it the way
-// SIGKILL would — the in-flight simulation is abandoned, and recovery
-// is entirely the server's job (the streamed points are already
-// checkpointed; the lease expires and the remainder is re-granted).
+// heartbeating while simulating. A worker holds up to
+// runtime.GOMAXPROCS(0) leases at once (read when Run starts), one
+// simulating goroutine per shard, so one worker per machine uses every
+// core; within a shard, points still run and stream one after
+// another. It leases only while a slot is free. Cancelling the context
+// stops the worker gracefully: it stops leasing, then finishes and
+// streams every shard it holds (abandoning mid-shard would only burn
+// the lease TTL before a re-queue). Closing Kill stops it the way
+// SIGKILL would — every in-flight simulation is abandoned, and
+// recovery is entirely the server's job (the streamed points are
+// already checkpointed; the leases expire and the remainders are
+// re-granted).
 type Worker struct {
 	// Client targets the daemon. Give Client.Retry.Seed the worker's
 	// name so retry jitter decorrelates across a fleet.
@@ -48,21 +55,28 @@ type Worker struct {
 	// because a stream still failed after the client's retries; lease
 	// expiry re-grants its points that have no row.
 	OnAbandon func(grant LeaseGrant, err error)
+
+	// callbacks is held across each OnShard, OnPoint and OnAbandon
+	// call and guards nothing else: it runs them one at a time across
+	// the shards in flight, so callers need no locking of their own.
+	callbacks sync.Mutex
 }
 
 // errKilled reports a Kill-channel abort out of runShard.
 var errKilled = errors.New("dist: worker killed")
 
 // Run executes the lease loop until the context is cancelled (graceful
-// drain: an in-flight shard is finished and streamed first) or Kill
-// is closed (immediate abandonment). Transient daemon failures are
-// absorbed by the idle backoff; Run returns nil on both stop paths.
+// drain: every shard held is finished and streamed first) or Kill is
+// closed (immediate abandonment); either way it returns only once every
+// shard goroutine has stopped. Transient daemon failures are absorbed
+// by the idle backoff, and both stop paths return nil. A shard that
+// fails outright (a spec that does not materialize, a simulation
+// error) stops leasing; Run then waits for the other shards and
+// returns the first such error.
 func (w *Worker) Run(ctx context.Context) error {
-	killCtx := context.Background()
+	killCtx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	if w.Kill != nil {
-		var cancel context.CancelFunc
-		killCtx, cancel = context.WithCancel(killCtx)
-		defer cancel()
 		stopped := make(chan struct{})
 		defer close(stopped)
 		go func() {
@@ -73,33 +87,54 @@ func (w *Worker) Run(ctx context.Context) error {
 			}
 		}()
 	}
+	leasing, stopLeasing := context.WithCancel(ctx)
+	defer stopLeasing()
+	// slots holds one token per shard in flight.
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	var errOnce sync.Once
+	var firstErr error
 	idle := 0
 	for {
-		if ctx.Err() != nil || killCtx.Err() != nil {
-			return nil
+		select {
+		case slots <- struct{}{}:
+		case <-leasing.Done():
+		case <-killCtx.Done():
+		}
+		if leasing.Err() != nil || killCtx.Err() != nil {
+			break
 		}
 		grant, ok, err := w.Client.Lease(w.Name)
 		if err != nil || !ok {
+			<-slots
 			// A daemon restart or network blip outlasting the client's
 			// retry budget is survivable; back off and keep polling.
 			idle++
 			select {
-			case <-ctx.Done():
-				return nil
+			case <-leasing.Done():
 			case <-killCtx.Done():
-				return nil
 			case <-time.After(w.idleDelay(idle)):
 			}
 			continue
 		}
+		// The shard runs even if the context was cancelled while the
+		// lease was in flight: a drain works every grant it received.
 		idle = 0
-		if err := w.runShard(killCtx, grant); err != nil {
-			if errors.Is(err, errKilled) {
-				return nil
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			err := w.runShard(killCtx, grant)
+			<-slots
+			if err != nil && !errors.Is(err, errKilled) {
+				errOnce.Do(func() {
+					firstErr = err
+					stopLeasing()
+				})
 			}
-			return err
-		}
+		}()
 	}
+	wg.Wait()
+	return firstErr
 }
 
 // idleDelay is the capped exponential idle backoff: Poll doubling per
@@ -131,7 +166,8 @@ func (w *Worker) idleDelay(attempt int) time.Duration {
 }
 
 // runShard simulates one leased shard point by point, streaming each
-// finished row back, heartbeating in the background throughout. A
+// finished row back, heartbeating in the background throughout; it
+// runs on its own goroutine, beside the worker's other shards. A
 // stream failure that outlasts the retry budget abandons the shard to
 // lease expiry rather than killing the worker.
 func (w *Worker) runShard(killCtx context.Context, grant LeaseGrant) error {
@@ -175,20 +211,26 @@ func (w *Worker) runShard(killCtx context.Context, grant LeaseGrant) error {
 		}
 		dup, err := w.Client.StreamPoint(w.Name, grant.Job, grant.Shard, rows[0])
 		if w.OnPoint != nil {
+			w.callbacks.Lock()
 			w.OnPoint(grant, idx, dup, err)
+			w.callbacks.Unlock()
 		}
 		if err != nil {
 			// Abandon rather than dying — a worker fleet should
 			// outlive a flaky daemon. Whatever has no row yet is
 			// re-granted when the lease expires.
 			if w.OnAbandon != nil {
+				w.callbacks.Lock()
 				w.OnAbandon(grant, err)
+				w.callbacks.Unlock()
 			}
 			return nil
 		}
 	}
 	if w.OnShard != nil {
+		w.callbacks.Lock()
 		w.OnShard(grant)
+		w.callbacks.Unlock()
 	}
 	return nil
 }

@@ -167,7 +167,7 @@ func Fig11(o Options, snrsDB []float64, rates []phy.Rate, adapter string) Fig11R
 	for _, snr := range snrsDB {
 		tcp, hck := res.EnvelopeTCP[snr], res.EnvelopeHACK[snr]
 		if tcp > 1 {
-			gains += (hck - tcp) / tcp * 100
+			gains += float64((hck - tcp) / tcp * 100)
 			count++
 		}
 	}

@@ -427,7 +427,7 @@ func (m *Minstrel) update(d *minstrelDst) {
 		}
 		p := float64(s.successes) / float64(s.attempts)
 		if s.tried {
-			s.prob = (1-m.cfg.EWMAWeight)*s.prob + m.cfg.EWMAWeight*p
+			s.prob = float64((1-m.cfg.EWMAWeight)*s.prob) + float64(m.cfg.EWMAWeight*p)
 		} else {
 			s.prob = p
 			s.tried = true

@@ -128,7 +128,7 @@ func (c Config) withDefaults() Config {
 		ap := c.APPos
 		c.ClientPos = func(i int) channel.Pos {
 			angle := 2 * math.Pi * float64(i) / float64(n)
-			return channel.Pos{X: ap.X + 10*math.Cos(angle), Y: ap.Y + 10*math.Sin(angle)}
+			return channel.Pos{X: ap.X + float64(10*math.Cos(angle)), Y: ap.Y + float64(10*math.Sin(angle))}
 		}
 	}
 	if len(c.BSSs) == 0 {
@@ -147,7 +147,7 @@ func (c Config) withDefaults() Config {
 			ap := c.BSSs[bi].APPos
 			c.BSSs[bi].ClientPos = func(i int) channel.Pos {
 				angle := 2 * math.Pi * float64(i) / float64(k)
-				return channel.Pos{X: ap.X + 10*math.Cos(angle), Y: ap.Y + 10*math.Sin(angle)}
+				return channel.Pos{X: ap.X + float64(10*math.Cos(angle)), Y: ap.Y + float64(10*math.Sin(angle))}
 			}
 		}
 	}

@@ -142,7 +142,7 @@ func summarize(vals []float64) Stat {
 		var sq float64
 		for _, v := range vals {
 			d := v - s.Mean
-			sq += d * d
+			sq += float64(d * d)
 		}
 		s.StdDev = math.Sqrt(sq / float64(s.Count-1))
 		s.CI95 = tCritical95(s.Count-1) * s.StdDev / math.Sqrt(float64(s.Count))

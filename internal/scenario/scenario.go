@@ -164,10 +164,10 @@ func WithTopology(fn func(i int) channel.Pos) Option {
 // every station stays within carrier-sense range of the rest.
 func GridPos(n int, spacing float64, i int) channel.Pos {
 	side := int(math.Ceil(math.Sqrt(float64(n))))
-	off := spacing * float64(side-1) / 2
+	off := float64(spacing * float64(side-1) / 2)
 	return channel.Pos{
-		X: spacing*float64(i%side) - off,
-		Y: spacing*float64(i/side) - off,
+		X: float64(spacing*float64(i%side)) - off,
+		Y: float64(spacing*float64(i/side)) - off,
 	}
 }
 

@@ -67,8 +67,8 @@ func WithBSSLayout(specs ...node.BSSSpec) Option {
 func clusterPos(center channel.Pos, radius float64, n, i int) channel.Pos {
 	angle := 2 * math.Pi * float64(i) / float64(n)
 	return channel.Pos{
-		X: center.X + radius*math.Cos(angle),
-		Y: center.Y + radius*math.Sin(angle),
+		X: center.X + float64(radius*math.Cos(angle)),
+		Y: center.Y + float64(radius*math.Sin(angle)),
 	}
 }
 
