@@ -270,12 +270,15 @@ func TestAxisConfigMaterialization(t *testing.T) {
 }
 
 // stubRadio satisfies channel.Radio for direct error-model queries.
-type stubRadio struct{ pos channel.Pos }
+type stubRadio struct {
+	channel.Port
+	pos channel.Pos
+}
 
-func (r stubRadio) Position() channel.Pos                                 { return r.pos }
-func (stubRadio) CarrierBusy()                                            {}
-func (stubRadio) CarrierIdle()                                            {}
-func (stubRadio) EndRx(tx *channel.Transmission, outcome channel.Outcome) {}
+func (r *stubRadio) Position() channel.Pos                                 { return r.pos }
+func (*stubRadio) CarrierBusy()                                            {}
+func (*stubRadio) CarrierIdle()                                            {}
+func (*stubRadio) EndRx(tx *channel.Transmission, outcome channel.Outcome) {}
 
 // TestLossAndSNRAxesCompose: sweeping both error-model axes must
 // simulate their combination, not let one silently win — rows at the
@@ -291,7 +294,7 @@ func TestLossAndSNRAxesCompose(t *testing.T) {
 	}
 	cfg0, cfg1 := s.config(pts[0]), s.config(pts[1])
 	// Identical SNR, different loss: the combined model must differ.
-	src, dst := stubRadio{}, stubRadio{channel.Pos{X: 5}}
+	src, dst := &stubRadio{}, &stubRadio{pos: channel.Pos{X: 5}}
 	p0 := cfg0.Err.LossProb(src, dst, cfg0.DataRate, 1500)
 	p1 := cfg1.Err.LossProb(src, dst, cfg1.DataRate, 1500)
 	if p1 <= p0 {

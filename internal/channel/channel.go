@@ -3,6 +3,7 @@ package channel
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"tcphack/internal/phy"
@@ -76,7 +77,8 @@ func (t *Transmission) Duration() sim.Duration { return t.End - t.Start }
 // Radio is the channel-facing side of a station. The medium invokes
 // CarrierBusy/CarrierIdle as the carrier the radio senses turns busy
 // or idle, and EndRx once per completed transmission from another
-// radio that reaches it.
+// radio that reaches it, while the radio listens (see StopListening).
+// Every Radio embeds a Port, which carries its index on the medium.
 //
 // The medium decides collisions (overlap in time); noise corruption is
 // drawn by the receiver per decoded unit via Medium.Corrupted, so that
@@ -96,6 +98,40 @@ type Radio interface {
 	// only during the call: the medium recycles it once the
 	// transmission finishes (see Transmission).
 	EndRx(tx *Transmission, outcome Outcome)
+	port() *Port
+}
+
+// Port is a radio's place on a medium. Attach records the radio's
+// index in it, and Transmit reads the source's index from it, so the
+// frame path probes no map.
+type Port struct{ index int }
+
+func (p *Port) port() *Port { return p }
+
+// RadioIndex returns the radio's index on its medium: the number of
+// radios attached before it.
+func (p *Port) RadioIndex() int { return p.index }
+
+// Overhearer is the single collision domain's stand-in for the radios
+// that do not listen. The medium calls Overhear once per finished
+// transmission while any radio does not listen, before the deliveries
+// to the listening radios, with the outcome every radio but the source
+// receives.
+type Overhearer interface {
+	Overhear(tx *Transmission, outcome Outcome)
+}
+
+// Carrier is a single collision domain's carrier history: what a radio
+// that stopped listening reads to learn the edges it missed.
+type Carrier struct {
+	// Busy is the carrier state last reported to the listening radios.
+	Busy bool
+	// Edges counts the busy and idle edges so far. They alternate,
+	// busy first, so Busy is whether Edges is odd.
+	Edges uint64
+	// BusyAt and IdleAt are the times of the last busy edge and the
+	// last idle edge.
+	BusyAt, IdleAt sim.Time
 }
 
 // ErrorModel yields the probability that a non-collided frame is
@@ -151,9 +187,10 @@ type Medium struct {
 	model  ErrorModel
 	rng    *rand.Rand
 	radios []Radio
-	// radioIdx maps each attached radio to its index in radios, which
-	// identifies a transmission's source.
-	radioIdx map[Radio]int
+	// listen has bit i set while radio i listens; deaf counts the
+	// radios that do not.
+	listen []uint64
+	deaf   int
 	// active lists the transmissions on the air in start order, so
 	// every scan over it (collision probes above all) is deterministic.
 	active   []*Transmission
@@ -177,12 +214,16 @@ type Medium struct {
 	// afterwards.
 	Geometry *Geometry
 
+	// Overhearer, when set, stands in for the radios that do not
+	// listen; a radio may stop listening only while it is set.
+	Overhearer Overhearer
+
 	// Engine state, built by ensureState at the first Transmit. A
-	// single collision domain uses only allBusy: no power matrix,
+	// single collision domain uses only carrier: no power matrix,
 	// carrier sums or per-radio carrier state.
 	built      bool
 	oneDomain  bool
-	allBusy    bool        // carrier state last reported to every radio
+	carrier    Carrier     // single collision domain only
 	powerMW    [][]float64 // symmetric rx-power matrix, diagonal 0
 	txOwn      []int       // in-flight transmissions per source radio
 	senseBusy  []bool      // last carrier state reported to each radio
@@ -212,9 +253,8 @@ func New(sched *sim.Scheduler, model ErrorModel) *Medium {
 		model = NoLoss{}
 	}
 	m := &Medium{
-		sched:    sched,
-		rng:      sched.ForkRand(),
-		radioIdx: make(map[Radio]int),
+		sched: sched,
+		rng:   sched.ForkRand(),
 	}
 	m.finishFn = func(a any) { m.finish(a.(*Transmission)) }
 	if forked, ok := forkModel(model, sched.ForkRand); ok {
@@ -224,15 +264,80 @@ func New(sched *sim.Scheduler, model ErrorModel) *Medium {
 	return m
 }
 
-// Attach registers a radio with the medium. Attaching the same radio
-// twice panics.
+// Attach registers a radio with the medium and records its index in
+// the radio's Port. The radio listens. Attaching the same radio twice
+// panics.
 func (m *Medium) Attach(r Radio) {
-	if _, ok := m.radioIdx[r]; ok {
+	if m.attached(r) {
 		panic(fmt.Sprintf("channel: radio %p attached twice", r))
 	}
-	m.radioIdx[r] = len(m.radios)
+	i := len(m.radios)
+	r.port().index = i
 	m.radios = append(m.radios, r)
+	if i>>6 == len(m.listen) {
+		m.listen = append(m.listen, 0)
+	}
+	m.listen[i>>6] |= 1 << (i & 63)
 }
+
+// attached reports whether r is attached to this medium.
+func (m *Medium) attached(r Radio) bool {
+	i := r.port().index
+	return i < len(m.radios) && m.radios[i] == r
+}
+
+// StopListening takes radio i out of the medium's fan-out: it gets no
+// deliveries and no carrier edges until Listen. Only a single collision
+// domain with an Overhearer allows that, since every radio there hears
+// the same thing: StopListening reports whether radio i stopped. The
+// general engine decides outcomes and carrier state per receiver, so
+// every radio keeps listening there. Assign Geometry before a radio
+// stops listening.
+func (m *Medium) StopListening(i int) bool {
+	one := m.oneDomain
+	if !m.built {
+		one = m.Geometry.oneDomain()
+	}
+	if !one || m.Overhearer == nil {
+		return false
+	}
+	if w, bit := i>>6, uint64(1)<<(i&63); m.listen[w]&bit != 0 {
+		m.listen[w] &^= bit
+		m.deaf++
+	}
+	return true
+}
+
+// Listen puts radio i back into the fan-out, at its attach-order place:
+// it gets the deliveries and carrier edges that follow.
+func (m *Medium) Listen(i int) {
+	if w, bit := i>>6, uint64(1)<<(i&63); m.listen[w]&bit == 0 {
+		m.listen[w] |= bit
+		m.deaf--
+	}
+}
+
+// nextListener returns the index of the first listening radio at or
+// after i, or -1. Deliveries and carrier edges walk the listeners with
+// it, so a radio that starts listening during a walk, at an index not
+// yet reached, is visited in attach order.
+func (m *Medium) nextListener(i int) int {
+	w := i >> 6
+	if w >= len(m.listen) {
+		return -1
+	}
+	word := m.listen[w] >> (i & 63)
+	for word == 0 {
+		if w++; w == len(m.listen) {
+			return -1
+		}
+		word, i = m.listen[w], w<<6
+	}
+	return i + bits.TrailingZeros64(word)
+}
+
+// Carrier returns the single collision domain's carrier history.
+func (m *Medium) Carrier() Carrier { return m.carrier }
 
 // Busy reports whether any transmission is in flight.
 func (m *Medium) Busy() bool { return len(m.active) > 0 }
@@ -251,10 +356,10 @@ func (m *Medium) StageTx(e trace.Event) { m.staged = e }
 // only until the transmission finishes (see Transmission).
 // Transmitting from a radio that never attached panics.
 func (m *Medium) Transmit(src Radio, rate phy.Rate, length int, frame any) *Transmission {
-	si, ok := m.radioIdx[src]
-	if !ok {
+	if !m.attached(src) {
 		panic(fmt.Sprintf("channel: Transmit from radio %p, which is not attached to this medium", src))
 	}
+	si := src.port().index
 	now := m.sched.Now()
 	var tx *Transmission
 	if n := len(m.txFree); n > 0 {
@@ -326,7 +431,8 @@ func (m *Medium) removeActive(tx *Transmission) {
 
 // finish ends tx: it decides the outcome at every receiver, makes the
 // deliveries in attach order and then the carrier edges, and recycles
-// the record.
+// the record. In a single collision domain the deliveries go to the
+// listening radios, after the Overhearer has stood in for the others.
 func (m *Medium) finish(tx *Transmission) {
 	now := m.sched.Now()
 	m.ensureState()
@@ -345,17 +451,21 @@ func (m *Medium) finish(tx *Transmission) {
 	if m.Tracer != nil {
 		m.Tracer.Emit(trace.Event{T: now, Kind: trace.KindTxEnd, ID: tx.ID, Collided: tx.collided})
 	}
-	for j, r := range m.radios {
-		if j == tx.srcIdx {
-			continue
+	if m.oneDomain {
+		if m.deaf > 0 {
+			m.Overhearer.Overhear(tx, all)
 		}
-		outcome := all
-		if !m.oneDomain {
-			if outcome = m.scratchOut[j]; outcome == rxNone {
-				continue
+		for j := m.nextListener(0); j >= 0; j = m.nextListener(j + 1) {
+			if j != tx.srcIdx {
+				m.radios[j].EndRx(tx, all)
 			}
 		}
-		r.EndRx(tx, outcome)
+	} else {
+		for j, r := range m.radios {
+			if outcome := m.scratchOut[j]; j != tx.srcIdx && outcome != rxNone {
+				r.EndRx(tx, outcome)
+			}
+		}
 	}
 	// Carrier edges strictly after deliveries: receivers see the frame
 	// before timers that an idle transition may restart.

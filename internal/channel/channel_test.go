@@ -13,6 +13,7 @@ import (
 
 // testRadio records channel callbacks.
 type testRadio struct {
+	Port
 	pos      Pos
 	busy     int
 	idle     int
@@ -525,5 +526,85 @@ func TestCollisionProbesDeterministic(t *testing.T) {
 		if got := collisions(); !reflect.DeepEqual(got, first) {
 			t.Fatalf("run %d: collision probes %+v, want %+v", run, got, first)
 		}
+	}
+}
+
+// countingOverhearer records the outcomes reported to it.
+type countingOverhearer struct{ outcomes []Outcome }
+
+func (o *countingOverhearer) Overhear(_ *Transmission, outcome Outcome) {
+	o.outcomes = append(o.outcomes, outcome)
+}
+
+// TestDeafRadiosGetNoCallbacks attaches 1000 radios, of which 999 stop
+// listening, and runs frames past them, one pair of them colliding:
+// the 999 get no callback at all, the Overhearer hears every frame
+// once, the carrier history counts every edge, and a radio that
+// listens again gets the next frame's callbacks.
+func TestDeafRadiosGetNoCallbacks(t *testing.T) {
+	s := sim.NewScheduler(1)
+	m := New(s, nil)
+	radios := make([]*testRadio, 1000)
+	for i := range radios {
+		radios[i] = &testRadio{}
+		m.Attach(radios[i])
+	}
+	if m.StopListening(1) {
+		t.Fatal("StopListening without an Overhearer succeeded")
+	}
+	o := &countingOverhearer{}
+	m.Overhearer = o
+	for i := 1; i < len(radios); i++ {
+		if !m.StopListening(i) {
+			t.Fatalf("StopListening(%d) refused in a single collision domain", i)
+		}
+	}
+	const frames = 20
+	for k := 0; k < frames; k++ {
+		s.At(sim.Time(k)*sim.Millisecond, func() { m.Transmit(radios[0], phy.RateA54, 1500, k) })
+	}
+	// A deaf radio may still transmit: this one collides with frame 5.
+	s.At(5*sim.Millisecond+sim.Microsecond, func() { m.Transmit(radios[500], phy.RateA54, 1500, "x") })
+	s.Run()
+	for i, r := range radios[1:] {
+		if r.busy != 0 || r.idle != 0 || len(r.received) != 0 {
+			t.Fatalf("radio %d does not listen but got %d busy, %d idle edges and %d frames", i+1, r.busy, r.idle, len(r.received))
+		}
+	}
+	if r := radios[0]; r.busy != frames || r.idle != frames || len(r.received) != 1 || r.received[0] != RxCollided {
+		t.Errorf("listening radio 0: %d busy, %d idle edges, received %v; want %d, %d, [collided]", r.busy, r.idle, r.received, frames, frames)
+	}
+	collided := 0
+	for _, oc := range o.outcomes {
+		if oc == RxCollided {
+			collided++
+		}
+	}
+	if len(o.outcomes) != frames+1 || collided != 2 {
+		t.Errorf("Overhearer heard %d frames, %d collided; want %d, 2", len(o.outcomes), collided, frames+1)
+	}
+	if c := m.Carrier(); c.Busy || c.Edges != 2*frames || c.BusyAt != 19*sim.Millisecond {
+		t.Errorf("carrier history %+v, want idle after %d edges, last busy at 19 ms", c, 2*frames)
+	}
+	m.Listen(999)
+	m.Transmit(radios[0], phy.RateA54, 1500, "again")
+	s.Run()
+	if r := radios[999]; r.busy != 1 || r.idle != 1 || len(r.received) != 1 {
+		t.Errorf("radio 999 listens again but got %d busy, %d idle edges and %d frames; want 1 each", r.busy, r.idle, len(r.received))
+	}
+	if len(o.outcomes) != frames+2 {
+		t.Errorf("Overhearer heard %d frames, want %d", len(o.outcomes), frames+2)
+	}
+}
+
+// TestGeneralEngineKeepsListening: per-receiver outcomes and carrier
+// sums differ per radio under a spatial geometry, so no radio may stop
+// listening there.
+func TestGeneralEngineKeepsListening(t *testing.T) {
+	_, m, _, _ := newTestMedium(nil)
+	m.Geometry = DefaultGeometry()
+	m.Overhearer = &countingOverhearer{}
+	if m.StopListening(1) {
+		t.Error("StopListening succeeded under a spatial geometry")
 	}
 }

@@ -181,6 +181,9 @@ func (m *Medium) ensureState() {
 	if !m.built {
 		m.built = true
 		m.oneDomain = m.Geometry.oneDomain()
+		if !m.oneDomain && m.deaf > 0 {
+			panic("channel: Geometry assigned after a radio stopped listening")
+		}
 	}
 	n := len(m.radios)
 	if m.oneDomain || len(m.powerMW) == n {
@@ -379,8 +382,9 @@ func (m *Medium) removePower(tx *Transmission) {
 }
 
 // updateCarrier emits the carrier edges the last change to the air
-// caused, in attach order. In a single collision domain every radio
-// turns busy or idle with the medium as a whole. Otherwise a radio is
+// caused, in attach order. In a single collision domain every
+// listening radio turns busy or idle with the medium as a whole, and
+// the medium records the edge in its Carrier. Otherwise a radio is
 // busy while it is transmitting or while the summed power of
 // transmissions on the air reaches the carrier-sense threshold.
 // Transmissions past their End but not yet finished still count — they
@@ -389,17 +393,21 @@ func (m *Medium) removePower(tx *Transmission) {
 func (m *Medium) updateCarrier() {
 	onAir := len(m.active) > 0
 	if m.oneDomain {
-		if onAir == m.allBusy {
+		c := &m.carrier
+		if onAir == c.Busy {
 			return
 		}
-		m.allBusy = onAir
+		c.Busy = onAir
+		c.Edges++
 		if onAir {
-			for _, r := range m.radios {
-				r.CarrierBusy()
+			c.BusyAt = m.sched.Now()
+			for j := m.nextListener(0); j >= 0; j = m.nextListener(j + 1) {
+				m.radios[j].CarrierBusy()
 			}
 		} else {
-			for _, r := range m.radios {
-				r.CarrierIdle()
+			c.IdleAt = m.sched.Now()
+			for j := m.nextListener(0); j >= 0; j = m.nextListener(j + 1) {
+				m.radios[j].CarrierIdle()
 			}
 		}
 		return

@@ -21,8 +21,10 @@ type dcf struct {
 	st *Station
 
 	wantTx bool // a transmission is requested
-	slots  int  // remaining backoff slots
-	cw     int  // current contention window
+	// away is set while the station does not listen (see overheard).
+	away  bool
+	slots int // remaining backoff slots
+	cw    int // current contention window
 
 	physBusy   bool
 	physBusyAt sim.Time // when the current physical-busy period began
@@ -121,6 +123,9 @@ type navLapse struct {
 	txID       uint64    // the transmission whose reservation lapses
 	head, tail *dcf      // members, in join order
 	nextFree   *navLapse // the owner's freelist link
+	// idleRoot is 1 + the index of the idle stations' root whose NAV
+	// this lapse ends (see overheard), 0 for none.
+	idleRoot int32
 }
 
 // fireLapse is the lapse event's persistent Post callback.
@@ -141,6 +146,28 @@ func (l *navLapse) join(d *dcf) {
 	l.tail = d
 }
 
+// insert links d in at its attach-order place among the members: a
+// station that wakes while the lapse of its NAV is pending rejoins the
+// members where the frame's delivery loop put it.
+func (l *navLapse) insert(d *dcf) {
+	i := d.st.RadioIndex()
+	prev := l.tail
+	for prev != nil && prev.st.RadioIndex() > i {
+		prev = prev.lapsePrev
+	}
+	d.lapse, d.lapsePrev = l, prev
+	if prev == nil {
+		d.lapseNext, l.head = l.head, d
+	} else {
+		d.lapseNext, prev.lapseNext = prev.lapseNext, d
+	}
+	if d.lapseNext == nil {
+		l.tail = d
+	} else {
+		d.lapseNext.lapsePrev = d
+	}
+}
+
 // leave unlinks member d.
 func (l *navLapse) leave(d *dcf) {
 	if d.lapsePrev == nil {
@@ -156,14 +183,18 @@ func (l *navLapse) leave(d *dcf) {
 	d.lapse, d.lapsePrev, d.lapseNext = nil, nil, nil
 }
 
-// fire re-evaluates each member's idle state in join order and returns
-// the record to its owner's freelist.
+// fire re-evaluates each member's idle state in join order, and the
+// idle stations' whose NAV it ends, and returns the record to its
+// owner's freelist.
 func (l *navLapse) fire() {
 	for d := l.head; d != nil; d = l.head {
 		l.leave(d)
 		d.recomputeIdle()
 	}
 	st := l.owner
+	if l.idleRoot != 0 {
+		st.overheard.lapsed(l)
+	}
 	if st.lapse == l {
 		st.lapse = nil
 	}
@@ -265,7 +296,11 @@ func (d *dcf) arm() {
 }
 
 func (d *dcf) fire() {
-	if !d.wantTx || !d.st.canTransmit() {
+	if !d.wantTx {
+		d.st.rest()
+		return
+	}
+	if !d.st.canTransmit() {
 		return
 	}
 	// Committed-slot semantics: a transmission that began at this very
@@ -279,4 +314,5 @@ func (d *dcf) fire() {
 	d.wantTx = false
 	d.slots = 0
 	d.st.txOpportunity(now - d.armedAt)
+	d.st.rest()
 }

@@ -322,6 +322,7 @@ func TestBlockAckLossTriggersBAR(t *testing.T) {
 
 // syncSniffer watches the air for data frames and records header bits.
 type syncSniffer struct {
+	channel.Port
 	more []bool
 	sync []bool
 }

@@ -152,10 +152,14 @@ type exchange struct {
 
 // Station is one 802.11 station (client or AP — the MAC is symmetric).
 type Station struct {
+	channel.Port
 	sched  *sim.Scheduler
 	medium *channel.Medium
 	cfg    Config
 	rng    *rand.Rand
+	// overheard is the medium's record of idle stations, nil if the
+	// medium has another Overhearer.
+	overheard *overheard
 
 	dcf dcf
 
@@ -246,10 +250,29 @@ func NewStation(sched *sim.Scheduler, medium *channel.Medium, cfg Config) *Stati
 		// the same instant (the medium delivers it before this event),
 		// while respPending still blocked us — re-evaluate now.
 		st.dcf.recomputeIdle()
+		st.rest()
 	}
 	st.dcf.init(st)
 	medium.Attach(st)
+	if st.overheard = overheardOf(medium, sched); st.overheard != nil {
+		st.overheard.register(st)
+	}
+	st.rest()
 	return st
+}
+
+// rest takes the station out of the medium's fan-out while it has
+// nothing to do: no transmission requested (wantTx clear, no DCF timer
+// pending), no exchange outstanding, no response pending, and no
+// tracer, whose trace pins every NAV update. It listens again when a
+// frame addressed to it is decoded or its queue gets a packet.
+func (st *Station) rest() {
+	o, d := st.overheard, &st.dcf
+	if o == nil || o.off || d.away || d.wantTx || d.timer.Pending() ||
+		st.waiting.q != nil || st.respPending || st.cfg.Tracer != nil {
+		return
+	}
+	o.leave(st)
 }
 
 // Addr returns the station's MAC address.
@@ -277,6 +300,9 @@ func (st *Station) Enqueue(m *MSDU) bool {
 	}
 	m.EnqueuedAt = st.sched.Now()
 	q.fifo.push(m)
+	if st.dcf.away {
+		st.overheard.wake(st)
+	}
 	st.dcf.request()
 	return true
 }
@@ -735,6 +761,7 @@ func (st *Station) rxData(f *DataFrame, tx *channel.Transmission) {
 		// Nothing decodable: the station cannot even tell the frame was
 		// addressed to it; no response, sender times out.
 		st.dcf.noteRxError()
+		st.rest()
 		return
 	}
 	st.dcf.noteRxOK()
@@ -833,6 +860,7 @@ func (st *Station) rxAck(f *AckFrame, tx *channel.Transmission) {
 	}
 	if st.medium.Corrupted(tx.Source, st, tx.Rate, f.WireLen()) {
 		st.dcf.noteRxError()
+		st.rest()
 		return
 	}
 	st.dcf.noteRxOK()
@@ -842,6 +870,7 @@ func (st *Station) rxAck(f *AckFrame, tx *channel.Transmission) {
 	}
 	ex := st.waiting
 	if ex.q == nil || ex.q.dst != f.From {
+		st.rest()
 		return // stale or unexpected response (e.g. after our timeout)
 	}
 	st.sched.Cancel(st.respTimeout)
@@ -946,6 +975,7 @@ func (st *Station) rxBAR(f *BARFrame, tx *channel.Transmission) {
 	}
 	if st.medium.Corrupted(tx.Source, st, tx.Rate, barLen) {
 		st.dcf.noteRxError()
+		st.rest()
 		return
 	}
 	st.dcf.noteRxOK()
@@ -1010,6 +1040,7 @@ func (st *Station) postTx() {
 	st.dcf.wantTx = st.hasTraffic()
 	st.dcf.armedAt = st.sched.Now()
 	st.dcf.arm()
+	st.rest()
 }
 
 func (st *Station) deliverUp(m *MSDU) {

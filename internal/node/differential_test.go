@@ -1,4 +1,4 @@
-// Differential geometry harness: the medium's general engine is the
+// Differential channel harness. The medium's general engine is the
 // oracle for its single-collision-domain path. The oracle runs the
 // near-degenerate geometry, whose finite values keep the power matrix,
 // the sensed-power sums and the SINR decisions in play while still
@@ -6,7 +6,14 @@
 // Geometry. Driven from the same ht150 network workload as the
 // scheduler differential suite, the two paths must produce identical
 // event-time traces, and a campaign sweep must emit byte-identical
-// result rows. Any divergence is a bug in one of the two paths.
+// result rows.
+//
+// The listening path is the oracle for idle stations. In a single
+// collision domain a station with nothing to do stops listening, and
+// catches up when it wakes; a station with a tracer never stops. So a
+// network with a discarding tracer on every station, where every
+// station listens to every frame, must run exactly as the same network
+// bare. Any divergence is a bug in one of the two paths.
 package node_test
 
 import (
@@ -16,9 +23,11 @@ import (
 	"tcphack/internal/campaign"
 	"tcphack/internal/channel"
 	"tcphack/internal/hack"
+	"tcphack/internal/mac"
 	"tcphack/internal/node"
 	"tcphack/internal/scenario"
 	"tcphack/internal/sim"
+	"tcphack/internal/trace"
 )
 
 // nearDegenerate is DefaultGeometry with carrier sense and the
@@ -125,5 +134,116 @@ func TestDifferentialCampaignRows(t *testing.T) {
 	if !bytes.Equal(single.Bytes(), general.Bytes()) {
 		t.Errorf("campaign rows diverge between the single-domain path and the general engine:\n--- single-domain ---\n%s\n--- general ---\n%s",
 			single.String(), general.String())
+	}
+}
+
+// idleCase is one network of the idle-station differential: a config
+// and the workload that drives it.
+type idleCase struct {
+	name     string
+	cfg      node.Config
+	workload func(*node.Network, campaign.Point)
+}
+
+// idleCases are the trace-digest networks on the single collision
+// domain, which pin the listening path, plus the 1000-station UDP grid
+// of BenchmarkScale, where almost every station is idle.
+func idleCases(t *testing.T) []idleCase {
+	registered := func(name string, opts ...scenario.Option) node.Config {
+		e, ok := scenario.Lookup(name)
+		if !ok {
+			t.Fatalf("unknown scenario %q", name)
+		}
+		return e.Config(opts...)
+	}
+	download, err := campaign.NamedWorkload("download")
+	if err != nil {
+		t.Fatal(err)
+	}
+	upload, err := campaign.NamedWorkload("upload")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const gridStations = 1000
+	return []idleCase{
+		{"grid-1000-udp", scenario.New(scenario.With80211n(), scenario.WithGrid(gridStations, 2)),
+			func(n *node.Network, _ campaign.Point) {
+				for ci := range n.Clients {
+					n.StartUDPDownload(ci, 80_000/gridStations, 1500, sim.Duration(ci)*37*sim.Microsecond)
+				}
+			}},
+		{"ht150-moredata-4c-loss5", registered("ht150-moredata", scenario.WithClients(4), scenario.WithUniformLoss(0.05)), download},
+		{"ht150-timer-upload-3c", registered("ht150-upload", scenario.WithClients(3), scenario.WithMode(hack.ModeTimer)), upload},
+		{"a54-stock-4c-loss2", scenario.New(scenario.WithClients(4), scenario.WithUniformLoss(0.02)), download},
+		{"sora-opportunistic-4c", registered("sora-opportunistic", scenario.WithClients(4)), download},
+	}
+}
+
+// stations lists every station of n: each BSS's AP, then its clients.
+func stations(n *node.Network) []*mac.Station {
+	var sts []*mac.Station
+	for _, b := range n.BSSes {
+		sts = append(sts, b.AP.MAC)
+		for _, c := range b.Clients {
+			sts = append(sts, c.MAC)
+		}
+	}
+	return sts
+}
+
+// TestDifferentialIdleStations runs each idle case bare and with
+// trace.Nop on every station, in lockstep for 1 s: every event must run
+// at the same time, and at the end the events fired and every station's
+// Stats and TCPAckTime must agree. Then a short campaign of each case
+// must emit byte-identical rows both ways.
+func TestDifferentialIdleStations(t *testing.T) {
+	const until = sim.Time(sim.Second)
+	for _, c := range idleCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			listening := c.cfg
+			listening.Tracer = trace.Nop{}
+			bare, oracle := node.New(c.cfg), node.New(listening)
+			c.workload(bare, campaign.Point{})
+			c.workload(oracle, campaign.Point{})
+			for i := 0; ; i++ {
+				ok, okOracle := bare.Sched.Step(), oracle.Sched.Step()
+				if ok != okOracle || bare.Sched.Now() != oracle.Sched.Now() {
+					t.Fatalf("event %d: bare runs at %v (%v), listening at %v (%v)",
+						i, bare.Sched.Now(), ok, oracle.Sched.Now(), okOracle)
+				}
+				if !ok || bare.Sched.Now() >= until {
+					break
+				}
+			}
+			if a, b := bare.Sched.EventsFired(), oracle.Sched.EventsFired(); a != b || a < 10_000 {
+				t.Errorf("events fired: bare %d, listening %d; want equal and at least 10,000", a, b)
+			}
+			sts, want := stations(bare), stations(oracle)
+			for i, st := range sts {
+				if st.Stats != want[i].Stats || st.TCPAckTime != want[i].TCPAckTime {
+					t.Errorf("station %v: bare %+v %+v, listening %+v %+v",
+						st.Addr(), st.Stats, st.TCPAckTime, want[i].Stats, want[i].TCPAckTime)
+				}
+			}
+			spec := campaign.Spec{
+				Name:     c.name,
+				Base:     c.cfg,
+				Workload: c.workload,
+				Warmup:   200 * sim.Millisecond,
+				Measure:  300 * sim.Millisecond,
+				Workers:  1,
+			}
+			var rows, oracleRows bytes.Buffer
+			if err := campaign.Run(spec).WriteJSON(&rows); err != nil {
+				t.Fatal(err)
+			}
+			spec.Trace = func(campaign.Point) trace.Tracer { return trace.Nop{} }
+			if err := campaign.Run(spec).WriteJSON(&oracleRows); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(rows.Bytes(), oracleRows.Bytes()) {
+				t.Errorf("rows differ:\n--- bare ---\n%s\n--- listening ---\n%s", rows.String(), oracleRows.String())
+			}
+		})
 	}
 }
