@@ -607,3 +607,176 @@ func TestMetricsSnapshot(t *testing.T) {
 		t.Errorf("metrics did not observe the expiry: %+v", m.Jobs[0])
 	}
 }
+
+// slowPutStore is a MemStore whose next held Puts, once set, announce
+// themselves on entered and block until open is called: a row landing
+// on a slow disk.
+type slowPutStore struct {
+	*MemStore
+	held    atomic.Int32 // Puts still to hold
+	entered chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func newSlowPutStore(t *testing.T) *slowPutStore {
+	p := &slowPutStore{MemStore: NewMemStore(), entered: make(chan struct{}, 2), release: make(chan struct{})}
+	t.Cleanup(p.open)
+	return p
+}
+
+func (p *slowPutStore) Put(fp string, r campaign.Result) error {
+	if p.held.Add(-1) >= 0 {
+		p.entered <- struct{}{}
+		<-p.release
+	}
+	return p.MemStore.Put(fp, r)
+}
+
+// open releases every Put held now or later.
+func (p *slowPutStore) open() { p.once.Do(func() { close(p.release) }) }
+
+// waitEntered waits for n held Puts, failing the test after 10 s.
+func (p *slowPutStore) waitEntered(t *testing.T, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		select {
+		case <-p.entered:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of %d streams reached the store", i, n)
+		}
+	}
+}
+
+// TestStreamPersistsOutsideLock: while one streamed row is stuck in a
+// slow Store.Put, lease, heartbeat, Status and a stream for another job
+// still answer, and the stuck row lands once the store lets go.
+func TestStreamPersistsOutsideLock(t *testing.T) {
+	store := newSlowPutStore(t)
+	s, err := NewServer(ServerConfig{Store: store, ShardSize: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := s.Submit(testWire(), 2, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := testWire()
+	other.Axes.Seeds = []int64{3, 4}
+	if _, err := s.Submit(other, 2, ""); err != nil {
+		t.Fatal(err)
+	}
+	grant, ok := s.lease("w")
+	if !ok {
+		t.Fatal("no lease")
+	}
+	var otherGrant LeaseGrant
+	for {
+		g, ok := s.lease("w2")
+		if !ok {
+			t.Fatal("no lease on the second job")
+		}
+		if g.Job != grant.Job {
+			otherGrant = g
+			break
+		}
+	}
+	row, otherRow := grantRows(t, grant)[0], grantRows(t, otherGrant)[0]
+
+	store.held.Store(1)
+	streamed := make(chan error, 1)
+	go func() {
+		_, err := s.streamPoint("w", grant.Job, grant.Shard, row)
+		streamed <- err
+	}()
+	store.waitEntered(t, 1)
+
+	var wg sync.WaitGroup
+	within := func(name string, call func() error) {
+		done := make(chan error, 1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			done <- call()
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+		case <-time.After(time.Second):
+			t.Errorf("%s still blocked 1 s into another row's Store.Put", name)
+		}
+	}
+	within("lease", func() error {
+		_, _ = s.lease("w3")
+		return nil
+	})
+	within("heartbeat", func() error {
+		_, err := s.heartbeat("w", grant.Job, grant.Shard)
+		return err
+	})
+	within("Status", func() error {
+		_, err := s.Status(first.ID)
+		return err
+	})
+	within("streamPoint on another job", func() error {
+		_, err := s.streamPoint("w2", otherGrant.Job, otherGrant.Shard, otherRow)
+		return err
+	})
+	store.open()
+	if err := <-streamed; err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	st, err := s.Status(first.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.PointsStreamed != 1 || st.DoneRows != 1 {
+		t.Errorf("first job: %d points streamed, %d rows held; want 1 and 1", st.PointsStreamed, st.DoneRows)
+	}
+}
+
+// TestConcurrentStreamsOneRow: two streams of one row, both in
+// Store.Put at once, land one row and count one resimulation.
+func TestConcurrentStreamsOneRow(t *testing.T) {
+	store := newSlowPutStore(t)
+	s, err := NewServer(ServerConfig{Store: store, ShardSize: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := s.Submit(testWire(), 2, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	grant, ok := s.lease("w")
+	if !ok {
+		t.Fatal("no lease")
+	}
+	row := grantRows(t, grant)[0]
+	store.held.Store(2)
+	dups := make(chan bool, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			dup, err := s.streamPoint("w", grant.Job, grant.Shard, row)
+			if err != nil {
+				t.Error(err)
+			}
+			dups <- dup
+		}()
+	}
+	store.waitEntered(t, 2)
+	store.open()
+	if a, b := <-dups, <-dups; a == b {
+		t.Errorf("duplicate flags %v and %v, want exactly one duplicate", a, b)
+	}
+	st, err := s.Status(job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.PointsStreamed != 1 || st.PointsResimulated != 1 || st.DoneRows != 1 {
+		t.Errorf("%d points streamed, %d resimulated, %d rows held; want 1, 1, 1",
+			st.PointsStreamed, st.PointsResimulated, st.DoneRows)
+	}
+}

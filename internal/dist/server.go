@@ -481,21 +481,16 @@ func (s *Server) touchLocked(worker string, now time.Time) {
 	}
 }
 
-// putRowLocked lands one rehydrated row: persisted to the store first
-// (checkpoint before acknowledgment), then merged into the job. A
-// store failure degrades the job to compute-everything mode — the row
-// stays in memory, the sweep proceeds — instead of failing the
-// delivery (caller holds s.mu).
-func (s *Server) putRowLocked(j *job, idx int, r campaign.Result) {
-	if err := s.cfg.Store.Put(j.fps[idx], r); err != nil {
-		s.storePutErrors++
-		if !j.degraded {
-			j.degraded = true
-			s.cfg.Logf("dist: job %s degraded: store put failed (%v); continuing without checkpoints for failed entries", j.id, err)
-		}
+// putFailedLocked records that persisting one of j's rows failed: the
+// job degrades to compute-everything mode — the row stays in memory,
+// the sweep proceeds — instead of failing the delivery (caller holds
+// s.mu).
+func (s *Server) putFailedLocked(j *job, err error) {
+	s.storePutErrors++
+	if !j.degraded {
+		j.degraded = true
+		s.cfg.Logf("dist: job %s degraded: store put failed (%v); continuing without checkpoints for failed entries", j.id, err)
 	}
-	j.rows[idx] = r
-	j.have[idx] = true
 }
 
 // remainingLocked lists a shard's indexes that have no row yet —
@@ -610,30 +605,28 @@ func (s *Server) streamPoint(worker, jobID string, shardID int, row campaign.Res
 	if err != nil {
 		return false, err
 	}
-	inShard := false
-	for _, i := range sh.indexes {
-		if i == row.Index {
-			inShard = true
-			break
-		}
+	if err := validateRow(j, sh, &row); err != nil {
+		return false, err
 	}
-	if !inShard {
-		return false, fmt.Errorf("dist: job %s shard %d: streamed point %d not in shard",
-			jobID, shardID, row.Index)
+	if held, err := s.heldLocked(j, row); err != nil || held {
+		return held, err
 	}
-	// Canonicalize before comparing or storing: the wire trip drops
-	// the Point's unexported sweep flags, and the label/index fields
-	// are job-local (rehydrate's contract).
-	rehydrate(&row, j.spec.Name, j.points[row.Index])
-	if j.have[row.Index] {
-		if !reflect.DeepEqual(j.rows[row.Index], row) {
-			return false, fmt.Errorf("dist: job %s: streamed point %d conflicts with held row (non-deterministic producer or code-version mismatch)",
-				jobID, row.Index)
-		}
-		j.pointsResimulated++
-		return true, nil
+	// Persist before acknowledging, but outside the lock: a store write
+	// (a temp file, fsync and rename for DirStore) must not hold up
+	// every lease, heartbeat, status call and other stream.
+	s.mu.Unlock()
+	putErr := s.cfg.Store.Put(j.fps[row.Index], row)
+	s.mu.Lock()
+	if putErr != nil {
+		s.putFailedLocked(j, putErr)
 	}
-	s.putRowLocked(j, row.Index, row)
+	// A concurrent stream of the same point may have landed meanwhile.
+	if held, err := s.heldLocked(j, row); err != nil || held {
+		return held, err
+	}
+	now = s.cfg.Now()
+	j.rows[row.Index] = row
+	j.have[row.Index] = true
 	j.pointsStreamed++
 	j.lastRow = now
 	switch {
@@ -643,6 +636,42 @@ func (s *Server) streamPoint(worker, jobID string, shardID int, row campaign.Res
 		sh.expiry = now.Add(s.cfg.LeaseTTL)
 	}
 	return false, nil
+}
+
+// validateRow checks that a streamed row belongs to shard sh of job j
+// and rehydrates it (caller holds s.mu).
+func validateRow(j *job, sh *shard, row *campaign.Result) error {
+	inShard := false
+	for _, i := range sh.indexes {
+		if i == row.Index {
+			inShard = true
+			break
+		}
+	}
+	if !inShard {
+		return fmt.Errorf("dist: job %s shard %d: streamed point %d not in shard",
+			j.id, sh.id, row.Index)
+	}
+	// Canonicalize before comparing or storing: the wire trip drops
+	// the Point's unexported sweep flags, and the label/index fields
+	// are job-local (rehydrate's contract).
+	rehydrate(row, j.spec.Name, j.points[row.Index])
+	return nil
+}
+
+// heldLocked reports whether j already holds row's point: an equal row
+// counts as a resimulation, an unequal one is a conflict (caller holds
+// s.mu).
+func (s *Server) heldLocked(j *job, row campaign.Result) (bool, error) {
+	if !j.have[row.Index] {
+		return false, nil
+	}
+	if !reflect.DeepEqual(j.rows[row.Index], row) {
+		return false, fmt.Errorf("dist: job %s: streamed point %d conflicts with held row (non-deterministic producer or code-version mismatch)",
+			j.id, row.Index)
+	}
+	j.pointsResimulated++
+	return true, nil
 }
 
 // Rows returns a completed job's merged rows — byte-identical, through

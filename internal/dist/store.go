@@ -23,8 +23,9 @@ import (
 // file-dir backend is the first implementation; the interface is
 // deliberately narrow (get/put, no enumeration) so a sqlite backend
 // can slot in without touching the planner or server. The daemon
-// plans admissions outside its lock, so Get may run concurrently with
-// Put and with other Gets.
+// plans admissions and persists streamed rows outside its lock, so Get
+// and Put may run concurrently with each other and with themselves,
+// two Puts of one fingerprint included.
 type Store interface {
 	// Get returns the cached row for a fingerprint, nil on a miss.
 	// Unverifiable (corrupt) entries are a miss, not an error; errors
