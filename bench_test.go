@@ -126,9 +126,11 @@ func BenchmarkAblationTXOP(b *testing.B) {
 // --- N-scaling (timing-wheel) suite ---
 
 // The scale scenario: n stations on a dense 2 m grid (everyone within
-// carrier-sense range, so every frame touches every station's NAV and
-// carrier state — the timer-churn regime the wheel is built for), each
-// sinking its share of an 80 Mbps aggregate UDP downlink.
+// carrier-sense range), each sinking its share of an 80 Mbps aggregate
+// UDP downlink. On the scalar PHY a station with nothing to do stops
+// listening, so a frame costs time for the stations it involves, not
+// for every attached one; on the spatial PHY every frame still reaches
+// every station's NAV and carrier state.
 const (
 	scaleWarm          = 500 * sim.Millisecond
 	scaleMeasure       = 1500 * sim.Millisecond

@@ -317,23 +317,13 @@ func (m *Medium) Listen(i int) {
 	}
 }
 
-// nextListener returns the index of the first listening radio at or
-// after i, or -1. Deliveries and carrier edges walk the listeners with
-// it, so a radio that starts listening during a walk, at an index not
-// yet reached, is visited in attach order.
-func (m *Medium) nextListener(i int) int {
-	w := i >> 6
-	if w >= len(m.listen) {
-		return -1
-	}
-	word := m.listen[w] >> (i & 63)
-	for word == 0 {
-		if w++; w == len(m.listen) {
-			return -1
-		}
-		word, i = m.listen[w], w<<6
-	}
-	return i + bits.TrailingZeros64(word)
+// listenersAbove returns word w of the listening bitmap without bits 0
+// to b. Deliveries and carrier edges walk the listeners a word at a
+// time and re-read the word after each callback with it, so a radio
+// that starts listening during a walk, at an index not yet reached, is
+// visited in attach order.
+func (m *Medium) listenersAbove(w, b int) uint64 {
+	return m.listen[w] &^ (2<<b - 1)
 }
 
 // Carrier returns the single collision domain's carrier history.
@@ -451,16 +441,27 @@ func (m *Medium) finish(tx *Transmission) {
 	if m.Tracer != nil {
 		m.Tracer.Emit(trace.Event{T: now, Kind: trace.KindTxEnd, ID: tx.ID, Collided: tx.collided})
 	}
-	if m.oneDomain {
-		if m.deaf > 0 {
-			m.Overhearer.Overhear(tx, all)
-		}
-		for j := m.nextListener(0); j >= 0; j = m.nextListener(j + 1) {
-			if j != tx.srcIdx {
-				m.radios[j].EndRx(tx, all)
+	switch {
+	case m.oneDomain && m.deaf > 0:
+		m.Overhearer.Overhear(tx, all)
+		for w := range m.listen {
+			for word := m.listen[w]; word != 0; {
+				b := bits.TrailingZeros64(word)
+				if j := w<<6 | b; j != tx.srcIdx {
+					m.radios[j].EndRx(tx, all)
+				}
+				word = m.listenersAbove(w, b)
 			}
 		}
-	} else {
+	case m.oneDomain:
+		// Every radio listens, so the walk needs no bitmap: a callback
+		// can stop only its own radio, already visited, from listening.
+		for j, r := range m.radios {
+			if j != tx.srcIdx {
+				r.EndRx(tx, all)
+			}
+		}
+	default:
 		for j, r := range m.radios {
 			if outcome := m.scratchOut[j]; j != tx.srcIdx && outcome != rxNone {
 				r.EndRx(tx, outcome)

@@ -39,6 +39,24 @@
 // radio to every other without being detected, and requires the same
 // outcomes, carrier edges, event traces and campaign rows.
 //
+// # Listening radios
+//
+// Because every radio of one collision domain hears the same thing, a
+// radio with nothing to do need not hear it as it happens. A radio
+// listens from Attach on; in a single collision domain whose
+// Overhearer is set, StopListening takes it out of the fan-out and
+// Listen puts it back. Deliveries and carrier edges go to the
+// listening radios only, in attach order, so a frame costs the medium
+// per listening radio, not per attached one. The Overhearer stands in
+// for the others: it hears each finished transmission once, before the
+// deliveries, with the outcome every radio but the source receives,
+// and the medium's Carrier records the edges (their count and the last
+// busy and idle edge) that a radio which listens again has missed.
+// internal/mac decides which stations stop listening and rebuilds
+// their state when they listen again. The general engine decides
+// outcomes and carrier state per receiver, so there every radio
+// listens.
+//
 // The medium owns each Transmission record: it recycles the record
 // once the transmission has finished, zeroed, so a radio reads it only
 // inside EndRx.

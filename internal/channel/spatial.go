@@ -2,6 +2,7 @@ package channel
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -401,13 +402,29 @@ func (m *Medium) updateCarrier() {
 		c.Edges++
 		if onAir {
 			c.BusyAt = m.sched.Now()
-			for j := m.nextListener(0); j >= 0; j = m.nextListener(j + 1) {
-				m.radios[j].CarrierBusy()
-			}
 		} else {
 			c.IdleAt = m.sched.Now()
-			for j := m.nextListener(0); j >= 0; j = m.nextListener(j + 1) {
-				m.radios[j].CarrierIdle()
+		}
+		switch {
+		case m.deaf > 0:
+			for w := range m.listen {
+				for word := m.listen[w]; word != 0; {
+					b := bits.TrailingZeros64(word)
+					if r := m.radios[w<<6|b]; onAir {
+						r.CarrierBusy()
+					} else {
+						r.CarrierIdle()
+					}
+					word = m.listenersAbove(w, b)
+				}
+			}
+		case onAir:
+			for _, r := range m.radios {
+				r.CarrierBusy()
+			}
+		default:
+			for _, r := range m.radios {
+				r.CarrierIdle()
 			}
 		}
 		return

@@ -613,7 +613,9 @@ func TestMetricsSnapshot(t *testing.T) {
 // on a slow disk.
 type slowPutStore struct {
 	*MemStore
-	held    atomic.Int32 // Puts still to hold
+	held atomic.Int32 // Puts still to hold
+	// entered has room for the most Puts a test holds, two, so a held
+	// Put never blocks announcing itself.
 	entered chan struct{}
 	release chan struct{}
 	once    sync.Once

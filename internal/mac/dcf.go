@@ -118,6 +118,15 @@ func (d *dcf) setNAV(t sim.Time, tx *channel.Transmission) {
 // symbols, which no turnaround in use (0 or 37 µs) equals. Stack and
 // forward delays are 50 µs and 10 µs. TCP, HACK and Block ACK reorder
 // timers run on millisecond scales.
+//
+// The same argument frees the posting position for idle stations,
+// which do not listen (see overheard): when a frame extends an idle
+// station's NAV, the medium's record posts the lapse before the
+// delivery loop rather than at that station's place in it, and the
+// lapse fires at the same instant with the same members. It also
+// updates the idle clock of the idle stations whose NAV it ends
+// (idleRoot); a station that wakes while the lapse is pending is
+// inserted among the members at its attach-order place.
 type navLapse struct {
 	owner      *Station
 	txID       uint64    // the transmission whose reservation lapses

@@ -47,6 +47,39 @@
 // frame for NAV, not one per station, in the same order of execution
 // (navLapse gives the argument).
 //
+// A station that has stopped listening (see Idle stations) joins no
+// lapse. The medium's record of idle stations keeps their NAVs
+// instead: a frame whose NAV end exceeds some idle station's NAV posts
+// its lapse exactly as setNAV would for the first overhearer it
+// extends, so no lapse event is added or dropped, and the lapse also
+// advances the idle clock of the idle stations whose NAV it ends. A
+// station that wakes while the lapse of its NAV is pending rejoins the
+// lapse's members at its attach-order place, where the frame's
+// delivery loop put it.
+//
+// # Idle stations
+//
+// In a single collision domain a station with nothing to do — no
+// transmission requested, no DCF timer pending, no exchange
+// outstanding, no response pending and no tracer — stops listening,
+// so a frame costs the medium and the MAC nothing for it: no carrier
+// edges, no delivery, no NAV update. It listens again when a frame
+// addressed to it is decoded, before the frame is delivered, or when
+// its queue gets a packet. It then holds exactly the state the skipped
+// callbacks and NAV lapses would have left, because everything it
+// missed is medium-wide: an idle station is never a frame's source, and
+// every other frame reaches it with the outcome every overhearer gets.
+// Its carrier state and busy-edge time come from the medium's carrier
+// history; its EIFS flag is the outcome of the last frame that finished
+// since it left; its NAV is the larger of its own and the NAV ends of
+// the data frames and Block ACK Requests decoded since; and its idle
+// clock moved at each idle edge at or after its NAV end and at its
+// NAV's lapse if the medium was idle then. The overheard record keeps
+// those NAVs and idle clocks in a few roots shared by the stations
+// whose NAV and pending lapse agree. A traced station never stops
+// listening, since its trace pins every NAV update, so running every
+// station traced is the reference the idle path is tested against.
+//
 // # Frame ownership
 //
 // A warm station allocates no frame per transmission. It owns one

@@ -34,13 +34,15 @@ import (
 // that was set after the station joined the root (its gen), and its
 // own otherwise; members of the smaller roots of a merge first take
 // their idleAt into their own dcf, since the merged root's val
-// predates them. Item for the NAV reset of an overheard response: the
-// root ending a frame's NAV is its lapse's idleRoot, one update.
+// predates them. Anything that ends one frame's NAV early, such as a
+// NAV reset on an overheard response, is one update here too: the root
+// whose NAV a frame set is that frame's lapse's idleRoot.
 type overheard struct {
 	medium *channel.Medium
 	sched  *sim.Scheduler
-	// off is set when the medium does not let radios stop listening:
-	// the general engine decides outcomes per receiver.
+	// off is set when no station may stop listening: the medium runs
+	// the general engine, which decides outcomes per receiver, or two
+	// stations share an address.
 	off bool
 
 	sta []idleStation // by radio index
@@ -76,11 +78,13 @@ type idleStation struct {
 // navRoot is the shared state of idle stations whose NAV and lapse are
 // equal.
 type navRoot struct {
-	nav    sim.Time
-	lapse  *navLapse // ends nav; nil once it fired or if none is pending
-	val    sim.Time  // the latest idle-clock start since val was set
-	valGen uint64    // the gen at which val was set; 0 for never
-	head   int32     // first member, by radio index
+	nav   sim.Time
+	lapse *navLapse // ends nav; nil once it fired or if none is pending
+	// val is the latest idle-clock start of the members while in this
+	// root, set at gen valGen (0 for never).
+	val    sim.Time
+	valGen uint64
+	head   int32 // first member, by radio index
 	count  int32
 	next   int32 // free-list link
 }
