@@ -68,7 +68,9 @@ type Config struct {
 	// Whenever the medium has a Tracer, the station stages its
 	// tx_start fields there before each transmission, whatever this
 	// one is. Tracers observe only; they never perturb RNG or event
-	// order.
+	// order. A station with a Tracer never stops listening (see Idle
+	// stations in the package doc), since its trace pins every NAV
+	// update.
 	Tracer trace.Tracer
 }
 
