@@ -192,9 +192,9 @@ func (l *navLapse) leave(d *dcf) {
 	d.lapse, d.lapsePrev, d.lapseNext = nil, nil, nil
 }
 
-// fire re-evaluates each member's idle state in join order, and the
-// idle stations' whose NAV it ends, and returns the record to its
-// owner's freelist.
+// fire re-evaluates each member's idle state in join order, then that
+// of the idle stations whose NAV it ends, and returns the record to
+// its owner's freelist.
 func (l *navLapse) fire() {
 	for d := l.head; d != nil; d = l.head {
 		l.leave(d)
