@@ -15,13 +15,15 @@ import (
 // drives them with MSDUs between random pairs at random instants. The
 // instants lie on a 1 µs grid, the grid of every frame timing, so
 // enqueues land on NAV lapses, idle edges and slot boundaries, and the
-// generator draws from its own source, so a traced copy of the network
-// sees the same traffic. Stations differ in HACK payload allowance,
-// which makes a NAV outlast the response it covers, in ACK turnaround,
-// and in CWmin: a wide window banks enough backoff that a stale idle
-// clock would move a transmission. With traced set, every station
-// carries trace.Nop and so never stops listening.
-func randomTraffic(seed int64, aggregated, traced bool) (*env, []*Station) {
+// generators draw from their own source, so a traced copy of the
+// network sees the same traffic. A second generator, the medium's
+// tracer (after air), aims at NAV lapses outright (navEnds). Stations
+// differ in HACK payload allowance, which makes a NAV outlast the
+// response it covers, in ACK turnaround, and in CWmin: a wide window
+// banks enough backoff that a stale idle clock would move a
+// transmission. With traced set, every station carries trace.Nop and
+// so never stops listening.
+func randomTraffic(seed int64, aggregated, traced bool, air trace.Tracer) (*env, []*Station) {
 	e := newEnv(seed, &channel.FixedLoss{Default: 0.1})
 	var tr trace.Tracer
 	if traced {
@@ -53,7 +55,38 @@ func randomTraffic(seed int64, aggregated, traced bool) (*env, []*Station) {
 		e.sched.After(sim.Duration(1+rng.Intn(800))*sim.Microsecond, gen)
 	}
 	e.sched.At(0, gen)
+	e.medium.Tracer = trace.Multi(air, &navEnds{sched: e.sched, sts: sts, rng: rand.New(rand.NewSource(seed + 1))})
 	return e, sts
+}
+
+// navEnds is a medium tracer that, when every other data frame or BAR
+// starts, schedules an MSDU for a station that is neither of the
+// frame's parties at the instant the frame's NAV lapses. The enqueue is
+// posted before the frame's lapse event, so at that instant it runs
+// first: a waking station must then rejoin the pending lapse and keep
+// the idle clock it had before the lapse.
+type navEnds struct {
+	sched *sim.Scheduler
+	sts   []*Station
+	rng   *rand.Rand
+}
+
+func (g *navEnds) Emit(ev trace.Event) {
+	if ev.Kind != trace.KindTxStart || ev.Class == trace.ClassAck.String() || g.rng.Intn(2) == 0 {
+		return
+	}
+	ex := g.sts[ev.Src-1].waiting
+	dur := ex.data.Dur
+	if ev.Class == trace.ClassBAR.String() {
+		dur = ex.bar.Dur
+	}
+	k := g.rng.Intn(len(g.sts))
+	if Addr(k+1) == Addr(ev.Src) || Addr(k+1) == Addr(ev.Dst) {
+		return
+	}
+	dst := Addr(1 + (k+1+g.rng.Intn(len(g.sts)-1))%len(g.sts))
+	st := g.sts[k]
+	g.sched.At(ev.End+dur, func() { st.Enqueue(udpMSDU(st.Addr(), dst, 100+g.rng.Intn(1400), 0)) })
 }
 
 // TestIdleStationsMatchListening runs randomTraffic bare, where idle
@@ -66,11 +99,10 @@ func randomTraffic(seed int64, aggregated, traced bool) (*env, []*Station) {
 func TestIdleStationsMatchListening(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		aggregated := seed%3 == 0
-		e, sts := randomTraffic(seed, aggregated, false)
-		oracle, want := randomTraffic(seed, aggregated, true)
 		var air, oracleAir bytes.Buffer
 		w, oracleW := trace.NewWriter(&air), trace.NewWriter(&oracleAir)
-		e.medium.Tracer, oracle.medium.Tracer = w, oracleW
+		e, sts := randomTraffic(seed, aggregated, false, w)
+		oracle, want := randomTraffic(seed, aggregated, true, oracleW)
 		awaySteps := 0
 		for i := 0; e.sched.Now() < sim.Time(2*sim.Second); i++ {
 			ok, okOracle := e.sched.Step(), oracle.sched.Step()
