@@ -76,9 +76,10 @@ func (t *Transmission) Duration() sim.Duration { return t.End - t.Start }
 
 // Radio is the channel-facing side of a station. The medium invokes
 // CarrierBusy/CarrierIdle as the carrier the radio senses turns busy
-// or idle, and EndRx once per completed transmission from another
-// radio that reaches it, while the radio listens (see StopListening).
-// Every Radio embeds a Port, which carries its index on the medium.
+// or idle, while the radio listens, and EndRx once per completed
+// transmission from another radio that reaches it, unless an
+// Overhearer stands in for the radio (see StopListening). Every Radio
+// embeds a Port, which carries its index on the medium.
 //
 // The medium decides collisions (overlap in time); noise corruption is
 // drawn by the receiver per decoded unit via Medium.Corrupted, so that
@@ -121,10 +122,11 @@ type Overhearer interface {
 	Overhear(tx *Transmission, outcome Outcome)
 }
 
-// Carrier is a single collision domain's carrier history: what a radio
-// that stopped listening reads to learn the edges it missed.
+// Carrier is a radio's carrier history: what a radio that stopped
+// listening reads to learn the edges it missed. In a single collision
+// domain every radio shares one.
 type Carrier struct {
-	// Busy is the carrier state last reported to the listening radios.
+	// Busy is the carrier state the radio senses.
 	Busy bool
 	// Edges counts the busy and idle edges so far. They alternate,
 	// busy first, so Busy is whether Edges is odd.
@@ -207,32 +209,44 @@ type Medium struct {
 
 	// Geometry sets the radio physics: per-pair path loss,
 	// per-receiver carrier sensing and SINR capture (see doc.go). Nil
-	// means one collision domain, as do DegenerateGeometry's values:
-	// every radio senses and receives every frame, and any overlap
-	// collides. Assign it before the first Transmit; radio positions
-	// are sampled when the power matrix is built and must not move
-	// afterwards.
+	// means one collision domain, as do carrier sense and delivery
+	// floor at -Inf with capture margin +Inf: every radio senses and
+	// receives every frame, and any overlap collides. Assign it before
+	// the first Transmit; radio positions are sampled when the power
+	// matrix is built and must not move afterwards.
 	Geometry *Geometry
 
-	// Overhearer, when set, stands in for the radios that do not
-	// listen; a radio may stop listening only while it is set.
+	// Overhearer, when set, stands in for the radios of a single
+	// collision domain that do not listen. Assign it before a radio
+	// stops listening.
 	Overhearer Overhearer
 
 	// Engine state, built by ensureState at the first Transmit. A
 	// single collision domain uses only carrier: no power matrix,
 	// carrier sums or per-radio carrier state.
-	built      bool
-	oneDomain  bool
-	carrier    Carrier     // single collision domain only
-	powerMW    [][]float64 // symmetric rx-power matrix, diagonal 0
-	txOwn      []int       // in-flight transmissions per source radio
-	senseBusy  []bool      // last carrier state reported to each radio
-	senseMW    []float64   // summed on-air rx power at each radio
+	built     bool
+	oneDomain bool
+	carrier   Carrier     // single collision domain only
+	powerMW   [][]float64 // symmetric rx-power matrix, diagonal 0
+	// reach[i] lists, ascending, radio i and the radios its frames
+	// reach (see extendReach); every is the list of every index, which
+	// the sources that reach every radio share.
+	reach [][]int32
+	every []int32
+	// coupled memoizes couples' shared-receiver test per source pair,
+	// at [a*n+b] for n radios.
+	coupled    []uint8
+	capture    []captureRule // per rate, made at first use
+	txOwn      []int         // in-flight transmissions per source radio
+	senseBusy  []bool        // each radio's carrier state
+	flips      []int32       // radios whose carrier state the air's last change flips
+	carriers   []Carrier     // each radio's carrier history
+	senseMW    []float64     // summed on-air rx power at each radio
 	noiseMW    float64
 	csMW       float64
 	floorMW    float64
 	scratchSum []float64
-	scratchOut []Outcome
+	scratchOut []Outcome // per radio, the outcome of the finishing frame
 
 	// Stats.
 	TxCount       uint64
@@ -286,30 +300,31 @@ func (m *Medium) attached(r Radio) bool {
 	return i < len(m.radios) && m.radios[i] == r
 }
 
-// StopListening takes radio i out of the medium's fan-out: it gets no
-// deliveries and no carrier edges until Listen. Only a single collision
-// domain with an Overhearer allows that, since every radio there hears
-// the same thing: StopListening reports whether radio i stopped. The
-// general engine decides outcomes and carrier state per receiver, so
-// every radio keeps listening there. Assign Geometry before a radio
-// stops listening.
+// StopListening takes radio i out of the medium's carrier fan-out: it
+// gets no carrier edges until Listen, and Carrier(i) records the ones
+// it misses. In a single collision domain whose Overhearer is set,
+// where every radio hears the same thing, it gets no deliveries either,
+// and StopListening reports true. Otherwise it keeps its deliveries —
+// the general engine decides outcomes per receiver — and StopListening
+// reports false. Assign Geometry before a radio stops listening.
 func (m *Medium) StopListening(i int) bool {
-	one := m.oneDomain
 	if !m.built {
-		one = m.Geometry.oneDomain()
-	}
-	if !one || m.Overhearer == nil {
-		return false
+		m.oneDomain = m.Geometry.oneDomain()
 	}
 	if w, bit := i>>6, uint64(1)<<(i&63); m.listen[w]&bit != 0 {
 		m.listen[w] &^= bit
 		m.deaf++
 	}
-	return true
+	return m.overheard()
 }
 
+// overheard reports whether the Overhearer stands in for the radios
+// that do not listen.
+func (m *Medium) overheard() bool { return m.oneDomain && m.Overhearer != nil }
+
 // Listen puts radio i back into the fan-out, at its attach-order place:
-// it gets the deliveries and carrier edges that follow.
+// it gets the carrier edges, and any deliveries it did not get, that
+// follow.
 func (m *Medium) Listen(i int) {
 	if w, bit := i>>6, uint64(1)<<(i&63); m.listen[w]&bit == 0 {
 		m.listen[w] |= bit
@@ -326,8 +341,14 @@ func (m *Medium) listenersAbove(w, b int) uint64 {
 	return m.listen[w] &^ (2<<b - 1)
 }
 
-// Carrier returns the single collision domain's carrier history.
-func (m *Medium) Carrier() Carrier { return m.carrier }
+// Carrier returns radio i's carrier history. In a single collision
+// domain every radio shares the medium's.
+func (m *Medium) Carrier(i int) Carrier {
+	if i < len(m.carriers) {
+		return m.carriers[i]
+	}
+	return m.carrier
+}
 
 // Busy reports whether any transmission is in flight.
 func (m *Medium) Busy() bool { return len(m.active) > 0 }
@@ -421,8 +442,10 @@ func (m *Medium) removeActive(tx *Transmission) {
 
 // finish ends tx: it decides the outcome at every receiver, makes the
 // deliveries in attach order and then the carrier edges, and recycles
-// the record. In a single collision domain the deliveries go to the
-// listening radios, after the Overhearer has stood in for the others.
+// the record. The general engine delivers to the radios tx reaches. In
+// a single collision domain the deliveries go to every other radio,
+// or, where the Overhearer stands in for the radios that do not
+// listen, to the listening ones after it.
 func (m *Medium) finish(tx *Transmission) {
 	now := m.sched.Now()
 	m.ensureState()
@@ -442,7 +465,7 @@ func (m *Medium) finish(tx *Transmission) {
 		m.Tracer.Emit(trace.Event{T: now, Kind: trace.KindTxEnd, ID: tx.ID, Collided: tx.collided})
 	}
 	switch {
-	case m.oneDomain && m.deaf > 0:
+	case m.deaf > 0 && m.overheard():
 		m.Overhearer.Overhear(tx, all)
 		for w := range m.listen {
 			for word := m.listen[w]; word != 0; {
@@ -454,17 +477,15 @@ func (m *Medium) finish(tx *Transmission) {
 			}
 		}
 	case m.oneDomain:
-		// Every radio listens, so the walk needs no bitmap: a callback
-		// can stop only its own radio, already visited, from listening.
 		for j, r := range m.radios {
 			if j != tx.srcIdx {
 				r.EndRx(tx, all)
 			}
 		}
 	default:
-		for j, r := range m.radios {
-			if outcome := m.scratchOut[j]; j != tx.srcIdx && outcome != rxNone {
-				r.EndRx(tx, outcome)
+		for _, j := range m.reach[tx.srcIdx] {
+			if int(j) != tx.srcIdx {
+				m.radios[j].EndRx(tx, m.scratchOut[j])
 			}
 		}
 	}

@@ -550,7 +550,7 @@ func TestDeafRadiosGetNoCallbacks(t *testing.T) {
 		m.Attach(radios[i])
 	}
 	if m.StopListening(1) {
-		t.Fatal("StopListening without an Overhearer succeeded")
+		t.Fatal("StopListening without an Overhearer stopped deliveries")
 	}
 	o := &countingOverhearer{}
 	m.Overhearer = o
@@ -583,7 +583,7 @@ func TestDeafRadiosGetNoCallbacks(t *testing.T) {
 	if len(o.outcomes) != frames+1 || collided != 2 {
 		t.Errorf("Overhearer heard %d frames, %d collided; want %d, 2", len(o.outcomes), collided, frames+1)
 	}
-	if c := m.Carrier(); c.Busy || c.Edges != 2*frames || c.BusyAt != 19*sim.Millisecond {
+	if c := m.Carrier(0); c.Busy || c.Edges != 2*frames || c.BusyAt != 19*sim.Millisecond {
 		t.Errorf("carrier history %+v, want idle after %d edges, last busy at 19 ms", c, 2*frames)
 	}
 	m.Listen(999)

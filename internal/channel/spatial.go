@@ -3,7 +3,6 @@ package channel
 import (
 	"math"
 	"math/bits"
-	"sort"
 	"sync"
 
 	"tcphack/internal/phy"
@@ -55,23 +54,9 @@ func DefaultGeometry() *Geometry {
 	}
 }
 
-// DegenerateGeometry returns the single collision domain as geometry
-// values, whatever the radio positions: every radio senses every
-// transmission (CS threshold -Inf), every frame reaches every radio
-// (delivery floor -Inf), and capture never succeeds (margin +Inf), so
-// any overlap collides everywhere. The medium treats it exactly as a
-// nil Geometry (see oneDomain).
-func DegenerateGeometry() *Geometry {
-	g := DefaultGeometry()
-	g.CSThresholdDBm = math.Inf(-1)
-	g.DeliveryFloorDBm = math.Inf(-1)
-	g.CaptureMarginDB = math.Inf(1)
-	return g
-}
-
 // oneDomain reports whether g couples every radio to every other: nil,
-// or DegenerateGeometry's carrier-sense threshold, delivery floor and
-// capture margin. The medium then needs no per-pair physics.
+// or carrier sense and delivery floor at -Inf with capture margin +Inf.
+// The medium then needs no per-pair physics.
 func (g *Geometry) oneDomain() bool {
 	return g == nil || math.IsInf(g.CSThresholdDBm, -1) &&
 		math.IsInf(g.DeliveryFloorDBm, -1) && math.IsInf(g.CaptureMarginDB, 1)
@@ -85,47 +70,6 @@ func (g *Geometry) RxPowerDBm(distance float64) float64 {
 		distance = 1
 	}
 	return g.TxPowerDBm - g.RefLossDB - float64(10*g.Exponent*math.Log10(distance))
-}
-
-// CaptureOK reports whether a frame at rate received at signalDBm
-// decodes despite the given concurrent interferers: its SINR must
-// clear SINRThresholdDB(rate) plus the capture margin. With no
-// interferers the frame always decodes (noise corruption is the error
-// model's job, drawn separately). It applies the medium's own capture
-// rule to these powers, and the decision is deterministic and
-// independent of interferer order.
-func (g *Geometry) CaptureOK(rate phy.Rate, signalDBm float64, interferersDBm []float64) bool {
-	if len(interferersDBm) == 0 {
-		return true
-	}
-	return captures(phy.DBmToMilliwatts(signalDBm), phy.DBmToMilliwatts(g.NoiseDBm),
-		interferenceMW(interferersDBm), SINRThresholdDB(rate)+g.CaptureMarginDB)
-}
-
-// SINRdB returns the signal-to-interference-plus-noise ratio in dB for
-// a signal received at signalDBm over the given interferer powers and
-// noise floor, with the arithmetic of the medium's capture decision.
-// The interferers are summed in a canonical order, so the result is
-// bit-identical under any permutation of interferersDBm.
-func SINRdB(signalDBm float64, interferersDBm []float64, noiseDBm float64) float64 {
-	return sinrDB(phy.DBmToMilliwatts(signalDBm), phy.DBmToMilliwatts(noiseDBm), interferenceMW(interferersDBm))
-}
-
-// interferenceMW sums interferer powers in mW in descending canonical
-// order: float addition is commutative but not associative, so a fixed
-// order is what makes the sum permutation-independent (FuzzCapture
-// pins this).
-func interferenceMW(interferersDBm []float64) float64 {
-	terms := make([]float64, len(interferersDBm))
-	for i, p := range interferersDBm {
-		terms[i] = phy.DBmToMilliwatts(p)
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(terms)))
-	sum := 0.0
-	for _, t := range terms {
-		sum += t
-	}
-	return sum
 }
 
 // sinrDB is the SINR in dB of a signal over noise plus aggregate
@@ -168,23 +112,71 @@ func SINRThresholdDB(rate phy.Rate) float64 {
 	return hi
 }
 
-// rxNone marks a receiver that gets no EndRx for a transmission
-// (below the delivery floor, or the source itself).
-const rxNone Outcome = -1
+// captureGuardDB is the half-width, in dB, of the band around a capture
+// threshold inside which the medium decides capture with the dB rule
+// (captures). Outside the band the linear SINR decides: the band is far
+// wider than log10's rounding error, so both rules agree there.
+const captureGuardDB = 1e-6
+
+// captureRule is one rate's capture decision on a medium: the dB
+// threshold, SINRThresholdDB(rate) plus the capture margin, and the
+// linear SINR bounds of its guard band, 10^((thrDB ∓ captureGuardDB)/10).
+// NaN bounds send every decision to the dB rule.
+type captureRule struct {
+	rate   phy.Rate
+	thrDB  float64
+	lo, hi float64
+}
+
+// newCaptureRule returns the rule for rate at threshold thrDB. Beyond
+// ±1000 dB the bounds would near the ends of float64's range, where a
+// power of ten loses precision, so there the dB rule decides alone.
+func newCaptureRule(rate phy.Rate, thrDB float64) captureRule {
+	c := captureRule{rate: rate, thrDB: thrDB, lo: math.NaN(), hi: math.NaN()}
+	if math.Abs(thrDB) <= 1000 {
+		c.lo = math.Pow(10, (thrDB-captureGuardDB)/10)
+		c.hi = math.Pow(10, (thrDB+captureGuardDB)/10)
+	}
+	return c
+}
+
+// captures decides capture as captures(signalMW, noiseMW, interfMW,
+// c.thrDB) does, taking a logarithm only inside the guard band.
+func (c *captureRule) captures(signalMW, noiseMW, interfMW float64) bool {
+	switch r := signalMW / (noiseMW + interfMW); {
+	case r >= c.hi:
+		return true
+	case r < c.lo:
+		return false
+	}
+	return captures(signalMW, noiseMW, interfMW, c.thrDB)
+}
+
+// captureFor returns rate's capture rule on m, made at its first use.
+func (m *Medium) captureFor(rate phy.Rate) *captureRule {
+	for i := range m.capture {
+		if m.capture[i].rate == rate {
+			return &m.capture[i]
+		}
+	}
+	m.capture = append(m.capture, newCaptureRule(rate, SINRThresholdDB(rate)+m.Geometry.CaptureMarginDB))
+	return &m.capture[len(m.capture)-1]
+}
 
 // ensureState builds the engine's state at the first Transmit and
 // extends it to radios attached since; existing indices never move.
 // The first call decides whether the geometry is one collision domain
 // (Geometry.oneDomain), which needs no state. Otherwise it builds the
-// symmetric power matrix, per-radio carrier state and linear-domain
-// thresholds.
+// symmetric power matrix, the reach lists, the coupling memo and
+// per-radio carrier state.
 func (m *Medium) ensureState() {
 	if !m.built {
 		m.built = true
-		m.oneDomain = m.Geometry.oneDomain()
-		if !m.oneDomain && m.deaf > 0 {
+		one := m.Geometry.oneDomain()
+		if m.deaf > 0 && one != m.oneDomain {
 			panic("channel: Geometry assigned after a radio stopped listening")
 		}
+		m.oneDomain = one
 	}
 	n := len(m.radios)
 	if m.oneDomain || len(m.powerMW) == n {
@@ -204,6 +196,9 @@ func (m *Medium) ensureState() {
 		m.txOwn = append(m.txOwn, 0)
 		m.senseBusy = append(m.senseBusy, false)
 		m.senseMW = append(m.senseMW, 0)
+		m.carriers = append(m.carriers, Carrier{})
+		m.every = append(m.every, int32(i))
+		m.reach = append(m.reach, nil)
 	}
 	for i := 0; i < n; i++ {
 		pi := m.radios[i].Position()
@@ -228,8 +223,44 @@ func (m *Medium) ensureState() {
 	m.noiseMW = phy.DBmToMilliwatts(g.NoiseDBm)
 	m.csMW = phy.DBmToMilliwatts(g.CSThresholdDBm)
 	m.floorMW = phy.DBmToMilliwatts(g.DeliveryFloorDBm)
+	m.extendReach(old)
+	// A new radio can be the shared receiver that couples an old pair.
+	m.coupled = make([]uint8, n*n)
+	m.flips = make([]int32, 0, n)
 	m.scratchSum = make([]float64, n)
 	m.scratchOut = make([]Outcome, n)
+}
+
+// extendReach extends every source's reach list over the radios from
+// index old on. A list holds, ascending, the source itself and every
+// radio its frames reach: at or above the delivery floor, by
+// removePower's own comparison. A source that reaches every radio
+// shares the list of every index, so a dense network keeps one list;
+// that list's capacity ends at its length, so extending it copies.
+func (m *Medium) extendReach(old int) {
+	n := len(m.radios)
+	for i := 0; i < n; i++ {
+		list, from := m.reach[i], old
+		if i >= old {
+			from = 0
+		}
+		added := 0
+		for j := from; j < n; j++ {
+			if j == i || !(m.powerMW[i][j] < m.floorMW) {
+				added++
+			}
+		}
+		if len(list) == from && added == n-from {
+			m.reach[i] = m.every[:n:n]
+			continue
+		}
+		for j := from; j < n; j++ {
+			if j == i || !(m.powerMW[i][j] < m.floorMW) {
+				list = append(list, int32(j))
+			}
+		}
+		m.reach[i] = list
+	}
 }
 
 // zeroedBuf returns b resized to n and zeroed, reusing its array when
@@ -244,23 +275,38 @@ func zeroedBuf(b []float64, n int) []float64 {
 }
 
 // addPower is the general engine's half of Transmit: tx's power joins
-// every radio's sensed sum, tx and every transmission it overlaps
-// accrue their interference maxima, and coupled pairs collide. It
-// draws no randomness.
+// every radio's sensed sum, which lists the carrier flips it causes,
+// tx and every transmission it overlaps accrue their interference
+// maxima at the radios they reach, and coupled pairs collide. It draws
+// no randomness.
 func (m *Medium) addPower(tx *Transmission, now sim.Time) {
 	nR := len(m.radios)
 	si := tx.srcIdx
 	tx.interfMax = zeroedBuf(tx.interfMax, nR)
 	row := m.powerMW[si]
+	m.txOwn[si]++
 	// A fresh busy period copies rather than accumulates, which also
-	// discards any float drift from the previous period.
+	// discards any float drift from the previous period. tx is on the
+	// air when its carrier edges come, so the flips are the radios busy
+	// with it that were not.
+	flips, busy, own, sense, cs := m.flips[:0], m.senseBusy, m.txOwn, m.senseMW, m.csMW
 	if len(m.active) == 0 {
-		copy(m.senseMW, row)
+		for j, p := range row {
+			sense[j] = p
+			if (own[j] > 0 || p >= cs) != busy[j] {
+				flips = append(flips, int32(j))
+			}
+		}
 	} else {
-		for j := 0; j < nR; j++ {
-			m.senseMW[j] += row[j]
+		for j, p := range row {
+			v := sense[j] + p
+			sense[j] = v
+			if (own[j] > 0 || v >= cs) != busy[j] {
+				flips = append(flips, int32(j))
+			}
 		}
 	}
+	m.flips = flips
 	// A transmission ending exactly now does not overlap (its finish
 	// event may simply not have run yet at this instant).
 	nOverlap := 0
@@ -290,10 +336,15 @@ func (m *Medium) addPower(tx *Transmission, now sim.Time) {
 			oi := o.srcIdx
 			orow := m.powerMW[oi]
 			// Worst-instant aggregate interference for the ongoing
-			// transmission at every receiver. +Inf entries (half-duplex)
-			// are sticky: no finite max can overwrite them.
-			for j := 0; j < nR; j++ {
-				if j == oi {
+			// transmission at every receiver it reaches; it decides no
+			// other outcome. +Inf entries (half-duplex) are sticky: no
+			// finite max can overwrite them. A radio attached since o
+			// started has no entry.
+			for _, j := range m.reach[oi] {
+				if int(j) >= len(o.interfMax) {
+					break
+				}
+				if int(j) == oi {
 					continue
 				}
 				if v := S[j] - orow[j]; v > o.interfMax[j] {
@@ -304,27 +355,12 @@ func (m *Medium) addPower(tx *Transmission, now sim.Time) {
 			// frame can never decode that frame.
 			o.interfMax[si] = math.Inf(1)
 			tx.interfMax[oi] = math.Inf(1)
-			// The pair is a coupled collision — traced and counted —
-			// when the sources hear each other or share any in-range
-			// third receiver. Uncoupled overlaps are mere spatial reuse.
-			coupled := row[oi] >= m.floorMW
-			if !coupled {
-				for j := 0; j < nR; j++ {
-					if j == si || j == oi {
-						continue
-					}
-					if row[j] >= m.floorMW && orow[j] >= m.floorMW {
-						coupled = true
-						break
-					}
-				}
-			}
-			if coupled {
+			if m.couples(si, oi) {
 				m.collide(tx, o)
 			}
 		}
-		for j := 0; j < nR; j++ {
-			if j == si {
+		for _, j := range m.reach[si] {
+			if int(j) == si {
 				continue
 			}
 			if v := S[j] - row[j]; v > tx.interfMax[j] {
@@ -332,36 +368,75 @@ func (m *Medium) addPower(tx *Transmission, now sim.Time) {
 			}
 		}
 	}
-	m.txOwn[si]++
 }
 
+// couples reports whether overlapping frames from sources a and b are a
+// coupled collision — traced and counted — because the sources hear
+// each other or share any in-range third receiver. Uncoupled overlaps
+// are mere spatial reuse. The shared-receiver test depends only on the
+// power matrix, so it runs once per pair.
+func (m *Medium) couples(a, b int) bool {
+	arow, brow := m.powerMW[a], m.powerMW[b]
+	if arow[b] >= m.floorMW {
+		return true
+	}
+	n := len(m.powerMW)
+	memo := &m.coupled[a*n+b]
+	if *memo == 0 {
+		*memo = pairApart
+		for j := 0; j < n; j++ {
+			if j != a && j != b && arow[j] >= m.floorMW && brow[j] >= m.floorMW {
+				*memo = pairCoupled
+				break
+			}
+		}
+		m.coupled[b*n+a] = *memo
+	}
+	return *memo == pairCoupled
+}
+
+// Values of the coupling memo; 0 is not yet known.
+const (
+	pairCoupled uint8 = 1 + iota
+	pairApart
+)
+
 // removePower is the general engine's half of finish: tx's power
-// leaves the sensed sums, and each receiver's outcome lands in
-// scratchOut, decided by the capture rule from the interference tx
-// accrued.
+// leaves the sensed sums, which lists the carrier flips that causes,
+// and the outcome at each radio tx reaches lands in scratchOut,
+// decided by the capture rule from the interference tx accrued.
 func (m *Medium) removePower(tx *Transmission) {
 	si := tx.srcIdx
 	m.txOwn[si]--
 	row := m.powerMW[si]
 	// A fully idle medium resets the sums exactly, bounding float drift
-	// to one busy period.
+	// to one busy period; no radio is busy then.
+	flips, busy, own, sense, cs := m.flips[:0], m.senseBusy, m.txOwn, m.senseMW, m.csMW
 	if len(m.active) == 0 {
-		clear(m.senseMW)
+		for j := range sense {
+			sense[j] = 0
+			if own[j] > 0 != busy[j] {
+				flips = append(flips, int32(j))
+			}
+		}
 	} else {
-		for j := range m.senseMW {
-			m.senseMW[j] -= row[j]
+		for j, p := range row {
+			v := sense[j] - p
+			sense[j] = v
+			if (own[j] > 0 || v >= cs) != busy[j] {
+				flips = append(flips, int32(j))
+			}
 		}
 	}
-	thr := SINRThresholdDB(tx.Rate) + m.Geometry.CaptureMarginDB
+	m.flips = flips
+	rule := m.captureFor(tx.Rate)
 	out := m.scratchOut
-	for j := range out {
-		out[j] = rxNone
-		rp := row[j]
-		if j == si || rp < m.floorMW {
+	for _, j := range m.reach[si] {
+		if int(j) == si {
 			continue
 		}
 		iv := 0.0
-		if j < len(tx.interfMax) {
+		if int(j) < len(tx.interfMax) {
 			iv = tx.interfMax[j]
 		}
 		switch {
@@ -371,7 +446,7 @@ func (m *Medium) removePower(tx *Transmission) {
 			out[j] = RxOK
 		case math.IsInf(iv, 1):
 			out[j] = RxCollided
-		case captures(rp, m.noiseMW, iv, thr):
+		case rule.captures(row[j], m.noiseMW, iv):
 			out[j] = RxOK
 		default:
 			out[j] = RxCollided
@@ -383,28 +458,31 @@ func (m *Medium) removePower(tx *Transmission) {
 }
 
 // updateCarrier emits the carrier edges the last change to the air
-// caused, in attach order. In a single collision domain every
-// listening radio turns busy or idle with the medium as a whole, and
-// the medium records the edge in its Carrier. Otherwise a radio is
-// busy while it is transmitting or while the summed power of
-// transmissions on the air reaches the carrier-sense threshold.
-// Transmissions past their End but not yet finished still count — they
-// are on the air until their finish event runs, which keeps idle edges
-// strictly after deliveries.
+// caused, in attach order, to the radios that listen, and records each
+// edge in the carrier history. In a single collision domain every
+// radio turns busy or idle with the medium as a whole, and the medium
+// keeps one history. Otherwise a radio is busy while it is
+// transmitting or while the summed power of transmissions on the air
+// reaches the carrier-sense threshold, and each radio has its own
+// history. Transmissions past their End but not yet finished still
+// count — they are on the air until their finish event runs, which
+// keeps idle edges strictly after deliveries.
+//
+// The general engine visits only the radios that addPower or
+// removePower listed as flipping, and decides each one's state afresh.
+// So if a callback between the listing and the edges transmits (the
+// MAC does not: it transmits from timer events only), that Transmit's
+// own edges bring every radio up to date, and the stale list emits
+// nothing twice.
 func (m *Medium) updateCarrier() {
 	onAir := len(m.active) > 0
+	now := m.sched.Now()
 	if m.oneDomain {
 		c := &m.carrier
 		if onAir == c.Busy {
 			return
 		}
-		c.Busy = onAir
-		c.Edges++
-		if onAir {
-			c.BusyAt = m.sched.Now()
-		} else {
-			c.IdleAt = m.sched.Now()
-		}
+		c.record(onAir, now)
 		switch {
 		case m.deaf > 0:
 			for w := range m.listen {
@@ -429,16 +507,30 @@ func (m *Medium) updateCarrier() {
 		}
 		return
 	}
-	for j, r := range m.radios {
+	for _, j := range m.flips {
 		busy := m.txOwn[j] > 0 || (onAir && m.senseMW[j] >= m.csMW)
 		if busy == m.senseBusy[j] {
 			continue
 		}
 		m.senseBusy[j] = busy
-		if busy {
+		m.carriers[j].record(busy, now)
+		switch r := m.radios[j]; {
+		case m.listen[j>>6]&(1<<(j&63)) == 0:
+		case busy:
 			r.CarrierBusy()
-		} else {
+		default:
 			r.CarrierIdle()
 		}
+	}
+}
+
+// record notes a carrier edge to busy at now.
+func (c *Carrier) record(busy bool, now sim.Time) {
+	c.Busy = busy
+	c.Edges++
+	if busy {
+		c.BusyAt = now
+	} else {
+		c.IdleAt = now
 	}
 }

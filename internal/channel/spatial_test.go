@@ -4,11 +4,67 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"tcphack/internal/phy"
 	"tcphack/internal/sim"
 )
+
+// DegenerateGeometry returns the single collision domain as geometry
+// values, whatever the radio positions: every radio senses every
+// transmission (CS threshold -Inf), every frame reaches every radio
+// (delivery floor -Inf), and capture never succeeds (margin +Inf), so
+// any overlap collides everywhere. The medium treats it exactly as a
+// nil Geometry (see oneDomain).
+func DegenerateGeometry() *Geometry {
+	g := DefaultGeometry()
+	g.CSThresholdDBm = math.Inf(-1)
+	g.DeliveryFloorDBm = math.Inf(-1)
+	g.CaptureMarginDB = math.Inf(1)
+	return g
+}
+
+// CaptureOK reports whether a frame at rate received at signalDBm
+// decodes despite the given concurrent interferers: its SINR must
+// clear SINRThresholdDB(rate) plus the capture margin. With no
+// interferers the frame always decodes (noise corruption is the error
+// model's job, drawn separately). It applies the dB capture rule,
+// captures, to these powers, and the decision is deterministic and
+// independent of interferer order.
+func (g *Geometry) CaptureOK(rate phy.Rate, signalDBm float64, interferersDBm []float64) bool {
+	if len(interferersDBm) == 0 {
+		return true
+	}
+	return captures(phy.DBmToMilliwatts(signalDBm), phy.DBmToMilliwatts(g.NoiseDBm),
+		interferenceMW(interferersDBm), SINRThresholdDB(rate)+g.CaptureMarginDB)
+}
+
+// SINRdB returns the signal-to-interference-plus-noise ratio in dB for
+// a signal received at signalDBm over the given interferer powers and
+// noise floor, with the arithmetic of the capture rule. The
+// interferers are summed in a canonical order, so the result is
+// bit-identical under any permutation of interferersDBm.
+func SINRdB(signalDBm float64, interferersDBm []float64, noiseDBm float64) float64 {
+	return sinrDB(phy.DBmToMilliwatts(signalDBm), phy.DBmToMilliwatts(noiseDBm), interferenceMW(interferersDBm))
+}
+
+// interferenceMW sums interferer powers in mW in descending canonical
+// order: float addition is commutative but not associative, so a fixed
+// order is what makes the sum permutation-independent (FuzzCapture
+// pins this).
+func interferenceMW(interferersDBm []float64) float64 {
+	terms := make([]float64, len(interferersDBm))
+	for i, p := range interferersDBm {
+		terms[i] = phy.DBmToMilliwatts(p)
+	}
+	sort.Sort(sort.Reverse(sort.Float64Slice(terms)))
+	sum := 0.0
+	for _, t := range terms {
+		sum += t
+	}
+	return sum
+}
 
 // scriptedMedium builds a medium with three radios in the legacy test
 // layout and runs a fixed transmission script with overlapping and
@@ -277,7 +333,10 @@ var sinrPerms3 = [6][3]int{
 // FuzzCapture asserts the decode decision is deterministic and
 // independent of interferer order: for any signal level and interferer
 // triple, every permutation yields the same CaptureOK verdict and the
-// bit-identical SINR.
+// bit-identical SINR. The medium's capture rule, which compares the
+// linear SINR outside a guard band around the threshold, must decide as
+// the dB rule does; the seed-guard corpus entries put the SINR on
+// either side of each edge of that band.
 func FuzzCapture(f *testing.F) {
 	f.Add(-60.0, -70.0, -75.0, -80.0, byte(1))
 	f.Add(-82.0, -82.0, -82.0, -82.0, byte(5))
@@ -304,5 +363,171 @@ func FuzzCapture(f *testing.F) {
 		if again := g.CaptureOK(phy.RateA54, sig, ints); again != base {
 			t.Fatalf("capture verdict not deterministic: %v then %v", base, again)
 		}
+		sigMW, noiseMW, interfMW := phy.DBmToMilliwatts(sig), phy.DBmToMilliwatts(g.NoiseDBm), interferenceMW(ints)
+		thr := SINRThresholdDB(phy.RateA54) + g.CaptureMarginDB
+		rule := newCaptureRule(phy.RateA54, thr)
+		if got, want := rule.captures(sigMW, noiseMW, interfMW), captures(sigMW, noiseMW, interfMW, thr); got != want {
+			t.Fatalf("linear capture rule says %v, dB rule %v at SINR %g dB, threshold %g dB",
+				got, want, sinrDB(sigMW, noiseMW, interfMW), thr)
+		}
 	})
+}
+
+// TestReachAndCouplingMatchPredicates checks the general engine's
+// precomputed pair state against brute force on random layouts and
+// delivery floors: each source's reach list is itself and the radios at
+// or above the floor, ascending, shared by every source that reaches
+// every radio, and the coupling memo agrees with the coupled-collision
+// predicate both ways round. Radios attached after the first Transmit
+// extend both.
+func TestReachAndCouplingMatchPredicates(t *testing.T) {
+	for seed := int64(1); seed <= 24; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := DefaultGeometry()
+		switch seed % 3 {
+		case 1:
+			g.DeliveryFloorDBm = -300 // every source reaches every radio
+		case 2:
+			g.DeliveryFloorDBm = -60 - 30*rng.Float64()
+		}
+		s := sim.NewScheduler(seed)
+		m := New(s, nil)
+		m.Geometry = g
+		side := 20 + 180*rng.Float64()
+		var radios []*testRadio
+		attach := func(n int) {
+			for ; n > 0; n-- {
+				r := &testRadio{pos: Pos{X: side * rng.Float64(), Y: side * rng.Float64()}}
+				m.Attach(r)
+				radios = append(radios, r)
+			}
+		}
+		attach(2 + rng.Intn(24))
+		for round := 0; round < 2; round++ {
+			m.Transmit(radios[rng.Intn(len(radios))], phy.RateA54, 1500, nil)
+			s.Run()
+			checkPairState(t, seed, m)
+			attach(1 + rng.Intn(24))
+		}
+	}
+}
+
+// checkPairState compares m's reach lists and coupling memo with their
+// brute-force predicates.
+func checkPairState(t *testing.T, seed int64, m *Medium) {
+	t.Helper()
+	n := len(m.powerMW)
+	for a := 0; a < n; a++ {
+		var want []int32
+		for j := 0; j < n; j++ {
+			if j == a || !(m.powerMW[a][j] < m.floorMW) {
+				want = append(want, int32(j))
+			}
+		}
+		if !reflect.DeepEqual(m.reach[a], want) {
+			t.Fatalf("seed %d, %d radios: source %d reaches %v, want %v", seed, n, a, m.reach[a], want)
+		}
+		if len(want) == n && &m.reach[a][0] != &m.every[0] {
+			t.Errorf("seed %d: source %d reaches every radio but has a list of its own", seed, a)
+		}
+		for b := 0; b < n; b++ {
+			if b == a {
+				continue
+			}
+			want := m.powerMW[a][b] >= m.floorMW
+			for j := 0; j < n && !want; j++ {
+				want = j != a && j != b && m.powerMW[a][j] >= m.floorMW && m.powerMW[b][j] >= m.floorMW
+			}
+			if m.couples(a, b) != want || m.couples(b, a) != want {
+				t.Fatalf("seed %d, %d radios: couples(%d, %d) = %v, couples(%d, %d) = %v, want %v",
+					seed, n, a, b, m.couples(a, b), b, a, m.couples(b, a), want)
+			}
+		}
+	}
+}
+
+// echoRadio checks the carrier edges it gets against the medium's
+// carrier history, and may transmit from inside EndRx — which the MAC
+// never does — so that a Transmit falls between the medium's listing of
+// carrier flips and its edges.
+type echoRadio struct {
+	Port
+	pos  Pos
+	t    *testing.T
+	m    *Medium
+	rng  *rand.Rand
+	busy bool // the carrier state its edges, and Listen, left it in
+}
+
+func (r *echoRadio) Position() Pos { return r.pos }
+func (r *echoRadio) CarrierBusy()  { r.edge(true) }
+func (r *echoRadio) CarrierIdle()  { r.edge(false) }
+
+func (r *echoRadio) edge(busy bool) {
+	c := r.m.Carrier(r.RadioIndex())
+	at := c.IdleAt
+	if busy {
+		at = c.BusyAt
+	}
+	if r.busy == busy || c.Busy != busy || at != r.m.sched.Now() {
+		r.t.Fatalf("radio %d: edge to busy=%v at %v, from busy=%v; carrier history %+v",
+			r.RadioIndex(), busy, r.m.sched.Now(), r.busy, c)
+	}
+	r.busy = busy
+}
+
+func (r *echoRadio) EndRx(_ *Transmission, o Outcome) {
+	if o == RxOK && r.rng.Intn(8) == 0 {
+		r.m.Transmit(r, phy.RateA24, 100+r.rng.Intn(400), "echo")
+	}
+}
+
+// TestCarrierEdgesFollowTheAir runs random overlapping frames on the
+// spatial PHY among radios that stop and resume listening and that
+// transmit from inside EndRx. After every event, each radio's carrier
+// state and history must equal the state recomputed from the air, and
+// a listening radio must have had exactly the edges that lead there.
+func TestCarrierEdgesFollowTheAir(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := sim.NewScheduler(seed)
+		m := New(s, nil)
+		m.Geometry = DefaultGeometry()
+		radios := make([]*echoRadio, 30)
+		for i := range radios {
+			radios[i] = &echoRadio{pos: Pos{X: 120 * rng.Float64(), Y: 120 * rng.Float64()}, t: t, m: m, rng: rng}
+			m.Attach(radios[i])
+		}
+		var gen func()
+		gen = func() {
+			i := rng.Intn(len(radios))
+			switch k := rng.Intn(10); {
+			case k == 0:
+				m.StopListening(i)
+			case k == 1:
+				m.Listen(i)
+				radios[i].busy = m.Carrier(i).Busy
+			default:
+				m.Transmit(radios[i], phy.RateA54, 100+rng.Intn(1400), nil)
+			}
+			s.After(sim.Duration(1+rng.Intn(300))*sim.Microsecond, gen)
+		}
+		s.At(0, gen)
+		for s.Now() < sim.Time(200*sim.Millisecond) && s.Step() {
+			if !m.built {
+				continue
+			}
+			for j, r := range radios {
+				busy := m.txOwn[j] > 0 || (len(m.active) > 0 && m.senseMW[j] >= m.csMW)
+				// Edges alternate, busy first.
+				if c := m.Carrier(j); m.senseBusy[j] != busy || c.Busy != busy || busy != (c.Edges%2 == 1) {
+					t.Fatalf("seed %d at %v: radio %d senses busy=%v with carrier history %+v; the air says busy=%v",
+						seed, s.Now(), j, m.senseBusy[j], c, busy)
+				}
+				if m.listen[j>>6]&(1<<(j&63)) != 0 && r.busy != busy {
+					t.Fatalf("seed %d at %v: listening radio %d was left busy=%v, the air says busy=%v", seed, s.Now(), j, r.busy, busy)
+				}
+			}
+		}
+	}
 }

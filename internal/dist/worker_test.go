@@ -206,6 +206,9 @@ func TestWorkerDrainFinishesEveryShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, c := startSlotDaemon(t, s, 2)
+	// Hold the first shard's stream until the second shard is leased:
+	// otherwise the first can finish before the second is granted.
+	d.onFirstPoints = func() { d.waitTwoInflight() }
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)

@@ -21,10 +21,12 @@ type dcf struct {
 	st *Station
 
 	wantTx bool // a transmission is requested
-	// away is set while the station does not listen (see overheard).
-	away  bool
-	slots int // remaining backoff slots
-	cw    int // current contention window
+	// away is set while the station does not listen in a single
+	// collision domain, and deaf while it takes no carrier edges under
+	// the general engine (see overheard).
+	away, deaf bool
+	slots      int // remaining backoff slots
+	cw         int // current contention window
 
 	physBusy   bool
 	physBusyAt sim.Time // when the current physical-busy period began
@@ -78,11 +80,32 @@ func (d *dcf) onPhysIdle() {
 	d.recomputeIdle()
 }
 
+// missedCarrier applies carrier history c to the station, which has
+// taken no carrier edge since c counted since edges: the carrier state
+// and the last busy edge's time, as onPhysBusy and onPhysIdle would
+// have left them. It reports whether an idle edge was missed; the last
+// one came at c.IdleAt. An idle station's DCF timer is idle and it
+// wants no transmission, so the missed callbacks would have frozen,
+// armed and drawn nothing.
+func (d *dcf) missedCarrier(c channel.Carrier, since uint64) (idled bool) {
+	if c.Edges == since {
+		return false
+	}
+	d.physBusy = c.Busy
+	if c.Edges-since >= 2 || c.Busy {
+		d.physBusyAt = c.BusyAt
+	}
+	return c.Edges-since >= 2 || !c.Busy
+}
+
 // setNAV extends the virtual carrier reservation until t, the end of
 // the reservation carried by the overheard transmission tx.
 func (d *dcf) setNAV(t sim.Time, tx *channel.Transmission) {
 	if t <= d.navUntil {
 		return
+	}
+	if d.deaf {
+		d.st.overheard.catchUp(d.st)
 	}
 	wasBusy := d.busy()
 	d.navUntil = t
@@ -198,6 +221,9 @@ func (l *navLapse) leave(d *dcf) {
 func (l *navLapse) fire() {
 	for d := l.head; d != nil; d = l.head {
 		l.leave(d)
+		if d.deaf {
+			d.st.overheard.catchUp(d.st)
+		}
 		d.recomputeIdle()
 	}
 	st := l.owner

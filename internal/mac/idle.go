@@ -6,14 +6,22 @@ import (
 )
 
 // overheard is a medium's record of what its idle stations overheard.
-// In a single collision domain a station with nothing to do (rest
-// gives the rule) stops listening, so each frame costs the medium
-// nothing for it, and this record stands in for it: the medium reports
-// every finished transmission here once, and a station that wakes
-// (wake) reads back exactly the carrier, NAV, EIFS and idle-clock
-// state the skipped callbacks and NAV lapses would have left it in.
+// A station with nothing to do (rest gives the rule) stops listening,
+// so a frame costs the medium less for it, and a station that wakes
+// (wake) reads back exactly the state the skipped callbacks would have
+// left it in.
 //
-// All of that is medium-wide. An idle station is never a frame's
+// Under the general engine an idle station takes no carrier edges but
+// keeps its deliveries, since outcomes differ per receiver. The medium
+// records each radio's carrier history, and the station catches up on
+// the edges it missed (catchUp) whenever its carrier state is read: at
+// a NAV extension, at the lapse of its NAV and when it wakes.
+//
+// In a single collision domain an idle station gets no deliveries
+// either, so each frame costs the medium nothing for it, and this
+// record stands in for it: the medium reports every finished
+// transmission here once, and a station that wakes reads back its
+// carrier, NAV, EIFS and idle-clock state. All of that is medium-wide. An idle station is never a frame's
 // source, and it wakes before any frame addressed to it is delivered,
 // so it overhears every other frame with the outcome every overhearer
 // gets:
@@ -40,9 +48,8 @@ import (
 type overheard struct {
 	medium *channel.Medium
 	sched  *sim.Scheduler
-	// off is set when no station may stop listening: the medium runs
-	// the general engine, which decides outcomes per receiver, or two
-	// stations share an address.
+	// off is set when no station may stop listening: two stations
+	// share an address.
 	off bool
 
 	sta []idleStation // by radio index
@@ -64,10 +71,12 @@ type overheard struct {
 // idleStation is one station's entry.
 type idleStation struct {
 	st *Station
-	// While the station is idle: its root, its neighbours in the root's
-	// member list (radio indices, -1 at the ends), the gen at which it
-	// joined the root, and the medium's finished frames and carrier
-	// edges when it left.
+	// While the station is idle in a single collision domain: its root,
+	// its neighbours in the root's member list (radio indices, -1 at the
+	// ends), the gen at which it joined the root, and the medium's
+	// finished frames when it left. edges is its carrier history's edge
+	// count when it left, or, under the general engine, when it last
+	// caught up.
 	root       int32
 	prev, next int32
 	joined     uint64
@@ -132,7 +141,7 @@ func (o *overheard) register(st *Station) {
 	if o.byAddr[a-o.addrBase] != 0 && !o.off {
 		o.off = true
 		for _, e := range o.sta {
-			if e.st != nil && e.st.dcf.away {
+			if e.st != nil && (e.st.dcf.away || e.st.dcf.deaf) {
 				o.wake(e.st)
 			}
 		}
@@ -150,13 +159,17 @@ func (o *overheard) station(a Addr) *Station {
 	return nil
 }
 
+// domain returns the single collision domain's carrier history, which
+// every radio shares.
+func (o *overheard) domain() channel.Carrier { return o.medium.Carrier(0) }
+
 // sync applies the medium's idle edge, if one came since the last
 // touch, to every root whose NAV it does not precede. Every change to
 // the roots syncs first, and only a finished frame, which is a touch
 // while any station is idle, ends a busy period, so at most one edge
 // is pending and no root changed since it.
 func (o *overheard) sync() {
-	c := o.medium.Carrier()
+	c := o.domain()
 	if c.Edges == o.edges {
 		return
 	}
@@ -176,15 +189,16 @@ func (o *overheard) sync() {
 // leave takes st, which has nothing to do, out of the medium's fan-out.
 func (o *overheard) leave(st *Station) {
 	i := st.RadioIndex()
+	d := &st.dcf
+	e := &o.sta[i]
 	if !o.medium.StopListening(i) {
-		o.off = true
+		d.deaf = true
+		e.edges = o.medium.Carrier(i).Edges
 		return
 	}
 	o.sync()
-	d := &st.dcf
 	d.away = true
-	e := &o.sta[i]
-	e.joined, e.frames, e.edges = o.gen, o.frames, o.medium.Carrier().Edges
+	e.joined, e.frames, e.edges = o.gen, o.frames, o.domain().Edges
 	l := d.lapse
 	ri := int32(-1)
 	if l != nil {
@@ -270,15 +284,16 @@ func (o *overheard) freeRoot(ri int32) {
 // state the callbacks it missed would have left it in.
 func (o *overheard) wake(st *Station) {
 	i := st.RadioIndex()
+	d := &st.dcf
+	if d.deaf {
+		o.catchUp(st)
+		d.deaf = false
+		o.medium.Listen(i)
+		return
+	}
 	o.sync()
 	e := &o.sta[i]
-	d := &st.dcf
-	if c := o.medium.Carrier(); c.Edges != e.edges {
-		d.physBusy = c.Busy
-		if c.Edges-e.edges >= 2 || c.Busy {
-			d.physBusyAt = c.BusyAt
-		}
-	}
+	d.missedCarrier(o.domain(), e.edges)
 	if o.frames != e.frames {
 		d.eifs = o.collided
 	}
@@ -377,9 +392,23 @@ func (o *overheard) extend(t sim.Time, tx *channel.Transmission) {
 func (o *overheard) lapsed(l *navLapse) {
 	o.sync()
 	r := &o.roots[l.idleRoot-1]
-	if !o.medium.Carrier().Busy {
+	if !o.domain().Busy {
 		o.gen++
 		r.val, r.valGen = o.sched.Now(), o.gen
 	}
 	r.lapse, l.idleRoot = nil, 0
+}
+
+// catchUp applies the carrier edges that st, idle under the general
+// engine, missed since it left or last caught up. Its NAV has not
+// changed since, as setNAV catches up first, so the last missed idle
+// edge started its idle clock iff it came at or after the NAV's end,
+// as onPhysIdle would have decided.
+func (o *overheard) catchUp(st *Station) {
+	i := st.RadioIndex()
+	c, e, d := o.medium.Carrier(i), &o.sta[i], &st.dcf
+	if d.missedCarrier(c, e.edges) && c.IdleAt >= d.navUntil {
+		d.idleAt = c.IdleAt
+	}
+	e.edges = c.Edges
 }

@@ -3,6 +3,7 @@ package mac
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"tcphack/internal/channel"
@@ -22,9 +23,13 @@ import (
 // response it covers, in ACK turnaround, and in CWmin: a wide window
 // banks enough backoff that a stale idle clock would move a
 // transmission. With traced set, every station carries trace.Nop and
-// so never stops listening.
-func randomTraffic(seed int64, aggregated, traced bool, air trace.Tracer) (*env, []*Station) {
+// so never stops listening. A non-nil geom puts the stations on the
+// spatial PHY instead, on a 4×2 grid of 20 m by 40 m cells, where each
+// hears some of the others: hidden and exposed pairs, and frames that
+// never reach their addressee.
+func randomTraffic(seed int64, aggregated, traced bool, air trace.Tracer, geom *channel.Geometry) (*env, []*Station) {
 	e := newEnv(seed, &channel.FixedLoss{Default: 0.1})
+	e.medium.Geometry = geom
 	var tr trace.Tracer
 	if traced {
 		tr = trace.Nop{}
@@ -41,6 +46,7 @@ func randomTraffic(seed int64, aggregated, traced bool, air trace.Tracer) (*env,
 			AckTurnaround:       sim.Duration(i%2) * 37 * sim.Microsecond,
 			CWMin:               16<<(i%4) - 1,
 			Tracer:              tr,
+			Pos:                 channel.Pos{X: 20 * float64(i%4), Y: 40 * float64(i/4)},
 		})
 	}
 	rng := rand.New(rand.NewSource(seed))
@@ -101,8 +107,8 @@ func TestIdleStationsMatchListening(t *testing.T) {
 		aggregated := seed%3 == 0
 		var air, oracleAir bytes.Buffer
 		w, oracleW := trace.NewWriter(&air), trace.NewWriter(&oracleAir)
-		e, sts := randomTraffic(seed, aggregated, false, w)
-		oracle, want := randomTraffic(seed, aggregated, true, oracleW)
+		e, sts := randomTraffic(seed, aggregated, false, w, nil)
+		oracle, want := randomTraffic(seed, aggregated, true, oracleW, nil)
 		awaySteps := 0
 		for i := 0; e.sched.Now() < sim.Time(2*sim.Second); i++ {
 			ok, okOracle := e.sched.Step(), oracle.sched.Step()
@@ -132,6 +138,124 @@ func TestIdleStationsMatchListening(t *testing.T) {
 		}
 		if awaySteps == 0 {
 			t.Errorf("seed %d: no station ever stopped listening", seed)
+		}
+	}
+}
+
+// TestDeafStationsMatchListening runs randomTraffic on the spatial PHY
+// bare, where idle stations take no carrier edges and catch up when
+// their carrier state is read, against the same traffic with every
+// station listening, in lockstep as TestIdleStationsMatchListening
+// does. After every event a station that takes no carrier edges must
+// be idle, and every other one must hold its listening twin's DCF
+// state exactly, including values no later event reads. The bare run
+// must have had deaf stations.
+func TestDeafStationsMatchListening(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		aggregated := seed%3 == 0
+		var air, oracleAir bytes.Buffer
+		w, oracleW := trace.NewWriter(&air), trace.NewWriter(&oracleAir)
+		e, sts := randomTraffic(seed, aggregated, false, w, channel.DefaultGeometry())
+		oracle, want := randomTraffic(seed, aggregated, true, oracleW, channel.DefaultGeometry())
+		deafSteps := 0
+		for i := 0; e.sched.Now() < sim.Time(2*sim.Second); i++ {
+			ok, okOracle := e.sched.Step(), oracle.sched.Step()
+			if ok != okOracle || e.sched.Now() != oracle.sched.Now() {
+				t.Fatalf("seed %d, event %d: bare runs at %v (%v), listening at %v (%v)",
+					seed, i, e.sched.Now(), ok, oracle.sched.Now(), okOracle)
+			}
+			for k, st := range sts {
+				d, wd := st.dcf, want[k].dcf
+				if d.deaf {
+					deafSteps++
+					if d.wantTx || d.timer.Pending() || st.waiting.q != nil || st.respPending {
+						t.Fatalf("seed %d, event %d: station %v takes no carrier edges but is not idle", seed, i, st.Addr())
+					}
+					d.physBusy, d.physBusyAt, d.idleAt = wd.physBusy, wd.physBusyAt, wd.idleAt
+				}
+				if d.physBusy != wd.physBusy || d.physBusyAt != wd.physBusyAt || d.idleAt != wd.idleAt ||
+					d.navUntil != wd.navUntil || d.eifs != wd.eifs || d.slots != wd.slots || d.cw != wd.cw {
+					t.Fatalf("seed %d, event %d at %v: station %v's DCF state differs from listening: %+v, want %+v",
+						seed, i, e.sched.Now(), st.Addr(), d, wd)
+				}
+			}
+		}
+		if err, oracleErr := w.Close(), oracleW.Close(); err != nil || oracleErr != nil {
+			t.Fatal(err, oracleErr)
+		}
+		if air.Len() == 0 || !bytes.Equal(air.Bytes(), oracleAir.Bytes()) {
+			t.Errorf("seed %d: the medium's records differ", seed)
+		}
+		if a, b := e.sched.EventsFired(), oracle.sched.EventsFired(); a != b {
+			t.Errorf("seed %d: events fired: bare %d, listening %d", seed, a, b)
+		}
+		for i, st := range sts {
+			if st.Stats != want[i].Stats || st.TCPAckTime != want[i].TCPAckTime {
+				t.Errorf("seed %d, station %v: bare %+v, listening %+v", seed, st.Addr(), st.Stats, want[i].Stats)
+			}
+		}
+		if deafSteps == 0 {
+			t.Errorf("seed %d: no station ever stopped taking carrier edges", seed)
+		}
+	}
+}
+
+// TestIdleEqualNAVEnds sends two frames from one station whose NAV
+// ends coincide, the second starting after the first has ended. A
+// station that listens extends its NAV with the first frame only, so
+// the second posts no lapse; nor may the idle stations' record, whose
+// NAV already ends there. The bare run, where the other stations are
+// idle, must run exactly as the run where all of them listen.
+func TestIdleEqualNAVEnds(t *testing.T) {
+	run := func(traced bool) ([]sim.Time, []*Station) {
+		e := newEnv(1, nil)
+		var tr trace.Tracer
+		if traced {
+			tr = trace.Nop{}
+		}
+		src := e.station(Config{Addr: 1, Tracer: trace.Nop{}})
+		sts := []*Station{src}
+		for a := Addr(2); a <= 4; a++ {
+			sts = append(sts, e.station(Config{Addr: a, Tracer: tr}))
+		}
+		rate := phy.RateA54
+		airA, airB := phy.FrameDuration(rate, 1000), phy.FrameDuration(rate, 100)
+		navEnd := airA + 300*sim.Microsecond
+		startB := airA + 28*sim.Microsecond
+		e.sched.At(0, func() {
+			e.medium.Transmit(src, rate, 1000, &DataFrame{From: 1, To: 99, Dur: navEnd - airA})
+		})
+		e.sched.At(startB, func() {
+			for _, st := range sts[1:] {
+				nav := st.dcf.navUntil
+				if o := st.overheard; st.dcf.away {
+					nav = o.roots[o.sta[st.RadioIndex()].root].nav
+				}
+				if st.dcf.away == traced || nav != navEnd {
+					t.Fatalf("traced %v: station %v away %v, NAV until %v before the second frame; want away %v, %v",
+						traced, st.Addr(), st.dcf.away, nav, !traced, navEnd)
+				}
+			}
+			e.medium.Transmit(src, rate, 100, &DataFrame{From: 1, To: 99, Dur: navEnd - startB - airB})
+		})
+		var times []sim.Time
+		for e.sched.Step() {
+			times = append(times, e.sched.Now())
+		}
+		return times, sts
+	}
+	bare, sts := run(false)
+	listening, want := run(true)
+	if !reflect.DeepEqual(bare, listening) {
+		t.Errorf("event times: bare %v, listening %v", bare, listening)
+	}
+	for i, st := range sts {
+		if st.dcf.away {
+			st.overheard.wake(st)
+		}
+		if st.dcf.navUntil != want[i].dcf.navUntil || st.dcf.idleAt != want[i].dcf.idleAt {
+			t.Errorf("station %v: NAV until %v, idle since %v; listening %v, %v",
+				st.Addr(), st.dcf.navUntil, st.dcf.idleAt, want[i].dcf.navUntil, want[i].dcf.idleAt)
 		}
 	}
 }

@@ -270,7 +270,7 @@ func NewStation(sched *sim.Scheduler, medium *channel.Medium, cfg Config) *Stati
 // frame addressed to it is decoded or its queue gets a packet.
 func (st *Station) rest() {
 	o, d := st.overheard, &st.dcf
-	if o == nil || o.off || d.away || d.wantTx || d.timer.Pending() ||
+	if o == nil || o.off || d.away || d.deaf || d.wantTx || d.timer.Pending() ||
 		st.waiting.q != nil || st.respPending || st.cfg.Tracer != nil {
 		return
 	}
@@ -302,7 +302,7 @@ func (st *Station) Enqueue(m *MSDU) bool {
 	}
 	m.EnqueuedAt = st.sched.Now()
 	q.fifo.push(m)
-	if st.dcf.away {
+	if st.dcf.away || st.dcf.deaf {
 		st.overheard.wake(st)
 	}
 	st.dcf.request()
@@ -723,6 +723,15 @@ func (st *Station) oldestUnresolved(q *destQueue) uint16 {
 	return oldest
 }
 
+// addressed wakes the station, idle under the general engine, for a
+// decoded frame addressed to it. In a single collision domain the
+// medium's record has woken it before the delivery.
+func (st *Station) addressed() {
+	if st.dcf.deaf {
+		st.overheard.wake(st)
+	}
+}
+
 // EndRx implements channel.Radio: a transmission completed on the air.
 func (st *Station) EndRx(tx *channel.Transmission, outcome channel.Outcome) {
 	if outcome != channel.RxOK {
@@ -747,6 +756,7 @@ func (st *Station) rxData(f *DataFrame, tx *channel.Transmission) {
 		st.dcf.setNAV(st.sched.Now()+f.Dur, tx)
 		return
 	}
+	st.addressed()
 	ht := tx.Rate.HT
 	decoded := st.rxScratch[:0]
 	for _, m := range f.MPDUs {
@@ -860,6 +870,7 @@ func (st *Station) rxAck(f *AckFrame, tx *channel.Transmission) {
 		st.dcf.noteRxOK()
 		return
 	}
+	st.addressed()
 	if st.medium.Corrupted(tx.Source, st, tx.Rate, f.WireLen()) {
 		st.dcf.noteRxError()
 		st.rest()
@@ -975,6 +986,7 @@ func (st *Station) rxBAR(f *BARFrame, tx *channel.Transmission) {
 		st.dcf.setNAV(st.sched.Now()+f.Dur, tx)
 		return
 	}
+	st.addressed()
 	if st.medium.Corrupted(tx.Source, st, tx.Rate, barLen) {
 		st.dcf.noteRxError()
 		st.rest()

@@ -8,10 +8,11 @@
 // event-time traces, and a campaign sweep must emit byte-identical
 // result rows.
 //
-// The listening path is the oracle for idle stations. In a single
-// collision domain a station with nothing to do stops listening, and
-// catches up when it wakes; a station with a tracer never stops. So a
-// network with a discarding tracer on every station, where every
+// The listening path is the oracle for idle stations. A station with
+// nothing to do stops listening — in a single collision domain to
+// every frame, under the general engine to carrier edges — and catches
+// up when its state is next read; a station with a tracer never stops.
+// So a network with a discarding tracer on every station, where every
 // station listens to every frame, must run exactly as the same network
 // bare. Any divergence is a bug in one of the two paths.
 package node_test
@@ -191,59 +192,107 @@ func stations(n *node.Network) []*mac.Station {
 	return sts
 }
 
+// deafCases are networks on the spatial PHY, where an idle station
+// stops taking carrier edges but keeps its deliveries: hidden and
+// overlapping BSSs, a dense grid, nine overlapping MORE-DATA BSSs at 5%
+// loss, and the 100-station grid of BenchmarkScaleSpatial.
+func deafCases(t *testing.T) []idleCase {
+	registered := func(name string, opts ...scenario.Option) node.Config {
+		e, ok := scenario.Lookup(name)
+		if !ok {
+			t.Fatalf("unknown scenario %q", name)
+		}
+		return e.Config(opts...)
+	}
+	download, err := campaign.NamedWorkload("download")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bss := make([]node.BSSSpec, 9)
+	for i := range bss {
+		bss[i] = node.BSSSpec{APPos: channel.Pos{X: 40 * float64(i%3), Y: 40 * float64(i/3)}, Clients: 3}
+	}
+	const gridStations = 100
+	grid := scenario.New(scenario.With80211n(), scenario.WithGrid(gridStations, 2), scenario.WithPathLoss())
+	return []idleCase{
+		{"2bss-hidden-moredata", registered("2bss-hidden", scenario.WithMode(hack.ModeMoreData)), download},
+		{"2bss-overlap", registered("2bss-overlap"), download},
+		{"grid-3x3-dense", registered("grid-3x3-dense"), download},
+		{"floor-3x3-moredata-3c-loss5", scenario.New(scenario.With80211n(), scenario.WithPathLoss(),
+			scenario.WithBSSLayout(bss...), scenario.WithMode(hack.ModeMoreData), scenario.WithUniformLoss(0.05)), download},
+		{"grid-100-udp-spatial", grid, func(n *node.Network, _ campaign.Point) {
+			for ci := range n.Clients {
+				n.StartUDPDownload(ci, 80_000/gridStations, 1500, sim.Duration(ci)*37*sim.Microsecond)
+			}
+		}},
+	}
+}
+
 // TestDifferentialIdleStations runs each idle case bare and with
-// trace.Nop on every station, in lockstep for 1 s: every event must run
-// at the same time, and at the end the events fired and every station's
-// Stats and TCPAckTime must agree. Then a short campaign of each case
-// must emit byte-identical rows both ways.
+// trace.Nop on every station (see lockstepListening).
 func TestDifferentialIdleStations(t *testing.T) {
-	const until = sim.Time(sim.Second)
 	for _, c := range idleCases(t) {
-		t.Run(c.name, func(t *testing.T) {
-			listening := c.cfg
-			listening.Tracer = trace.Nop{}
-			bare, oracle := node.New(c.cfg), node.New(listening)
-			c.workload(bare, campaign.Point{})
-			c.workload(oracle, campaign.Point{})
-			for i := 0; ; i++ {
-				ok, okOracle := bare.Sched.Step(), oracle.Sched.Step()
-				if ok != okOracle || bare.Sched.Now() != oracle.Sched.Now() {
-					t.Fatalf("event %d: bare runs at %v (%v), listening at %v (%v)",
-						i, bare.Sched.Now(), ok, oracle.Sched.Now(), okOracle)
-				}
-				if !ok || bare.Sched.Now() >= until {
-					break
-				}
-			}
-			if a, b := bare.Sched.EventsFired(), oracle.Sched.EventsFired(); a != b || a < 10_000 {
-				t.Errorf("events fired: bare %d, listening %d; want equal and at least 10,000", a, b)
-			}
-			sts, want := stations(bare), stations(oracle)
-			for i, st := range sts {
-				if st.Stats != want[i].Stats || st.TCPAckTime != want[i].TCPAckTime {
-					t.Errorf("station %v: bare %+v %+v, listening %+v %+v",
-						st.Addr(), st.Stats, st.TCPAckTime, want[i].Stats, want[i].TCPAckTime)
-				}
-			}
-			spec := campaign.Spec{
-				Name:     c.name,
-				Base:     c.cfg,
-				Workload: c.workload,
-				Warmup:   200 * sim.Millisecond,
-				Measure:  300 * sim.Millisecond,
-				Workers:  1,
-			}
-			var rows, oracleRows bytes.Buffer
-			if err := campaign.Run(spec).WriteJSON(&rows); err != nil {
-				t.Fatal(err)
-			}
-			spec.Trace = func(campaign.Point) trace.Tracer { return trace.Nop{} }
-			if err := campaign.Run(spec).WriteJSON(&oracleRows); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(rows.Bytes(), oracleRows.Bytes()) {
-				t.Errorf("rows differ:\n--- bare ---\n%s\n--- listening ---\n%s", rows.String(), oracleRows.String())
-			}
-		})
+		t.Run(c.name, func(t *testing.T) { lockstepListening(t, c) })
+	}
+}
+
+// TestDifferentialDeafStations runs each spatial case bare and with
+// trace.Nop on every station (see lockstepListening).
+func TestDifferentialDeafStations(t *testing.T) {
+	for _, c := range deafCases(t) {
+		t.Run(c.name, func(t *testing.T) { lockstepListening(t, c) })
+	}
+}
+
+// lockstepListening runs c bare and with trace.Nop on every station, in
+// lockstep for 1 s: every event must run at the same time, and at the
+// end the events fired and every station's Stats and TCPAckTime must
+// agree. Then a short campaign of c must emit byte-identical rows both
+// ways.
+func lockstepListening(t *testing.T, c idleCase) {
+	const until = sim.Time(sim.Second)
+	listening := c.cfg
+	listening.Tracer = trace.Nop{}
+	bare, oracle := node.New(c.cfg), node.New(listening)
+	c.workload(bare, campaign.Point{})
+	c.workload(oracle, campaign.Point{})
+	for i := 0; ; i++ {
+		ok, okOracle := bare.Sched.Step(), oracle.Sched.Step()
+		if ok != okOracle || bare.Sched.Now() != oracle.Sched.Now() {
+			t.Fatalf("event %d: bare runs at %v (%v), listening at %v (%v)",
+				i, bare.Sched.Now(), ok, oracle.Sched.Now(), okOracle)
+		}
+		if !ok || bare.Sched.Now() >= until {
+			break
+		}
+	}
+	if a, b := bare.Sched.EventsFired(), oracle.Sched.EventsFired(); a != b || a < 10_000 {
+		t.Errorf("events fired: bare %d, listening %d; want equal and at least 10,000", a, b)
+	}
+	sts, want := stations(bare), stations(oracle)
+	for i, st := range sts {
+		if st.Stats != want[i].Stats || st.TCPAckTime != want[i].TCPAckTime {
+			t.Errorf("station %v: bare %+v %+v, listening %+v %+v",
+				st.Addr(), st.Stats, st.TCPAckTime, want[i].Stats, want[i].TCPAckTime)
+		}
+	}
+	spec := campaign.Spec{
+		Name:     c.name,
+		Base:     c.cfg,
+		Workload: c.workload,
+		Warmup:   200 * sim.Millisecond,
+		Measure:  300 * sim.Millisecond,
+		Workers:  1,
+	}
+	var rows, oracleRows bytes.Buffer
+	if err := campaign.Run(spec).WriteJSON(&rows); err != nil {
+		t.Fatal(err)
+	}
+	spec.Trace = func(campaign.Point) trace.Tracer { return trace.Nop{} }
+	if err := campaign.Run(spec).WriteJSON(&oracleRows); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rows.Bytes(), oracleRows.Bytes()) {
+		t.Errorf("rows differ:\n--- bare ---\n%s\n--- listening ---\n%s", rows.String(), oracleRows.String())
 	}
 }
