@@ -194,7 +194,6 @@ func (m *Medium) ensureState() {
 	}
 	for i := old; i < n; i++ {
 		m.txOwn = append(m.txOwn, 0)
-		m.senseBusy = append(m.senseBusy, false)
 		m.senseMW = append(m.senseMW, 0)
 		m.carriers = append(m.carriers, Carrier{})
 		m.every = append(m.every, int32(i))
@@ -289,11 +288,11 @@ func (m *Medium) addPower(tx *Transmission, now sim.Time) {
 	// discards any float drift from the previous period. tx is on the
 	// air when its carrier edges come, so the flips are the radios busy
 	// with it that were not.
-	flips, busy, own, sense, cs := m.flips[:0], m.senseBusy, m.txOwn, m.senseMW, m.csMW
+	flips, cr, own, sense, cs := m.flips[:0], m.carriers, m.txOwn, m.senseMW, m.csMW
 	if len(m.active) == 0 {
 		for j, p := range row {
 			sense[j] = p
-			if (own[j] > 0 || p >= cs) != busy[j] {
+			if (p >= cs || own[j] > 0) != cr[j].Busy {
 				flips = append(flips, int32(j))
 			}
 		}
@@ -301,7 +300,7 @@ func (m *Medium) addPower(tx *Transmission, now sim.Time) {
 		for j, p := range row {
 			v := sense[j] + p
 			sense[j] = v
-			if (own[j] > 0 || v >= cs) != busy[j] {
+			if (v >= cs || own[j] > 0) != cr[j].Busy {
 				flips = append(flips, int32(j))
 			}
 		}
@@ -411,11 +410,11 @@ func (m *Medium) removePower(tx *Transmission) {
 	row := m.powerMW[si]
 	// A fully idle medium resets the sums exactly, bounding float drift
 	// to one busy period; no radio is busy then.
-	flips, busy, own, sense, cs := m.flips[:0], m.senseBusy, m.txOwn, m.senseMW, m.csMW
+	flips, cr, own, sense, cs := m.flips[:0], m.carriers, m.txOwn, m.senseMW, m.csMW
 	if len(m.active) == 0 {
 		for j := range sense {
 			sense[j] = 0
-			if own[j] > 0 != busy[j] {
+			if own[j] > 0 != cr[j].Busy {
 				flips = append(flips, int32(j))
 			}
 		}
@@ -423,7 +422,7 @@ func (m *Medium) removePower(tx *Transmission) {
 		for j, p := range row {
 			v := sense[j] - p
 			sense[j] = v
-			if (own[j] > 0 || v >= cs) != busy[j] {
+			if (v >= cs || own[j] > 0) != cr[j].Busy {
 				flips = append(flips, int32(j))
 			}
 		}
@@ -469,12 +468,12 @@ func (m *Medium) removePower(tx *Transmission) {
 // keeps idle edges strictly after deliveries.
 //
 // The general engine visits only the radios that addPower or
-// removePower listed as flipping, and decides each one's state afresh.
-// So if a callback between the listing and the edges transmits (the
-// MAC does not: it transmits from timer events only), that Transmit's
-// own edges bring every radio up to date, and the stale list emits
+// removePower listed as flipping, when TxCount read listed. If a
+// callback since transmitted (the MAC does not: it transmits from timer
+// events only), that Transmit's own edges brought every radio up to
+// date, so the stale list then decides each radio afresh and emits
 // nothing twice.
-func (m *Medium) updateCarrier() {
+func (m *Medium) updateCarrier(listed uint64) {
 	onAir := len(m.active) > 0
 	now := m.sched.Now()
 	if m.oneDomain {
@@ -508,18 +507,21 @@ func (m *Medium) updateCarrier() {
 		return
 	}
 	for _, j := range m.flips {
-		busy := m.txOwn[j] > 0 || (onAir && m.senseMW[j] >= m.csMW)
-		if busy == m.senseBusy[j] {
+		c := &m.carriers[j]
+		busy := !c.Busy
+		if m.TxCount != listed {
+			if busy = m.txOwn[j] > 0 || (len(m.active) > 0 && m.senseMW[j] >= m.csMW); busy == c.Busy {
+				continue
+			}
+		}
+		c.record(busy, now)
+		if m.listen[j>>6]&(1<<(j&63)) == 0 {
 			continue
 		}
-		m.senseBusy[j] = busy
-		m.carriers[j].record(busy, now)
-		switch r := m.radios[j]; {
-		case m.listen[j>>6]&(1<<(j&63)) == 0:
-		case busy:
-			r.CarrierBusy()
-		default:
-			r.CarrierIdle()
+		if busy {
+			m.radios[j].CarrierBusy()
+		} else {
+			m.radios[j].CarrierIdle()
 		}
 	}
 }

@@ -407,6 +407,9 @@ func (o *overheard) lapsed(l *navLapse) {
 func (o *overheard) catchUp(st *Station) {
 	i := st.RadioIndex()
 	c, e, d := o.medium.Carrier(i), &o.sta[i], &st.dcf
+	if c.Edges == e.edges {
+		return
+	}
 	if d.missedCarrier(c, e.edges) && c.IdleAt >= d.navUntil {
 		d.idleAt = c.IdleAt
 	}
