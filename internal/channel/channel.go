@@ -226,8 +226,18 @@ type Medium struct {
 	// carrier sums or per-radio carrier state.
 	built     bool
 	oneDomain bool
-	carrier   Carrier     // single collision domain only
-	powerMW   [][]float64 // symmetric rx-power matrix, diagonal 0
+	carrier   Carrier // single collision domain only
+
+	// Stats.
+	TxCount       uint64
+	CollidedTx    uint64
+	CorruptedRx   uint64
+	DeliveredRx   uint64
+	AirtimeBusy   sim.Duration
+	lastBusyStart sim.Time
+
+	// The general engine's state.
+	powerMW [][]float64 // symmetric rx-power matrix, diagonal 0
 	// reach[i] lists, ascending, radio i and the radios its frames
 	// reach (see extendReach); every is the list of every index, which
 	// the sources that reach every radio share.
@@ -246,14 +256,6 @@ type Medium struct {
 	floorMW    float64
 	scratchSum []float64
 	scratchOut []Outcome // per radio, the outcome of the finishing frame
-
-	// Stats.
-	TxCount       uint64
-	CollidedTx    uint64
-	CorruptedRx   uint64
-	DeliveredRx   uint64
-	AirtimeBusy   sim.Duration
-	lastBusyStart sim.Time
 }
 
 // New creates a medium using the scheduler's clock and a forked random

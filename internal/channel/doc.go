@@ -20,15 +20,35 @@
 //     always decodes. Overlapping transmitters can never decode each
 //     other (half-duplex). Receivers below Geometry.DeliveryFloorDBm
 //     get no EndRx at all — no NAV, no EIFS, no promiscuous copy.
-//     Geometry.CaptureOK applies the same rule to given powers.
+//
+// # Per-frame cost
+//
+// A frame's work follows the radios it reaches, not every attached
+// radio. With the power matrix the medium builds each source's reach
+// list: the radios at or above the delivery floor, in attach order,
+// extended as radios attach. Outcomes, interference maxima and
+// deliveries walk it; a source that reaches every radio walks one list
+// shared by all such sources. Whether two overlapping frames are a
+// coupled collision depends only on the power matrix, so the
+// shared-receiver test runs once per pair of sources. The sensed-power
+// sums still cover every radio, since many weak frames can add up to
+// the carrier-sense threshold, and the same loop lists the radios
+// whose carrier state turns, so the carrier edges visit only those.
+//
+// The capture decision compares the linear SINR with the threshold's
+// linear value. Only inside a guard band of ±1e-6 dB around the
+// threshold, far wider than a logarithm's rounding error, or for a
+// threshold beyond ±1000 dB, does it take the logarithm and apply the
+// rule in dB, so every decision is the dB rule's. Each rate's
+// threshold and band are computed once per medium.
 //
 // # One collision domain
 //
 // The paper's setting is one collision domain: every radio hears every
 // transmission and any overlap collides every involved frame at every
 // receiver (no capture effect). That is the engine's limit with carrier
-// sense and delivery floor at -Inf and capture margin +Inf
-// (DegenerateGeometry), and a nil Geometry means the same. The medium
+// sense and delivery floor at -Inf and capture margin +Inf, and a nil
+// Geometry means the same. The medium
 // detects it from the geometry's values at the first Transmit and then
 // keeps no per-pair state: no power matrix, no sensed-power sums, no
 // per-receiver SINR decisions. Every overlap collides, every other
@@ -41,21 +61,22 @@
 //
 // # Listening radios
 //
-// Because every radio of one collision domain hears the same thing, a
-// radio with nothing to do need not hear it as it happens. A radio
-// listens from Attach on; in a single collision domain whose
-// Overhearer is set, StopListening takes it out of the fan-out and
-// Listen puts it back. Deliveries and carrier edges go to the
-// listening radios only, in attach order, so a frame costs the medium
+// A radio with nothing to do need not hear the medium as it happens. A
+// radio listens from Attach on; StopListening takes it out of the
+// fan-out and Listen puts it back. Carrier edges go to the listening
+// radios only, in attach order, and the medium's carrier history
+// (Carrier: the count of edges and the last busy and idle edge)
+// records the ones a radio that listens again has missed. The general
+// engine keeps that history per radio, and still delivers every frame
+// to every radio it reaches, since it decides outcomes per receiver.
+// In a single collision domain every radio hears the same thing, so
+// the medium keeps one history, and where an Overhearer is set the
+// deliveries go to the listening radios only: a frame costs the medium
 // per listening radio, not per attached one. The Overhearer stands in
 // for the others: it hears each finished transmission once, before the
-// deliveries, with the outcome every radio but the source receives,
-// and the medium's Carrier records the edges (their count and the last
-// busy and idle edge) that a radio which listens again has missed.
+// deliveries, with the outcome every radio but the source receives.
 // internal/mac decides which stations stop listening and rebuilds
-// their state when they listen again. The general engine decides
-// outcomes and carrier state per receiver, so there every radio
-// listens.
+// their state when they listen again.
 //
 // The medium owns each Transmission record: it recycles the record
 // once the transmission has finished, zeroed, so a radio reads it only

@@ -48,7 +48,9 @@ type airCycleCase struct {
 	// without a power matrix or sensed sums.
 	oneDomain bool
 	// deaf makes every radio but the sender, radio 0, stop listening;
-	// the cycle is then one frame, whose cost must not grow with them.
+	// the cycle is then one frame. In a single collision domain its cost
+	// must not grow with them; the general engine still delivers to
+	// them and skips only their carrier edges.
 	deaf bool
 }
 
@@ -59,6 +61,7 @@ var airCycleCases = []airCycleCase{
 	{name: "idle-10", radios: 10, geom: func() *Geometry { return nil }, oneDomain: true, deaf: true},
 	{name: "idle-100", radios: 100, geom: func() *Geometry { return nil }, oneDomain: true, deaf: true},
 	{name: "idle-1000", radios: 1000, geom: func() *Geometry { return nil }, oneDomain: true, deaf: true},
+	{name: "spatial-idle-100", radios: 100, geom: DefaultGeometry, deaf: true},
 }
 
 // medium builds the case's medium of quiet radios.
@@ -67,8 +70,8 @@ func (c airCycleCase) medium() (*sim.Scheduler, *Medium, []Radio) {
 	if c.deaf {
 		m.Overhearer = nopOverhearer{}
 		for i := 1; i < c.radios; i++ {
-			if !m.StopListening(i) {
-				panic("a single collision domain refused StopListening")
+			if m.StopListening(i) != c.oneDomain {
+				panic("StopListening: deliveries stop in a single collision domain only")
 			}
 		}
 	}

@@ -463,49 +463,52 @@ func (m *Medium) removePower(tx *Transmission) {
 // keeps one history. Otherwise a radio is busy while it is
 // transmitting or while the summed power of transmissions on the air
 // reaches the carrier-sense threshold, and each radio has its own
-// history. Transmissions past their End but not yet finished still
-// count — they are on the air until their finish event runs, which
-// keeps idle edges strictly after deliveries.
-//
-// The general engine visits only the radios that addPower or
-// removePower listed as flipping, when TxCount read listed. If a
-// callback since transmitted (the MAC does not: it transmits from timer
-// events only), that Transmit's own edges brought every radio up to
-// date, so the stale list then decides each radio afresh and emits
-// nothing twice.
+// history (see radioEdges). Transmissions past their End but not yet
+// finished still count — they are on the air until their finish event
+// runs, which keeps idle edges strictly after deliveries.
 func (m *Medium) updateCarrier(listed uint64) {
-	onAir := len(m.active) > 0
-	now := m.sched.Now()
-	if m.oneDomain {
-		c := &m.carrier
-		if onAir == c.Busy {
-			return
-		}
-		c.record(onAir, now)
-		switch {
-		case m.deaf > 0:
-			for w := range m.listen {
-				for word := m.listen[w]; word != 0; {
-					b := bits.TrailingZeros64(word)
-					if r := m.radios[w<<6|b]; onAir {
-						r.CarrierBusy()
-					} else {
-						r.CarrierIdle()
-					}
-					word = m.listenersAbove(w, b)
-				}
-			}
-		case onAir:
-			for _, r := range m.radios {
-				r.CarrierBusy()
-			}
-		default:
-			for _, r := range m.radios {
-				r.CarrierIdle()
-			}
-		}
+	if !m.oneDomain {
+		m.radioEdges(listed)
 		return
 	}
+	onAir := len(m.active) > 0
+	c := &m.carrier
+	if onAir == c.Busy {
+		return
+	}
+	c.record(onAir, m.sched.Now())
+	switch {
+	case m.deaf > 0:
+		for w := range m.listen {
+			for word := m.listen[w]; word != 0; {
+				b := bits.TrailingZeros64(word)
+				if r := m.radios[w<<6|b]; onAir {
+					r.CarrierBusy()
+				} else {
+					r.CarrierIdle()
+				}
+				word = m.listenersAbove(w, b)
+			}
+		}
+	case onAir:
+		for _, r := range m.radios {
+			r.CarrierBusy()
+		}
+	default:
+		for _, r := range m.radios {
+			r.CarrierIdle()
+		}
+	}
+}
+
+// radioEdges is the general engine's updateCarrier. It visits only the
+// radios that addPower or removePower listed as flipping, when TxCount
+// read listed. If a callback since transmitted (the MAC does not: it
+// transmits from timer events only), that Transmit's own edges brought
+// every radio up to date, so the stale list then decides each radio
+// afresh and emits nothing twice.
+func (m *Medium) radioEdges(listed uint64) {
+	now := m.sched.Now()
 	for _, j := range m.flips {
 		c := &m.carriers[j]
 		busy := !c.Busy

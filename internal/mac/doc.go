@@ -47,9 +47,9 @@
 // frame for NAV, not one per station, in the same order of execution
 // (navLapse gives the argument).
 //
-// A station that has stopped listening (see Idle stations) joins no
-// lapse. The medium's record of idle stations keeps their NAVs
-// instead: a frame whose NAV end exceeds some idle station's NAV posts
+// A station that has stopped listening in a single collision domain
+// (see Idle stations) joins no lapse. The medium's record of idle
+// stations keeps their NAVs instead: a frame whose NAV end exceeds some idle station's NAV posts
 // its lapse exactly as setNAV would for the first overhearer it
 // extends, so no lapse event is added or dropped, and the lapse also
 // advances the idle clock of the idle stations whose NAV it ends. A
@@ -59,11 +59,11 @@
 //
 // # Idle stations
 //
-// In a single collision domain a station with nothing to do — no
-// transmission requested, no DCF timer pending, no exchange
-// outstanding, no response pending and no tracer — stops listening,
-// so a frame costs the medium and the MAC nothing for it: no carrier
-// edges, no delivery, no NAV update. It listens again when a frame
+// A station with nothing to do — no transmission requested, no DCF
+// timer pending, no exchange outstanding, no response pending and no
+// tracer — stops listening. In a single collision domain it hears
+// nothing, so a frame costs the medium and the MAC nothing for it: no
+// carrier edges, no delivery, no NAV update. It listens again when a frame
 // addressed to it is decoded, before the frame is delivered, or when
 // its queue gets a packet. It then holds exactly the state the skipped
 // callbacks and NAV lapses would have left, because everything it
@@ -76,9 +76,24 @@
 // clock moved at each idle edge at or after its NAV end and at its
 // NAV's lapse if the medium was idle then. The overheard record keeps
 // those NAVs and idle clocks in a few roots shared by the stations
-// whose NAV and pending lapse agree. A traced station never stops
-// listening, since its trace pins every NAV update, so running every
-// station traced is the reference the idle path is tested against.
+// whose NAV and pending lapse agree.
+//
+// Under the general (spatial) engine outcomes differ per receiver, so
+// an idle station keeps its deliveries and stops taking only the
+// carrier edges. The medium records every radio's carrier history, and
+// the station catches up on the edges it missed whenever its carrier
+// state is read: before a frame extends its NAV, before the lapse of
+// its NAV re-evaluates it, and when it wakes, for a packet or for a
+// decoded frame addressed to it. The catch-up restores its carrier
+// state and the time of the last busy edge, and moves its idle clock
+// to the last idle edge if that came at or after its NAV's end, as the
+// skipped callbacks would have: its NAV has not changed since the last
+// catch-up, and the callbacks of a station with no request and an idle
+// DCF timer freeze, arm and draw nothing.
+//
+// A traced station never stops listening, since its trace pins every
+// NAV update, so running every station traced is the reference both
+// idle paths are tested against.
 //
 // # Frame ownership
 //
