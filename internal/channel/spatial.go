@@ -335,10 +335,10 @@ func (m *Medium) addPower(tx *Transmission, now sim.Time) {
 			oi := o.srcIdx
 			orow := m.powerMW[oi]
 			// Worst-instant aggregate interference for the ongoing
-			// transmission at every receiver it reaches; it decides no
-			// other outcome. +Inf entries (half-duplex) are sticky: no
-			// finite max can overwrite them. A radio attached since o
-			// started has no entry.
+			// transmission at every receiver it reaches, the only
+			// outcomes it decides. +Inf entries (half-duplex) are
+			// sticky: no finite max can overwrite them. A radio attached
+			// since o started has no entry.
 			for _, j := range m.reach[oi] {
 				if int(j) >= len(o.interfMax) {
 					break

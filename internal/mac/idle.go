@@ -21,10 +21,10 @@ import (
 // either, so each frame costs the medium nothing for it, and this
 // record stands in for it: the medium reports every finished
 // transmission here once, and a station that wakes reads back its
-// carrier, NAV, EIFS and idle-clock state. All of that is medium-wide. An idle station is never a frame's
-// source, and it wakes before any frame addressed to it is delivered,
-// so it overhears every other frame with the outcome every overhearer
-// gets:
+// carrier, NAV, EIFS and idle-clock state. All of that is medium-wide.
+// An idle station is never a frame's source, and it wakes before any
+// frame addressed to it is delivered, so it overhears every other frame
+// with the outcome every overhearer gets:
 //
 //   - physBusy and physBusyAt follow the medium's Carrier;
 //   - eifs is the outcome of the last frame that finished since the
@@ -192,6 +192,8 @@ func (o *overheard) leave(st *Station) {
 	d := &st.dcf
 	e := &o.sta[i]
 	if !o.medium.StopListening(i) {
+		// The general engine: st keeps its deliveries and catches up on
+		// its carrier history.
 		d.deaf = true
 		e.edges = o.medium.Carrier(i).Edges
 		return
@@ -407,9 +409,6 @@ func (o *overheard) lapsed(l *navLapse) {
 func (o *overheard) catchUp(st *Station) {
 	i := st.RadioIndex()
 	c, e, d := o.medium.Carrier(i), &o.sta[i], &st.dcf
-	if c.Edges == e.edges {
-		return
-	}
 	if d.missedCarrier(c, e.edges) && c.IdleAt >= d.navUntil {
 		d.idleAt = c.IdleAt
 	}
