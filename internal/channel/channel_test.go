@@ -597,14 +597,22 @@ func TestDeafRadiosGetNoCallbacks(t *testing.T) {
 	}
 }
 
-// TestGeneralEngineKeepsListening: per-receiver outcomes and carrier
-// sums differ per radio under a spatial geometry, so no radio may stop
-// listening there.
+// TestGeneralEngineKeepsListening: outcomes differ per receiver under
+// a spatial geometry, so a radio that stops listening there keeps its
+// deliveries, even with an Overhearer set, and takes no carrier edges.
 func TestGeneralEngineKeepsListening(t *testing.T) {
-	_, m, _, _ := newTestMedium(nil)
+	s, m, a, b := newTestMedium(nil)
 	m.Geometry = DefaultGeometry()
 	m.Overhearer = &countingOverhearer{}
 	if m.StopListening(1) {
-		t.Error("StopListening succeeded under a spatial geometry")
+		t.Error("StopListening stopped deliveries under a spatial geometry")
+	}
+	m.Transmit(a, phy.RateA54, 1500, "x")
+	s.Run()
+	if len(b.received) != 1 || b.busy != 0 || b.idle != 0 {
+		t.Errorf("radio 1 got %d frames and %d/%d busy/idle edges, want 1 and none", len(b.received), b.busy, b.idle)
+	}
+	if c := m.Carrier(1); c.Edges != 2 || c.Busy {
+		t.Errorf("radio 1's carrier history %+v, want two edges, idle", c)
 	}
 }
