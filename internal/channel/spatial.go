@@ -287,25 +287,38 @@ func (m *Medium) addPower(tx *Transmission, now sim.Time) {
 	// A fresh busy period copies rather than accumulates, which also
 	// discards any float drift from the previous period. tx is on the
 	// air when its carrier edges come, so the flips are the radios busy
-	// with it that were not.
-	flips, cr, own, sense, cs := m.flips[:0], m.carriers, m.txOwn, m.senseMW, m.csMW
+	// with it that were not. The listing writes every index and keeps
+	// the ones that flip by advancing k, with no branch on the
+	// unpredictable comparison.
+	flips, cr, own, sense, cs := m.flips[:len(row)], m.carriers, m.txOwn, m.senseMW, m.csMW
+	k := 0
 	if len(m.active) == 0 {
 		for j, p := range row {
 			sense[j] = p
-			if (p >= cs || own[j] > 0) != cr[j].Busy {
-				flips = append(flips, int32(j))
+			busy := p >= cs
+			if own[j] > 0 {
+				busy = true
+			}
+			flips[k] = int32(j)
+			if busy != cr[j].Busy {
+				k++
 			}
 		}
 	} else {
 		for j, p := range row {
 			v := sense[j] + p
 			sense[j] = v
-			if (v >= cs || own[j] > 0) != cr[j].Busy {
-				flips = append(flips, int32(j))
+			busy := v >= cs
+			if own[j] > 0 {
+				busy = true
+			}
+			flips[k] = int32(j)
+			if busy != cr[j].Busy {
+				k++
 			}
 		}
 	}
-	m.flips = flips
+	m.flips = flips[:k]
 	// A transmission ending exactly now does not overlap (its finish
 	// event may simply not have run yet at this instant).
 	nOverlap := 0
@@ -410,24 +423,31 @@ func (m *Medium) removePower(tx *Transmission) {
 	row := m.powerMW[si]
 	// A fully idle medium resets the sums exactly, bounding float drift
 	// to one busy period; no radio is busy then.
-	flips, cr, own, sense, cs := m.flips[:0], m.carriers, m.txOwn, m.senseMW, m.csMW
+	flips, cr, own, sense, cs := m.flips[:len(row)], m.carriers, m.txOwn, m.senseMW, m.csMW
+	k := 0
 	if len(m.active) == 0 {
 		for j := range sense {
 			sense[j] = 0
+			flips[k] = int32(j)
 			if own[j] > 0 != cr[j].Busy {
-				flips = append(flips, int32(j))
+				k++
 			}
 		}
 	} else {
 		for j, p := range row {
 			v := sense[j] - p
 			sense[j] = v
-			if (v >= cs || own[j] > 0) != cr[j].Busy {
-				flips = append(flips, int32(j))
+			busy := v >= cs
+			if own[j] > 0 {
+				busy = true
+			}
+			flips[k] = int32(j)
+			if busy != cr[j].Busy {
+				k++
 			}
 		}
 	}
-	m.flips = flips
+	m.flips = flips[:k]
 	rule := m.captureFor(tx.Rate)
 	out := m.scratchOut
 	for _, j := range m.reach[si] {
@@ -509,16 +529,17 @@ func (m *Medium) updateCarrier(listed uint64) {
 // afresh and emits nothing twice.
 func (m *Medium) radioEdges(listed uint64) {
 	now := m.sched.Now()
+	carriers, listen, stale := m.carriers, m.listen, m.TxCount != listed
 	for _, j := range m.flips {
-		c := &m.carriers[j]
+		c := &carriers[j]
 		busy := !c.Busy
-		if m.TxCount != listed {
+		if stale {
 			if busy = m.txOwn[j] > 0 || (len(m.active) > 0 && m.senseMW[j] >= m.csMW); busy == c.Busy {
 				continue
 			}
 		}
 		c.record(busy, now)
-		if m.listen[j>>6]&(1<<(j&63)) == 0 {
+		if listen[j>>6]&(1<<(j&63)) == 0 {
 			continue
 		}
 		if busy {
@@ -526,6 +547,8 @@ func (m *Medium) radioEdges(listed uint64) {
 		} else {
 			m.radios[j].CarrierIdle()
 		}
+		// Only a callback can transmit, listen or attach radios.
+		carriers, listen, stale = m.carriers, m.listen, m.TxCount != listed
 	}
 }
 
