@@ -291,31 +291,20 @@ func (m *Medium) addPower(tx *Transmission, now sim.Time) {
 	// the ones that flip by advancing k, with no branch on the
 	// unpredictable comparison.
 	flips, cr, own, sense, cs := m.flips[:len(row)], m.carriers, m.txOwn, m.senseMW, m.csMW
-	k := 0
-	if len(m.active) == 0 {
-		for j, p := range row {
-			sense[j] = p
-			busy := p >= cs
-			if own[j] > 0 {
-				busy = true
-			}
-			flips[k] = int32(j)
-			if busy != cr[j].Busy {
-				k++
-			}
+	fresh, k := len(m.active) == 0, 0
+	for j, p := range row {
+		v := p
+		if !fresh {
+			v += sense[j]
 		}
-	} else {
-		for j, p := range row {
-			v := sense[j] + p
-			sense[j] = v
-			busy := v >= cs
-			if own[j] > 0 {
-				busy = true
-			}
-			flips[k] = int32(j)
-			if busy != cr[j].Busy {
-				k++
-			}
+		sense[j] = v
+		busy := v >= cs
+		if own[j] > 0 {
+			busy = true
+		}
+		flips[k] = int32(j)
+		if busy != cr[j].Busy {
+			k++
 		}
 	}
 	m.flips = flips[:k]
@@ -422,29 +411,22 @@ func (m *Medium) removePower(tx *Transmission) {
 	m.txOwn[si]--
 	row := m.powerMW[si]
 	// A fully idle medium resets the sums exactly, bounding float drift
-	// to one busy period; no radio is busy then.
+	// to one busy period; no radio senses anything then.
 	flips, cr, own, sense, cs := m.flips[:len(row)], m.carriers, m.txOwn, m.senseMW, m.csMW
-	k := 0
-	if len(m.active) == 0 {
-		for j := range sense {
-			sense[j] = 0
-			flips[k] = int32(j)
-			if own[j] > 0 != cr[j].Busy {
-				k++
-			}
+	onAir, k := len(m.active) > 0, 0
+	for j, p := range row {
+		v := 0.0
+		if onAir {
+			v = sense[j] - p
 		}
-	} else {
-		for j, p := range row {
-			v := sense[j] - p
-			sense[j] = v
-			busy := v >= cs
-			if own[j] > 0 {
-				busy = true
-			}
-			flips[k] = int32(j)
-			if busy != cr[j].Busy {
-				k++
-			}
+		sense[j] = v
+		busy := onAir && v >= cs
+		if own[j] > 0 {
+			busy = true
+		}
+		flips[k] = int32(j)
+		if busy != cr[j].Busy {
+			k++
 		}
 	}
 	m.flips = flips[:k]
