@@ -248,7 +248,6 @@ type Medium struct {
 	coupled    []uint8
 	capture    []captureRule // per rate, made at first use
 	txOwn      []int         // in-flight transmissions per source radio
-	flips      []int32       // radios whose carrier state the air's last change flips
 	carriers   []Carrier     // each radio's carrier state and history
 	senseMW    []float64     // summed on-air rx power at each radio
 	noiseMW    float64
@@ -408,7 +407,7 @@ func (m *Medium) Transmit(src Radio, rate phy.Rate, length int, frame any) *Tran
 		m.addPower(tx, now)
 	}
 	m.active = append(m.active, tx)
-	m.updateCarrier(m.TxCount)
+	m.updateCarrier()
 	m.sched.Post(tx.End, m.finishFn, tx)
 	return tx
 }
@@ -457,7 +456,6 @@ func (m *Medium) finish(tx *Transmission) {
 	// In a single collision domain every radio but the source receives
 	// the frame, collided if it overlapped anything.
 	all := RxOK
-	listed := m.TxCount
 	if !m.oneDomain {
 		m.removePower(tx)
 	} else if tx.collided {
@@ -493,7 +491,7 @@ func (m *Medium) finish(tx *Transmission) {
 	}
 	// Carrier edges strictly after deliveries: receivers see the frame
 	// before timers that an idle transition may restart.
-	m.updateCarrier(listed)
+	m.updateCarrier()
 	*tx = Transmission{interfMax: tx.interfMax[:0]}
 	m.txFree = append(m.txFree, tx)
 }

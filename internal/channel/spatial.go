@@ -225,7 +225,6 @@ func (m *Medium) ensureState() {
 	m.extendReach(old)
 	// A new radio can be the shared receiver that couples an old pair.
 	m.coupled = make([]uint8, n*n)
-	m.flips = make([]int32, 0, n)
 	m.scratchSum = make([]float64, n)
 	m.scratchOut = make([]Outcome, n)
 }
@@ -274,10 +273,9 @@ func zeroedBuf(b []float64, n int) []float64 {
 }
 
 // addPower is the general engine's half of Transmit: tx's power joins
-// every radio's sensed sum, which lists the carrier flips it causes,
-// tx and every transmission it overlaps accrue their interference
-// maxima at the radios they reach, and coupled pairs collide. It draws
-// no randomness.
+// every radio's sensed sum, tx and every transmission it overlaps
+// accrue their interference maxima at the radios they reach, and
+// coupled pairs collide. It draws no randomness.
 func (m *Medium) addPower(tx *Transmission, now sim.Time) {
 	nR := len(m.radios)
 	si := tx.srcIdx
@@ -285,29 +283,14 @@ func (m *Medium) addPower(tx *Transmission, now sim.Time) {
 	row := m.powerMW[si]
 	m.txOwn[si]++
 	// A fresh busy period copies rather than accumulates, which also
-	// discards any float drift from the previous period. tx is on the
-	// air when its carrier edges come, so the flips are the radios busy
-	// with it that were not. The listing writes every index and keeps
-	// the ones that flip by advancing k, with no branch on the
-	// unpredictable comparison.
-	flips, cr, own, sense, cs := m.flips[:len(row)], m.carriers, m.txOwn, m.senseMW, m.csMW
-	fresh, k := len(m.active) == 0, 0
-	for j, p := range row {
-		v := p
-		if !fresh {
-			v += sense[j]
-		}
-		sense[j] = v
-		busy := v >= cs
-		if own[j] > 0 {
-			busy = true
-		}
-		flips[k] = int32(j)
-		if busy != cr[j].Busy {
-			k++
+	// discards any float drift from the previous period.
+	if len(m.active) == 0 {
+		copy(m.senseMW, row)
+	} else {
+		for j, p := range row {
+			m.senseMW[j] += p
 		}
 	}
-	m.flips = flips[:k]
 	// A transmission ending exactly now does not overlap (its finish
 	// event may simply not have run yet at this instant).
 	nOverlap := 0
@@ -403,33 +386,22 @@ const (
 )
 
 // removePower is the general engine's half of finish: tx's power
-// leaves the sensed sums, which lists the carrier flips that causes,
-// and the outcome at each radio tx reaches lands in scratchOut,
-// decided by the capture rule from the interference tx accrued.
+// leaves the sensed sums, and the outcome at each radio tx reaches
+// lands in scratchOut, decided by the capture rule from the
+// interference tx accrued.
 func (m *Medium) removePower(tx *Transmission) {
 	si := tx.srcIdx
 	m.txOwn[si]--
 	row := m.powerMW[si]
 	// A fully idle medium resets the sums exactly, bounding float drift
-	// to one busy period; no radio senses anything then.
-	flips, cr, own, sense, cs := m.flips[:len(row)], m.carriers, m.txOwn, m.senseMW, m.csMW
-	onAir, k := len(m.active) > 0, 0
-	for j, p := range row {
-		v := 0.0
-		if onAir {
-			v = sense[j] - p
-		}
-		sense[j] = v
-		busy := onAir && v >= cs
-		if own[j] > 0 {
-			busy = true
-		}
-		flips[k] = int32(j)
-		if busy != cr[j].Busy {
-			k++
+	// to one busy period.
+	if len(m.active) == 0 {
+		clear(m.senseMW)
+	} else {
+		for j, p := range row {
+			m.senseMW[j] -= p
 		}
 	}
-	m.flips = flips[:k]
 	rule := m.captureFor(tx.Rate)
 	out := m.scratchOut
 	for _, j := range m.reach[si] {
@@ -468,9 +440,9 @@ func (m *Medium) removePower(tx *Transmission) {
 // history (see radioEdges). Transmissions past their End but not yet
 // finished still count — they are on the air until their finish event
 // runs, which keeps idle edges strictly after deliveries.
-func (m *Medium) updateCarrier(listed uint64) {
+func (m *Medium) updateCarrier() {
 	if !m.oneDomain {
-		m.radioEdges(listed)
+		m.radioEdges()
 		return
 	}
 	onAir := len(m.active) > 0
@@ -503,25 +475,21 @@ func (m *Medium) updateCarrier(listed uint64) {
 	}
 }
 
-// radioEdges is the general engine's updateCarrier. It visits only the
-// radios that addPower or removePower listed as flipping, when TxCount
-// read listed. If a callback since transmitted (the MAC does not: it
-// transmits from timer events only), that Transmit's own edges brought
-// every radio up to date, so the stale list then decides each radio
-// afresh and emits nothing twice.
-func (m *Medium) radioEdges(listed uint64) {
+// radioEdges is the general engine's updateCarrier: each radio's
+// carrier record holds the state its last edge left, and a radio whose
+// state the air has changed gets an edge, recorded whether or not it
+// listens.
+func (m *Medium) radioEdges() {
 	now := m.sched.Now()
-	carriers, listen, stale := m.carriers, m.listen, m.TxCount != listed
-	for _, j := range m.flips {
-		c := &carriers[j]
-		busy := !c.Busy
-		if stale {
-			if busy = m.txOwn[j] > 0 || (len(m.active) > 0 && m.senseMW[j] >= m.csMW); busy == c.Busy {
-				continue
-			}
+	onAir := len(m.active) > 0
+	for j := range m.carriers {
+		busy := m.txOwn[j] > 0 || (onAir && m.senseMW[j] >= m.csMW)
+		c := &m.carriers[j]
+		if busy == c.Busy {
+			continue
 		}
 		c.record(busy, now)
-		if listen[j>>6]&(1<<(j&63)) == 0 {
+		if m.listen[j>>6]&(1<<(j&63)) == 0 {
 			continue
 		}
 		if busy {
@@ -529,8 +497,6 @@ func (m *Medium) radioEdges(listed uint64) {
 		} else {
 			m.radios[j].CarrierIdle()
 		}
-		// Only a callback can transmit, listen or attach radios.
-		carriers, listen, stale = m.carriers, m.listen, m.TxCount != listed
 	}
 }
 

@@ -448,8 +448,8 @@ func checkPairState(t *testing.T, seed int64, m *Medium) {
 
 // echoRadio checks the carrier edges it gets against the medium's
 // carrier history, and may transmit from inside EndRx — which the MAC
-// never does — so that a Transmit falls between the medium's listing of
-// carrier flips and its edges.
+// never does — so that a Transmit falls between a finishing frame's
+// sum update and its carrier edges.
 type echoRadio struct {
 	Port
 	pos  Pos
