@@ -31,9 +31,8 @@
 // shared by all such sources. Whether two overlapping frames are a
 // coupled collision depends only on the power matrix, so the
 // shared-receiver test runs once per pair of sources. The sensed-power
-// sums still cover every radio, since many weak frames can add up to
-// the carrier-sense threshold, and the same loop lists the radios
-// whose carrier state turns, so the carrier edges visit only those.
+// sums and carrier states still cover every radio, since many weak
+// frames can add up to the carrier-sense threshold.
 //
 // The capture decision compares the linear SINR with the threshold's
 // linear value. Only inside a guard band of ±1e-6 dB around the
