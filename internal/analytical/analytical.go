@@ -206,16 +206,3 @@ func (p Params) Goodput80211n(rate phy.Rate, mode Mode) float64 {
 	}
 	panic("analytical: unknown mode")
 }
-
-// Improvement returns HACK's fractional goodput gain over stock TCP at
-// the given rate (e.g. 0.07 = 7%).
-func (p Params) Improvement(rate phy.Rate, ht bool) float64 {
-	if ht {
-		s := p.Goodput80211n(rate, ModeTCP)
-		h := p.Goodput80211n(rate, ModeHACK)
-		return (h - s) / s
-	}
-	s := p.Goodput80211a(rate, ModeTCP)
-	h := p.Goodput80211a(rate, ModeHACK)
-	return (h - s) / s
-}

@@ -151,3 +151,16 @@ func TestParamsOverrides(t *testing.T) {
 		t.Error("longer TXOP should allow bigger batches at 15 Mbps")
 	}
 }
+
+// Improvement returns HACK's fractional goodput gain over stock TCP at
+// the given rate (e.g. 0.07 = 7%).
+func (p Params) Improvement(rate phy.Rate, ht bool) float64 {
+	if ht {
+		s := p.Goodput80211n(rate, ModeTCP)
+		h := p.Goodput80211n(rate, ModeHACK)
+		return (h - s) / s
+	}
+	s := p.Goodput80211a(rate, ModeTCP)
+	h := p.Goodput80211a(rate, ModeHACK)
+	return (h - s) / s
+}

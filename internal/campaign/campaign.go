@@ -31,8 +31,8 @@ import (
 // (channel.ForkableErrorModel), so all built-in models are
 // campaign-safe. Adapters sweeps rate adaptation in
 // scenario.WithRateAdapter's vocabulary ("fixed", "fixed:<rate>",
-// "ideal", "minstrel"); adapter state is per station per network, so
-// the axis preserves the parallel-equals-serial guarantee.
+// "ideal", "argmax", "minstrel"); adapter state is per station per
+// network, so the axis preserves the parallel-equals-serial guarantee.
 type Axes struct {
 	Modes    []hack.Mode
 	Clients  []int

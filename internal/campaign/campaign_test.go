@@ -181,7 +181,9 @@ func TestGilbertElliottAxisCampaignSafe(t *testing.T) {
 		return Spec{
 			Name: "bursty",
 			Base: scenario.New(scenario.WithSoRa(),
-				scenario.WithBurstyLoss(0.01, 0.2, 0.001, 0.5)),
+				scenario.WithConfig(func(c *node.Config) {
+					c.Err = &channel.GilbertElliott{PGoodToBad: 0.01, PBadToGood: 0.2, LossGood: 0.001, LossBad: 0.5}
+				})),
 			Axes: Axes{
 				Modes: []hack.Mode{hack.ModeOff, hack.ModeMoreData},
 				Seeds: Seeds(1, 2),

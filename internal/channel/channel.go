@@ -239,7 +239,7 @@ type Medium struct {
 	// The general engine's state.
 	powerMW [][]float64 // symmetric rx-power matrix, diagonal 0
 	// reach[i] lists, ascending, radio i and the radios its frames
-	// reach (see extendReach); every is the list of every index, which
+	// reach (see buildReach); every is the list of every index, which
 	// the sources that reach every radio share.
 	reach [][]int32
 	every []int32
@@ -279,9 +279,13 @@ func New(sched *sim.Scheduler, model ErrorModel) *Medium {
 }
 
 // Attach registers a radio with the medium and records its index in
-// the radio's Port. The radio listens. Attaching the same radio twice
-// panics.
+// the radio's Port. The radio listens. The radio set is fixed at the
+// first Transmit: attaching after it panics, as does attaching the
+// same radio twice.
 func (m *Medium) Attach(r Radio) {
+	if m.built {
+		panic("channel: Attach after the first Transmit; the radio set is fixed once the medium has transmitted")
+	}
 	if m.attached(r) {
 		panic(fmt.Sprintf("channel: radio %p attached twice", r))
 	}
@@ -349,9 +353,6 @@ func (m *Medium) Carrier(i int) Carrier {
 	}
 	return m.carrier
 }
-
-// Busy reports whether any transmission is in flight.
-func (m *Medium) Busy() bool { return len(m.active) > 0 }
 
 // StageTx stages the next Transmit call's tx_start event. The MAC
 // fills the fields the channel layer cannot see (Src, Dst, Class,
@@ -448,7 +449,6 @@ func (m *Medium) removeActive(tx *Transmission) {
 // listen, to the listening ones after it.
 func (m *Medium) finish(tx *Transmission) {
 	now := m.sched.Now()
-	m.ensureState()
 	m.removeActive(tx)
 	if len(m.active) == 0 {
 		m.AirtimeBusy += now - m.lastBusyStart
@@ -573,8 +573,7 @@ func (ms independent) LossProb(src, dst Radio, rate phy.Rate, length int) float6
 // GilbertElliott is a two-state bursty loss model: the link flips
 // between a good state (loss pG) and a bad state (loss pB) with the
 // given per-frame transition probabilities. Used for failure-injection
-// tests of HACK's repeated-Block-ACK-loss recovery (paper Figure 8)
-// and as the bursty-loss scenario axis (scenario.WithBurstyLoss).
+// tests of HACK's repeated-Block-ACK-loss recovery (paper Figure 8).
 //
 // The model is stateful, so a configured instance acts as a template:
 // each Medium forks its own copy with fresh chain state and an RNG
@@ -582,6 +581,8 @@ func (ms independent) LossProb(src, dst Radio, rate phy.Rate, length int) float6
 // makes it safe to put in a campaign base configuration. Rng may be
 // left nil when the model is used through node/campaign construction;
 // it is only required when calling LossProb on the instance directly.
+//
+// Test accessor: campaign, node.
 type GilbertElliott struct {
 	PGoodToBad, PBadToGood float64
 	LossGood, LossBad      float64
@@ -655,13 +656,6 @@ func (s *SNRModel) SNRAt(distance float64) float64 {
 	}
 	pl := s.RefLossDB + float64(10*s.Exponent*math.Log10(distance))
 	return s.TxPowerDBm - pl - s.NoiseDBm
-}
-
-// DistanceForSNR inverts SNRAt: the distance at which the model yields
-// the target SNR. Used to place the Figure 11 client.
-func (s *SNRModel) DistanceForSNR(snrDB float64) float64 {
-	pl := s.TxPowerDBm - s.NoiseDBm - snrDB
-	return math.Pow(10, (pl-s.RefLossDB)/(10*s.Exponent))
 }
 
 // LossProb implements ErrorModel.

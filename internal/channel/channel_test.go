@@ -1,9 +1,11 @@
 package channel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"tcphack/internal/phy"
@@ -614,5 +616,46 @@ func TestGeneralEngineKeepsListening(t *testing.T) {
 	}
 	if c := m.Carrier(1); c.Edges != 2 || c.Busy {
 		t.Errorf("radio 1's carrier history %+v, want two edges, idle", c)
+	}
+}
+
+// Busy reports whether any transmission is in flight.
+func (m *Medium) Busy() bool { return len(m.active) > 0 }
+
+// DistanceForSNR inverts SNRAt: the distance at which the model yields
+// the target SNR. Used to place the Figure 11 client.
+func (s *SNRModel) DistanceForSNR(snrDB float64) float64 {
+	pl := s.TxPowerDBm - s.NoiseDBm - snrDB
+	return math.Pow(10, (pl-s.RefLossDB)/(10*s.Exponent))
+}
+
+// TestAttachAfterTransmitPanics: the radio set is fixed at the first
+// Transmit, on both engines. Attach panics with that rule once the
+// medium has transmitted, and a radio attached while a frame is on the
+// air stops there, before it can transmit: the general engine keeps
+// interference entries only for the radios present at its first
+// Transmit, so such a radio's frame used to index past them.
+func TestAttachAfterTransmitPanics(t *testing.T) {
+	for _, geo := range []*Geometry{nil, DefaultGeometry()} {
+		for _, midFrame := range []bool{false, true} {
+			s, m, a, _ := newTestMedium(nil)
+			m.Geometry = geo
+			m.Transmit(a, phy.RateA54, 1500, nil)
+			if !midFrame {
+				s.Run()
+			}
+			msg := func() (msg string) {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				late := &testRadio{pos: Pos{X: 2}}
+				m.Attach(late)
+				m.Transmit(late, phy.RateA54, 1500, nil)
+				s.Run()
+				return ""
+			}()
+			if !strings.Contains(msg, "Attach after the first Transmit") {
+				t.Errorf("geometry %v, frame on the air %v: got panic %q, want Attach's fixed-radio-set rule",
+					geo != nil, midFrame, msg)
+			}
+		}
 	}
 }

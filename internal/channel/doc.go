@@ -24,9 +24,10 @@
 // # Per-frame cost
 //
 // A frame's work follows the radios it reaches, not every attached
-// radio. With the power matrix the medium builds each source's reach
-// list: the radios at or above the delivery floor, in attach order,
-// extended as radios attach. Outcomes, interference maxima and
+// radio. The radio set is fixed at the first Transmit: Attach panics
+// after it, so the medium builds its state once. With the power matrix
+// it builds each source's reach list: the radios at or above the
+// delivery floor, in attach order. Outcomes, interference maxima and
 // deliveries walk it; a source that reaches every radio walks one list
 // shared by all such sources. Whether two overlapping frames are a
 // coupled collision depends only on the power matrix, so the

@@ -163,97 +163,78 @@ func (m *Medium) captureFor(rate phy.Rate) *captureRule {
 	return &m.capture[len(m.capture)-1]
 }
 
-// ensureState builds the engine's state at the first Transmit and
-// extends it to radios attached since; existing indices never move.
-// The first call decides whether the geometry is one collision domain
-// (Geometry.oneDomain), which needs no state. Otherwise it builds the
-// symmetric power matrix, the reach lists, the coupling memo and
-// per-radio carrier state.
+// ensureState builds the engine's state at the first Transmit, which
+// fixes the radio set: Attach panics after it. It decides whether the
+// geometry is one collision domain (Geometry.oneDomain), which needs
+// no state. Otherwise it builds the symmetric power matrix, the reach
+// lists, the coupling memo and per-radio carrier state.
 func (m *Medium) ensureState() {
-	if !m.built {
-		m.built = true
-		one := m.Geometry.oneDomain()
-		if m.deaf > 0 && one != m.oneDomain {
-			panic("channel: Geometry assigned after a radio stopped listening")
-		}
-		m.oneDomain = one
+	if m.built {
+		return
 	}
-	n := len(m.radios)
-	if m.oneDomain || len(m.powerMW) == n {
+	m.built = true
+	one := m.Geometry.oneDomain()
+	if m.deaf > 0 && one != m.oneDomain {
+		panic("channel: Geometry assigned after a radio stopped listening")
+	}
+	m.oneDomain = one
+	if one {
 		return
 	}
 	g := m.Geometry
-	old := len(m.powerMW)
+	n := len(m.radios)
 	mat := make([][]float64, n)
 	buf := make([]float64, n*n)
 	for i := range mat {
 		mat[i] = buf[i*n : (i+1)*n]
 	}
-	for i := 0; i < old; i++ {
-		copy(mat[i], m.powerMW[i])
-	}
-	for i := old; i < n; i++ {
-		m.txOwn = append(m.txOwn, 0)
-		m.senseMW = append(m.senseMW, 0)
-		m.carriers = append(m.carriers, Carrier{})
-		m.every = append(m.every, int32(i))
-		m.reach = append(m.reach, nil)
-	}
 	for i := 0; i < n; i++ {
 		pi := m.radios[i].Position()
-		lo := i + 1
-		if lo < old {
-			lo = old
-		}
-		for j := lo; j < n; j++ {
+		for j := i + 1; j < n; j++ {
 			p := phy.DBmToMilliwatts(g.RxPowerDBm(pi.DistanceTo(m.radios[j].Position())))
 			mat[i][j] = p
 			mat[j][i] = p
 		}
 	}
 	m.powerMW = mat
-	// Radios attached mid-transmission start sensing the power already
-	// on the air.
-	for i := old; i < n; i++ {
-		for _, o := range m.active {
-			m.senseMW[i] += mat[o.srcIdx][i]
-		}
-	}
 	m.noiseMW = phy.DBmToMilliwatts(g.NoiseDBm)
 	m.csMW = phy.DBmToMilliwatts(g.CSThresholdDBm)
 	m.floorMW = phy.DBmToMilliwatts(g.DeliveryFloorDBm)
-	m.extendReach(old)
-	// A new radio can be the shared receiver that couples an old pair.
+	m.buildReach()
 	m.coupled = make([]uint8, n*n)
+	m.txOwn = make([]int, n)
+	m.senseMW = make([]float64, n)
+	m.carriers = make([]Carrier, n)
 	m.scratchSum = make([]float64, n)
 	m.scratchOut = make([]Outcome, n)
 }
 
-// extendReach extends every source's reach list over the radios from
-// index old on. A list holds, ascending, the source itself and every
-// radio its frames reach: at or above the delivery floor, by
-// removePower's own comparison. A source that reaches every radio
-// shares the list of every index, so a dense network keeps one list;
-// that list's capacity ends at its length, so extending it copies.
-func (m *Medium) extendReach(old int) {
+// buildReach builds every source's reach list. A list holds,
+// ascending, the source itself and every radio its frames reach: at
+// or above the delivery floor, by removePower's own comparison. The
+// sources that reach every radio share the list of every index, so a
+// dense network keeps one list.
+func (m *Medium) buildReach() {
 	n := len(m.radios)
-	for i := 0; i < n; i++ {
-		list, from := m.reach[i], old
-		if i >= old {
-			from = 0
-		}
-		added := 0
-		for j := from; j < n; j++ {
-			if j == i || !(m.powerMW[i][j] < m.floorMW) {
-				added++
+	m.every = make([]int32, n)
+	for i := range m.every {
+		m.every[i] = int32(i)
+	}
+	m.reach = make([][]int32, n)
+	for i, row := range m.powerMW {
+		reached := 0
+		for j, p := range row {
+			if j == i || !(p < m.floorMW) {
+				reached++
 			}
 		}
-		if len(list) == from && added == n-from {
-			m.reach[i] = m.every[:n:n]
+		if reached == n {
+			m.reach[i] = m.every
 			continue
 		}
-		for j := from; j < n; j++ {
-			if j == i || !(m.powerMW[i][j] < m.floorMW) {
+		list := make([]int32, 0, reached)
+		for j, p := range row {
+			if j == i || !(p < m.floorMW) {
 				list = append(list, int32(j))
 			}
 		}
@@ -322,12 +303,8 @@ func (m *Medium) addPower(tx *Transmission, now sim.Time) {
 			// Worst-instant aggregate interference for the ongoing
 			// transmission at every receiver it reaches, the only
 			// outcomes it decides. +Inf entries (half-duplex) are
-			// sticky: no finite max can overwrite them. A radio attached
-			// since o started has no entry.
+			// sticky: no finite max can overwrite them.
 			for _, j := range m.reach[oi] {
-				if int(j) >= len(o.interfMax) {
-					break
-				}
 				if int(j) == oi {
 					continue
 				}
@@ -408,10 +385,7 @@ func (m *Medium) removePower(tx *Transmission) {
 		if int(j) == si {
 			continue
 		}
-		iv := 0.0
-		if int(j) < len(tx.interfMax) {
-			iv = tx.interfMax[j]
-		}
+		iv := tx.interfMax[j]
 		switch {
 		case iv == 0:
 			// Never overlapped at this receiver: decodes; noise

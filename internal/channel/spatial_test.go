@@ -289,7 +289,7 @@ func TestSINRMonotoneInterferers(t *testing.T) {
 }
 
 // TestPowerMatrixSymmetry: the pairwise rx-power matrix is symmetric
-// with a zero diagonal, including rows appended by a mid-run Attach.
+// with a zero diagonal.
 func TestPowerMatrixSymmetry(t *testing.T) {
 	s := sim.NewScheduler(1)
 	m := New(s, nil)
@@ -300,10 +300,7 @@ func TestPowerMatrixSymmetry(t *testing.T) {
 		radios[i] = &testRadio{pos: Pos{X: rng.Float64() * 100, Y: rng.Float64() * 100}}
 		m.Attach(radios[i])
 	}
-	m.ensureState()
-	// Mid-run attach: the matrix is extended, old entries preserved.
-	late := &testRadio{pos: Pos{X: 33, Y: 44}}
-	m.Attach(late)
+	m.Attach(&testRadio{pos: Pos{X: 33, Y: 44}})
 	m.ensureState()
 	n := len(m.powerMW)
 	if n != 7 {
@@ -378,8 +375,7 @@ func FuzzCapture(f *testing.F) {
 // delivery floors: each source's reach list is itself and the radios at
 // or above the floor, ascending, shared by every source that reaches
 // every radio, and the coupling memo agrees with the coupled-collision
-// predicate both ways round. Radios attached after the first Transmit
-// extend both.
+// predicate both ways round, before and after the memo fills.
 func TestReachAndCouplingMatchPredicates(t *testing.T) {
 	for seed := int64(1); seed <= 24; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -394,20 +390,15 @@ func TestReachAndCouplingMatchPredicates(t *testing.T) {
 		m := New(s, nil)
 		m.Geometry = g
 		side := 20 + 180*rng.Float64()
-		var radios []*testRadio
-		attach := func(n int) {
-			for ; n > 0; n-- {
-				r := &testRadio{pos: Pos{X: side * rng.Float64(), Y: side * rng.Float64()}}
-				m.Attach(r)
-				radios = append(radios, r)
-			}
+		radios := make([]*testRadio, 2+rng.Intn(72))
+		for i := range radios {
+			radios[i] = &testRadio{pos: Pos{X: side * rng.Float64(), Y: side * rng.Float64()}}
+			m.Attach(radios[i])
 		}
-		attach(2 + rng.Intn(24))
 		for round := 0; round < 2; round++ {
 			m.Transmit(radios[rng.Intn(len(radios))], phy.RateA54, 1500, nil)
 			s.Run()
 			checkPairState(t, seed, m)
-			attach(1 + rng.Intn(24))
 		}
 	}
 }

@@ -274,10 +274,3 @@ func (s *MemStore) Put(fp string, r campaign.Result) error {
 	s.m[fp] = r
 	return nil
 }
-
-// Len reports the number of cached rows (test introspection).
-func (s *MemStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.m)
-}

@@ -200,3 +200,10 @@ func TestDirStorePurge(t *testing.T) {
 		t.Errorf("post-purge files = %v, want only the current entry", files)
 	}
 }
+
+// Len reports the number of cached rows.
+func (s *MemStore) Len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.m)
+}

@@ -1,8 +1,11 @@
 // Package doccheck is the repository's documentation gate: a
 // stdlib-only lint (no revive/staticcheck dependency) that fails when
-// an exported identifier in the audited packages lacks a doc comment.
-// It runs as an ordinary test, so `go test ./...` — locally and in CI
-// — enforces the godoc contract established by the documentation pass.
+// an exported identifier in the audited packages lacks a doc comment,
+// when the root facade exports what nothing uses (TestFacadeSurface),
+// or when internal/ keeps code that only tests reach
+// (TestInternalSurface). It runs as an ordinary test, so
+// `go test ./...` — locally and in CI — enforces the godoc contract
+// established by the documentation pass.
 package doccheck
 
 import (
@@ -150,13 +153,13 @@ func funcName(d *ast.FuncDecl) string {
 	if d.Recv == nil || len(d.Recv.List) == 0 {
 		return d.Name.Name
 	}
-	return fmt.Sprintf("(%s).%s", types(d.Recv.List[0].Type), d.Name.Name)
+	return fmt.Sprintf("(%s).%s", exprString(d.Recv.List[0].Type), d.Name.Name)
 }
 
-func types(e ast.Expr) string {
+func exprString(e ast.Expr) string {
 	switch v := e.(type) {
 	case *ast.StarExpr:
-		return "*" + types(v.X)
+		return "*" + exprString(v.X)
 	case *ast.Ident:
 		return v.Name
 	default:

@@ -31,8 +31,8 @@
 //
 // # The recovery state machine
 //
-// Loss recovery is an explicit per-peer state machine (RecoveryState;
-// Driver.PeerState reports it) built around one invariant — the §4.3
+// Loss recovery is an explicit per-peer state machine (RecoveryState)
+// built around one invariant — the §4.3
 // losslessness claim:
 //
 //	A compressed ACK is emitted only when the decompressor is
@@ -99,8 +99,8 @@
 // context-damage surface: a CRC mismatch invalidates the context
 // (rohc.Decompressor.Invalidate) and drops ACKs for the flow
 // (counted, never silent) until an IR or a native re-anchor restores
-// it — Driver.ResyncNeeded exposes that condition, and the zero-
-// failure tests assert it never arises in the first place.
+// it — rohc.Decompressor.ResyncNeeded exposes that condition, and the
+// zero-failure tests assert it never arises in the first place.
 //
 // # Storage
 //

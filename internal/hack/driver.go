@@ -116,6 +116,9 @@ const msnRetainLimit = 120
 // long before it in practice.
 const maxHeld = 128
 
+// holdTimeout bounds ACK retention in ModeTimer.
+const holdTimeout = 5 * sim.Millisecond
+
 // Config parameterizes a Driver.
 type Config struct {
 	Mode Mode
@@ -124,8 +127,6 @@ type Config struct {
 	// (Figure 3). Until it elapses, the NIC's "TCP/HACK ready" check
 	// fails and the ACK cannot ride a link-layer ACK.
 	DriverLatency sim.Duration
-	// HoldTimeout bounds ACK retention in ModeTimer.
-	HoldTimeout sim.Duration
 	// MaxPayload bounds the compressed payload per link-layer ACK
 	// (default DefaultMaxPayload). It must stay within the MAC's
 	// AckPayloadAllowance or response frames outrun the ACK timeout.
@@ -143,9 +144,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.DriverLatency == 0 {
 		c.DriverLatency = 20 * sim.Microsecond
-	}
-	if c.HoldTimeout == 0 {
-		c.HoldTimeout = 5 * sim.Millisecond
 	}
 	if c.MaxPayload == 0 {
 		c.MaxPayload = DefaultMaxPayload
@@ -306,10 +304,6 @@ func (d *Driver) peer(a mac.Addr) *peerState {
 	return p
 }
 
-// PeerState reports the recovery-machine state toward peer (tests and
-// diagnostics).
-func (d *Driver) PeerState(peer mac.Addr) RecoveryState { return d.peer(peer).state }
-
 // setState moves the recovery machine toward dst to a new state,
 // emitting the transition probe. No-op when the state is unchanged.
 func (d *Driver) setState(dst mac.Addr, ps *peerState, to RecoveryState, cause trace.Cause) {
@@ -367,7 +361,7 @@ func (d *Driver) SubmitAck(dst mac.Addr, p *packet.Packet) {
 		}
 	case ModeTimer:
 		if len(ps.pending) >= maxHeld ||
-			!d.hold(ps, p, d.sched.Now()+d.cfg.HoldTimeout) {
+			!d.hold(ps, p, d.sched.Now()+holdTimeout) {
 			d.goNative(dst, ps, p)
 			return
 		}
@@ -726,11 +720,6 @@ func (d *Driver) ObserveNativeAck(p *packet.Packet) {
 	d.dec.Observe(p)
 }
 
-// ResyncNeeded reports whether this driver's decompressor holds a
-// damaged flow context awaiting a native re-anchor (§3.4 health
-// probe; healthy runs report false throughout).
-func (d *Driver) ResyncNeeded() bool { return d.dec.ResyncNeeded() }
-
 // DataIndication implements mac.Hooks: a data frame arrived from peer.
 // When the MORE DATA latch drops, pending ACKs whose DMA completed in
 // time still ride this frame's link-layer ACK; BuildAckPayload (which
@@ -764,8 +753,12 @@ func (d *Driver) DataIndication(peer mac.Addr, ind mac.DataInd) {
 	}
 }
 
-// PendingAcks reports held-but-unridden ACKs toward peer (tests).
+// PendingAcks reports held-but-unridden ACKs toward peer.
+//
+// Test accessor: node.
 func (d *Driver) PendingAcks(peer mac.Addr) int { return len(d.peer(peer).pending) }
 
-// UnconfirmedAcks reports retained ACKs awaiting confirmation (tests).
+// UnconfirmedAcks reports retained ACKs awaiting confirmation.
+//
+// Test accessor: node.
 func (d *Driver) UnconfirmedAcks(peer mac.Addr) int { return len(d.peer(peer).unconfirmed) }

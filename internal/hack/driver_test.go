@@ -699,3 +699,12 @@ func BenchmarkDriverCycle(b *testing.B) {
 		c.run()
 	}
 }
+
+// PeerState reports the recovery-machine state toward peer (tests and
+// diagnostics).
+func (d *Driver) PeerState(peer mac.Addr) RecoveryState { return d.peer(peer).state }
+
+// ResyncNeeded reports whether this driver's decompressor holds a
+// damaged flow context awaiting a native re-anchor (§3.4 health
+// probe; healthy runs report false throughout).
+func (d *Driver) ResyncNeeded() bool { return d.dec.ResyncNeeded() }

@@ -137,7 +137,7 @@ func TestBianchiSaturation(t *testing.T) {
 	ts := data + phy.SIFS + ack + difs
 	tc := (data + eifs + data + ackTimeout + eifs) / 2
 	w := float64(st.cfg.CWMin + 1)
-	m := int(math.Round(math.Log2(float64(st.cfg.CWMax+1) / w)))
+	m := int(math.Round(math.Log2(float64(phy.CWMax+1) / w)))
 	for i, n := range []int{2, 5, 10, 20, 50} {
 		pSim, sSim, per := saturatedDCF(n, int64(100+i), dur)
 		tau, pModel := bianchiFixedPoint(n, w, m)

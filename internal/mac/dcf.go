@@ -303,8 +303,8 @@ func (d *dcf) drawBackoff() {
 // onTxFailure doubles the contention window (up to CWmax).
 func (d *dcf) onTxFailure() {
 	d.cw = (d.cw+1)*2 - 1
-	if d.cw > d.st.cfg.CWMax {
-		d.cw = d.st.cfg.CWMax
+	if d.cw > phy.CWMax {
+		d.cw = phy.CWMax
 	}
 }
 

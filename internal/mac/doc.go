@@ -112,22 +112,26 @@
 //
 // The RateAdapter interface decouples rate selection from the
 // transmit path: the station asks RateFor(dst) once per data PPDU and
-// reports per-MPDU outcomes through OnTxResult. Three implementations
+// reports per-MPDU outcomes through OnTxResult. Four implementations
 // cover the repository's needs:
 //
 //   - FixedRate pins one rate — the paper's fixed-rate-per-experiment
 //     methodology, and the default when Config.RateAdapter is nil.
-//   - IdealSNR is the oracle: from the channel's SNR it picks the
-//     highest rate whose frame error rate is negligible. It turns the
-//     Figure 11 "sweep every fixed rate and take the envelope" grid
-//     into one simulation per SNR point.
+//   - IdealSNR is the threshold oracle: from the channel's SNR it
+//     picks the highest rate whose frame error rate is negligible. It
+//     turns the Figure 11 "sweep every fixed rate and take the
+//     envelope" grid into one simulation per SNR point.
+//   - ExpectedGoodput is the argmax oracle: from the same SNR tables
+//     it picks the rate with the highest expected goodput over a
+//     whole A-MPDU, which operates in the ~1 % per-MPDU loss regime
+//     that needs HACK's loss-resilient recovery.
 //   - Minstrel adapts from observed outcomes alone, after the Linux
 //     algorithm: per-rate EWMA success probabilities, rates ranked by
 //     expected throughput, probe frames on a deterministic random
 //     schedule, and a most-reliable fallback after failure bursts.
 //
 // ParseAdapterSpec maps the scenario-axis vocabulary ("fixed",
-// "fixed:<rate>", "ideal", "minstrel") onto these.
+// "fixed:<rate>", "ideal", "argmax", "minstrel") onto these.
 //
 // # Determinism contract
 //

@@ -101,7 +101,9 @@ func (g *navEnds) Emit(ev trace.Event) {
 // run at the same time, the medium's tx_start, tx_end and collision
 // records must agree (transmissions at one instant in one order), and
 // so must the events fired and every station's Stats and TCPAckTime.
-// The bare run must have had idle stations.
+// After every event every station that listens must hold its listening
+// twin's DCF state exactly, including values no later event reads. The
+// bare run must have had idle stations.
 func TestIdleStationsMatchListening(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		aggregated := seed%3 == 0
@@ -116,9 +118,14 @@ func TestIdleStationsMatchListening(t *testing.T) {
 				t.Fatalf("seed %d, event %d: bare runs at %v (%v), listening at %v (%v)",
 					seed, i, e.sched.Now(), ok, oracle.sched.Now(), okOracle)
 			}
-			for _, st := range sts {
+			for k, st := range sts {
 				if st.dcf.away {
 					awaySteps++
+					continue
+				}
+				if d, wd := st.dcf, want[k].dcf; dcfDiffers(d, wd) {
+					t.Fatalf("seed %d, event %d at %v: station %v's DCF state differs from listening: %+v, want %+v",
+						seed, i, e.sched.Now(), st.Addr(), d, wd)
 				}
 			}
 		}
@@ -173,8 +180,7 @@ func TestDeafStationsMatchListening(t *testing.T) {
 					}
 					d.physBusy, d.physBusyAt, d.idleAt = wd.physBusy, wd.physBusyAt, wd.idleAt
 				}
-				if d.physBusy != wd.physBusy || d.physBusyAt != wd.physBusyAt || d.idleAt != wd.idleAt ||
-					d.navUntil != wd.navUntil || d.eifs != wd.eifs || d.slots != wd.slots || d.cw != wd.cw {
+				if dcfDiffers(d, wd) {
 					t.Fatalf("seed %d, event %d at %v: station %v's DCF state differs from listening: %+v, want %+v",
 						seed, i, e.sched.Now(), st.Addr(), d, wd)
 				}
@@ -198,6 +204,13 @@ func TestDeafStationsMatchListening(t *testing.T) {
 			t.Errorf("seed %d: no station ever stopped taking carrier edges", seed)
 		}
 	}
+}
+
+// dcfDiffers reports whether a station's DCF state d differs from its
+// listening twin's wd.
+func dcfDiffers(d, wd dcf) bool {
+	return d.physBusy != wd.physBusy || d.physBusyAt != wd.physBusyAt || d.idleAt != wd.idleAt ||
+		d.navUntil != wd.navUntil || d.eifs != wd.eifs || d.slots != wd.slots || d.cw != wd.cw
 }
 
 // TestIdleEqualNAVEnds sends two frames from one station whose NAV

@@ -712,3 +712,20 @@ func BenchmarkSaturatedMAC80211n(b *testing.B) {
 	b.ResetTimer()
 	e.sched.RunUntil(sim.Time(b.N) * 80 * sim.Microsecond)
 }
+
+// Backlogged reports whether any transmission work remains (queued,
+// awaiting retry, or awaiting Block ACK resolution).
+func (st *Station) Backlogged() bool {
+	if st.waiting.q != nil {
+		return true
+	}
+	for _, q := range st.order {
+		if q.hasWork() || len(q.outstanding) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// Addr returns the station's MAC address.
+func (st *Station) Addr() Addr { return st.cfg.Addr }

@@ -236,44 +236,37 @@ type MinstrelConfig struct {
 	// Rates is the candidate set in increasing-rate order
 	// (phy.RateFamily builds the usual ones).
 	Rates []phy.Rate
-	// EWMAWeight is the weight of the newest sampling window in the
-	// per-rate success-probability EWMA (default 0.25).
-	EWMAWeight float64
 	// SampleEvery makes every Nth data frame a probe at a random
-	// non-best rate (default 16). Probes at rates slower than the
-	// current best are additionally throttled by StaleAfter.
+	// non-best rate (default 16). A rate slower than the current best
+	// is probed only if it has not been sampled in the last 128 frames.
 	SampleEvery int
-	// UpdateEvery recomputes the per-rate statistics every N data
-	// frames (default 25).
-	UpdateEvery int
-	// StaleAfter throttles probes slower than the current best rate:
-	// such a rate is probed only if it has not been sampled in the
-	// last StaleAfter frames (default 128). This bounds the airtime
-	// spent probing rates that cannot win, the trick that keeps
-	// Minstrel within a few percent of the fixed-best-rate envelope.
-	StaleAfter int
-	// FallbackAfter switches to the most reliable known rate after N
-	// consecutive failed MPDU results (default 8) until a success —
-	// the frame-by-frame approximation of Minstrel's
-	// throughput-ordered retry chain.
-	FallbackAfter int
 }
 
+// Minstrel's fixed parameters, counted in data frames like
+// MinstrelConfig's.
+const (
+	// minstrelEWMAWeight is the weight of the newest sampling window
+	// in the per-rate success-probability EWMA.
+	minstrelEWMAWeight = 0.25
+	// minstrelUpdateEvery recomputes the per-rate statistics every N
+	// data frames.
+	minstrelUpdateEvery = 25
+	// minstrelStaleAfter throttles probes slower than the current best
+	// rate: such a rate is probed only if it has not been sampled in
+	// the last N frames. This bounds the airtime spent probing rates
+	// that cannot win, the trick that keeps Minstrel within a few
+	// percent of the fixed-best-rate envelope.
+	minstrelStaleAfter = 128
+	// minstrelFallbackAfter switches to the most reliable known rate
+	// after N consecutive failed MPDU results until a success — the
+	// frame-by-frame approximation of Minstrel's throughput-ordered
+	// retry chain.
+	minstrelFallbackAfter = 8
+)
+
 func (c MinstrelConfig) withDefaults() MinstrelConfig {
-	if c.EWMAWeight == 0 {
-		c.EWMAWeight = 0.25
-	}
 	if c.SampleEvery == 0 {
 		c.SampleEvery = 16
-	}
-	if c.UpdateEvery == 0 {
-		c.UpdateEvery = 25
-	}
-	if c.StaleAfter == 0 {
-		c.StaleAfter = 128
-	}
-	if c.FallbackAfter == 0 {
-		c.FallbackAfter = 8
 	}
 	return c
 }
@@ -355,11 +348,12 @@ func (m *Minstrel) RateFor(dst Addr) phy.Rate {
 	}
 	d := m.dst(dst)
 	d.frames++
-	// Regular updates every UpdateEvery frames, plus one immediately
-	// after the initial ramp: until the first update the ranking still
-	// points at the optimistic top-rate default, which on a poor
-	// channel would stall the first UpdateEvery frames at a dead rate.
-	if d.frames-d.lastUpdate >= uint64(m.cfg.UpdateEvery) ||
+	// Regular updates every minstrelUpdateEvery frames, plus one
+	// immediately after the initial ramp: until the first update the
+	// ranking still points at the optimistic top-rate default, which on
+	// a poor channel would stall the first minstrelUpdateEvery frames at
+	// a dead rate.
+	if d.frames-d.lastUpdate >= minstrelUpdateEvery ||
 		(!d.everUpdated && d.nextUntried >= len(d.rates)) {
 		m.update(d)
 	}
@@ -382,14 +376,14 @@ func (m *Minstrel) RateFor(dst Addr) phy.Rate {
 		}
 		s := &d.rates[i]
 		slower := m.cfg.Rates[i].Kbps < m.cfg.Rates[d.best].Kbps
-		if !slower || d.frames-s.sampledAt >= uint64(m.cfg.StaleAfter) {
+		if !slower || d.frames-s.sampledAt >= minstrelStaleAfter {
 			s.sampledAt = d.frames
 			return m.cfg.Rates[i]
 		}
 	}
 	// Retry-chain approximation: after a burst of failures, drop to the
 	// most reliable known rate until a success comes back.
-	if d.consecFails >= m.cfg.FallbackAfter && d.safe != d.best {
+	if d.consecFails >= minstrelFallbackAfter && d.safe != d.best {
 		return m.cfg.Rates[d.safe]
 	}
 	return m.cfg.Rates[d.best]
@@ -427,7 +421,7 @@ func (m *Minstrel) update(d *minstrelDst) {
 		}
 		p := float64(s.successes) / float64(s.attempts)
 		if s.tried {
-			s.prob = float64((1-m.cfg.EWMAWeight)*s.prob) + float64(m.cfg.EWMAWeight*p)
+			s.prob = float64((1-minstrelEWMAWeight)*s.prob) + float64(minstrelEWMAWeight*p)
 		} else {
 			s.prob = p
 			s.tried = true

@@ -191,14 +191,14 @@ func TestMinstrelFallbackAfterFailures(t *testing.T) {
 		t.Skipf("feedback draw left best == safe (best=%d safe=%d); fallback not armed", d.best, d.safe)
 	}
 	// Now MCS7 fails hard; the EWMA needs an update interval to
-	// notice, but the fallback must kick in after FallbackAfter
+	// notice, but the fallback must kick in after minstrelFallbackAfter
 	// consecutive failures.
-	for i := 0; i < m.cfg.FallbackAfter; i++ {
+	for i := 0; i < minstrelFallbackAfter; i++ {
 		m.OnTxResult(1, phy.HTRate(7, 1), false, i)
 	}
 	r := m.RateFor(1)
 	if r.Kbps == phy.HTRate(7, 1).Kbps {
-		t.Fatalf("after %d consecutive failures the adapter still uses MCS7", m.cfg.FallbackAfter)
+		t.Fatalf("after %d consecutive failures the adapter still uses MCS7", minstrelFallbackAfter)
 	}
 	m.OnTxResult(1, r, true, 0)
 	// A success clears the burst; once stats re-update MCS7 can win

@@ -31,18 +31,17 @@ type Config struct {
 
 	// AIFSN selects the arbitration IFS: 2 reproduces 802.11a DCF
 	// (DIFS), 3 the 802.11n EDCA best-effort class.
-	AIFSN        int
-	CWMin, CWMax int
+	AIFSN int
+	// CWMin is the initial contention window; it doubles per retry up
+	// to phy.CWMax.
+	CWMin int
 	// RetryLimit bounds retransmissions of one MPDU (and of a Block
 	// ACK Request exchange) beyond the initial attempt.
 	RetryLimit int
 
-	// Aggregation enables A-MPDU batching with Block ACKs.
+	// Aggregation enables A-MPDU batching with Block ACKs, up to 65,535
+	// bytes and the Block ACK window's 64 MPDUs per A-MPDU.
 	Aggregation bool
-	// MaxAMPDULen bounds the A-MPDU in bytes (spec: 65535).
-	MaxAMPDULen int
-	// MaxAMPDUFrames bounds MPDUs per A-MPDU (Block ACK window: 64).
-	MaxAMPDUFrames int
 	// TXOPLimit bounds one data PPDU's airtime (the paper applies the
 	// 802.11e 4 ms transmit-opportunity limit). Zero = no limit.
 	TXOPLimit sim.Duration
@@ -74,6 +73,9 @@ type Config struct {
 	Tracer trace.Tracer
 }
 
+// maxAMPDULen bounds an A-MPDU in bytes (802.11n: 65535).
+const maxAMPDULen = 65535
+
 func (c Config) withDefaults() Config {
 	if c.DataRate.IsZero() {
 		c.DataRate = phy.RateA54
@@ -84,17 +86,8 @@ func (c Config) withDefaults() Config {
 	if c.CWMin == 0 {
 		c.CWMin = phy.CWMin
 	}
-	if c.CWMax == 0 {
-		c.CWMax = phy.CWMax
-	}
 	if c.RetryLimit == 0 {
 		c.RetryLimit = 7
-	}
-	if c.MaxAMPDULen == 0 {
-		c.MaxAMPDULen = 65535
-	}
-	if c.MaxAMPDUFrames == 0 {
-		c.MaxAMPDUFrames = baWindowSize
 	}
 	if c.RateAdapter == nil {
 		c.RateAdapter = FixedRate{Rate: c.DataRate}
@@ -277,9 +270,6 @@ func (st *Station) rest() {
 	o.leave(st)
 }
 
-// Addr returns the station's MAC address.
-func (st *Station) Addr() Addr { return st.cfg.Addr }
-
 // Config returns the station's effective configuration.
 func (st *Station) Config() Config { return st.cfg }
 
@@ -337,20 +327,6 @@ func (st *Station) RemoveQueued(dst Addr, match func(*MSDU) bool) bool {
 		if match(m) {
 			q.fifo.remove(i)
 			m.release()
-			return true
-		}
-	}
-	return false
-}
-
-// Backlogged reports whether any transmission work remains (queued,
-// awaiting retry, or awaiting Block ACK resolution).
-func (st *Station) Backlogged() bool {
-	if st.waiting.q != nil {
-		return true
-	}
-	for _, q := range st.order {
-		if q.hasWork() || len(q.outstanding) > 0 {
 			return true
 		}
 	}
@@ -632,7 +608,7 @@ func (st *Station) buildFrame(q *destQueue, rate phy.Rate) *DataFrame {
 		return f
 	}
 
-	budget := st.cfg.MaxAMPDULen
+	budget := maxAMPDULen
 	if st.cfg.TXOPLimit > 0 {
 		if c := phy.PayloadCapacity(rate, st.cfg.TXOPLimit); c < budget {
 			budget = c
@@ -648,7 +624,7 @@ func (st *Station) buildFrame(q *destQueue, rate phy.Rate) *DataFrame {
 		f.MPDUs = append(f.MPDUs, m)
 		return true
 	}
-	for q.retryQ.len() > 0 && len(f.MPDUs) < st.cfg.MaxAMPDUFrames {
+	for q.retryQ.len() > 0 && len(f.MPDUs) < baWindowSize {
 		if !add(q.retryQ.front()) {
 			break
 		}
@@ -662,7 +638,7 @@ func (st *Station) buildFrame(q *destQueue, rate phy.Rate) *DataFrame {
 	if len(f.MPDUs) > 0 {
 		winAnchor, anchored = f.MPDUs[0].Seq, true
 	}
-	for q.retryQ.len() == 0 && q.fifo.len() > 0 && len(f.MPDUs) < st.cfg.MaxAMPDUFrames {
+	for q.retryQ.len() == 0 && q.fifo.len() > 0 && len(f.MPDUs) < baWindowSize {
 		if anchored && seqDiff(q.nextSeq, winAnchor) >= baWindowSize {
 			break
 		}

@@ -272,8 +272,8 @@ func lockstepListening(t *testing.T, c idleCase) {
 	sts, want := stations(bare), stations(oracle)
 	for i, st := range sts {
 		if st.Stats != want[i].Stats || st.TCPAckTime != want[i].TCPAckTime {
-			t.Errorf("station %v: bare %+v %+v, listening %+v %+v",
-				st.Addr(), st.Stats, st.TCPAckTime, want[i].Stats, want[i].TCPAckTime)
+			t.Errorf("station %d: bare %+v %+v, listening %+v %+v",
+				i, st.Stats, st.TCPAckTime, want[i].Stats, want[i].TCPAckTime)
 		}
 	}
 	spec := campaign.Spec{

@@ -78,25 +78,15 @@ type Config struct {
 	// SINR capture). Nil keeps one collision domain.
 	Geometry *channel.Geometry
 
-	// Queues: the paper sizes the AP transmit queue at 126 packets per
-	// flow ("three batches of 42").
-	APQueueLimit     int
-	ClientQueueLimit int
-
-	// Host model.
-	StackDelay    sim.Duration // TCP stack turnaround (≫ SIFS; default 50 µs)
-	ForwardDelay  sim.Duration // AP driver forwarding latency (default 10 µs)
-	DriverLatency sim.Duration // HACK compress+DMA latency (default 20 µs)
+	// APQueueLimit sizes the AP's transmit queue: the paper uses 126
+	// packets per flow ("three batches of 42"). A client's queue holds
+	// 1000.
+	APQueueLimit int
 
 	// Wire (server—AP). WireRate 0 disables the server (AP hosts
 	// senders, the SoRa topology).
 	WireRateKbps int
 	WireDelay    sim.Duration
-
-	// TCPConfig is the base endpoint configuration. Each flow fills in
-	// its ports and addresses, and sets the endpoints' Tracer to
-	// Config.Tracer, overriding any set here.
-	TCPConfig tcp.Config
 
 	// Tracer, when non-nil, receives the events of every layer: the
 	// channel, MAC and HACK driver get it as the network is assembled,
@@ -108,6 +98,16 @@ type Config struct {
 	// Network.Medium.Tracer instead, set after New returns.
 	Tracer trace.Tracer
 }
+
+// The host model, and the client queue size.
+const (
+	// stackDelay is the TCP stack turnaround (≫ SIFS).
+	stackDelay = 50 * sim.Microsecond
+	// forwardDelay is the AP driver's forwarding latency.
+	forwardDelay = 10 * sim.Microsecond
+	// clientQueueLimit caps a client's transmit queue per destination.
+	clientQueueLimit = 1000
+)
 
 func (c Config) withDefaults() Config {
 	if c.DataRate.IsZero() {
@@ -154,23 +154,8 @@ func (c Config) withDefaults() Config {
 	if c.APQueueLimit == 0 {
 		c.APQueueLimit = 126
 	}
-	if c.ClientQueueLimit == 0 {
-		c.ClientQueueLimit = 1000
-	}
-	if c.StackDelay == 0 {
-		c.StackDelay = 50 * sim.Microsecond
-	}
-	if c.ForwardDelay == 0 {
-		c.ForwardDelay = 10 * sim.Microsecond
-	}
-	if c.DriverLatency == 0 {
-		c.DriverLatency = 20 * sim.Microsecond
-	}
 	if c.WireDelay == 0 {
 		c.WireDelay = sim.Millisecond
-	}
-	if c.TCPConfig.MSS == 0 {
-		c.TCPConfig = tcp.DefaultConfig()
 	}
 	return c
 }
@@ -480,7 +465,7 @@ func New(cfg Config) *Network {
 		ap.bss, ap.isAP = b, true
 		b.AP = ap
 		for i, addr := range plans[bi].clients {
-			st := mkStation(addr, spec.ClientPos(i), cfg.ClientQueueLimit)
+			st := mkStation(addr, spec.ClientPos(i), clientQueueLimit)
 			c := n.newNode(st, clientIP(global), addr)
 			c.bss = b
 			b.Clients = append(b.Clients, c)
@@ -511,10 +496,9 @@ func (n *Network) newNode(st *mac.Station, ip packet.Addr, addr mac.Addr) *WifiN
 	w.localIn = func(a any) { w.localInput(a.(*packet.Packet)) }
 	w.routeFn = func(a any) { w.route(a.(*packet.Packet)) }
 	d := hack.NewDriver(n.Sched, hack.Config{
-		Mode:          n.Cfg.Mode,
-		DriverLatency: n.Cfg.DriverLatency,
-		Addr:          addr,
-		Tracer:        n.Cfg.Tracer,
+		Mode:   n.Cfg.Mode,
+		Addr:   addr,
+		Tracer: n.Cfg.Tracer,
 	})
 	d.Pool = n.pool
 	d.EnqueueNative = func(dst mac.Addr, p *packet.Packet) bool {
@@ -523,7 +507,7 @@ func (n *Network) newNode(st *mac.Station, ip packet.Addr, addr mac.Addr) *WifiN
 	d.ForwardUp = func(from mac.Addr, p *packet.Packet) {
 		// Reconstituted TCP ACKs surface at the driver; forward after
 		// the driver's processing latency.
-		n.Sched.PostAfter(n.Cfg.ForwardDelay, w.routeFn, p)
+		n.Sched.PostAfter(forwardDelay, w.routeFn, p)
 	}
 	d.WithdrawNative = func(dst mac.Addr, p *packet.Packet) bool {
 		// The compressed copy supersedes the withdrawn native.
@@ -553,11 +537,11 @@ func (w *WifiNode) fromWifi(m *mac.MSDU) {
 	p.Retain()
 	if p.IP.Dst == w.IP {
 		// Local delivery through the host stack.
-		w.net.Sched.PostAfter(w.net.Cfg.StackDelay, w.localIn, p)
+		w.net.Sched.PostAfter(stackDelay, w.localIn, p)
 		return
 	}
 	// Forwarding (AP role).
-	w.net.Sched.PostAfter(w.net.Cfg.ForwardDelay, w.routeFn, p)
+	w.net.Sched.PostAfter(forwardDelay, w.routeFn, p)
 }
 
 // localInput demultiplexes a packet to this node's stack, which is
@@ -657,10 +641,10 @@ func (n *Network) StartDownload(ci int, totalBytes uint64, startAt sim.Duration)
 	if bss.wireDn == nil {
 		senderIP = bss.AP.IP
 	}
-	scfg := n.Cfg.TCPConfig
+	scfg := tcp.DefaultConfig()
 	scfg.Local, scfg.LocalPort = senderIP, port
 	scfg.Remote, scfg.RemotePort = clientIP(ci), port
-	rcfg := n.Cfg.TCPConfig
+	rcfg := tcp.DefaultConfig()
 	rcfg.Local, rcfg.LocalPort = clientIP(ci), port
 	rcfg.Remote, rcfg.RemotePort = senderIP, port
 	scfg.Tracer, rcfg.Tracer = n.Cfg.Tracer, n.Cfg.Tracer
@@ -679,10 +663,10 @@ func (n *Network) StartUpload(ci int, totalBytes uint64, startAt sim.Duration) *
 	if bss.wireUp == nil {
 		peerIP = bss.AP.IP
 	}
-	scfg := n.Cfg.TCPConfig
+	scfg := tcp.DefaultConfig()
 	scfg.Local, scfg.LocalPort = clientIP(ci), port
 	scfg.Remote, scfg.RemotePort = peerIP, port
-	rcfg := n.Cfg.TCPConfig
+	rcfg := tcp.DefaultConfig()
 	rcfg.Local, rcfg.LocalPort = peerIP, port
 	rcfg.Remote, rcfg.RemotePort = clientIP(ci), port
 	scfg.Tracer, rcfg.Tracer = n.Cfg.Tracer, n.Cfg.Tracer

@@ -1,16 +1,14 @@
 // Package packet implements wire-format IPv4, TCP, and UDP headers.
 //
 // The simulator moves parsed header structs around for speed, but the
-// formats here are real: Marshal produces RFC-conformant bytes with
-// valid checksums and Unmarshal parses them back. ROHC compression
-// (internal/rohc) operates on these exact bytes, so compressed-ACK
-// sizes measured in experiments reflect genuine header redundancy, not
-// a toy encoding.
+// formats here are real: MarshalAppend produces RFC-conformant bytes
+// with valid checksums. ROHC compression (internal/rohc) operates on
+// these exact bytes, so compressed-ACK sizes measured in experiments
+// reflect genuine header redundancy, not a toy encoding.
 //
-// Hot paths that marshal per packet use MarshalAppend with a retained
-// scratch buffer instead of Marshal; the two produce identical bytes,
-// but the append form is allocation-free once its buffer has grown to
-// the working size.
+// Hot paths that marshal per packet pass MarshalAppend a retained
+// scratch buffer, which makes it allocation-free once the buffer has
+// grown to the working size.
 //
 // # Ownership
 //
@@ -51,7 +49,6 @@ package packet
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 )
 
@@ -86,9 +83,8 @@ type IPv4 struct {
 	TTL      byte
 	Protocol byte
 	Src, Dst Addr
-	// Length is the total datagram length (header + payload). Marshal
-	// fills it from the payload length; Unmarshal reports the parsed
-	// value.
+	// Length is the total datagram length (header + payload).
+	// Marshalling fills it from the payload length.
 	Length uint16
 }
 
@@ -133,7 +129,7 @@ type TCP struct {
 // UDP is a UDP header.
 type UDP struct {
 	SrcPort, DstPort uint16
-	// Length is header + payload; Marshal computes it.
+	// Length is header + payload; marshalling computes it.
 	Length uint16
 }
 
@@ -180,6 +176,8 @@ func (p *Packet) IsTCPAck() bool {
 }
 
 // Clone returns a deep copy of p that belongs to no pool.
+//
+// Test accessor: rohc, tcp.
 func (p *Packet) Clone() *Packet {
 	q := &Packet{IP: p.IP, PayloadLen: p.PayloadLen}
 	if p.TCP != nil {
@@ -288,70 +286,6 @@ func (o *TCPOptions) marshal(b []byte) int {
 	return i
 }
 
-func parseTCPOptions(b []byte) (TCPOptions, error) {
-	var o TCPOptions
-	for i := 0; i < len(b); {
-		kind := b[i]
-		switch kind {
-		case 0: // EOL
-			return o, nil
-		case 1: // NOP
-			i++
-			continue
-		}
-		if i+1 >= len(b) {
-			return o, errors.New("packet: truncated TCP option")
-		}
-		l := int(b[i+1])
-		if l < 2 || i+l > len(b) {
-			return o, errors.New("packet: bad TCP option length")
-		}
-		body := b[i+2 : i+l]
-		switch kind {
-		case 2:
-			if len(body) != 2 {
-				return o, errors.New("packet: bad MSS option")
-			}
-			o.MSS = binary.BigEndian.Uint16(body)
-		case 3:
-			if len(body) != 1 {
-				return o, errors.New("packet: bad wscale option")
-			}
-			o.WindowScale = body[0] + 1
-		case 4:
-			o.SACKPermitted = true
-		case 8:
-			if len(body) != 8 {
-				return o, errors.New("packet: bad timestamp option")
-			}
-			o.HasTimestamps = true
-			o.TSVal = binary.BigEndian.Uint32(body)
-			o.TSEcr = binary.BigEndian.Uint32(body[4:])
-		case 5:
-			if len(body)%8 != 0 || len(body) == 0 {
-				return o, errors.New("packet: bad SACK option")
-			}
-			for j := 0; j < len(body); j += 8 {
-				o.SACKBlocks = append(o.SACKBlocks, [2]uint32{
-					binary.BigEndian.Uint32(body[j:]),
-					binary.BigEndian.Uint32(body[j+4:]),
-				})
-			}
-		}
-		i += l
-	}
-	return o, nil
-}
-
-// Marshal encodes the packet's headers into wire format. The payload
-// is represented by PayloadLen zero bytes so checksums are stable and
-// sizes exact.
-func (p *Packet) Marshal() []byte {
-	b := make([]byte, p.Len())
-	p.marshalInto(b)
-	return b
-}
-
 // MarshalAppend appends the packet's wire image to buf and returns the
 // extended slice, allocating only when buf lacks capacity. Hot paths
 // that marshal per packet (the ROHC header CRC) call it with a
@@ -359,8 +293,6 @@ func (p *Packet) Marshal() []byte {
 // steady-state encode allocation-free:
 //
 //	c.scratch = p.MarshalAppend(c.scratch[:0])
-//
-// The appended bytes are identical to Marshal's output.
 func (p *Packet) MarshalAppend(buf []byte) []byte {
 	n := p.Len()
 	off := len(buf)
@@ -422,83 +354,6 @@ func (p *Packet) marshalInto(b []byte) {
 		binary.BigEndian.PutUint16(seg[6:], 0)
 		binary.BigEndian.PutUint16(seg[6:], pseudoChecksum(ip, ProtoUDP, seg))
 	}
-}
-
-// Unmarshal parses a wire-format IP datagram produced by Marshal (or
-// any conformant encoder without IP options). It validates checksums.
-func Unmarshal(b []byte) (*Packet, error) {
-	if len(b) < IPv4HeaderLen {
-		return nil, errors.New("packet: short IPv4 header")
-	}
-	if b[0]>>4 != 4 {
-		return nil, errors.New("packet: not IPv4")
-	}
-	ihl := int(b[0]&0xf) * 4
-	if ihl != IPv4HeaderLen {
-		return nil, errors.New("packet: IP options unsupported")
-	}
-	if Checksum(b[:IPv4HeaderLen]) != 0 {
-		return nil, errors.New("packet: bad IP checksum")
-	}
-	var p Packet
-	p.IP = IPv4{
-		TOS:      b[1],
-		ID:       binary.BigEndian.Uint16(b[4:]),
-		TTL:      b[8],
-		Protocol: b[9],
-		Length:   binary.BigEndian.Uint16(b[2:]),
-	}
-	copy(p.IP.Src[:], b[12:16])
-	copy(p.IP.Dst[:], b[16:20])
-	total := int(p.IP.Length)
-	if total > len(b) || total < ihl {
-		return nil, errors.New("packet: bad IP length")
-	}
-	seg := b[ihl:total]
-	switch p.IP.Protocol {
-	case ProtoTCP:
-		if len(seg) < TCPHeaderLen {
-			return nil, errors.New("packet: short TCP header")
-		}
-		if pseudoChecksum(&p.IP, ProtoTCP, seg) != 0 {
-			return nil, errors.New("packet: bad TCP checksum")
-		}
-		dataOff := int(seg[12]>>4) * 4
-		if dataOff < TCPHeaderLen || dataOff > len(seg) {
-			return nil, errors.New("packet: bad TCP data offset")
-		}
-		opt, err := parseTCPOptions(seg[TCPHeaderLen:dataOff])
-		if err != nil {
-			return nil, err
-		}
-		p.TCP = &TCP{
-			SrcPort: binary.BigEndian.Uint16(seg[0:]),
-			DstPort: binary.BigEndian.Uint16(seg[2:]),
-			Seq:     binary.BigEndian.Uint32(seg[4:]),
-			Ack:     binary.BigEndian.Uint32(seg[8:]),
-			Flags:   seg[13],
-			Window:  binary.BigEndian.Uint16(seg[14:]),
-			Urgent:  binary.BigEndian.Uint16(seg[18:]),
-			Opt:     opt,
-		}
-		p.PayloadLen = len(seg) - dataOff
-	case ProtoUDP:
-		if len(seg) < UDPHeaderLen {
-			return nil, errors.New("packet: short UDP header")
-		}
-		if pseudoChecksum(&p.IP, ProtoUDP, seg) != 0 {
-			return nil, errors.New("packet: bad UDP checksum")
-		}
-		p.UDP = &UDP{
-			SrcPort: binary.BigEndian.Uint16(seg[0:]),
-			DstPort: binary.BigEndian.Uint16(seg[2:]),
-			Length:  binary.BigEndian.Uint16(seg[4:]),
-		}
-		p.PayloadLen = len(seg) - UDPHeaderLen
-	default:
-		p.PayloadLen = len(seg)
-	}
-	return &p, nil
 }
 
 // Checksum computes the RFC 1071 Internet checksum over b.

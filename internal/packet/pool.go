@@ -45,6 +45,8 @@ func (pl *Pool) Get(proto byte) *Packet {
 
 // Outstanding reports how many packets Get has handed out that have
 // not been released yet.
+//
+// Test accessor: hack, node, rohc.
 func (pl *Pool) Outstanding() int {
 	if pl == nil {
 		return 0

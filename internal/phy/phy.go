@@ -75,9 +75,6 @@ var (
 
 func (r CodeRate) String() string { return fmt.Sprintf("%d/%d", r.Num, r.Den) }
 
-// IsZero reports whether r is the zero CodeRate (no code selected).
-func (r CodeRate) IsZero() bool { return r.Den == 0 }
-
 // Rate describes one PHY rate: its nominal bit-rate, the data bits per
 // OFDM symbol it carries, and its modulation/coding pair.
 type Rate struct {

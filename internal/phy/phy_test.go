@@ -213,3 +213,6 @@ func TestRateZero(t *testing.T) {
 		t.Error("CodeRate IsZero wrong")
 	}
 }
+
+// IsZero reports whether r is the zero CodeRate (no code selected).
+func (r CodeRate) IsZero() bool { return r.Den == 0 }

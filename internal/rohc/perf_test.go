@@ -53,7 +53,7 @@ func testAck(seed int64) *packet.Packet {
 // scratch-buffer header CRC (after its buffer has warmed).
 func TestHotPathAllocFree(t *testing.T) {
 	p := testAck(1)
-	wire := p.Marshal()
+	wire := p.MarshalAppend(nil)
 	if n := testing.AllocsPerRun(200, func() { crc8(wire) }); n != 0 {
 		t.Errorf("crc8: %v allocs/op, want 0", n)
 	}
@@ -130,7 +130,7 @@ func TestCompressDecompressStayInSync(t *testing.T) {
 		if res.Failures != 0 || len(res.Packets) != 1 {
 			t.Fatalf("ack %d: %+v", i, res)
 		}
-		got, want := res.Packets[0].Marshal(), p.Marshal()
+		got, want := res.Packets[0].MarshalAppend(nil), p.MarshalAppend(nil)
 		if string(got) != string(want) {
 			t.Fatalf("ack %d reconstructed differently:\n got %x\nwant %x", i, got, want)
 		}
@@ -310,14 +310,14 @@ func FuzzDecompress(f *testing.F) {
 		s.comp.Refresh(tupleOf(s.p))
 		irRes, irErr := decode(s.frames(t, 1)[0])
 		d := s.frames(t, 1)[0]
-		want := s.p.Marshal()
+		want := s.p.MarshalAppend(nil)
 		dRes, dErr := decode(d)
 		if !accepted {
 			if irErr != nil || len(irRes.Packets) != 1 {
 				t.Errorf("IR after the fuzzed frame: %v, %d packets (failures %d, duplicates %d); want it delivered",
 					irErr, len(irRes.Packets), irRes.Failures, irRes.Duplicates)
 			}
-			if dErr != nil || len(dRes.Packets) != 1 || !bytes.Equal(dRes.Packets[0].Marshal(), want) {
+			if dErr != nil || len(dRes.Packets) != 1 || !bytes.Equal(dRes.Packets[0].MarshalAppend(nil), want) {
 				t.Errorf("delta after the IR: %v, %d packets; want the original ACK", dErr, len(dRes.Packets))
 			}
 		}
@@ -328,4 +328,22 @@ func FuzzDecompress(f *testing.F) {
 			t.Errorf("%d packets outstanding after releasing every returned packet, want %d", n, start)
 		}
 	})
+}
+
+// crc8Bitwise is the direct RFC 5795 §5.3.1.1 shift-register CRC — the
+// reference implementation crc8's lookup table is golden-tested
+// against.
+func crc8Bitwise(data []byte) byte {
+	crc := byte(0xff)
+	for _, b := range data {
+		crc ^= b
+		for i := 0; i < 8; i++ {
+			if crc&0x80 != 0 {
+				crc = crc<<1 ^ 0x07
+			} else {
+				crc <<= 1
+			}
+		}
+	}
+	return crc
 }

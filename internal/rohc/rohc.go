@@ -125,8 +125,8 @@ func (t *contextTable) resyncNeeded() bool {
 }
 
 // crc8Table is the 256-entry lookup table for the ROHC CRC-8
-// polynomial, generated at init from the bitwise definition (which
-// crc8Bitwise preserves as the golden reference).
+// polynomial, generated at init from the bitwise definition (which the
+// tests keep as crc8Bitwise, the golden reference).
 var crc8Table = func() (tbl [256]byte) {
 	for i := range tbl {
 		crc := byte(i)
@@ -145,29 +145,11 @@ var crc8Table = func() (tbl [256]byte) {
 // crc8 implements the ROHC CRC-8 (RFC 5795 §5.3.1.1: polynomial
 // x^8 + x^2 + x + 1), computed over the original uncompressed header
 // bytes so the decompressor can validate its reconstruction.
-// Table-driven; bit-identical to crc8Bitwise.
+// Table-driven; bit-identical to the tests' crc8Bitwise.
 func crc8(data []byte) byte {
 	crc := byte(0xff)
 	for _, b := range data {
 		crc = crc8Table[crc^b]
-	}
-	return crc
-}
-
-// crc8Bitwise is the direct RFC 5795 §5.3.1.1 shift-register CRC — the
-// reference implementation crc8's lookup table is golden-tested
-// against.
-func crc8Bitwise(data []byte) byte {
-	crc := byte(0xff)
-	for _, b := range data {
-		crc ^= b
-		for i := 0; i < 8; i++ {
-			if crc&0x80 != 0 {
-				crc = crc<<1 ^ 0x07
-			} else {
-				crc <<= 1
-			}
-		}
 	}
 	return crc
 }
@@ -311,21 +293,6 @@ func NewCompressor() *Compressor { return &Compressor{} }
 // five-tuple (the MD5 in the package-level CID runs once per flow).
 func (c *Compressor) CID(t packet.FiveTuple) byte { return c.cids.cid(t) }
 
-// Invalidate declares the flow's context damaged: Compress refuses
-// the flow (forcing its ACKs onto the native path) until a native ACK
-// is Observed, which re-anchors the context absolutely and re-enables
-// compression through an IR refresh. It is the compressor-side mirror
-// of the decompressor's CRC damage path — the recovery driver itself
-// does not need it on resync (the IR refresh already makes reopening
-// self-contained); it exists so codec-level tooling and tests can
-// force the "regeneration unsafe until a fresh anchor" condition
-// explicitly.
-func (c *Compressor) Invalidate(t packet.FiveTuple) {
-	if ctx := c.contexts.get(c.cids.cid(t)); ctx != nil && ctx.tuple == t {
-		ctx.valid = false
-	}
-}
-
 // Refresh forces the flow's next compressed ACK into the absolute IR
 // form without distrusting the context. The HACK driver's
 // opportunistic mode uses it for every registered copy: the mode
@@ -338,19 +305,13 @@ func (c *Compressor) Refresh(t packet.FiveTuple) {
 	}
 }
 
-// ResyncNeeded reports whether any flow context is invalid — i.e. at
-// least one flow must re-anchor through a native ACK before compressed
-// regeneration is safe again.
-func (c *Compressor) ResyncNeeded() bool { return c.contexts.resyncNeeded() }
-
 // shouldAbsorb decides whether a natively-travelling ACK re-anchors a
 // context. Both ends apply the same rule, and every absorb forces the
 // compressor's next encoding for the flow into the absolute IR form
 // (context.refreshed), so a skipped absorb at one end can never fork
 // the chain:
 //
-//   - a missing or damaged context absorbs (bootstrap / §3.4 healing,
-//     and the driver's explicit Invalidate on resync);
+//   - a missing or damaged context absorbs (bootstrap / §3.4 healing);
 //   - a valid context owned by a different flow (CID collision) never
 //     absorbs — the colliding flow permanently falls back to native
 //     ACKs;
@@ -719,6 +680,8 @@ func (d *Decompressor) Invalidate(cid byte) {
 // ResyncNeeded reports whether any flow context is damaged and awaiting
 // a native re-anchor — the §3.4 condition under which compressed ACKs
 // cannot be regenerated and are being dropped.
+//
+// Test accessor: hack.
 func (d *Decompressor) ResyncNeeded() bool { return d.contexts.resyncNeeded() }
 
 var (

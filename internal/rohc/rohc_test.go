@@ -96,7 +96,7 @@ func (fr *frame) add(c *Compressor, p *packet.Packet) bool {
 }
 
 func sameHeader(a, b *packet.Packet) bool {
-	return bytes.Equal(a.Marshal(), b.Marshal())
+	return bytes.Equal(a.MarshalAppend(nil), b.MarshalAppend(nil))
 }
 
 func TestRoundtripSteadyState(t *testing.T) {
@@ -773,3 +773,23 @@ func TestDamageSurface(t *testing.T) {
 		t.Error("decompressor ResyncNeeded true after IR heal")
 	}
 }
+
+// Invalidate declares the flow's context damaged: Compress refuses
+// the flow (forcing its ACKs onto the native path) until a native ACK
+// is Observed, which re-anchors the context absolutely and re-enables
+// compression through an IR refresh. It is the compressor-side mirror
+// of the decompressor's CRC damage path — the recovery driver itself
+// does not need it on resync (the IR refresh already makes reopening
+// self-contained); it exists so codec-level tooling and tests can
+// force the "regeneration unsafe until a fresh anchor" condition
+// explicitly.
+func (c *Compressor) Invalidate(t packet.FiveTuple) {
+	if ctx := c.contexts.get(c.cids.cid(t)); ctx != nil && ctx.tuple == t {
+		ctx.valid = false
+	}
+}
+
+// ResyncNeeded reports whether any flow context is invalid — i.e. at
+// least one flow must re-anchor through a native ACK before compressed
+// regeneration is safe again.
+func (c *Compressor) ResyncNeeded() bool { return c.contexts.resyncNeeded() }

@@ -18,21 +18,22 @@
 // late link-layer ACKs). Per-axis options:
 //
 //   - WithMode: the HACK ACK-holding policy (hack.ModeOff = stock).
-//   - WithClients, WithSeed, WithTopology, WithWire: topology and
+//   - WithClients, WithSeed, WithGrid, WithWire: topology and
 //     repetition knobs.
-//   - WithRate / WithAckRate: PHY rates. WithRate releases the LL ACK
-//     rate back to the 802.11 control-response rules.
+//   - WithRate: the PHY data rate. It releases the LL ACK rate back
+//     to the 802.11 control-response rules.
 //   - WithRateAdapter: per-station rate adaptation — "fixed" (pin the
-//     scenario rate), "fixed:<rate>", "ideal" (SNR oracle), or
-//     "minstrel" (sampling adapter). See mac.RateAdapter.
-//   - WithUniformLoss, WithSNR, WithBurstyLoss: channel error models.
-//     These compose — each layers onto whatever model is already
-//     installed as independent loss processes.
+//     scenario rate), "fixed:<rate>", "ideal" (SNR oracle), "argmax"
+//     (expected-goodput oracle), or "minstrel" (sampling adapter).
+//     See mac.RateAdapter.
+//   - WithUniformLoss, WithSNR: channel error models. These compose —
+//     each layers onto whatever model is already installed as
+//     independent loss processes.
 //   - WithConfig: the escape hatch for fields without an option.
 //
 // # Registry
 //
-// Register/Lookup/Names/All maintain the named-scenario registry. The
+// Register/Lookup/All maintain the named-scenario registry. The
 // built-ins cover each preset × HACK mode ("ht150-moredata",
 // "sora-stock", ...) plus rate-adaptive 802.11n variants
 // ("ht150-moredata-minstrel", "ht150-stock-ideal", ...). Entry.Config

@@ -79,18 +79,13 @@ func WithSeed(s int64) Option {
 	return func(c *node.Config) { c.Seed = s }
 }
 
-// WithRate sets the PHY data rate, leaving the LL ACK rate to the
-// 802.11 control-response rules unless WithAckRate also applies.
+// WithRate sets the PHY data rate and leaves the LL ACK rate to the
+// 802.11 control-response rules.
 func WithRate(r phy.Rate) Option {
 	return func(c *node.Config) {
 		c.DataRate = r
 		c.AckRate = phy.Rate{}
 	}
-}
-
-// WithAckRate pins the link-layer ACK rate.
-func WithAckRate(r phy.Rate) Option {
-	return func(c *node.Config) { c.AckRate = r }
 }
 
 // WithRateAdapter selects per-station rate adaptation by spec:
@@ -134,27 +129,6 @@ func WithSNR(db float64) Option {
 		em.SNROverrideDB = &snr
 		addErrorModel(c, em)
 	}
-}
-
-// WithBurstyLoss layers a Gilbert-Elliott two-state bursty loss
-// process onto the channel: the link flips between a good state (loss
-// pGood) and a bad state (loss pBad) with per-frame transition
-// probabilities gToB and bToG. The model is forked per network (see
-// channel.ForkableErrorModel), so the option is campaign-safe and can
-// join sweep grids.
-func WithBurstyLoss(gToB, bToG, pGood, pBad float64) Option {
-	return func(c *node.Config) {
-		addErrorModel(c, &channel.GilbertElliott{
-			PGoodToBad: gToB, PBadToGood: bToG,
-			LossGood: pGood, LossBad: pBad,
-		})
-	}
-}
-
-// WithTopology places client i at the returned position (metres from
-// the AP at the origin). The default is a 10 m circle.
-func WithTopology(fn func(i int) channel.Pos) Option {
-	return func(c *node.Config) { c.ClientPos = fn }
 }
 
 // GridPos returns the position of client i on a √n×√n row-major grid
@@ -258,18 +232,6 @@ func Lookup(name string) (Entry, bool) {
 	defer regMu.RUnlock()
 	e, ok := registry[name]
 	return e, ok
-}
-
-// Names lists registered scenario names, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // All returns registered entries sorted by name.

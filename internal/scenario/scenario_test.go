@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"tcphack/internal/channel"
@@ -72,24 +73,19 @@ func TestOptionOrder(t *testing.T) {
 }
 
 func TestPerAxisOptions(t *testing.T) {
-	pos := func(i int) channel.Pos { return channel.Pos{X: float64(i)} }
 	cfg := New(
+		With80211n(),
 		WithRate(phy.HTRate(3, 2)),
-		WithAckRate(phy.RateA24),
 		WithUniformLoss(0.05),
-		WithTopology(pos),
 		WithWire(100_000, 2*sim.Millisecond),
 		WithConfig(func(c *node.Config) { c.RetryLimit = 4 }),
 	)
-	if cfg.DataRate != phy.HTRate(3, 2) || cfg.AckRate != phy.RateA24 {
+	if cfg.DataRate != phy.HTRate(3, 2) || !cfg.AckRate.IsZero() {
 		t.Errorf("rates: %v / %v", cfg.DataRate, cfg.AckRate)
 	}
 	fl, ok := cfg.Err.(*channel.FixedLoss)
 	if !ok || fl.Default != 0.05 {
 		t.Errorf("uniform loss not installed: %#v", cfg.Err)
-	}
-	if cfg.ClientPos(3).X != 3 {
-		t.Error("topology not installed")
 	}
 	if cfg.WireRateKbps != 100_000 || cfg.WireDelay != 2*sim.Millisecond {
 		t.Errorf("wire: %d/%v", cfg.WireRateKbps, cfg.WireDelay)
@@ -106,7 +102,11 @@ func TestPerAxisOptions(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
-	names := Names()
+	all := All()
+	var names []string
+	for _, e := range all {
+		names = append(names, e.Name)
+	}
 	if len(names) < 8 {
 		t.Fatalf("only %d registered scenarios: %v", len(names), names)
 	}
@@ -149,15 +149,11 @@ func TestRegistry(t *testing.T) {
 		t.Errorf("registry entry mutated by extra options: %+v", again)
 	}
 
-	// All() is sorted and covers Names().
-	all := All()
-	if len(all) != len(names) {
-		t.Fatalf("All()=%d Names()=%d", len(all), len(names))
+	// All() is sorted by name.
+	if !sort.StringsAreSorted(names) {
+		t.Errorf("All() not sorted by name: %v", names)
 	}
-	for i, e := range all {
-		if e.Name != names[i] {
-			t.Errorf("All()[%d]=%q, Names()[%d]=%q", i, e.Name, i, names[i])
-		}
+	for _, e := range all {
 		if e.Desc == "" {
 			t.Errorf("%q has no description", e.Name)
 		}

@@ -94,9 +94,6 @@ const (
 // Seconds converts t to floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// Micros converts t to floating-point microseconds.
-func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
-
 // Millis converts t to floating-point milliseconds.
 func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
 
@@ -132,10 +129,6 @@ type Timer struct {
 	// caller can hold a handle, so they recycle through the free list.
 	pooled bool
 }
-
-// Cancelled reports whether the timer is not currently pending (never
-// scheduled, already fired, or stopped).
-func (t *Timer) Cancelled() bool { return t.index < 0 }
 
 // Pending reports whether the timer is scheduled and has not fired.
 func (t *Timer) Pending() bool { return t.index >= 0 }
@@ -177,11 +170,6 @@ func NewScheduler(seed int64) *Scheduler {
 // Now returns the current virtual time.
 func (s *Scheduler) Now() Time { return s.now }
 
-// Rand returns the scheduler's deterministic random stream. Modules
-// must draw all randomness from here (or from streams forked via
-// ForkRand) to preserve reproducibility.
-func (s *Scheduler) Rand() *rand.Rand { return s.rng }
-
 // ForkRand derives an independent deterministic stream. Use one stream
 // per stochastic subsystem so adding draws in one module does not
 // perturb another.
@@ -191,9 +179,6 @@ func (s *Scheduler) ForkRand() *rand.Rand {
 
 // EventsFired returns the number of events executed so far.
 func (s *Scheduler) EventsFired() uint64 { return s.fired }
-
-// Pending returns the number of events currently scheduled.
-func (s *Scheduler) Pending() int { return s.q.len() }
 
 // schedule enqueues t at the absolute time at, assigning the next
 // insertion sequence number (the tie-break for simultaneous events).
@@ -217,6 +202,8 @@ func (s *Scheduler) At(at Time, fn func()) *Timer {
 }
 
 // After schedules fn to run d from now.
+//
+// Test accessor: channel, mac, tcp.
 func (s *Scheduler) After(d Duration, fn func()) *Timer {
 	return s.At(s.now+d, fn)
 }
@@ -335,6 +322,8 @@ func (s *Scheduler) RunUntil(limit Time) {
 // Run executes events until none remain. Protocol stacks with
 // keepalive-style recurring timers never drain, so most callers want
 // RunUntil; Run exists for self-terminating test programs.
+//
+// Test accessor: channel, node.
 func (s *Scheduler) Run() {
 	for s.Step() {
 	}

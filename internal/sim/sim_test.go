@@ -293,3 +293,18 @@ func BenchmarkSchedulerFanout(b *testing.B) {
 	b.ResetTimer()
 	s.Run()
 }
+
+// Micros converts t to floating-point microseconds.
+func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
+
+// Cancelled reports whether the timer is not currently pending (never
+// scheduled, already fired, or stopped).
+func (t *Timer) Cancelled() bool { return t.index < 0 }
+
+// Rand returns the scheduler's deterministic random stream. Modules
+// must draw all randomness from here (or from streams forked via
+// ForkRand) to preserve reproducibility.
+func (s *Scheduler) Rand() *rand.Rand { return s.rng }
+
+// Pending returns the number of events currently scheduled.
+func (s *Scheduler) Pending() int { return s.q.len() }

@@ -112,10 +112,9 @@ func (g *Goodput) Add(now sim.Time, n int) {
 }
 
 // Total returns all bytes delivered.
+//
+// Test accessor: node.
 func (g *Goodput) Total() uint64 { return g.total }
-
-// LastDelivery returns the time of the most recent delivery.
-func (g *Goodput) LastDelivery() sim.Time { return g.lastAt }
 
 // MarkWindow begins the steady-state measurement window at now.
 func (g *Goodput) MarkWindow(now sim.Time) {

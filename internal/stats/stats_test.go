@@ -76,3 +76,6 @@ func TestGoodputWindows(t *testing.T) {
 		t.Error("no time elapsed should be 0")
 	}
 }
+
+// LastDelivery returns the time of the most recent delivery.
+func (g *Goodput) LastDelivery() sim.Time { return g.lastAt }

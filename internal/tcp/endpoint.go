@@ -78,20 +78,12 @@ type Config struct {
 	Timestamps bool
 	// SACK enables selective acknowledgment generation and use.
 	SACK bool
-	// WindowScale is the advertised window shift (default 7).
-	WindowScale uint8
 	// RcvWindow is the advertised receive window in bytes (default 1 MiB).
 	RcvWindow uint32
 	// DelayedAck acks every second full segment (default on) — the
 	// paper's baseline assumption ("one TCP ACK packet for every two
 	// TCP data packets").
 	DelayedAck bool
-	// DelAckTimeout bounds ACK delay (default 100 ms).
-	DelAckTimeout sim.Duration
-	// InitialCwnd in segments (default 10, RFC 6928).
-	InitialCwnd int
-	// MinRTO clamps the retransmission timeout (default 200 ms).
-	MinRTO sim.Duration
 
 	// Tracer, when non-nil, receives TCP probes (retransmissions, RTO
 	// expiries, congestion-window changes), labeled by LocalPort.
@@ -99,24 +91,25 @@ type Config struct {
 	Tracer trace.Tracer
 }
 
+// The stack's fixed parameters, Linux-like.
+const (
+	// windowScale is the advertised window shift.
+	windowScale = 7
+	// delAckTimeout bounds ACK delay.
+	delAckTimeout = 100 * sim.Millisecond
+	// initialCwnd is the initial congestion window in segments (RFC
+	// 6928).
+	initialCwnd = 10
+	// minRTO clamps the retransmission timeout.
+	minRTO = 200 * sim.Millisecond
+)
+
 func (c Config) withDefaults() Config {
 	if c.MSS == 0 {
 		c.MSS = 1460
 	}
-	if c.WindowScale == 0 {
-		c.WindowScale = 7
-	}
 	if c.RcvWindow == 0 {
 		c.RcvWindow = 1 << 20
-	}
-	if c.DelAckTimeout == 0 {
-		c.DelAckTimeout = 100 * sim.Millisecond
-	}
-	if c.InitialCwnd == 0 {
-		c.InitialCwnd = 10
-	}
-	if c.MinRTO == 0 {
-		c.MinRTO = 200 * sim.Millisecond
 	}
 	return c
 }
@@ -240,17 +233,6 @@ func NewEndpoint(sched *sim.Scheduler, cfg Config) *Endpoint {
 	return ep
 }
 
-// State returns a printable connection state (for traces and tests).
-func (ep *Endpoint) State() string { return ep.state.String() }
-
-// Established reports whether the handshake has completed.
-func (ep *Endpoint) Established() bool {
-	return ep.state == stateEstablished || ep.state == stateFinWait || ep.state == stateDone
-}
-
-// Done reports whether a finite transfer has fully completed.
-func (ep *Endpoint) Done() bool { return ep.state == stateDone }
-
 // Listen makes the endpoint accept an incoming connection.
 func (ep *Endpoint) Listen() {
 	ep.state = stateListen
@@ -309,7 +291,7 @@ func (ep *Endpoint) newPacket(flags byte, seq uint32, payload int) *packet.Packe
 	t := p.TCP
 	t.SrcPort, t.DstPort = ep.cfg.LocalPort, ep.cfg.RemotePort
 	t.Seq, t.Flags = seq, flags
-	t.Window = uint16(ep.cfg.RcvWindow >> ep.cfg.WindowScale)
+	t.Window = uint16(ep.cfg.RcvWindow >> windowScale)
 	if flags&packet.FlagACK != 0 {
 		p.TCP.Ack = ep.rcvNxt
 	}
@@ -336,7 +318,7 @@ func (ep *Endpoint) sendSyn(ack bool) {
 		p.TCP.Window = uint16(ep.cfg.RcvWindow)
 	}
 	p.TCP.Opt.MSS = uint16(ep.cfg.MSS)
-	p.TCP.Opt.WindowScale = ep.cfg.WindowScale + 1 // +1: encoded as shift+1
+	p.TCP.Opt.WindowScale = windowScale + 1 // +1: encoded as shift+1
 	p.TCP.Opt.SACKPermitted = ep.cfg.SACK
 	if ep.cfg.Timestamps {
 		p.TCP.Opt.HasTimestamps = true
@@ -429,7 +411,7 @@ func (ep *Endpoint) negotiate(t *packet.TCP) {
 
 func (ep *Endpoint) enterEstablished() {
 	ep.state = stateEstablished
-	ep.cwnd = uint32(ep.cfg.InitialCwnd * ep.effectiveMSS)
+	ep.cwnd = uint32(initialCwnd * ep.effectiveMSS)
 	ep.ssthresh = 1 << 30
 	ep.disarmRTX()
 	if ep.OnEstablished != nil {

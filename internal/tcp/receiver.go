@@ -125,7 +125,7 @@ func (ep *Endpoint) maybeDelayAck() {
 		return
 	}
 	if !ep.delackTimer.Pending() {
-		ep.sched.Reset(ep.delackTimer, ep.sched.Now()+ep.cfg.DelAckTimeout)
+		ep.sched.Reset(ep.delackTimer, ep.sched.Now()+delAckTimeout)
 	}
 }
 

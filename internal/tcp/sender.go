@@ -435,16 +435,13 @@ func (ep *Endpoint) updateRTT(sample sim.Duration) {
 		ep.srtt = (7*ep.srtt + sample) / 8
 	}
 	ep.rto = ep.srtt + 4*ep.rttvar
-	if ep.rto < ep.cfg.MinRTO {
-		ep.rto = ep.cfg.MinRTO
+	if ep.rto < minRTO {
+		ep.rto = minRTO
 	}
 	if ep.rto > 60*sim.Second {
 		ep.rto = 60 * sim.Second
 	}
 }
-
-// SRTT exposes the smoothed RTT (0 until the first sample).
-func (ep *Endpoint) SRTT() sim.Duration { return ep.srtt }
 
 func (ep *Endpoint) armRTX() {
 	ep.sched.Reset(ep.rtxTimer, ep.sched.Now()+ep.rto)

@@ -438,3 +438,17 @@ func BenchmarkBulkTransfer(b *testing.B) {
 		}
 	}
 }
+
+// State returns a printable connection state (for traces and tests).
+func (ep *Endpoint) State() string { return ep.state.String() }
+
+// Established reports whether the handshake has completed.
+func (ep *Endpoint) Established() bool {
+	return ep.state == stateEstablished || ep.state == stateFinWait || ep.state == stateDone
+}
+
+// Done reports whether a finite transfer has fully completed.
+func (ep *Endpoint) Done() bool { return ep.state == stateDone }
+
+// SRTT exposes the smoothed RTT (0 until the first sample).
+func (ep *Endpoint) SRTT() sim.Duration { return ep.srtt }

@@ -133,6 +133,8 @@ func (l *AirtimeLedger) settle(into map[uint16]*Buckets, tx ledgerTx) {
 }
 
 // InFlight returns how many transmissions are currently on the air.
+//
+// Test accessor: tcphack (the root package).
 func (l *AirtimeLedger) InFlight() int { return len(l.active) }
 
 // StationAirtime is one station's row in an AirtimeReport.

@@ -43,25 +43,17 @@ func (r *Recorder) Emit(e Event) {
 
 // Total returns how many events were emitted over the recorder's
 // lifetime, including any the ring has since overwritten.
+//
+// Test accessor: tcphack (the root package).
 func (r *Recorder) Total() int { return r.total }
 
 // Events returns the retained events in emission order.
+//
+// Test accessor: channel, mac.
 func (r *Recorder) Events() []Event {
 	out := make([]Event, 0, len(r.buf))
 	out = append(out, r.buf[r.next:]...)
 	return append(out, r.buf[:r.next]...)
-}
-
-// WriteJSONL writes the retained events as JSON Lines.
-func (r *Recorder) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, e := range r.Events() {
-		if err := enc.Encode(e); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }
 
 // Writer streams every probe event to an io.Writer as JSON Lines,

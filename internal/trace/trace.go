@@ -152,6 +152,8 @@ type Tracer interface {
 
 // Nop is the zero-cost Tracer: Emit discards the event. Its calls
 // through the Tracer interface are allocation-free.
+//
+// Test accessor: tcphack (the root package), mac, node.
 type Nop struct{}
 
 // Emit implements Tracer.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 
@@ -235,4 +236,16 @@ func TestNopAllocFree(t *testing.T) {
 			t.Errorf("%s: %.1f allocations per sweep of every event kind, want 0", name, allocs)
 		}
 	}
+}
+
+// WriteJSONL writes the retained events as JSON Lines.
+func (r *Recorder) WriteJSONL(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
+	for _, e := range r.Events() {
+		if err := enc.Encode(e); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
 }
