@@ -53,6 +53,12 @@ func traceDigestCases() []traceDigestCase {
 			[]scenario.Option{scenario.WithClients(4), scenario.WithUniformLoss(0.02)}},
 		{"2bss-hidden-moredata", "2bss-hidden",
 			[]scenario.Option{scenario.WithMode(hack.ModeMoreData)}},
+		// The SNR error model, and the oracle adapters that read their
+		// rates off its SNR.
+		{"ht150-moredata-argmax-snr18", "ht150-moredata",
+			[]scenario.Option{scenario.WithClients(2), scenario.WithSNR(18), scenario.WithRateAdapter("argmax")}},
+		{"a54-ideal-snr12", "",
+			[]scenario.Option{scenario.WithClients(2), scenario.WithSNR(12), scenario.WithRateAdapter("ideal")}},
 	}
 }
 
