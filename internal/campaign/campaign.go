@@ -26,10 +26,9 @@ import (
 // composing with each other and with the base configuration's model as
 // independent loss processes — the same semantics as the
 // scenario.WithUniformLoss/WithSNR options. Any base Err must be safe
-// for concurrent read; stateless models (FixedLoss, SNRModel) are,
-// and stateful ones (GilbertElliott) are forked per network
-// (channel.ForkableErrorModel), so all built-in models are
-// campaign-safe. Adapters sweeps rate adaptation in
+// for concurrent read, since every network uses it as given; the
+// channel's models (FixedLoss, SNRModel, Independent) are stateless and
+// so campaign-safe. Adapters sweeps rate adaptation in
 // scenario.WithRateAdapter's vocabulary ("fixed", "fixed:<rate>",
 // "ideal", "argmax", "minstrel"); adapter state is per station per
 // network, so the axis preserves the parallel-equals-serial guarantee.

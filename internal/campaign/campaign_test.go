@@ -172,46 +172,6 @@ func TestAdaptersAxisParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestGilbertElliottAxisCampaignSafe: a stateful bursty-loss model in
-// the campaign base must be forked per network, keeping parallel runs
-// row-identical to serial ones (it used to be the one campaign-unsafe
-// model).
-func TestGilbertElliottAxisCampaignSafe(t *testing.T) {
-	spec := func(workers int) Spec {
-		return Spec{
-			Name: "bursty",
-			Base: scenario.New(scenario.WithSoRa(),
-				scenario.WithConfig(func(c *node.Config) {
-					c.Err = &channel.GilbertElliott{PGoodToBad: 0.01, PBadToGood: 0.2, LossGood: 0.001, LossBad: 0.5}
-				})),
-			Axes: Axes{
-				Modes: []hack.Mode{hack.ModeOff, hack.ModeMoreData},
-				Seeds: Seeds(1, 2),
-			},
-			Warmup:  500 * sim.Millisecond,
-			Measure: 500 * sim.Millisecond,
-			Workers: workers,
-		}
-	}
-	serial := Run(spec(1))
-	parallel := Run(spec(8))
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatal("bursty-loss parallel run diverged from serial run")
-	}
-	again := Run(spec(1))
-	if !reflect.DeepEqual(serial, again) {
-		t.Fatal("bursty-loss campaign not reproducible across runs")
-	}
-	for _, r := range serial {
-		if r.AggregateMbps <= 0 {
-			t.Errorf("row %d: no goodput under bursty loss", r.Index)
-		}
-		if r.Retries == 0 {
-			t.Errorf("row %d: bursty loss produced no retries; model inert?", r.Index)
-		}
-	}
-}
-
 func TestPointsOrderAndDefaults(t *testing.T) {
 	s := testSpec(1)
 	pts := s.Points()

@@ -24,12 +24,11 @@
 // This holds because every grid point is a fully independent
 // simulation: its own scheduler seeded from the point, its own forked
 // RNG streams (medium noise, MAC backoffs, Minstrel probe schedules),
-// its own forked stateful error models (channel.ForkableErrorModel),
 // and no shared mutable state between workers. The base configuration
-// is only ever read; anything stateful it references must either be
-// fork-per-network or safe for concurrent read. Results are written
-// into a pre-sized slice at the point's Index, so worker scheduling
-// cannot reorder rows.
+// is only ever read, and every network uses its error model as given,
+// so anything it references must be safe for concurrent read. Results
+// are written into a pre-sized slice at the point's Index, so worker
+// scheduling cannot reorder rows.
 //
 // # Hooks
 //

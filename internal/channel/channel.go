@@ -137,49 +137,12 @@ type Carrier struct {
 }
 
 // ErrorModel yields the probability that a non-collided frame is
-// corrupted at a receiver. Models installed in a node.Config that is
-// shared across concurrently running networks (a campaign base) must
-// be safe for concurrent read; stateful models additionally implement
-// ForkableErrorModel so each network gets its own instance.
+// corrupted at a receiver. A model installed in a node.Config that is
+// shared across concurrently running networks (a campaign base) must be
+// safe for concurrent read: the medium uses the model it is given, and
+// draws each frame's fate from its own random stream.
 type ErrorModel interface {
 	LossProb(src, dst Radio, rate phy.Rate, length int) float64
-}
-
-// ForkableErrorModel is implemented by stateful error models (ones
-// whose LossProb mutates internal state, like GilbertElliott's Markov
-// chain). New forks such a model once per medium — the same pattern as
-// the medium's own RNG fork — so one configured model instance can
-// seed many concurrently running networks, each with independent,
-// deterministic loss state.
-type ForkableErrorModel interface {
-	ErrorModel
-	// ForkErrorModel returns an independent instance with fresh state,
-	// drawing randomness from rng.
-	ForkErrorModel(rng *rand.Rand) ErrorModel
-}
-
-// forkModel recursively forks any stateful components of model,
-// calling fork only when a fork is actually needed so that stateless
-// configurations consume no extra RNG draws (their event streams stay
-// bit-identical to builds that predate forking).
-func forkModel(model ErrorModel, fork func() *rand.Rand) (ErrorModel, bool) {
-	switch v := model.(type) {
-	case independent:
-		out := make(independent, len(v))
-		forked := false
-		for i, c := range v {
-			f, ok := forkModel(c, fork)
-			out[i] = f
-			forked = forked || ok
-		}
-		if forked {
-			return out, true
-		}
-		return model, false
-	case ForkableErrorModel:
-		return v.ForkErrorModel(fork()), true
-	}
-	return model, false
 }
 
 // Medium is the broadcast channel. It is driven entirely by the
@@ -257,24 +220,19 @@ type Medium struct {
 	scratchOut []Outcome // per radio, the outcome of the finishing frame
 }
 
-// New creates a medium using the scheduler's clock and a forked random
-// stream. A nil model means a lossless channel. Stateful error models
-// (ForkableErrorModel, e.g. GilbertElliott) are forked per medium so
-// the configured instance is never mutated and can be reused across
-// concurrently running networks.
+// New creates a medium using the scheduler's clock, a forked random
+// stream and the given error model. A nil model means a lossless
+// channel.
 func New(sched *sim.Scheduler, model ErrorModel) *Medium {
 	if model == nil {
 		model = NoLoss{}
 	}
 	m := &Medium{
 		sched: sched,
+		model: model,
 		rng:   sched.ForkRand(),
 	}
 	m.finishFn = func(a any) { m.finish(a.(*Transmission)) }
-	if forked, ok := forkModel(model, sched.ForkRand); ok {
-		model = forked
-	}
-	m.model = model
 	return m
 }
 
@@ -570,104 +528,23 @@ func (ms independent) LossProb(src, dst Radio, rate phy.Rate, length int) float6
 	return 1 - survive
 }
 
-// GilbertElliott is a two-state bursty loss model: the link flips
-// between a good state (loss pG) and a bad state (loss pB) with the
-// given per-frame transition probabilities. Used for failure-injection
-// tests of HACK's repeated-Block-ACK-loss recovery (paper Figure 8).
-//
-// The model is stateful, so a configured instance acts as a template:
-// each Medium forks its own copy with fresh chain state and an RNG
-// from the network's deterministic stream (ForkErrorModel), which
-// makes it safe to put in a campaign base configuration. Rng may be
-// left nil when the model is used through node/campaign construction;
-// it is only required when calling LossProb on the instance directly.
-//
-// Test accessor: campaign, node.
-type GilbertElliott struct {
-	PGoodToBad, PBadToGood float64
-	LossGood, LossBad      float64
-	Rng                    *rand.Rand
-
-	bad bool
-}
-
-// ForkErrorModel implements ForkableErrorModel: a copy with fresh
-// chain state drawing from rng, leaving the template untouched.
-func (g *GilbertElliott) ForkErrorModel(rng *rand.Rand) ErrorModel {
-	c := *g
-	c.Rng = rng
-	c.bad = false
-	return &c
-}
-
-// LossProb implements ErrorModel; it advances the Markov chain one
-// step per queried frame.
-func (g *GilbertElliott) LossProb(_, _ Radio, _ phy.Rate, _ int) float64 {
-	if g.bad {
-		if g.Rng.Float64() < g.PBadToGood {
-			g.bad = false
-		}
-	} else if g.Rng.Float64() < g.PGoodToBad {
-		g.bad = true
-	}
-	if g.bad {
-		return g.LossBad
-	}
-	return g.LossGood
-}
-
-// SNRModel computes frame loss from physics: transmit power minus
-// log-distance path loss over noise, then modulation-specific AWGN BER
-// with a Chernoff union bound for the convolutional code, then
+// SNRModel fixes the SNR of every link, as the Figure 11 sweep sets
+// its x-axis, and derives frame loss from it: modulation-specific AWGN
+// BER with a Chernoff union bound for the convolutional code, then
 // PER = 1-(1-BER)^bits.
 type SNRModel struct {
-	// TxPowerDBm is the transmit power (default 16 dBm).
-	TxPowerDBm float64
-	// RefLossDB is path loss at 1 m (≈46.7 dB at 2.4 GHz free space).
-	RefLossDB float64
-	// Exponent is the path-loss exponent (3.0 ≈ indoor office).
-	Exponent float64
-	// NoiseDBm is the receiver noise floor (thermal + noise figure;
-	// ≈ -90.9 dBm for 40 MHz with a 7 dB noise figure).
-	NoiseDBm float64
-	// SNROverrideDB, if non-nil, bypasses geometry and fixes the SNR —
-	// how the Figure 11 sweep sets its x-axis directly.
-	SNROverrideDB *float64
-}
-
-// DefaultSNRModel returns parameters matching the paper's setup
-// (indoor, 40 MHz 802.11n).
-func DefaultSNRModel() *SNRModel {
-	return &SNRModel{
-		TxPowerDBm: 16,
-		RefLossDB:  46.7,
-		Exponent:   3.0,
-		NoiseDBm:   -90.9,
-	}
-}
-
-// SNRAt returns the SNR in dB for a receiver at distance metres.
-func (s *SNRModel) SNRAt(distance float64) float64 {
-	if s.SNROverrideDB != nil {
-		return *s.SNROverrideDB
-	}
-	if distance < 1 {
-		distance = 1
-	}
-	pl := s.RefLossDB + float64(10*s.Exponent*math.Log10(distance))
-	return s.TxPowerDBm - pl - s.NoiseDBm
+	// SNRDB is the SNR of every link, in dB.
+	SNRDB float64
 }
 
 // LossProb implements ErrorModel.
-func (s *SNRModel) LossProb(src, dst Radio, rate phy.Rate, length int) float64 {
-	snrDB := s.SNRAt(src.Position().DistanceTo(dst.Position()))
-	return FrameErrorRate(rate, snrDB, length)
+func (s *SNRModel) LossProb(_, _ Radio, rate phy.Rate, length int) float64 {
+	return FrameErrorRate(rate, s.SNRDB, length)
 }
 
 // FindSNRModel walks an error model (descending into Independent
-// compositions) and returns the first SNRModel found, or nil. Rate
-// adapters use it to give the IdealSNR oracle the channel's actual
-// SNR→error tables without perturbing stateful sibling models.
+// compositions) and returns the first SNRModel found, or nil. The
+// oracle rate adapters read the channel's SNR from it.
 func FindSNRModel(em ErrorModel) *SNRModel {
 	switch v := em.(type) {
 	case *SNRModel:

@@ -3,7 +3,6 @@ package channel
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -221,99 +220,9 @@ func TestFixedLossStatistics(t *testing.T) {
 	}
 }
 
-func TestGilbertElliottBurstiness(t *testing.T) {
-	g := &GilbertElliott{
-		PGoodToBad: 0.05, PBadToGood: 0.2,
-		LossGood: 0.0, LossBad: 1.0,
-		Rng: rand.New(rand.NewSource(7)),
-	}
-	// Drive the chain and check it visits both states and produces
-	// runs (burstiness): expected bad fraction = 0.05/(0.05+0.2) = 0.2.
-	bad := 0
-	n := 10000
-	for i := 0; i < n; i++ {
-		if g.LossProb(nil, nil, phy.RateA6, 0) > 0.5 {
-			bad++
-		}
-	}
-	frac := float64(bad) / float64(n)
-	if frac < 0.1 || frac > 0.3 {
-		t.Errorf("bad-state fraction %.3f, want ≈0.2", frac)
-	}
-}
-
-// TestGilbertElliottForkPerMedium: a configured GilbertElliott acts as
-// a template — each medium forks its own copy (fresh chain state, RNG
-// from the network's deterministic stream), so the template is never
-// mutated and identical schedulers observe identical loss processes.
-func TestGilbertElliottForkPerMedium(t *testing.T) {
-	tmpl := &GilbertElliott{
-		PGoodToBad: 0.05, PBadToGood: 0.2,
-		LossGood: 0.0, LossBad: 1.0,
-	}
-	drive := func() []bool {
-		sched := sim.NewScheduler(42)
-		m := New(sched, tmpl)
-		a, b := &testRadio{}, &testRadio{pos: Pos{X: 5}}
-		m.Attach(a)
-		m.Attach(b)
-		out := make([]bool, 2000)
-		for i := range out {
-			out[i] = m.Corrupted(a, b, phy.RateA54, 1500)
-		}
-		return out
-	}
-	first := drive()
-	second := drive()
-	if !reflect.DeepEqual(first, second) {
-		t.Fatal("equal-seed media observed different bursty loss processes")
-	}
-	if tmpl.Rng != nil || tmpl.bad {
-		t.Errorf("template mutated: rng=%v bad=%v", tmpl.Rng, tmpl.bad)
-	}
-	lost := 0
-	for _, l := range first {
-		if l {
-			lost++
-		}
-	}
-	if lost == 0 || lost == len(first) {
-		t.Errorf("forked chain inert: %d/%d lost", lost, len(first))
-	}
-}
-
-// TestIndependentForksStatefulComponents: forking must reach stateful
-// models nested inside Independent compositions without disturbing the
-// stateless siblings.
-func TestIndependentForksStatefulComponents(t *testing.T) {
-	ge := &GilbertElliott{PGoodToBad: 0.05, PBadToGood: 0.2, LossBad: 1.0}
-	fixed := &FixedLoss{Default: 0.1}
-	comp := Independent(fixed, ge)
-	forked, ok := forkModel(comp, func() *rand.Rand { return rand.New(rand.NewSource(9)) })
-	if !ok {
-		t.Fatal("composite with a stateful component reported nothing to fork")
-	}
-	fc, isComp := forked.(independent)
-	if !isComp || len(fc) != 2 {
-		t.Fatalf("fork changed composition shape: %T", forked)
-	}
-	if fc[0] != ErrorModel(fixed) {
-		t.Error("stateless component was not shared as-is")
-	}
-	if fc[1] == ErrorModel(ge) {
-		t.Error("stateful component was not forked")
-	}
-	if _, ok := forkModel(Independent(fixed, &SNRModel{}), func() *rand.Rand {
-		t.Fatal("stateless composite consumed an RNG fork")
-		return nil
-	}); ok {
-		t.Error("stateless composite reported a fork")
-	}
-}
-
 // TestFindSNRModel locates the SNR model inside compositions.
 func TestFindSNRModel(t *testing.T) {
-	snr := DefaultSNRModel()
+	snr := &SNRModel{SNRDB: 20}
 	if FindSNRModel(snr) != snr {
 		t.Error("direct SNRModel not found")
 	}
@@ -397,61 +306,42 @@ func TestFrameErrorRateWaterfalls(t *testing.T) {
 	}
 }
 
+// TestSNRModelGeometry: the model fixes the SNR of every link, so a
+// frame's loss does not depend on where its radios stand.
 func TestSNRModelGeometry(t *testing.T) {
-	mdl := DefaultSNRModel()
-	// SNR decreases with distance.
-	if mdl.SNRAt(1) <= mdl.SNRAt(10) {
-		t.Error("SNR not decreasing with distance")
+	mdl := &SNRModel{SNRDB: 12.5}
+	a, near, far := &testRadio{}, &testRadio{pos: Pos{X: 0.1}}, &testRadio{pos: Pos{X: 1000}}
+	want := FrameErrorRate(phy.RateA24, 12.5, 1500)
+	if want <= 0 || want >= 1 {
+		t.Fatalf("FER at 12.5 dB = %v; pick an SNR on the waterfall", want)
 	}
-	// DistanceForSNR inverts SNRAt.
-	for _, snr := range []float64{5, 15, 25} {
-		d := mdl.DistanceForSNR(snr)
-		if got := mdl.SNRAt(d); math.Abs(got-snr) > 0.01 {
-			t.Errorf("roundtrip SNR %v → d=%.2f → %v", snr, d, got)
+	for _, dst := range []*testRadio{near, far} {
+		if got := mdl.LossProb(a, dst, phy.RateA24, 1500); got != want {
+			t.Errorf("LossProb at %v m = %v, want the fixed SNR's %v", dst.pos.X, got, want)
 		}
-	}
-	// Sub-metre clamps to 1 m.
-	if mdl.SNRAt(0.1) != mdl.SNRAt(1) {
-		t.Error("sub-metre distance not clamped")
-	}
-	// Override pins the SNR.
-	snr := 12.5
-	mdl.SNROverrideDB = &snr
-	if mdl.SNRAt(1000) != 12.5 {
-		t.Error("override ignored")
 	}
 }
 
+// TestSNRModelAsErrorModel draws frame fates through Medium.Corrupted at
+// a high and a low fixed SNR.
 func TestSNRModelAsErrorModel(t *testing.T) {
-	mdl := DefaultSNRModel()
-	s := sim.NewScheduler(1)
-	m := New(s, mdl)
-	a := &testRadio{}
-	// ~3 m: strong signal at 6 Mbps.
-	b := &testRadio{pos: Pos{X: 3}}
-	m.Attach(a)
-	m.Attach(b)
-	ok := 0
-	for i := 0; i < 100; i++ {
-		if !m.Corrupted(a, b, phy.RateA6, 1500) {
-			ok++
+	delivered := func(snrDB float64, rate phy.Rate) int {
+		_, m, a, b := newTestMedium(&SNRModel{SNRDB: snrDB})
+		ok := 0
+		for i := 0; i < 100; i++ {
+			if !m.Corrupted(a, b, rate, 1500) {
+				ok++
+			}
 		}
+		return ok
 	}
-	if ok < 95 {
-		t.Errorf("only %d/100 frames delivered at 3 m / 6 Mbps", ok)
+	// 30 dB: a strong signal at 6 Mbps.
+	if ok := delivered(30, phy.RateA6); ok < 95 {
+		t.Errorf("only %d/100 frames delivered at 30 dB / 6 Mbps", ok)
 	}
-	// At 60 m the paper-style office model should be mostly dead for
-	// 54 Mbps frames.
-	c := &testRadio{pos: Pos{X: 60}}
-	m.Attach(c)
-	ok = 0
-	for i := 0; i < 100; i++ {
-		if !m.Corrupted(a, c, phy.RateA54, 1500) {
-			ok++
-		}
-	}
-	if ok > 20 {
-		t.Errorf("%d/100 54 Mbps frames delivered at 60 m; model too generous", ok)
+	// 10 dB: mostly dead for 54 Mbps frames.
+	if ok := delivered(10, phy.RateA54); ok > 20 {
+		t.Errorf("%d/100 54 Mbps frames delivered at 10 dB; model too generous", ok)
 	}
 }
 
@@ -621,13 +511,6 @@ func TestGeneralEngineKeepsListening(t *testing.T) {
 
 // Busy reports whether any transmission is in flight.
 func (m *Medium) Busy() bool { return len(m.active) > 0 }
-
-// DistanceForSNR inverts SNRAt: the distance at which the model yields
-// the target SNR. Used to place the Figure 11 client.
-func (s *SNRModel) DistanceForSNR(snrDB float64) float64 {
-	pl := s.TxPowerDBm - s.NoiseDBm - snrDB
-	return math.Pow(10, (pl-s.RefLossDB)/(10*s.Exponent))
-}
 
 // TestAttachAfterTransmitPanics: the radio set is fixed at the first
 // Transmit, on both engines. Attach panics with that rule once the

@@ -85,10 +85,11 @@
 // Error models are orthogonal to the geometry and range from "no
 // loss" through fixed per-link frame loss (used to reproduce the
 // paper's SoRa testbed, which observed 12%/2% loss for stock TCP vs
-// TCP/HACK) to a physical SNR model: log-distance path loss feeding
-// AWGN bit-error-rate curves per modulation, with convolutional-code
-// performance estimated by a Chernoff union bound (the approach of
-// ns-3's NIST error model) — used for the paper's Figure 11 SNR
-// sweep. SINRThresholdDB reuses the same FrameErrorRate tables, so
-// the capture threshold and the noise model cannot drift apart.
+// TCP/HACK) to an SNR model for the paper's Figure 11 sweep: a fixed
+// SNR feeding AWGN bit-error-rate curves per modulation, with
+// convolutional-code performance estimated by a Chernoff union bound
+// (the approach of ns-3's NIST error model). The medium uses the model
+// it is given, and draws each frame's fate from its own random stream.
+// SINRThresholdDB reuses the same FrameErrorRate tables, so the capture
+// threshold and the noise model cannot drift apart.
 package channel

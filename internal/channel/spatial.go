@@ -9,20 +9,26 @@ import (
 	"tcphack/internal/sim"
 )
 
+// The log-distance path-loss model of the paper's indoor 40 MHz
+// 802.11n setup, which every Geometry uses. They are typed so that
+// RxPowerDBm rounds each step as float64 arithmetic does.
+const (
+	// txPowerDBm is the transmit power of every radio.
+	txPowerDBm float64 = 16
+	// refLossDB is the path loss at 1 m (≈46.7 dB at 2.4 GHz free space).
+	refLossDB float64 = 46.7
+	// pathLossExponent is the path-loss exponent (3.0 ≈ indoor office).
+	pathLossExponent float64 = 3.0
+	// noiseDBm is the receiver noise floor (≈ -90.9 dBm for 40 MHz with
+	// a 7 dB noise figure).
+	noiseDBm float64 = -90.9
+)
+
 // Geometry configures the medium's physics (see doc.go): log-distance
 // path loss, per-receiver carrier sensing, and SINR capture. A Geometry
 // is read-only once in use — one instance may be shared by many
 // concurrently running media (campaign workers).
 type Geometry struct {
-	// TxPowerDBm is the transmit power of every radio (default 16 dBm).
-	TxPowerDBm float64
-	// RefLossDB is path loss at 1 m (≈46.7 dB at 2.4 GHz free space).
-	RefLossDB float64
-	// Exponent is the path-loss exponent (3.0 ≈ indoor office).
-	Exponent float64
-	// NoiseDBm is the receiver noise floor (≈ -90.9 dBm for 40 MHz with
-	// a 7 dB noise figure).
-	NoiseDBm float64
 	// CSThresholdDBm is the energy-detect carrier-sense threshold: a
 	// radio reports busy while the summed received power of in-flight
 	// transmissions is at or above it. -Inf makes every radio sense
@@ -38,16 +44,11 @@ type Geometry struct {
 	CaptureMarginDB float64
 }
 
-// DefaultGeometry returns the spatial PHY matching the paper's indoor
-// 40 MHz 802.11n setup (the same constants as DefaultSNRModel) with an
-// 802.11-style -82 dBm carrier-sense threshold and delivery floor and
-// ideal capture. Sense/delivery range works out to ≈51.5 m.
+// DefaultGeometry returns the spatial PHY with an 802.11-style -82 dBm
+// carrier-sense threshold and delivery floor and ideal capture. Under
+// the path-loss constants, sense/delivery range works out to ≈51.5 m.
 func DefaultGeometry() *Geometry {
 	return &Geometry{
-		TxPowerDBm:       16,
-		RefLossDB:        46.7,
-		Exponent:         3.0,
-		NoiseDBm:         -90.9,
 		CSThresholdDBm:   -82,
 		DeliveryFloorDBm: -82,
 		CaptureMarginDB:  0,
@@ -63,13 +64,13 @@ func (g *Geometry) oneDomain() bool {
 }
 
 // RxPowerDBm returns the received power at distance metres under the
-// geometry's log-distance path-loss model. Distances under 1 m clamp
-// to the 1 m reference point.
+// log-distance path-loss model. Distances under 1 m clamp to the 1 m
+// reference point.
 func (g *Geometry) RxPowerDBm(distance float64) float64 {
 	if distance < 1 {
 		distance = 1
 	}
-	return g.TxPowerDBm - g.RefLossDB - float64(10*g.Exponent*math.Log10(distance))
+	return txPowerDBm - refLossDB - float64(10*pathLossExponent*math.Log10(distance))
 }
 
 // sinrDB is the SINR in dB of a signal over noise plus aggregate
@@ -197,7 +198,7 @@ func (m *Medium) ensureState() {
 		}
 	}
 	m.powerMW = mat
-	m.noiseMW = phy.DBmToMilliwatts(g.NoiseDBm)
+	m.noiseMW = phy.DBmToMilliwatts(noiseDBm)
 	m.csMW = phy.DBmToMilliwatts(g.CSThresholdDBm)
 	m.floorMW = phy.DBmToMilliwatts(g.DeliveryFloorDBm)
 	m.buildReach()

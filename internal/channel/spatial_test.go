@@ -36,7 +36,7 @@ func (g *Geometry) CaptureOK(rate phy.Rate, signalDBm float64, interferersDBm []
 	if len(interferersDBm) == 0 {
 		return true
 	}
-	return captures(phy.DBmToMilliwatts(signalDBm), phy.DBmToMilliwatts(g.NoiseDBm),
+	return captures(phy.DBmToMilliwatts(signalDBm), phy.DBmToMilliwatts(noiseDBm),
 		interferenceMW(interferersDBm), SINRThresholdDB(rate)+g.CaptureMarginDB)
 }
 
@@ -347,20 +347,20 @@ func FuzzCapture(f *testing.F) {
 		g := DefaultGeometry()
 		ints := []float64{i1, i2, i3}
 		base := g.CaptureOK(phy.RateA54, sig, ints)
-		baseSINR := SINRdB(sig, ints, g.NoiseDBm)
+		baseSINR := SINRdB(sig, ints, noiseDBm)
 		p := sinrPerms3[int(perm)%len(sinrPerms3)]
 		shuffled := []float64{ints[p[0]], ints[p[1]], ints[p[2]]}
 		if got := g.CaptureOK(phy.RateA54, sig, shuffled); got != base {
 			t.Fatalf("capture verdict order-dependent: %v vs %v for perm %v of %v",
 				got, base, p, ints)
 		}
-		if got := SINRdB(sig, shuffled, g.NoiseDBm); got != baseSINR {
+		if got := SINRdB(sig, shuffled, noiseDBm); got != baseSINR {
 			t.Fatalf("SINR not bit-identical under permutation: %g vs %g", got, baseSINR)
 		}
 		if again := g.CaptureOK(phy.RateA54, sig, ints); again != base {
 			t.Fatalf("capture verdict not deterministic: %v then %v", base, again)
 		}
-		sigMW, noiseMW, interfMW := phy.DBmToMilliwatts(sig), phy.DBmToMilliwatts(g.NoiseDBm), interferenceMW(ints)
+		sigMW, noiseMW, interfMW := phy.DBmToMilliwatts(sig), phy.DBmToMilliwatts(noiseDBm), interferenceMW(ints)
 		thr := SINRThresholdDB(phy.RateA54) + g.CaptureMarginDB
 		rule := newCaptureRule(phy.RateA54, thr)
 		if got, want := rule.captures(sigMW, noiseMW, interfMW), captures(sigMW, noiseMW, interfMW, thr); got != want {

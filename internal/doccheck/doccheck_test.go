@@ -2,8 +2,9 @@
 // stdlib-only lint (no revive/staticcheck dependency) that fails when
 // an exported identifier in the audited packages lacks a doc comment,
 // when the root facade exports what nothing uses (TestFacadeSurface),
-// or when internal/ keeps code that only tests reach
-// (TestInternalSurface). It runs as an ordinary test, so
+// when internal/ keeps code that only tests reach
+// (TestInternalSurface), or when CI names a test that does not exist
+// (TestCITestPatterns). It runs as an ordinary test, so
 // `go test ./...` — locally and in CI — enforces the godoc contract
 // established by the documentation pass.
 package doccheck

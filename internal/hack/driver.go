@@ -119,14 +119,15 @@ const maxHeld = 128
 // holdTimeout bounds ACK retention in ModeTimer.
 const holdTimeout = 5 * sim.Millisecond
 
+// driverLatency models the host-side path from TCP ACK generation to
+// the compressed descriptor being DMA-visible to the NIC (Figure 3).
+// Until it elapses, the NIC's "TCP/HACK ready" check fails and the ACK
+// cannot ride a link-layer ACK.
+const driverLatency = 20 * sim.Microsecond
+
 // Config parameterizes a Driver.
 type Config struct {
 	Mode Mode
-	// DriverLatency models the host-side path from TCP ACK generation
-	// to the compressed descriptor being DMA-visible to the NIC
-	// (Figure 3). Until it elapses, the NIC's "TCP/HACK ready" check
-	// fails and the ACK cannot ride a link-layer ACK.
-	DriverLatency sim.Duration
 	// MaxPayload bounds the compressed payload per link-layer ACK
 	// (default DefaultMaxPayload). It must stay within the MAC's
 	// AckPayloadAllowance or response frames outrun the ACK timeout.
@@ -142,9 +143,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.DriverLatency == 0 {
-		c.DriverLatency = 20 * sim.Microsecond
-	}
 	if c.MaxPayload == 0 {
 		c.MaxPayload = DefaultMaxPayload
 	}
@@ -402,7 +400,7 @@ func (d *Driver) NativeResolved(dst mac.Addr, p *packet.Packet, delivered bool) 
 // reference now lives; false means the ACK cannot travel compressed
 // (no context yet) and must go natively.
 func (d *Driver) hold(ps *peerState, p *packet.Packet, expires sim.Time) bool {
-	h := heldAck{pkt: p, readyAt: d.sched.Now() + d.cfg.DriverLatency, expires: expires}
+	h := heldAck{pkt: p, readyAt: d.sched.Now() + driverLatency, expires: expires}
 	data, msn, ok := d.comp.Compress(h.buf[:0], p)
 	if !ok {
 		return false

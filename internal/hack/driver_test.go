@@ -24,7 +24,7 @@ type harness struct {
 
 func newHarness(mode Mode) *harness {
 	h := &harness{sched: sim.NewScheduler(1)}
-	h.client = NewDriver(h.sched, Config{Mode: mode, DriverLatency: 20 * sim.Microsecond})
+	h.client = NewDriver(h.sched, Config{Mode: mode})
 	h.ap = NewDriver(h.sched, Config{Mode: mode})
 	h.client.EnqueueNative = func(dst mac.Addr, p *packet.Packet) bool {
 		h.nativeQueue = append(h.nativeQueue, p)

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"math/rand"
 	"testing"
 
 	"tcphack/internal/channel"
@@ -9,6 +10,56 @@ import (
 	"tcphack/internal/sim"
 )
 
+// gilbertElliott is a two-state bursty loss model: the link flips
+// between a good state (loss LossGood) and a bad state (loss LossBad)
+// with the given per-frame transition probabilities. It drives the
+// failure-injection tests of HACK's repeated-Block-ACK-loss recovery
+// (paper Figure 8). It is stateful, so each network gets its own.
+type gilbertElliott struct {
+	PGoodToBad, PBadToGood float64
+	LossGood, LossBad      float64
+	Rng                    *rand.Rand
+
+	bad bool
+}
+
+// LossProb implements channel.ErrorModel; it advances the Markov chain
+// one step per queried frame.
+func (g *gilbertElliott) LossProb(_, _ channel.Radio, _ phy.Rate, _ int) float64 {
+	if g.bad {
+		if g.Rng.Float64() < g.PBadToGood {
+			g.bad = false
+		}
+	} else if g.Rng.Float64() < g.PGoodToBad {
+		g.bad = true
+	}
+	if g.bad {
+		return g.LossBad
+	}
+	return g.LossGood
+}
+
+func TestGilbertElliottBurstiness(t *testing.T) {
+	g := &gilbertElliott{
+		PGoodToBad: 0.05, PBadToGood: 0.2,
+		LossGood: 0.0, LossBad: 1.0,
+		Rng: rand.New(rand.NewSource(7)),
+	}
+	// Drive the chain and check it visits both states and produces
+	// runs (burstiness): expected bad fraction = 0.05/(0.05+0.2) = 0.2.
+	bad := 0
+	n := 10000
+	for i := 0; i < n; i++ {
+		if g.LossProb(nil, nil, phy.RateA6, 0) > 0.5 {
+			bad++
+		}
+	}
+	frac := float64(bad) / float64(n)
+	if frac < 0.1 || frac > 0.3 {
+		t.Errorf("bad-state fraction %.3f, want ≈0.2", frac)
+	}
+}
+
 // TestBurstyLossSyncRecovery exercises the paper's Figure 8 machinery
 // end to end: a Gilbert-Elliott channel produces loss bursts long
 // enough to exhaust BAR retries, forcing SYNC-bit recovery; the
@@ -16,11 +67,10 @@ import (
 // and no permanent stall.
 func TestBurstyLossSyncRecovery(t *testing.T) {
 	cfg := ht150Config(hack.ModeMoreData, 1, 31)
-	// The bursty model is a template: the medium forks its own copy
-	// with the network's deterministic RNG (channel.ForkableErrorModel).
-	cfg.Err = &channel.GilbertElliott{
+	cfg.Err = &gilbertElliott{
 		PGoodToBad: 0.002, PBadToGood: 0.05,
 		LossGood: 0.002, LossBad: 0.9,
+		Rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
 	n2 := New(cfg)
 	const total = 2 << 20
@@ -98,13 +148,10 @@ func TestManyFlowsOneClient(t *testing.T) {
 // TestLowRateHighLossEdge drives the weakest HT rate at an SNR where
 // a large fraction of frames die: the system must degrade, not wedge.
 func TestLowRateHighLossEdge(t *testing.T) {
-	snr := 3.5 // near MCS0's waterfall for 1538-byte frames
-	em := channel.DefaultSNRModel()
-	em.SNROverrideDB = &snr
 	cfg := ht150Config(hack.ModeMoreData, 1, 47)
 	cfg.DataRate = phy.HTRate(0, 1)
 	cfg.AckRate = phy.Rate{}
-	cfg.Err = em
+	cfg.Err = &channel.SNRModel{SNRDB: 3.5} // near MCS0's waterfall for 1538-byte frames
 	n := New(cfg)
 	f := n.StartDownload(0, 0, 0)
 	n.Run(10 * sim.Second)

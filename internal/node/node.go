@@ -55,10 +55,8 @@ type Config struct {
 	// with per-network deterministic state. Invalid specs panic in
 	// New; CLIs should pre-validate with mac.ParseAdapterSpec.
 	RateAdapter     string
-	AIFSN           int // 2 = 802.11a DCF, 3 = 802.11n EDCA BE
 	Aggregation     bool
 	TXOPLimit       sim.Duration
-	RetryLimit      int
 	AckTurnaround   sim.Duration // SoRa LL ACK lateness (all stations)
 	AckTimeoutSlack sim.Duration // widened ACK timeout to match
 
@@ -113,23 +111,8 @@ func (c Config) withDefaults() Config {
 	if c.DataRate.IsZero() {
 		c.DataRate = phy.RateA54
 	}
-	if c.AIFSN == 0 {
-		if c.DataRate.HT {
-			c.AIFSN = phy.AIFSNBestEffort
-		} else {
-			c.AIFSN = 2
-		}
-	}
 	if c.Clients == 0 {
 		c.Clients = 1
-	}
-	if c.ClientPos == nil {
-		n := c.Clients
-		ap := c.APPos
-		c.ClientPos = func(i int) channel.Pos {
-			angle := 2 * math.Pi * float64(i) / float64(n)
-			return channel.Pos{X: ap.X + float64(10*math.Cos(angle)), Y: ap.Y + float64(10*math.Sin(angle))}
-		}
 	}
 	if len(c.BSSs) == 0 {
 		c.BSSs = []BSSSpec{{APPos: c.APPos, Clients: c.Clients, ClientPos: c.ClientPos}}
@@ -193,19 +176,14 @@ type BSS struct {
 // historical constants below.
 const (
 	apMAC    = mac.Addr(1)
-	baseMAC  = mac.Addr(2)
 	basePort = 5001
 )
 
-var (
-	serverIP = packet.IP(10, 0, 0, 1)
-	apIP     = packet.IP(192, 168, 0, 1)
-)
+var serverIP = packet.IP(10, 0, 0, 1)
 
 func clientIP(i int) packet.Addr { return packet.IP(192, 168, 0, byte(10+i)) }
 
-// bssAPIP returns the AP address for BSS b: 192.168.b.1, so BSS 0
-// keeps the historical apIP.
+// bssAPIP returns the AP address for BSS b: 192.168.b.1.
 func bssAPIP(b int) packet.Addr { return packet.IP(192, 168, byte(b), 1) }
 
 // Link is a full-duplex point-to-point wired link (one Link per
@@ -357,25 +335,21 @@ func New(cfg Config) *Network {
 		pool:      &packet.Pool{},
 	}
 
-	// Address/position plan: MAC addresses assigned sequentially in
-	// construction order, client IPs numbered globally. Planned up
-	// front so rate adapters can resolve any peer's position.
+	// Address plan: MAC addresses assigned sequentially in
+	// construction order, client IPs numbered globally.
 	type bssPlan struct {
 		apAddr  mac.Addr
 		clients []mac.Addr
 	}
 	plans := make([]bssPlan, len(cfg.BSSs))
-	positions := make(map[mac.Addr]channel.Pos)
 	nextMAC := apMAC
 	global := 0
 	for bi, spec := range cfg.BSSs {
 		plans[bi].apAddr = nextMAC
-		positions[nextMAC] = spec.APPos
 		n.addrBSS[nextMAC] = bi
 		nextMAC++
 		for i := 0; i < spec.Clients; i++ {
 			plans[bi].clients = append(plans[bi].clients, nextMAC)
-			positions[nextMAC] = spec.ClientPos(i)
 			n.addrBSS[nextMAC] = bi
 			n.clientIdx[clientIP(global)] = global
 			n.clientBSS = append(n.clientBSS, bi)
@@ -398,25 +372,27 @@ func New(cfg Config) *Network {
 	if err != nil {
 		panic(fmt.Sprintf("node: %v", err))
 	}
-	posOf := func(a mac.Addr) channel.Pos { return positions[a] }
-	snrModel := channel.FindSNRModel(cfg.Err)
+	// The oracle adapters read every link's SNR off the channel's SNR
+	// model, and know none without one.
+	snrFor := func(mac.Addr) (float64, bool) { return 0, false }
+	if snr := channel.FindSNRModel(cfg.Err); snr != nil {
+		snrFor = func(mac.Addr) (float64, bool) { return snr.SNRDB, true }
+	}
+	// AIFSN: 802.11n EDCA best effort for HT rates, 802.11a DCF
+	// otherwise.
+	aifsn := 2
+	if cfg.DataRate.HT {
+		aifsn = phy.AIFSNBestEffort
+	}
 	// newAdapter builds one per-station adapter instance. Minstrel
 	// forks its probe-schedule RNG off the network scheduler (like the
 	// medium's RNG fork), so campaigns stay deterministic and
 	// race-free; the fixed default returns nil so seed scenarios keep
 	// bit-identical RNG streams.
-	newAdapter := func(self mac.Addr) mac.RateAdapter {
+	newAdapter := func() mac.RateAdapter {
 		switch adapterSpec.Kind {
 		case mac.AdapterIdeal:
-			return &mac.IdealSNR{
-				Rates: phy.RateFamily(cfg.DataRate),
-				SNRFor: func(dst mac.Addr) (float64, bool) {
-					if snrModel == nil {
-						return 0, false
-					}
-					return snrModel.SNRAt(posOf(self).DistanceTo(posOf(dst))), true
-				},
-			}
+			return &mac.IdealSNR{Rates: phy.RateFamily(cfg.DataRate), SNRFor: snrFor}
 		case mac.AdapterArgmax:
 			batch := 1
 			if cfg.Aggregation {
@@ -427,12 +403,7 @@ func New(cfg Config) *Network {
 			return &mac.ExpectedGoodput{
 				Rates:    phy.RateFamily(cfg.DataRate),
 				BatchLen: batch,
-				SNRFor: func(dst mac.Addr) (float64, bool) {
-					if snrModel == nil {
-						return 0, false
-					}
-					return snrModel.SNRAt(posOf(self).DistanceTo(posOf(dst))), true
-				},
+				SNRFor:   snrFor,
 			}
 		case mac.AdapterMinstrel:
 			return mac.NewMinstrel(mac.MinstrelConfig{Rates: phy.RateFamily(cfg.DataRate)}, sched.ForkRand())
@@ -447,8 +418,8 @@ func New(cfg Config) *Network {
 		return mac.NewStation(sched, medium, mac.Config{
 			Addr: addr, Pos: pos,
 			DataRate: cfg.DataRate, AckRate: cfg.AckRate,
-			RateAdapter: newAdapter(addr),
-			AIFSN:       cfg.AIFSN, RetryLimit: cfg.RetryLimit,
+			RateAdapter: newAdapter(),
+			AIFSN:       aifsn,
 			Aggregation: cfg.Aggregation, TXOPLimit: cfg.TXOPLimit,
 			QueueLimit:          queueLimit,
 			AckTurnaround:       cfg.AckTurnaround,

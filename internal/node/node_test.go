@@ -144,12 +144,9 @@ func TestUploadSymmetric(t *testing.T) {
 func TestLossyDownloadNoFailures(t *testing.T) {
 	// §4.3's health claim: under loss, HACK produces no decompression
 	// CRC failures and no stalls.
-	snr := 10.0 // ≈30% frame error rate for 1538-byte MPDUs at MCS2
-	em := channel.DefaultSNRModel()
-	em.SNROverrideDB = &snr
 	cfg := ht150Config(hack.ModeMoreData, 1, 11)
-	cfg.DataRate = phy.HTRate(2, 1) // 45 Mbps: mid-SNR operating point
-	cfg.Err = em
+	cfg.DataRate = phy.HTRate(2, 1)        // 45 Mbps: mid-SNR operating point
+	cfg.Err = &channel.SNRModel{SNRDB: 10} // ≈30% frame error rate for 1538-byte MPDUs at MCS2
 	n := New(cfg)
 	const total = 2 << 20
 	f := n.StartDownload(0, total, 0)

@@ -46,7 +46,7 @@ func TestPacketPoolSteady(t *testing.T) {
 	for _, mode := range poolModes {
 		t.Run(mode.String(), func(t *testing.T) {
 			n, _ := lossyTransfers(mode, 0)
-			bound := len(n.Clients) * 2 * int(def.RcvWindow) / def.MSS
+			bound := len(n.Clients) * 2 * int(def.RcvWindow) / tcp.MSS
 			n.Run(3 * sim.Second)
 			early := n.pool.Outstanding()
 			n.Run(8 * sim.Second)

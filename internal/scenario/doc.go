@@ -45,8 +45,8 @@
 // A scenario is pure data: building one performs no I/O and draws no
 // randomness. All randomness is deferred to network construction
 // (node.New), which derives every stochastic subsystem — MAC
-// backoffs, channel noise, bursty-loss chains, Minstrel probe
-// schedules — from the single configured Seed. Equal configurations
+// backoffs, channel noise, Minstrel probe schedules — from the single
+// configured Seed. Equal configurations
 // therefore simulate bit-identically, and a configuration value can
 // seed many concurrent simulations (see internal/campaign).
 package scenario

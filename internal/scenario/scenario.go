@@ -119,16 +119,11 @@ func WithUniformLoss(p float64) Option {
 	return func(c *node.Config) { addErrorModel(c, &channel.FixedLoss{Default: p}) }
 }
 
-// WithSNR fixes the channel SNR in dB via the physical error model
-// (the Figure 11 x-axis), overriding geometry and composing with any
-// error model already installed.
+// WithSNR fixes the SNR of every link in dB via the SNR error model
+// (the Figure 11 x-axis), composing with any error model already
+// installed.
 func WithSNR(db float64) Option {
-	return func(c *node.Config) {
-		em := channel.DefaultSNRModel()
-		snr := db
-		em.SNROverrideDB = &snr
-		addErrorModel(c, em)
-	}
+	return func(c *node.Config) { addErrorModel(c, &channel.SNRModel{SNRDB: db}) }
 }
 
 // GridPos returns the position of client i on a √n×√n row-major grid

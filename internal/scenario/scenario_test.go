@@ -78,7 +78,7 @@ func TestPerAxisOptions(t *testing.T) {
 		WithRate(phy.HTRate(3, 2)),
 		WithUniformLoss(0.05),
 		WithWire(100_000, 2*sim.Millisecond),
-		WithConfig(func(c *node.Config) { c.RetryLimit = 4 }),
+		WithConfig(func(c *node.Config) { c.APQueueLimit = 4 }),
 	)
 	if cfg.DataRate != phy.HTRate(3, 2) || !cfg.AckRate.IsZero() {
 		t.Errorf("rates: %v / %v", cfg.DataRate, cfg.AckRate)
@@ -90,14 +90,14 @@ func TestPerAxisOptions(t *testing.T) {
 	if cfg.WireRateKbps != 100_000 || cfg.WireDelay != 2*sim.Millisecond {
 		t.Errorf("wire: %d/%v", cfg.WireRateKbps, cfg.WireDelay)
 	}
-	if cfg.RetryLimit != 4 {
+	if cfg.APQueueLimit != 4 {
 		t.Error("WithConfig escape hatch not applied")
 	}
 
 	cfg = New(WithSNR(17))
 	em, ok := cfg.Err.(*channel.SNRModel)
-	if !ok || em.SNROverrideDB == nil || *em.SNROverrideDB != 17 {
-		t.Errorf("SNR override not installed: %#v", cfg.Err)
+	if !ok || em.SNRDB != 17 {
+		t.Errorf("fixed SNR not installed: %#v", cfg.Err)
 	}
 }
 

@@ -69,21 +69,8 @@ type Config struct {
 	Remote     packet.Addr
 	RemotePort uint16
 
-	// MSS is the maximum segment size advertised and used (default
-	// 1460; the stack reduces its effective payload by 12 bytes when
-	// timestamps are on, like real stacks do).
-	MSS int
-	// Timestamps enables RFC 7323 timestamps (default on via
-	// DefaultConfig).
-	Timestamps bool
-	// SACK enables selective acknowledgment generation and use.
-	SACK bool
 	// RcvWindow is the advertised receive window in bytes (default 1 MiB).
 	RcvWindow uint32
-	// DelayedAck acks every second full segment (default on) — the
-	// paper's baseline assumption ("one TCP ACK packet for every two
-	// TCP data packets").
-	DelayedAck bool
 
 	// Tracer, when non-nil, receives TCP probes (retransmissions, RTO
 	// expiries, congestion-window changes), labeled by LocalPort.
@@ -91,11 +78,20 @@ type Config struct {
 	Tracer trace.Tracer
 }
 
-// The stack's fixed parameters, Linux-like.
+// The stack's fixed parameters, Linux-like. Every endpoint offers
+// timestamps and SACK in its SYN, and every peer is this stack, so both
+// are on once the handshake is done.
 const (
+	// MSS is the maximum segment size every endpoint advertises.
+	MSS = 1460
+	// effectiveMSS is the payload of a full segment: the MSS less the
+	// 12 bytes of the timestamps option, like real stacks do.
+	effectiveMSS = MSS - 12
 	// windowScale is the advertised window shift.
 	windowScale = 7
-	// delAckTimeout bounds ACK delay.
+	// delAckTimeout bounds ACK delay. An endpoint acks every second
+	// full segment — the paper's baseline assumption ("one TCP ACK
+	// packet for every two TCP data packets") — or at this timeout.
 	delAckTimeout = 100 * sim.Millisecond
 	// initialCwnd is the initial congestion window in segments (RFC
 	// 6928).
@@ -105,9 +101,6 @@ const (
 )
 
 func (c Config) withDefaults() Config {
-	if c.MSS == 0 {
-		c.MSS = 1460
-	}
 	if c.RcvWindow == 0 {
 		c.RcvWindow = 1 << 20
 	}
@@ -115,9 +108,9 @@ func (c Config) withDefaults() Config {
 }
 
 // DefaultConfig returns the configuration used throughout the
-// experiments: timestamps + SACK + delayed ACK, Linux-like defaults.
+// experiments: Linux-like defaults.
 func DefaultConfig() Config {
-	return Config{Timestamps: true, SACK: true, DelayedAck: true}.withDefaults()
+	return Config{}.withDefaults()
 }
 
 // Stats counts endpoint events.
@@ -161,10 +154,7 @@ type Endpoint struct {
 	ipID  uint16
 
 	// Negotiated.
-	peerWScale   uint8
-	tsEnabled    bool
-	sackEnabled  bool
-	effectiveMSS int
+	peerWScale uint8
 
 	// Sender.
 	iss      uint32
@@ -189,9 +179,6 @@ type Endpoint struct {
 	rto         sim.Duration
 	srtt        sim.Duration
 	rttvar      sim.Duration
-	rttSeq      uint32
-	rttAt       sim.Time
-	rttValid    bool
 	appTotal    uint64 // bytes the app asked to send (maxUint64 = endless)
 	appQueued   uint64 // bytes assigned sequence numbers so far
 	finSent     bool
@@ -215,10 +202,6 @@ func NewEndpoint(sched *sim.Scheduler, cfg Config) *Endpoint {
 		cfg:       cfg.withDefaults(),
 		OnDeliver: func(int) {},
 		Output:    func(*packet.Packet) { panic("tcp: Output not set") },
-	}
-	ep.effectiveMSS = ep.cfg.MSS
-	if ep.cfg.Timestamps {
-		ep.effectiveMSS -= 12
 	}
 	ep.rto = sim.Second
 	// Both protocol timers are persistent: allocated once here with
@@ -279,9 +262,9 @@ func (ep *Endpoint) nowTS() uint32 {
 	return uint32(ep.sched.Now() / sim.Millisecond)
 }
 
-// newPacket builds an IP/TCP packet toward the peer from the
-// endpoint's Pool. The packet holds its TCP header and SACK blocks
-// inline, and the caller's reference passes on with Output.
+// newPacket builds an IP/TCP packet toward the peer, with timestamps,
+// from the endpoint's Pool. The packet holds its TCP header and SACK
+// blocks inline, and the caller's reference passes on with Output.
 func (ep *Endpoint) newPacket(flags byte, seq uint32, payload int) *packet.Packet {
 	ep.ipID++
 	p := ep.Pool.Get(packet.ProtoTCP)
@@ -295,11 +278,9 @@ func (ep *Endpoint) newPacket(flags byte, seq uint32, payload int) *packet.Packe
 	if flags&packet.FlagACK != 0 {
 		p.TCP.Ack = ep.rcvNxt
 	}
-	if ep.tsEnabled {
-		p.TCP.Opt.HasTimestamps = true
-		p.TCP.Opt.TSVal = ep.nowTS()
-		p.TCP.Opt.TSEcr = ep.tsRecent
-	}
+	p.TCP.Opt.HasTimestamps = true
+	p.TCP.Opt.TSVal = ep.nowTS()
+	p.TCP.Opt.TSEcr = ep.tsRecent
 	return p
 }
 
@@ -317,14 +298,9 @@ func (ep *Endpoint) sendSyn(ack bool) {
 	} else {
 		p.TCP.Window = uint16(ep.cfg.RcvWindow)
 	}
-	p.TCP.Opt.MSS = uint16(ep.cfg.MSS)
+	p.TCP.Opt.MSS = MSS
 	p.TCP.Opt.WindowScale = windowScale + 1 // +1: encoded as shift+1
-	p.TCP.Opt.SACKPermitted = ep.cfg.SACK
-	if ep.cfg.Timestamps {
-		p.TCP.Opt.HasTimestamps = true
-		p.TCP.Opt.TSVal = ep.nowTS()
-		p.TCP.Opt.TSEcr = ep.tsRecent
-	}
+	p.TCP.Opt.SACKPermitted = true
 	ep.Output(p)
 }
 
@@ -391,17 +367,8 @@ func (ep *Endpoint) handleSynAck(p *packet.Packet) {
 
 // negotiate applies the peer's SYN options.
 func (ep *Endpoint) negotiate(t *packet.TCP) {
-	if t.Opt.MSS != 0 && int(t.Opt.MSS) < ep.cfg.MSS {
-		ep.cfg.MSS = int(t.Opt.MSS)
-	}
-	ep.tsEnabled = ep.cfg.Timestamps && t.Opt.HasTimestamps
-	ep.sackEnabled = ep.cfg.SACK && t.Opt.SACKPermitted
 	if t.Opt.WindowScale != 0 {
 		ep.peerWScale = t.Opt.WindowScale - 1
-	}
-	ep.effectiveMSS = ep.cfg.MSS
-	if ep.tsEnabled {
-		ep.effectiveMSS -= 12
 	}
 	if t.Opt.HasTimestamps {
 		ep.tsRecent = t.Opt.TSVal
@@ -411,7 +378,7 @@ func (ep *Endpoint) negotiate(t *packet.TCP) {
 
 func (ep *Endpoint) enterEstablished() {
 	ep.state = stateEstablished
-	ep.cwnd = uint32(initialCwnd * ep.effectiveMSS)
+	ep.cwnd = initialCwnd * effectiveMSS
 	ep.ssthresh = 1 << 30
 	ep.disarmRTX()
 	if ep.OnEstablished != nil {
@@ -424,7 +391,7 @@ func (ep *Endpoint) enterEstablished() {
 // first, then payload/FIN side.
 func (ep *Endpoint) handleSegment(p *packet.Packet) {
 	t := p.TCP
-	if ep.tsEnabled && t.Opt.HasTimestamps {
+	if t.Opt.HasTimestamps {
 		// RFC 7323: update tsRecent from segments that cover rcvNxt.
 		if !seqGT(t.Seq, ep.rcvNxt) {
 			ep.tsRecent = t.Opt.TSVal

@@ -95,9 +95,6 @@ func (ep *Endpoint) pruneOOO() {
 // out-of-order list, per RFC 2018: the first SACK block must specify
 // the most recently received segment's block.
 func (ep *Endpoint) noteSACK(seg interval) {
-	if !ep.sackEnabled {
-		return
-	}
 	// Reorder ooo so the block containing seg comes first; ooo is kept
 	// merged by insertInterval, so find the containing block.
 	for i, iv := range ep.ooo {
@@ -115,10 +112,6 @@ func (ep *Endpoint) noteSACK(seg interval) {
 // maybeDelayAck implements delayed ACKs: acknowledge every second
 // segment immediately, otherwise start the delayed-ACK timer.
 func (ep *Endpoint) maybeDelayAck() {
-	if !ep.cfg.DelayedAck {
-		ep.sendAck()
-		return
-	}
 	ep.delackCount++
 	if ep.delackCount >= 2 {
 		ep.sendAck()
@@ -141,20 +134,16 @@ func (ep *Endpoint) sendAckDup(dup interval) {
 	ep.delackCount = 0
 	ep.sched.Cancel(ep.delackTimer)
 	p := ep.newPacket(packet.FlagACK, ep.sndNxt, 0)
-	if ep.sackEnabled {
-		max := 3
-		if !ep.tsEnabled {
-			max = 4
+	// Three SACK blocks fit in the option space beside the timestamps.
+	const maxBlocks = 3
+	if dup.e != dup.s {
+		p.TCP.Opt.SACKBlocks = append(p.TCP.Opt.SACKBlocks, [2]uint32{dup.s, dup.e})
+	}
+	for _, iv := range ep.ooo {
+		if len(p.TCP.Opt.SACKBlocks) >= maxBlocks {
+			break
 		}
-		if dup.e != dup.s {
-			p.TCP.Opt.SACKBlocks = append(p.TCP.Opt.SACKBlocks, [2]uint32{dup.s, dup.e})
-		}
-		for _, iv := range ep.ooo {
-			if len(p.TCP.Opt.SACKBlocks) >= max {
-				break
-			}
-			p.TCP.Opt.SACKBlocks = append(p.TCP.Opt.SACKBlocks, [2]uint32{iv.s, iv.e})
-		}
+		p.TCP.Opt.SACKBlocks = append(p.TCP.Opt.SACKBlocks, [2]uint32{iv.s, iv.e})
 	}
 	ep.Stats.PureAcksSent++
 	ep.Output(p)

@@ -53,7 +53,7 @@ func (ep *Endpoint) trySend() {
 		avail := win - inFlight
 		if seqGT(ep.sndMax, ep.sndNxt) {
 			// Retransmission region.
-			n := uint32(ep.effectiveMSS)
+			n := uint32(effectiveMSS)
 			if left := ep.sndMax - ep.sndNxt; left < n {
 				n = left
 			}
@@ -78,7 +78,7 @@ func (ep *Endpoint) trySend() {
 		if remaining == 0 {
 			break
 		}
-		n := uint32(ep.effectiveMSS)
+		n := uint32(effectiveMSS)
 		if uint64(n) > remaining {
 			n = uint32(remaining)
 		}
@@ -129,11 +129,6 @@ func (ep *Endpoint) emitSegment(seq uint32, n int, rtx bool) {
 		if ep.cfg.Tracer != nil {
 			ep.cfg.Tracer.Emit(trace.Event{T: ep.sched.Now(), Kind: trace.KindTCPRetransmit, Port: ep.cfg.LocalPort, Seq: seq})
 		}
-	} else if !ep.rttValid && !ep.tsEnabled {
-		// Karn's algorithm: time one un-retransmitted segment.
-		ep.rttSeq = seq + uint32(n)
-		ep.rttAt = ep.sched.Now()
-		ep.rttValid = true
 	}
 	ep.Output(p)
 }
@@ -143,9 +138,7 @@ func (ep *Endpoint) handleAck(p *packet.Packet) {
 	t := p.TCP
 	ack := t.Ack
 	ep.peerWnd = uint32(t.Window) << ep.peerWScale
-	if ep.sackEnabled {
-		ep.absorbSACK(t.Ack, t.Opt.SACKBlocks)
-	}
+	ep.absorbSACK(t.Ack, t.Opt.SACKBlocks)
 
 	switch {
 	case seqGT(ack, ep.sndMax):
@@ -177,14 +170,11 @@ func (ep *Endpoint) newAck(ack uint32, t *packet.TCP) {
 	ep.Stats.BytesAcked += uint64(acked)
 	ep.dupAcks = 0
 
-	// RTT sampling: timestamps when available, Karn otherwise. ACKs
-	// inside a loss epoch echo frozen timestamps; skip them.
-	if ep.tsEnabled && t.Opt.HasTimestamps && t.Opt.TSEcr != 0 && seqGT(ack, ep.sampleFloor) {
+	// RTT sampling from the echoed timestamp. ACKs inside a loss epoch
+	// echo frozen timestamps; skip them.
+	if t.Opt.HasTimestamps && t.Opt.TSEcr != 0 && seqGT(ack, ep.sampleFloor) {
 		echo := sim.Duration(ep.nowTS()-t.Opt.TSEcr) * sim.Millisecond
 		ep.updateRTT(echo)
-	} else if ep.rttValid && seqGE(ack, ep.rttSeq) {
-		ep.updateRTT(ep.sched.Now() - ep.rttAt)
-		ep.rttValid = false
 	}
 
 	if ep.inRec {
@@ -201,8 +191,8 @@ func (ep *Endpoint) newAck(ack uint32, t *packet.TCP) {
 	} else if ep.cwnd < ep.ssthresh {
 		// Slow start.
 		inc := acked
-		if inc > uint32(ep.effectiveMSS) {
-			inc = uint32(ep.effectiveMSS)
+		if inc > uint32(effectiveMSS) {
+			inc = uint32(effectiveMSS)
 		}
 		ep.cwnd += inc
 	} else {
@@ -210,7 +200,7 @@ func (ep *Endpoint) newAck(ack uint32, t *packet.TCP) {
 		ep.caAcc += acked
 		if ep.caAcc >= ep.cwnd {
 			ep.caAcc -= ep.cwnd
-			ep.cwnd += uint32(ep.effectiveMSS)
+			ep.cwnd += uint32(effectiveMSS)
 		}
 	}
 
@@ -254,7 +244,7 @@ func (ep *Endpoint) enterRecovery() {
 	ep.rtxHigh = ep.sndUna
 	ep.sampleFloor = ep.sndMax
 	half := ep.flightSize() / 2
-	min2 := uint32(2 * ep.effectiveMSS)
+	min2 := uint32(2 * effectiveMSS)
 	if half < min2 {
 		half = min2
 	}
@@ -337,7 +327,7 @@ func (ep *Endpoint) nextHole() (seq uint32, n int) {
 	if seqGE(seq, limit) {
 		return 0, 0
 	}
-	n = ep.effectiveMSS
+	n = effectiveMSS
 	if left := limit - seq; left < uint32(n) {
 		n = int(left)
 	}
@@ -351,7 +341,7 @@ func (ep *Endpoint) nextHole() (seq uint32, n int) {
 // spiral real stacks avoid).
 func (ep *Endpoint) fillHoles() {
 	for {
-		if ep.pipe()+uint32(ep.effectiveMSS) > ep.cwnd {
+		if ep.pipe()+uint32(effectiveMSS) > ep.cwnd {
 			return
 		}
 		seq, n := ep.nextHole()
@@ -485,12 +475,12 @@ func (ep *Endpoint) onRTO() {
 	// transmission from sndUna (go-back-N; slow start re-grows and
 	// SACKed spans are skipped on the way back up to sndMax).
 	half := ep.flightSize() / 2
-	min2 := uint32(2 * ep.effectiveMSS)
+	min2 := uint32(2 * effectiveMSS)
 	if half < min2 {
 		half = min2
 	}
 	ep.ssthresh = half
-	ep.cwnd = uint32(ep.effectiveMSS)
+	ep.cwnd = uint32(effectiveMSS)
 	ep.caAcc = 0
 	ep.inRec = false
 	ep.dupAcks = 0

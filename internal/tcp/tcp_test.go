@@ -95,29 +95,6 @@ func TestDelayedAckRatio(t *testing.T) {
 	}
 }
 
-func TestNoDelayedAck(t *testing.T) {
-	sched := sim.NewScheduler(3)
-	pp := &pipe{sched: sched, delay: sim.Millisecond}
-	cfgA := DefaultConfig()
-	cfgA.Local, cfgA.LocalPort = packet.IP(10, 0, 0, 1), 1
-	cfgA.Remote, cfgA.RemotePort = packet.IP(10, 0, 0, 2), 2
-	cfgB := DefaultConfig()
-	cfgB.DelayedAck = false
-	cfgB.Local, cfgB.LocalPort = packet.IP(10, 0, 0, 2), 2
-	cfgB.Remote, cfgB.RemotePort = packet.IP(10, 0, 0, 1), 1
-	a, b := NewEndpoint(sched, cfgA), NewEndpoint(sched, cfgB)
-	a.Output = func(p *packet.Packet) { q := p.Clone(); sched.After(pp.delay, func() { b.Input(q) }) }
-	b.Output = func(p *packet.Packet) { q := p.Clone(); sched.After(pp.delay, func() { a.Input(q) }) }
-	b.Listen()
-	a.Send(1 << 20)
-	a.Connect()
-	sched.RunUntil(20 * sim.Second)
-	segs, acks := a.Stats.SegsSent, b.Stats.PureAcksSent
-	if float64(acks) < 0.9*float64(segs) {
-		t.Errorf("without delack want ≈1 ACK/segment, got %d acks for %d segs", acks, segs)
-	}
-}
-
 func TestDelAckTimerFlushesLoneSegment(t *testing.T) {
 	sched, _, a, b := newPair(4, sim.Millisecond)
 	b.Listen()
@@ -316,7 +293,7 @@ func TestCwndGrowth(t *testing.T) {
 	early := a.cwnd
 	sched.RunUntil(5 * sim.Second)
 	late := a.cwnd
-	if early <= uint32(10*a.effectiveMSS)/2 {
+	if early <= uint32(10*effectiveMSS)/2 {
 		t.Errorf("early cwnd %d below initial window", early)
 	}
 	if late <= early {

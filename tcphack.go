@@ -159,16 +159,18 @@ var (
 	// control-response rules).
 	WithRate = scenario.WithRate
 	// WithRateAdapter selects per-station rate adaptation:
-	// "fixed", "fixed:<rate>", "ideal", or "minstrel".
+	// "fixed", "fixed:<rate>", "ideal", "argmax", or "minstrel".
 	WithRateAdapter = scenario.WithRateAdapter
 	// WithUniformLoss applies a uniform per-frame loss probability.
 	WithUniformLoss = scenario.WithUniformLoss
-	// WithSNR fixes the channel SNR in dB via the physical error model.
+	// WithSNR fixes the SNR of every link in dB via the SNR error
+	// model.
 	WithSNR = scenario.WithSNR
 	// WithGeometry installs a spatial PHY configuration on the medium
 	// (per-pair path loss, per-receiver carrier sense, SINR capture),
-	// typically DefaultGeometry() refined field by field; nil restores
-	// the single collision domain.
+	// typically DefaultGeometry() with its carrier-sense threshold,
+	// delivery floor or capture margin refined; nil restores the single
+	// collision domain.
 	WithGeometry = scenario.WithGeometry
 	// WithPathLoss switches to the spatial PHY with the default
 	// geometry (≈51.5 m sense/delivery range).
@@ -216,8 +218,9 @@ type (
 	BSSSpec = node.BSSSpec
 )
 
-// DefaultGeometry returns the paper's indoor spatial PHY constants
-// with an 802.11-style -82 dBm carrier-sense threshold.
+// DefaultGeometry returns the spatial PHY over the paper's indoor
+// path-loss constants, with an 802.11-style -82 dBm carrier-sense
+// threshold and delivery floor and ideal capture.
 func DefaultGeometry() *Geometry { return channel.DefaultGeometry() }
 
 // TopologyNames lists registered topology names, sorted — the
@@ -329,7 +332,7 @@ func NewNetwork(cfg NetworkConfig) *Network { return node.New(cfg) }
 func ParseMode(s string) (Mode, error) { return hack.ParseMode(s) }
 
 // ParseRateAdapter validates a rate-adapter spec ("fixed",
-// "fixed:<rate>", "ideal", "minstrel") — the string WithRateAdapter
+// "fixed:<rate>", "ideal", "argmax", "minstrel") — the string WithRateAdapter
 // and CampaignAxes.Adapters accept. CLIs call it to reject bad specs
 // before network construction (which panics on them).
 func ParseRateAdapter(s string) error {
