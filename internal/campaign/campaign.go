@@ -30,8 +30,9 @@ import (
 // channel's models (FixedLoss, SNRModel, Independent) are stateless and
 // so campaign-safe. Adapters sweeps rate adaptation in
 // scenario.WithRateAdapter's vocabulary ("fixed", "fixed:<rate>",
-// "ideal", "argmax", "minstrel"); adapter state is per station per
-// network, so the axis preserves the parallel-equals-serial guarantee.
+// "ideal", "argmax", "minstrel"); an oracle's rate is chosen once per
+// network and Minstrel's state is per station per network, so the axis
+// preserves the parallel-equals-serial guarantee.
 type Axes struct {
 	Modes    []hack.Mode
 	Clients  []int
@@ -351,7 +352,7 @@ func (s Spec) config(pt Point) node.Config {
 				pt.Topology, scenario.TopologyNames()))
 		}
 		topo(&cfg)
-		// Topologies may pin a client count (WithPositions); the clients
+		// Topologies may pin a client count (WithGrid); the clients
 		// axis still wins when it is actually swept.
 		if len(s.Axes.Clients) > 0 {
 			cfg.Clients = pt.Clients

@@ -197,7 +197,8 @@ func TestFig11Shape(t *testing.T) {
 // every fixed single-stream HT rate and take, per SNR and protocol, the
 // best goodput as what an ideal rate-adaptation algorithm would
 // achieve. It multiplies the grid by the rate count, so Fig11 runs the
-// IdealSNR adapter instead and this stays as its reference.
+// "ideal" oracle (mac.IdealRate) instead and this stays as its
+// reference.
 func fixedRateEnvelope(o Options, snrsDB []float64) (tcp, hck map[float64]float64) {
 	base := ht150Base(hack.ModeOff)
 	base.AckRate = phy.Rate{} // basic-rate rules per eliciting frame
@@ -229,7 +230,7 @@ func fixedRateEnvelope(o Options, snrsDB []float64) (tcp, hck map[float64]float6
 
 // TestFig11AdapterMatchesEnvelope cross-validates the reworked Figure
 // 11 against the fixed-rate envelope it replaced: at usable SNRs the
-// IdealSNR adapter (one simulation per SNR) must land within 10% of
+// "ideal" oracle (one simulation per SNR) must land within 10% of
 // the envelope, and the stock-vs-HACK ordering must be preserved.
 func TestFig11AdapterMatchesEnvelope(t *testing.T) {
 	snrs := []float64{25, 30}

@@ -115,12 +115,12 @@ type Fig11Result struct {
 // client downloads at each SNR with every station running the named
 // rate adapter, so the whole figure is one {mode × SNR} campaign — one
 // simulation per SNR point instead of one per (rate, SNR) cell.
-// "ideal" is the IdealSNR oracle the paper's "ideal rate adaptation"
-// assumes; "minstrel" is the Minstrel-style learner. rates bounds the
-// hopeless-point pruning (nil: the single-stream HT ladder, which is
-// also the adapters' candidate set). The paper's
-// fixed-rate-sweep-plus-envelope method is the reference in
-// TestFig11AdapterMatchesEnvelope.
+// "ideal" is the threshold oracle (mac.IdealRate, one rate per SNR)
+// the paper's "ideal rate adaptation" assumes; "minstrel" is the
+// Minstrel-style learner. rates bounds the hopeless-point pruning
+// (nil: the single-stream HT ladder, which is also the adapters'
+// candidate set). The paper's fixed-rate-sweep-plus-envelope method
+// is the reference in TestFig11AdapterMatchesEnvelope.
 func Fig11(o Options, snrsDB []float64, rates []phy.Rate, adapter string) Fig11Result {
 	o = o.withDefaults()
 	if snrsDB == nil {

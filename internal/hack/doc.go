@@ -128,10 +128,9 @@
 // A-MPDU batches (fewer ACKs held per Block ACK), while loss-prone
 // rate choices stress the recovery machine. The machine holds the
 // losslessness invariant through the ~1% per-MPDU FER regime, which
-// is what makes the expected-goodput argmax oracle (mac.
-// ExpectedGoodput) usable — the IdealSNR threshold oracle's
-// negligible-FER rule existed precisely to route around the old
-// recovery's collapse there. The experiments package's LossResilience
-// grid sweeps loss × mode × adapter and asserts the invariant cell by
-// cell.
+// is what makes the expected-goodput argmax oracle (mac.ArgmaxRate)
+// usable — the threshold oracle's (mac.IdealRate) negligible-FER rule
+// existed precisely to route around the old recovery's collapse
+// there. The experiments package's LossResilience grid sweeps loss ×
+// mode × adapter and asserts the invariant cell by cell.
 package hack

@@ -49,9 +49,14 @@ func (d *dcf) init(st *Station) {
 	d.timer = sim.NewTimer(d.fire)
 }
 
-// ifs returns the arbitration IFS currently in force.
+// ifs returns the arbitration IFS currently in force: AIFS for the
+// station's access class, EIFS after a reception error.
 func (d *dcf) ifs() sim.Duration {
-	base := phy.SIFS + sim.Duration(d.st.cfg.AIFSN)*phy.SlotTime
+	aifsn := 2 // 802.11a DCF: DIFS
+	if d.st.cfg.DataRate.HT {
+		aifsn = phy.AIFSNBestEffort // 802.11n EDCA best effort
+	}
+	base := phy.SIFS + sim.Duration(aifsn)*phy.SlotTime
 	if d.eifs {
 		// EIFS = SIFS + ACKTxTime at the lowest basic rate + AIFS.
 		return phy.SIFS + phy.FrameDuration(phy.RateA6, ackLen) + base

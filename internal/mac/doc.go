@@ -3,7 +3,7 @@
 // A-MPDU aggregation with Block ACK agreements and Block ACK Requests,
 // per-MPDU retransmission with retry limits, duplicate detection,
 // receive-side reordering, NAV-based virtual carrier sense, EIFS, and
-// per-station rate adaptation.
+// rate adaptation.
 //
 // # Stations
 //
@@ -112,24 +112,27 @@
 //
 // The RateAdapter interface decouples rate selection from the
 // transmit path: the station asks RateFor(dst) once per data PPDU and
-// reports per-MPDU outcomes through OnTxResult. Four implementations
-// cover the repository's needs:
+// reports per-MPDU outcomes through OnTxResult. Two implementations
+// and two oracle rules cover the repository's needs:
 //
 //   - FixedRate pins one rate — the paper's fixed-rate-per-experiment
 //     methodology, and the default when Config.RateAdapter is nil.
-//   - IdealSNR is the threshold oracle: from the channel's SNR it
+//   - IdealRate is the threshold oracle: from the channel's SNR it
 //     picks the highest rate whose frame error rate is negligible. It
 //     turns the Figure 11 "sweep every fixed rate and take the
 //     envelope" grid into one simulation per SNR point.
-//   - ExpectedGoodput is the argmax oracle: from the same SNR tables
-//     it picks the rate with the highest expected goodput over a
-//     whole A-MPDU, which operates in the ~1 % per-MPDU loss regime
-//     that needs HACK's loss-resilient recovery.
+//   - ArgmaxRate is the argmax oracle: from the same SNR tables it
+//     picks the rate with the highest expected goodput over a whole
+//     A-MPDU, which operates in the ~1 % per-MPDU loss regime that
+//     needs HACK's loss-resilient recovery.
 //   - Minstrel adapts from observed outcomes alone, after the Linux
 //     algorithm: per-rate EWMA success probabilities, rates ranked by
 //     expected throughput, probe frames on a deterministic random
 //     schedule, and a most-reliable fallback after failure bursts.
 //
+// The channel's SNR is one value per network, so an oracle's answer is
+// too: the network assembly (internal/node) calls IdealRate or
+// ArgmaxRate once and gives every station a FixedRate with the result.
 // ParseAdapterSpec maps the scenario-axis vocabulary ("fixed",
 // "fixed:<rate>", "ideal", "argmax", "minstrel") onto these.
 //
@@ -141,7 +144,7 @@
 // Two networks built with the same seed therefore execute
 // bit-identically, which is what lets internal/campaign run grid
 // points in parallel and still produce row-for-row identical results.
-// Adapter state is per station and must never be shared across
+// A Minstrel's state is per station and must never be shared across
 // stations or networks.
 //
 // # HACK extension points

@@ -192,7 +192,6 @@ func htConfig(addr Addr) Config {
 	return Config{
 		Addr:        addr,
 		DataRate:    phy.HTRate(7, 1),
-		AIFSN:       3,
 		Aggregation: true,
 		TXOPLimit:   4 * sim.Millisecond,
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 // RateAdapter selects the PHY rate for data frames, per destination,
-// and learns from transmission outcomes. Four adapters are built in
+// and learns from transmission outcomes. Four strategies are built in
 // (ParseAdapterSpec's vocabulary, scenario.WithRateAdapter's axis):
 //
 //	adapter   selection rule                    loss regime it targets           determinism
@@ -19,15 +19,15 @@ import (
 //	fixed     pin one configured rate           none: the paper's per-           stateless; no RNG
 //	          (FixedRate)                       experiment methodology — the
 //	                                            experiment chooses the regime
-//	ideal     highest rate with FER ≤ 1e-3      negligible loss only: steps      oracle; choice cached per
-//	          per MPDU, from the channel's      down a rate rather than ever     destination; no RNG
-//	          SNR→FER tables (IdealSNR, ns-3    operate lossy (ns-3's rule,
-//	          IdealWifiManager style)           and the historic workaround
+//	ideal     highest rate with FER ≤ 1e-3      negligible loss only: steps      oracle; one rate per
+//	          per MPDU, from the channel's      down a rate rather than ever     network, chosen when it
+//	          SNR→FER tables (IdealRate, ns-3   operate lossy (ns-3's rule,      is built and pinned with
+//	          IdealWifiManager style)           and the historic workaround      FixedRate; no RNG
 //	                                            for the MORE-DATA collapse)
-//	argmax    argmax over rate of               deliberate ~1% per-MPDU FER      oracle; choice cached per
-//	          rate × (1−FER)^BatchLen           when the rate step pays for      destination; no RNG
-//	          (ExpectedGoodput)                 it: requires the loss-
-//	                                            resilient HACK recovery
+//	argmax    argmax over rate of               deliberate ~1% per-MPDU FER      oracle; one rate per
+//	          rate × (1−FER)^batch              when the rate step pays for      network, chosen when it
+//	          (ArgmaxRate)                      it: requires the loss-           is built and pinned with
+//	                                            resilient HACK recovery          FixedRate; no RNG
 //	                                            (internal/hack state machine)
 //	minstrel  EWMA per-rate delivery probs,     any: learns the live loss        probe schedule drawn from
 //	          throughput ranking, periodic      process from MPDU outcomes       an RNG forked off the
@@ -39,19 +39,17 @@ import (
 // A-MPDU of k MPDUs produces one RateFor call and k OnTxResult calls.
 // Implementations must be deterministic: any randomness must come from
 // an RNG forked off the owning station's scheduler, never from global
-// sources. Adapters are per-station state and are not safe for
-// concurrent use; campaigns get one adapter instance per station per
-// network, exactly like the medium's forked RNG.
+// sources. An adapter that learns, like Minstrel, holds per-station
+// state: it is not safe for concurrent use and must not be shared
+// between stations or networks, so campaigns get one instance per
+// station per network, exactly like the medium's forked RNG.
 type RateAdapter interface {
-	// RateFor returns the PHY rate for the next data frame to dst. A
-	// zero Rate tells the station to fall back to its configured
-	// DataRate.
+	// RateFor returns the PHY rate for the next data frame to dst.
 	RateFor(dst Addr) phy.Rate
 	// OnTxResult reports the fate of one MPDU sent to dst at rate:
 	// ok is true when a (Block) ACK confirmed delivery, false when the
 	// attempt failed (timeout or unacknowledged in a Block ACK).
-	// retries is the MPDU's retry count at resolution time.
-	OnTxResult(dst Addr, rate phy.Rate, ok bool, retries int)
+	OnTxResult(dst Addr, rate phy.Rate, ok bool)
 }
 
 // FixedRate pins every transmission to one rate — the seed behavior,
@@ -64,12 +62,20 @@ type FixedRate struct {
 func (f FixedRate) RateFor(Addr) phy.Rate { return f.Rate }
 
 // OnTxResult implements RateAdapter.
-func (FixedRate) OnTxResult(Addr, phy.Rate, bool, int) {}
+func (FixedRate) OnTxResult(Addr, phy.Rate, bool) {}
 
-// IdealSNR is the oracle adapter: it knows the channel's SNR on each
-// link and picks, from the channel's SNR→error tables, the highest
-// rate whose frame error rate is negligible (at most TargetFER per
-// RefLen-byte MPDU) — the threshold strategy of ns-3's
+// The oracles evaluate each rate's frame error rate at a 1538-byte
+// MPDU, an MSS-sized TCP segment on the air; IdealRate treats a
+// per-MPDU FER of at most 1e-3 as negligible.
+const (
+	oracleRefLen   = 1538
+	idealTargetFER = 1e-3
+)
+
+// IdealRate is the threshold oracle ("ideal"): from the channel's
+// SNR→error tables it picks, among rates (in increasing-rate order),
+// the highest whose frame error rate at snrDB is negligible — at most
+// 1e-3 per 1538-byte MPDU, the threshold strategy of ns-3's
 // IdealWifiManager. When no rate qualifies (deep in the low-SNR
 // regime) it falls back to maximizing expected per-MPDU goodput
 // rate × (1 − FER). It replaces the Figure 11 trick of sweeping every
@@ -81,73 +87,12 @@ func (FixedRate) OnTxResult(Addr, phy.Rate, bool, int) {}
 // MPDU in most A-MPDUs once ~50 are aggregated, and the protocol-level
 // cost of those losses (Block ACK recovery, TCP dynamics) exceeds the
 // raw 1 − FER factor.
-//
-// Without an SNR source (SNRFor nil or reporting !ok, e.g. a lossless
-// or uniform-loss channel whose error rate is rate-independent) the
-// oracle picks the highest candidate rate, which is then optimal.
-type IdealSNR struct {
-	// Rates is the candidate set, in increasing-rate order
-	// (phy.RateFamily builds the usual ones).
-	Rates []phy.Rate
-	// SNRFor reports the link SNR toward dst in dB, if the channel has
-	// a notion of SNR (see channel.FindSNRModel).
-	SNRFor func(dst Addr) (snrDB float64, ok bool)
-	// RefLen is the MPDU length used to evaluate the frame error rate
-	// (default 1538, an MSS-sized TCP segment on the air).
-	RefLen int
-	// TargetFER is the highest per-MPDU frame error rate considered
-	// negligible (default 1e-3).
-	TargetFER float64
-
-	choice map[Addr]phy.Rate
-}
-
-// oracleRateFor is the shared skeleton of the SNR-oracle adapters:
-// resolve the per-destination choice once via pick (the oracles'
-// channel models are static), falling back to the highest candidate
-// when the channel has no SNR notion, and cache it.
-func oracleRateFor(rates []phy.Rate, snrFor func(Addr) (float64, bool),
-	choice *map[Addr]phy.Rate, dst Addr, pick func(snrDB float64) phy.Rate) phy.Rate {
-	if r, ok := (*choice)[dst]; ok {
-		return r
-	}
-	if len(rates) == 0 {
-		return phy.Rate{}
-	}
-	best := rates[len(rates)-1]
-	if snrFor != nil {
-		if snr, ok := snrFor(dst); ok {
-			best = pick(snr)
-		}
-	}
-	if *choice == nil {
-		*choice = make(map[Addr]phy.Rate)
-	}
-	(*choice)[dst] = best
-	return best
-}
-
-// RateFor implements RateAdapter. The per-destination choice is
-// computed once and cached — the SNR models are static.
-func (a *IdealSNR) RateFor(dst Addr) phy.Rate {
-	return oracleRateFor(a.Rates, a.SNRFor, &a.choice, dst, a.pick)
-}
-
-// pick applies the threshold rule at one SNR.
-func (a *IdealSNR) pick(snrDB float64) phy.Rate {
-	refLen := a.RefLen
-	if refLen == 0 {
-		refLen = 1538
-	}
-	target := a.TargetFER
-	if target == 0 {
-		target = 1e-3
-	}
-	fallback, fallbackScore := a.Rates[0], -1.0
-	for i := len(a.Rates) - 1; i >= 0; i-- {
-		r := a.Rates[i]
-		fer := channel.FrameErrorRate(r, snrDB, refLen)
-		if fer <= target {
+func IdealRate(rates []phy.Rate, snrDB float64) phy.Rate {
+	fallback, fallbackScore := rates[0], -1.0
+	for i := len(rates) - 1; i >= 0; i-- {
+		r := rates[i]
+		fer := channel.FrameErrorRate(r, snrDB, oracleRefLen)
+		if fer <= idealTargetFER {
 			return r // highest qualifying rate: candidates are ordered
 		}
 		if score := r.Mbps() * (1 - fer); score > fallbackScore {
@@ -157,67 +102,28 @@ func (a *IdealSNR) pick(snrDB float64) phy.Rate {
 	return fallback
 }
 
-// OnTxResult implements RateAdapter; the oracle does not learn.
-func (*IdealSNR) OnTxResult(Addr, phy.Rate, bool, int) {}
-
-// ExpectedGoodput is the expected-goodput argmax oracle ("argmax"): it
-// knows the channel's SNR like IdealSNR but, instead of thresholding
-// on a negligible FER, picks the rate maximizing
+// ArgmaxRate is the expected-goodput argmax oracle ("argmax"): it
+// knows the channel's SNR like IdealRate but, instead of thresholding
+// on a negligible FER, picks among rates the one maximizing
 //
-//	rate × (1 − FER(snr, rate, RefLen))^BatchLen
+//	rate × (1 − FER(snrDB, rate, 1538 B))^batch
 //
-// — the expected goodput of a whole link-layer batch. BatchLen models
-// the protocol-level cost of a loss anywhere in an A-MPDU (Block ACK
-// recovery, retransmission airtime, TCP dynamics): with BatchLen 64 a
-// per-MPDU FER of 1% costs the whole batch a factor (0.99)^64 ≈ 0.53,
-// which is what pushes the argmax away from marginal rates that the
-// raw per-MPDU expectation would still favor.
+// — the expected goodput of a whole link-layer batch. batch models the
+// protocol-level cost of a loss anywhere in an A-MPDU (Block ACK
+// recovery, retransmission airtime, TCP dynamics): with batch 64 (the
+// Block ACK window, BAWindowSize) a per-MPDU FER of 1% costs the whole
+// batch a factor (0.99)^64 ≈ 0.53, which is what pushes the argmax
+// away from marginal rates that the raw per-MPDU expectation (batch 1)
+// would still favor.
 //
-// This is the adapter the IdealSNR threshold deliberately stood in
-// for while HACK's recovery collapsed in the ~1% per-MPDU FER regime:
-// the argmax intentionally operates there, so it requires the
+// This is the rule the IdealRate threshold deliberately stood in for
+// while HACK's recovery collapsed in the ~1% per-MPDU FER regime: the
+// argmax intentionally operates there, so it requires the
 // loss-resilient recovery machine (internal/hack) to be worth running.
-// Like IdealSNR it is an oracle — it neither probes nor learns — and
-// falls back to the highest candidate rate when the channel has no
-// SNR notion.
-type ExpectedGoodput struct {
-	// Rates is the candidate set, in increasing-rate order
-	// (phy.RateFamily builds the usual ones).
-	Rates []phy.Rate
-	// SNRFor reports the link SNR toward dst in dB, if the channel has
-	// a notion of SNR (see channel.FindSNRModel).
-	SNRFor func(dst Addr) (snrDB float64, ok bool)
-	// RefLen is the MPDU length used to evaluate the frame error rate
-	// (default 1538, an MSS-sized TCP segment on the air).
-	RefLen int
-	// BatchLen is the batch size the per-MPDU survival probability is
-	// raised to (default 1; aggregated setups use the Block ACK window
-	// — BAWindowSize — since one A-MPDU elicits that many fates at
-	// once).
-	BatchLen int
-
-	choice map[Addr]phy.Rate
-}
-
-// RateFor implements RateAdapter. The per-destination choice is
-// computed once and cached — the SNR models are static.
-func (a *ExpectedGoodput) RateFor(dst Addr) phy.Rate {
-	return oracleRateFor(a.Rates, a.SNRFor, &a.choice, dst, a.pick)
-}
-
-// pick applies the argmax rule at one SNR.
-func (a *ExpectedGoodput) pick(snrDB float64) phy.Rate {
-	refLen := a.RefLen
-	if refLen == 0 {
-		refLen = 1538
-	}
-	batch := a.BatchLen
-	if batch == 0 {
-		batch = 1
-	}
-	best, bestScore := a.Rates[0], -1.0
-	for _, r := range a.Rates {
-		fer := channel.FrameErrorRate(r, snrDB, refLen)
+func ArgmaxRate(rates []phy.Rate, snrDB float64, batch int) phy.Rate {
+	best, bestScore := rates[0], -1.0
+	for _, r := range rates {
+		fer := channel.FrameErrorRate(r, snrDB, oracleRefLen)
 		score := r.Mbps() * math.Pow(1-fer, float64(batch))
 		if score > bestScore {
 			best, bestScore = r, score
@@ -225,9 +131,6 @@ func (a *ExpectedGoodput) pick(snrDB float64) phy.Rate {
 	}
 	return best
 }
-
-// OnTxResult implements RateAdapter; the oracle does not learn.
-func (*ExpectedGoodput) OnTxResult(Addr, phy.Rate, bool, int) {}
 
 // MinstrelConfig parameterizes a Minstrel adapter. Zero fields take
 // the defaults noted on each field. All intervals are counted in data
@@ -343,9 +246,6 @@ func (m *Minstrel) index(r phy.Rate) int {
 
 // RateFor implements RateAdapter.
 func (m *Minstrel) RateFor(dst Addr) phy.Rate {
-	if len(m.cfg.Rates) == 0 {
-		return phy.Rate{}
-	}
 	d := m.dst(dst)
 	d.frames++
 	// Regular updates every minstrelUpdateEvery frames, plus one
@@ -390,7 +290,7 @@ func (m *Minstrel) RateFor(dst Addr) phy.Rate {
 }
 
 // OnTxResult implements RateAdapter.
-func (m *Minstrel) OnTxResult(dst Addr, rate phy.Rate, ok bool, retries int) {
+func (m *Minstrel) OnTxResult(dst Addr, rate phy.Rate, ok bool) {
 	i := m.index(rate)
 	if i < 0 {
 		return
@@ -406,7 +306,6 @@ func (m *Minstrel) OnTxResult(dst Addr, rate phy.Rate, ok bool, retries int) {
 	} else {
 		d.consecFails++
 	}
-	_ = retries
 }
 
 // update folds the current sampling windows into the EWMA statistics

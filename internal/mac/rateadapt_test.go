@@ -51,27 +51,17 @@ func TestParseAdapterSpec(t *testing.T) {
 
 func TestIdealSNRThreshold(t *testing.T) {
 	rates := phy.RatesHT40SGI1()
-	mk := func(snr float64, ok bool) *IdealSNR {
-		return &IdealSNR{
-			Rates:  rates,
-			SNRFor: func(Addr) (float64, bool) { return snr, ok },
-		}
-	}
-	// No SNR notion (lossless / uniform loss): highest rate.
-	if r := mk(0, false).RateFor(1); r.MCS != 7 {
-		t.Errorf("no-SNR oracle chose %v, want MCS7", r)
-	}
 	// High SNR: every rate is clean, highest wins.
-	if r := mk(30, true).RateFor(1); r.MCS != 7 {
+	if r := IdealRate(rates, 30); r.MCS != 7 {
 		t.Errorf("SNR 30 chose %v, want MCS7", r)
 	}
 	// SNR 25: MCS7's ~1%-per-MPDU FER violates the negligible-loss
 	// threshold; MCS6 is the highest clean rate.
-	if r := mk(25, true).RateFor(1); r.MCS != 6 {
+	if r := IdealRate(rates, 25); r.MCS != 6 {
 		t.Errorf("SNR 25 chose %v, want MCS6", r)
 	}
 	// SNR 10: MCS2 loses ~18% of MPDUs; MCS1 is clean.
-	if r := mk(10, true).RateFor(1); r.MCS != 1 {
+	if r := IdealRate(rates, 10); r.MCS != 1 {
 		t.Errorf("SNR 10 chose %v, want MCS1", r)
 	}
 	// Monotonicity in the thresholded regime (where at least one rate
@@ -79,16 +69,44 @@ func TestIdealSNRThreshold(t *testing.T) {
 	// chosen rate never decreases with SNR.
 	prev := 0
 	for snr := 5.0; snr <= 35; snr += 0.5 {
-		r := mk(snr, true).RateFor(1)
+		r := IdealRate(rates, snr)
 		if r.Kbps < prev {
 			t.Fatalf("chosen rate decreased at SNR %.1f: %v", snr, r)
 		}
 		prev = r.Kbps
 	}
-	// The choice is cached per destination.
-	a := mk(25, true)
-	if a.RateFor(1) != a.RateFor(1) {
-		t.Error("oracle choice not stable")
+}
+
+// TestArgmaxRate: the batch argmax picks the top rate on a clean
+// channel; scoring a whole Block ACK window's survival never picks a
+// faster rate than scoring one MPDU, and does pick a slower one
+// somewhere; and neither choice gets slower as the SNR rises.
+func TestArgmaxRate(t *testing.T) {
+	rates := phy.RatesHT40SGI1()
+	for _, batch := range []int{1, BAWindowSize} {
+		if r := ArgmaxRate(rates, 35, batch); r.MCS != 7 {
+			t.Errorf("batch %d at SNR 35 chose %v, want MCS7", batch, r)
+		}
+	}
+	prev1, prev64, differ := 0, 0, 0
+	for snr := 0.0; snr <= 35; snr += 0.5 {
+		r1, r64 := ArgmaxRate(rates, snr, 1), ArgmaxRate(rates, snr, BAWindowSize)
+		if r64.Kbps > r1.Kbps {
+			t.Errorf("SNR %.1f: batch %d chose %v, faster than batch 1's %v", snr, BAWindowSize, r64, r1)
+		}
+		if r1.Kbps < prev1 || r64.Kbps < prev64 {
+			t.Errorf("SNR %.1f: choice got slower as the SNR rose (batch 1 %v, batch %d %v)", snr, r1, BAWindowSize, r64)
+		}
+		if r1 != r64 {
+			if differ == 0 {
+				t.Logf("first SNR where the batches differ: %.1f dB (batch 1 %v, batch %d %v)", snr, r1, BAWindowSize, r64)
+			}
+			differ++
+		}
+		prev1, prev64 = r1.Kbps, r64.Kbps
+	}
+	if differ == 0 {
+		t.Errorf("batch 1 and batch %d chose the same rate at every SNR from 0 to 35 dB", BAWindowSize)
 	}
 }
 
@@ -102,7 +120,7 @@ func driveMinstrel(m *Minstrel, dst Addr, frames, mpdusPerFrame int, snrDB float
 		chosen = append(chosen, r)
 		per := channel.FrameErrorRate(r, snrDB, 1538)
 		for k := 0; k < mpdusPerFrame; k++ {
-			m.OnTxResult(dst, r, rng.Float64() >= per, 0)
+			m.OnTxResult(dst, r, rng.Float64() >= per)
 		}
 	}
 	return chosen
@@ -194,13 +212,13 @@ func TestMinstrelFallbackAfterFailures(t *testing.T) {
 	// notice, but the fallback must kick in after minstrelFallbackAfter
 	// consecutive failures.
 	for i := 0; i < minstrelFallbackAfter; i++ {
-		m.OnTxResult(1, phy.HTRate(7, 1), false, i)
+		m.OnTxResult(1, phy.HTRate(7, 1), false)
 	}
 	r := m.RateFor(1)
 	if r.Kbps == phy.HTRate(7, 1).Kbps {
 		t.Fatalf("after %d consecutive failures the adapter still uses MCS7", minstrelFallbackAfter)
 	}
-	m.OnTxResult(1, r, true, 0)
+	m.OnTxResult(1, r, true)
 	// A success clears the burst; once stats re-update MCS7 can win
 	// again. Immediately we must at least be off the fallback path.
 	if got := m.RateFor(1); got.Kbps != m.cfg.Rates[m.dst(1).best].Kbps {
@@ -216,6 +234,6 @@ func TestFixedRateNoops(t *testing.T) {
 		if r := f.RateFor(Addr(i)); r != phy.RateA54 {
 			t.Fatalf("FixedRate returned %v", r)
 		}
-		f.OnTxResult(Addr(i), phy.RateA54, i%2 == 0, i)
+		f.OnTxResult(Addr(i), phy.RateA54, i%2 == 0)
 	}
 }

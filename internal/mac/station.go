@@ -18,20 +18,19 @@ type Config struct {
 	Pos  channel.Pos
 
 	// DataRate is the PHY rate for data frames when no RateAdapter is
-	// installed (the paper fixes rates per experiment), and the
-	// fallback when an adapter declines to pick.
+	// installed (the paper fixes rates per experiment). It also sets
+	// the arbitration IFS: the 802.11n EDCA best-effort class
+	// (AIFSN 3) for an HT rate, 802.11a DCF (DIFS, AIFSN 2) otherwise.
 	DataRate phy.Rate
 	// RateAdapter selects the data rate per destination; nil pins
-	// DataRate (FixedRate). Adapters hold per-station state and must
-	// not be shared between stations or networks.
+	// DataRate (FixedRate). An adapter that learns, like Minstrel,
+	// holds per-station state and must not be shared between stations
+	// or networks.
 	RateAdapter RateAdapter
 	// AckRate overrides the control-response rate; zero derives it
 	// from the eliciting frame per the 802.11 basic-rate rules.
 	AckRate phy.Rate
 
-	// AIFSN selects the arbitration IFS: 2 reproduces 802.11a DCF
-	// (DIFS), 3 the 802.11n EDCA best-effort class.
-	AIFSN int
 	// CWMin is the initial contention window; it doubles per retry up
 	// to phy.CWMax.
 	CWMin int
@@ -79,9 +78,6 @@ const maxAMPDULen = 65535
 func (c Config) withDefaults() Config {
 	if c.DataRate.IsZero() {
 		c.DataRate = phy.RateA54
-	}
-	if c.AIFSN == 0 {
-		c.AIFSN = 2
 	}
 	if c.CWMin == 0 {
 		c.CWMin = phy.CWMin
@@ -393,17 +389,6 @@ func (st *Station) ackRateFor(dataRate phy.Rate) phy.Rate {
 	return phy.ControlResponseRate(dataRate)
 }
 
-// dataRateFor returns the rate for the next data frame to q's
-// destination, consulting the adapter and falling back to the
-// configured DataRate.
-func (st *Station) dataRateFor(q *destQueue) phy.Rate {
-	r := st.cfg.RateAdapter.RateFor(q.dst)
-	if r.IsZero() {
-		return st.cfg.DataRate
-	}
-	return r
-}
-
 // lastRateFor returns the rate of the most recent data PPDU to q's
 // destination, for attributing late MPDU resolutions.
 func (st *Station) lastRateFor(q *destQueue) phy.Rate {
@@ -539,7 +524,7 @@ func (st *Station) pickQueue() *destQueue {
 
 // sendData builds and transmits the next data PPDU for q.
 func (st *Station) sendData(q *destQueue, waited sim.Duration) {
-	rate := st.dataRateFor(q)
+	rate := st.cfg.RateAdapter.RateFor(q.dst)
 	q.lastDataRate = rate
 	frame := st.buildFrame(q, rate)
 	wire := frame.WireLen(rate.HT)
@@ -914,7 +899,7 @@ func (st *Station) recordDelivered(q *destQueue, m *MPDU) {
 	} else {
 		st.Stats.DeliveredRetried++
 	}
-	st.cfg.RateAdapter.OnTxResult(q.dst, st.lastRateFor(q), true, m.Retries)
+	st.cfg.RateAdapter.OnTxResult(q.dst, st.lastRateFor(q), true)
 	if st.cfg.Tracer != nil {
 		st.traceFate(q, m, trace.FateDelivered)
 	}
@@ -934,7 +919,7 @@ func (st *Station) traceFate(q *destQueue, m *MPDU, fate trace.Fate) {
 // retransmission, or drops it once its retry budget is spent and
 // reports dropped=true.
 func (st *Station) retryOrDrop(q *destQueue, m *MPDU) (dropped bool) {
-	st.cfg.RateAdapter.OnTxResult(q.dst, st.lastRateFor(q), false, m.Retries)
+	st.cfg.RateAdapter.OnTxResult(q.dst, st.lastRateFor(q), false)
 	m.Retries++
 	if m.Retries > st.cfg.RetryLimit {
 		st.Stats.Expired++

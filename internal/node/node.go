@@ -44,32 +44,32 @@ type Config struct {
 	Mode hack.Mode
 
 	// PHY/MAC.
-	DataRate phy.Rate
+	DataRate phy.Rate // zero: mac's default, 54 Mbps 802.11a
 	AckRate  phy.Rate // zero: 802.11 control-response rules
-	// RateAdapter selects per-station rate adaptation, in
-	// mac.ParseAdapterSpec's vocabulary: "" or "fixed" pins DataRate
-	// (the paper's fixed-rate methodology), "fixed:<rate>" pins a
-	// named rate, "ideal" is the negligible-FER threshold oracle,
-	// "argmax" the expected-goodput argmax oracle, "minstrel" the
-	// sampling adapter. Every station gets its own adapter instance
-	// with per-network deterministic state. Invalid specs panic in
-	// New; CLIs should pre-validate with mac.ParseAdapterSpec.
+	// RateAdapter selects rate adaptation, in mac.ParseAdapterSpec's
+	// vocabulary: "" or "fixed" pins DataRate (the paper's fixed-rate
+	// methodology), "fixed:<rate>" pins a named rate, "ideal" is the
+	// negligible-FER threshold oracle (mac.IdealRate), "argmax" the
+	// expected-goodput argmax oracle (mac.ArgmaxRate), "minstrel" the
+	// sampling adapter. New resolves an oracle once, to one rate that
+	// every station pins; each station gets its own Minstrel, with
+	// per-network deterministic state. Invalid specs panic in New; CLIs
+	// should pre-validate with mac.ParseAdapterSpec.
 	RateAdapter     string
 	Aggregation     bool
 	TXOPLimit       sim.Duration
 	AckTurnaround   sim.Duration // SoRa LL ACK lateness (all stations)
 	AckTimeoutSlack sim.Duration // widened ACK timeout to match
 
-	// Topology.
+	// Topology. Clients sizes the implicit BSS, and every BSSSpec that
+	// sets none (scenario.New starts from one client).
 	Clients   int
 	ClientPos func(i int) channel.Pos // default: circle of radius 10 m
 	Err       channel.ErrorModel      // default: lossless
-	// APPos places the (first) AP; the default origin matches the
-	// paper's star topology.
-	APPos channel.Pos
 	// BSSs, when non-empty, replaces the single-BSS topology: one
 	// entry per BSS, all sharing the medium. Empty means one implicit
-	// BSS built from APPos/Clients/ClientPos (the legacy layout).
+	// BSS, its AP at the origin (the paper's star topology), built
+	// from Clients and ClientPos.
 	BSSs []BSSSpec
 	// Geometry, when non-nil, switches the shared medium to the
 	// spatial PHY (per-pair path loss, per-receiver carrier sense,
@@ -77,8 +77,8 @@ type Config struct {
 	Geometry *channel.Geometry
 
 	// APQueueLimit sizes the AP's transmit queue: the paper uses 126
-	// packets per flow ("three batches of 42"). A client's queue holds
-	// 1000.
+	// packets per flow ("three batches of 42"), scenario.New's value;
+	// zero leaves it unbounded. A client's queue holds 1000.
 	APQueueLimit int
 
 	// Wire (server—AP). WireRate 0 disables the server (AP hosts
@@ -108,14 +108,8 @@ const (
 )
 
 func (c Config) withDefaults() Config {
-	if c.DataRate.IsZero() {
-		c.DataRate = phy.RateA54
-	}
-	if c.Clients == 0 {
-		c.Clients = 1
-	}
 	if len(c.BSSs) == 0 {
-		c.BSSs = []BSSSpec{{APPos: c.APPos, Clients: c.Clients, ClientPos: c.ClientPos}}
+		c.BSSs = []BSSSpec{{Clients: c.Clients, ClientPos: c.ClientPos}}
 	} else {
 		// Fill defaults into a copy: the caller's slice may be shared,
 		// e.g. by every point of a campaign that sweeps clients.
@@ -133,9 +127,6 @@ func (c Config) withDefaults() Config {
 				return channel.Pos{X: ap.X + float64(10*math.Cos(angle)), Y: ap.Y + float64(10*math.Sin(angle))}
 			}
 		}
-	}
-	if c.APQueueLimit == 0 {
-		c.APQueueLimit = 126
 	}
 	if c.WireDelay == 0 {
 		c.WireDelay = sim.Millisecond
@@ -372,54 +363,30 @@ func New(cfg Config) *Network {
 	if err != nil {
 		panic(fmt.Sprintf("node: %v", err))
 	}
-	// The oracle adapters read every link's SNR off the channel's SNR
-	// model, and know none without one.
-	snrFor := func(mac.Addr) (float64, bool) { return 0, false }
-	if snr := channel.FindSNRModel(cfg.Err); snr != nil {
-		snrFor = func(mac.Addr) (float64, bool) { return snr.SNRDB, true }
+	pinned := adapterSpec.Rate
+	if adapterSpec.Kind == mac.AdapterIdeal || adapterSpec.Kind == mac.AdapterArgmax {
+		pinned = oracleRate(cfg, adapterSpec.Kind)
 	}
-	// AIFSN: 802.11n EDCA best effort for HT rates, 802.11a DCF
-	// otherwise.
-	aifsn := 2
-	if cfg.DataRate.HT {
-		aifsn = phy.AIFSNBestEffort
-	}
-	// newAdapter builds one per-station adapter instance. Minstrel
-	// forks its probe-schedule RNG off the network scheduler (like the
-	// medium's RNG fork), so campaigns stay deterministic and
-	// race-free; the fixed default returns nil so seed scenarios keep
+	// newAdapter builds one station's adapter. Minstrel learns per
+	// station and forks its probe-schedule RNG off the network
+	// scheduler (like the medium's RNG fork), so campaigns stay
+	// deterministic and race-free. Every other adapter pins one rate;
+	// the fixed default returns nil so seed scenarios keep
 	// bit-identical RNG streams.
 	newAdapter := func() mac.RateAdapter {
-		switch adapterSpec.Kind {
-		case mac.AdapterIdeal:
-			return &mac.IdealSNR{Rates: phy.RateFamily(cfg.DataRate), SNRFor: snrFor}
-		case mac.AdapterArgmax:
-			batch := 1
-			if cfg.Aggregation {
-				// One A-MPDU elicits a Block ACK window of per-MPDU
-				// fates; the argmax scores whole-batch survival.
-				batch = mac.BAWindowSize
-			}
-			return &mac.ExpectedGoodput{
-				Rates:    phy.RateFamily(cfg.DataRate),
-				BatchLen: batch,
-				SNRFor:   snrFor,
-			}
-		case mac.AdapterMinstrel:
+		switch {
+		case adapterSpec.Kind == mac.AdapterMinstrel:
 			return mac.NewMinstrel(mac.MinstrelConfig{Rates: phy.RateFamily(cfg.DataRate)}, sched.ForkRand())
-		default:
-			if !adapterSpec.Rate.IsZero() {
-				return mac.FixedRate{Rate: adapterSpec.Rate}
-			}
+		case pinned.IsZero():
 			return nil // mac defaults to FixedRate{DataRate}
 		}
+		return mac.FixedRate{Rate: pinned}
 	}
 	mkStation := func(addr mac.Addr, pos channel.Pos, queueLimit int) *mac.Station {
 		return mac.NewStation(sched, medium, mac.Config{
 			Addr: addr, Pos: pos,
 			DataRate: cfg.DataRate, AckRate: cfg.AckRate,
 			RateAdapter: newAdapter(),
-			AIFSN:       aifsn,
 			Aggregation: cfg.Aggregation, TXOPLimit: cfg.TXOPLimit,
 			QueueLimit:          queueLimit,
 			AckTurnaround:       cfg.AckTurnaround,
@@ -457,6 +424,29 @@ func New(cfg Config) *Network {
 		}
 	}
 	return n
+}
+
+// oracleRate resolves the "ideal" or "argmax" oracle to the one rate
+// every station of the network pins, from DataRate's family. The
+// channel's SNR model is one fixed SNR, the same on every link; a
+// channel without one loses frames with a probability that does not
+// depend on the rate, so the family's fastest rate is best there.
+func oracleRate(cfg Config, kind mac.AdapterKind) phy.Rate {
+	rates := phy.RateFamily(cfg.DataRate)
+	snr := channel.FindSNRModel(cfg.Err)
+	switch {
+	case snr == nil:
+		return rates[len(rates)-1]
+	case kind == mac.AdapterIdeal:
+		return mac.IdealRate(rates, snr.SNRDB)
+	}
+	// One A-MPDU elicits a Block ACK window of per-MPDU fates; the
+	// argmax scores whole-batch survival.
+	batch := 1
+	if cfg.Aggregation {
+		batch = mac.BAWindowSize
+	}
+	return mac.ArgmaxRate(rates, snr.SNRDB, batch)
 }
 
 // newNode builds a WifiNode around a MAC station.

@@ -20,6 +20,7 @@ func ht150Config(mode hack.Mode, clients int, seed int64) Config {
 		TXOPLimit:    4 * sim.Millisecond,
 		Clients:      clients,
 		WireRateKbps: 500_000,
+		APQueueLimit: 126,
 	}
 }
 
@@ -30,6 +31,7 @@ func a54Config(mode hack.Mode, clients int, seed int64) Config {
 		DataRate:     phy.RateA54,
 		Clients:      clients,
 		WireRateKbps: 500_000,
+		APQueueLimit: 126,
 	}
 }
 

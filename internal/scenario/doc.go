@@ -22,10 +22,11 @@
 //     repetition knobs.
 //   - WithRate: the PHY data rate. It releases the LL ACK rate back
 //     to the 802.11 control-response rules.
-//   - WithRateAdapter: per-station rate adaptation — "fixed" (pin the
-//     scenario rate), "fixed:<rate>", "ideal" (SNR oracle), "argmax"
-//     (expected-goodput oracle), or "minstrel" (sampling adapter).
-//     See mac.RateAdapter.
+//   - WithRateAdapter: rate adaptation — "fixed" (pin the scenario
+//     rate), "fixed:<rate>", "ideal" (SNR oracle), "argmax"
+//     (expected-goodput oracle), both resolved to one rate per
+//     network, or "minstrel" (a sampling adapter per station). See
+//     mac.RateAdapter.
 //   - WithUniformLoss, WithSNR: channel error models. These compose —
 //     each layers onto whatever model is already installed as
 //     independent loss processes.

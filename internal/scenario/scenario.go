@@ -88,13 +88,14 @@ func WithRate(r phy.Rate) Option {
 	}
 }
 
-// WithRateAdapter selects per-station rate adaptation by spec:
-// "fixed" (pin the scenario's data rate — the default), "fixed:<rate>"
-// (pin a named rate, e.g. "fixed:mcs3"), "ideal" (negligible-FER
-// threshold oracle from the channel's SNR→rate tables), "argmax"
-// (expected-goodput argmax oracle over the same tables — the regime
-// that needs the loss-resilient HACK recovery), or "minstrel"
-// (sampling adapter).
+// WithRateAdapter selects rate adaptation by spec: "fixed" (pin the
+// scenario's data rate — the default), "fixed:<rate>" (pin a named
+// rate, e.g. "fixed:mcs3"), "ideal" (negligible-FER threshold oracle
+// from the channel's SNR→rate tables), "argmax" (expected-goodput
+// argmax oracle over the same tables — the regime that needs the
+// loss-resilient HACK recovery), or "minstrel" (sampling adapter,
+// one per station). An oracle picks one rate for the whole network
+// when it is assembled.
 // Invalid specs panic when the network is assembled; CLIs should
 // pre-validate with mac.ParseAdapterSpec.
 func WithRateAdapter(spec string) Option {

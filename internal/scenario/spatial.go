@@ -23,35 +23,6 @@ func WithPathLoss() Option {
 	return WithGeometry(channel.DefaultGeometry())
 }
 
-// WithCSThreshold sets the spatial PHY's energy-detect carrier-sense
-// threshold in dBm, installing the default geometry first if none is
-// configured yet. Raising it shrinks the deferral footprint (more
-// spatial reuse, more hidden terminals); lowering it widens deferral
-// (more exposed terminals).
-func WithCSThreshold(dbm float64) Option {
-	return func(c *node.Config) {
-		if c.Geometry == nil {
-			c.Geometry = channel.DefaultGeometry()
-		} else {
-			g := *c.Geometry
-			c.Geometry = &g
-		}
-		c.Geometry.CSThresholdDBm = dbm
-	}
-}
-
-// WithPositions pins the AP and every client to explicit coordinates
-// (metres), setting the client count to len(clients). Combine with
-// WithPathLoss to make the geometry matter.
-func WithPositions(ap channel.Pos, clients ...channel.Pos) Option {
-	pts := append([]channel.Pos(nil), clients...)
-	return func(c *node.Config) {
-		c.APPos = ap
-		c.Clients = len(pts)
-		c.ClientPos = func(i int) channel.Pos { return pts[i] }
-	}
-}
-
 // WithBSSLayout replaces the single-BSS star with the given BSS specs,
 // all contending on one medium. Specs with zero Clients inherit the
 // scenario's client count (so a campaign's clients axis scales every

@@ -72,8 +72,9 @@
 //
 //   - a deterministic discrete-event 802.11a/n simulator
 //     (internal/sim, internal/phy, internal/channel, internal/mac),
-//     including per-station rate adaptation (WithRateAdapter: a fixed
-//     rate, an ideal-SNR oracle, or a Minstrel-style learner);
+//     including rate adaptation (WithRateAdapter: a fixed rate, an
+//     SNR oracle that picks one rate per network, or a Minstrel-style
+//     learner per station);
 //   - a standards-shaped TCP stack (internal/tcp) and real IPv4/TCP
 //     wire formats (internal/packet);
 //   - ROHC-style TCP ACK compression (internal/rohc);
@@ -158,8 +159,9 @@ var (
 	// WithRate sets the PHY data rate (LL ACK rate follows the 802.11
 	// control-response rules).
 	WithRate = scenario.WithRate
-	// WithRateAdapter selects per-station rate adaptation:
-	// "fixed", "fixed:<rate>", "ideal", "argmax", or "minstrel".
+	// WithRateAdapter selects rate adaptation: "fixed",
+	// "fixed:<rate>", "ideal", "argmax" (the oracles pick one rate per
+	// network), or "minstrel" (one learner per station).
 	WithRateAdapter = scenario.WithRateAdapter
 	// WithUniformLoss applies a uniform per-frame loss probability.
 	WithUniformLoss = scenario.WithUniformLoss
@@ -175,12 +177,6 @@ var (
 	// WithPathLoss switches to the spatial PHY with the default
 	// geometry (≈51.5 m sense/delivery range).
 	WithPathLoss = scenario.WithPathLoss
-	// WithCSThreshold sets the spatial PHY's energy-detect
-	// carrier-sense threshold in dBm.
-	WithCSThreshold = scenario.WithCSThreshold
-	// WithPositions pins the AP and every client to explicit
-	// coordinates: one Pos, in metres, per radio.
-	WithPositions = scenario.WithPositions
 	// WithBSSLayout replaces the single-BSS star with overlapping BSSs
 	// contending on one medium, one BSSSpec per BSS.
 	WithBSSLayout = scenario.WithBSSLayout
@@ -214,7 +210,8 @@ type (
 	// Geometry configures the spatial PHY: log-distance path loss,
 	// per-receiver carrier sensing, SINR capture.
 	Geometry = channel.Geometry
-	// BSSSpec declares one BSS of a multi-BSS layout (WithBSSLayout).
+	// BSSSpec declares one BSS of a multi-BSS layout (WithBSSLayout):
+	// its AP's Pos, its client count and each client's Pos.
 	BSSSpec = node.BSSSpec
 )
 
