@@ -40,7 +40,7 @@ func main() {
 	warmup := flag.Duration("warmup", 2*time.Second, "warmup before the measurement window")
 	snr := flag.Float64("snr", 0, "fixed SNR in dB (0 = lossless channel)")
 	loss := flag.Float64("loss", 0, "uniform per-frame loss probability (0 = lossless)")
-	sora := flag.Bool("sora", false, "apply the SoRa testbed artifacts (late LL ACKs, AP sender)")
+	sora := flag.Bool("sora", false, "apply the SoRa testbed preset: 802.11a at 54 Mbps, late LL ACKs, AP-resident sender")
 	seed := flag.Int64("seed", 1, "RNG seed")
 	upload := flag.Bool("upload", false, "upload instead of download")
 	rateStats := flag.Bool("rate-stats", false, "print the Minstrel adapters' learned per-rate statistics")
@@ -124,13 +124,7 @@ func main() {
 		})
 	}
 	if *sora {
-		// Only the testbed artifacts (late LL ACKs, AP-resident sender),
-		// leaving the -phy choice intact — the escape-hatch option.
-		opts = append(opts, tcphack.WithConfig(func(c *tcphack.NetworkConfig) {
-			c.AckTurnaround = 37 * tcphack.Microsecond
-			c.AckTimeoutSlack = 80 * tcphack.Microsecond
-			c.WireRateKbps = 0
-		}))
+		opts = append(opts, tcphack.WithSoRa())
 	}
 	if *snr != 0 {
 		opts = append(opts, tcphack.WithSNR(*snr))
@@ -196,7 +190,7 @@ func main() {
 		adapterName = "fixed"
 	}
 	fmt.Printf("%v  mode=%v  adapter=%s  %d client(s)  window=%v\n",
-		cfg.DataRate, mode, adapterName, cfg.Clients, *dur)
+		cfg.DataRate, mode, adapterName, len(n.Clients), *dur)
 	var total float64
 	for i, f := range n.Flows {
 		mbps := f.Goodput.WindowMbps(n.Sched.Now())
@@ -230,7 +224,7 @@ func main() {
 	}
 
 	if *rateStats {
-		printRateStats(n, cfg.Clients)
+		printRateStats(n)
 	}
 
 	if ledger != nil {
@@ -278,7 +272,7 @@ func printAirtime(rep tcphack.AirtimeReport) {
 // (mac.Minstrel.Snapshot): the AP's view toward each client and each
 // client's view toward the AP, when those stations run Minstrel and
 // have learned anything.
-func printRateStats(n *tcphack.Network, clients int) {
+func printRateStats(n *tcphack.Network) {
 	printed := false
 	dump := func(who string, stats []tcphack.RateStats) {
 		if stats == nil {
@@ -296,7 +290,7 @@ func printRateStats(n *tcphack.Network, clients int) {
 				s.Rate, s.Prob, s.TputKbps/1000, s.Attempts, s.Successes, best)
 		}
 	}
-	for ci := 0; ci < clients; ci++ {
+	for ci := range n.Clients {
 		dump(fmt.Sprintf("AP -> client %d", ci), n.APMinstrelStats(ci))
 		dump(fmt.Sprintf("client %d -> AP", ci), n.ClientMinstrelStats(ci))
 	}

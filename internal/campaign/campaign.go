@@ -42,10 +42,12 @@ type Axes struct {
 	Loss     []float64 // uniform per-frame loss probability
 	SNRsDB   []float64 // fixed channel SNR via the physical model
 	// Topologies sweeps registered topology names
-	// (scenario.RegisterTopology): spatial layouts, BSS plans, and
-	// geometry presets applied on top of the base configuration.
-	// Unknown names panic when the point is materialized; CLIs should
-	// pre-validate against scenario.TopologyNames.
+	// (scenario.TopologyNames). A topology replaces the base
+	// configuration's whole layout, its geometry and its BSS list
+	// ("default" clears both), and never sets a client count: the
+	// clients axis, or the base's count, sizes each BSS. Unknown names
+	// panic when the point is materialized; CLIs should pre-validate
+	// against scenario.TopologyNames.
 	Topologies []string
 }
 
@@ -68,12 +70,12 @@ type Point struct {
 	Clients  int       `json:"clients"`
 	Seed     int64     `json:"seed"`
 	Rate     phy.Rate  `json:"-"`
-	Adapter  string    `json:"adapter,omitempty"`  // rate-adapter spec; "" when unswept
+	Adapter  string    `json:"adapter,omitempty"`  // rate-adapter spec; the base's when unswept
 	LossPct  float64   `json:"loss_pct"`           // percent, 0 when the axis is unswept
 	SNRdB    float64   `json:"snr_db"`             // 0 when the axis is unswept
 	Topology string    `json:"topology,omitempty"` // topology name; "" when unswept
 
-	sweepRate, sweepAdapter, sweepLoss, sweepSNR, sweepTopology bool
+	sweepRate, sweepLoss, sweepSNR bool
 }
 
 // AxisValues returns the point's axis values as canonical strings,
@@ -291,8 +293,7 @@ func (s Spec) Points() []Point {
 		rates = []phy.Rate{s.Base.DataRate}
 	}
 	adapters := s.Axes.Adapters
-	sweepAdapter := len(adapters) > 0
-	if !sweepAdapter {
+	if len(adapters) == 0 {
 		adapters = []string{s.Base.RateAdapter}
 	}
 	loss := s.Axes.Loss
@@ -306,8 +307,7 @@ func (s Spec) Points() []Point {
 		snrs = []float64{0}
 	}
 	topos := s.Axes.Topologies
-	sweepTopology := len(topos) > 0
-	if !sweepTopology {
+	if len(topos) == 0 {
 		topos = []string{""}
 	}
 
@@ -324,9 +324,7 @@ func (s Spec) Points() []Point {
 										Index: len(pts), Mode: m, Clients: c, Seed: seed,
 										Rate: r, Adapter: a, LossPct: l * 100, SNRdB: snr,
 										Topology:  topo,
-										sweepRate: sweepRate, sweepAdapter: sweepAdapter,
-										sweepLoss: sweepLoss, sweepSNR: sweepSNR,
-										sweepTopology: sweepTopology,
+										sweepRate: sweepRate, sweepLoss: sweepLoss, sweepSNR: sweepSNR,
 									})
 								}
 							}
@@ -345,24 +343,17 @@ func (s Spec) config(pt Point) node.Config {
 	cfg.Mode = pt.Mode
 	cfg.Clients = pt.Clients
 	cfg.Seed = pt.Seed
-	if pt.sweepTopology {
+	cfg.RateAdapter = pt.Adapter
+	if pt.Topology != "" {
 		topo, ok := scenario.TopologyOption(pt.Topology)
 		if !ok {
 			panic(fmt.Sprintf("campaign: unknown topology %q (want one of %v)",
 				pt.Topology, scenario.TopologyNames()))
 		}
 		topo(&cfg)
-		// Topologies may pin a client count (WithGrid); the clients
-		// axis still wins when it is actually swept.
-		if len(s.Axes.Clients) > 0 {
-			cfg.Clients = pt.Clients
-		}
 	}
 	if pt.sweepRate {
 		scenario.WithRate(pt.Rate)(&cfg)
-	}
-	if pt.sweepAdapter {
-		scenario.WithRateAdapter(pt.Adapter)(&cfg)
 	}
 	if pt.sweepLoss {
 		scenario.WithUniformLoss(pt.LossPct / 100)(&cfg)

@@ -503,3 +503,45 @@ func TestMultiBSSBaseHonoursClientsAxis(t *testing.T) {
 		}
 	}
 }
+
+// TestTopologyReplacesBaseLayout: a topology replaces the base's whole
+// layout, its geometry and its BSS list, and sets no client count. So
+// every registered topology swept over a base with its own two-BSS
+// spatial layout gives the rows it gives over the plain 802.11n star,
+// and each row builds the client count it reports in each of the
+// topology's BSSs.
+func TestTopologyReplacesBaseLayout(t *testing.T) {
+	topos := scenario.TopologyNames()
+	sweep := func(base string) Results {
+		entry, ok := scenario.Lookup(base)
+		if !ok {
+			t.Fatalf("%s scenario not registered", base)
+		}
+		return Run(Spec{
+			Name:    base,
+			Base:    entry.Config(),
+			Axes:    Axes{Topologies: topos},
+			Warmup:  100 * sim.Millisecond,
+			Measure: 100 * sim.Millisecond,
+		})
+	}
+	hidden, star := sweep("2bss-hidden"), sweep("ht150-stock")
+	if len(hidden) != len(topos) || len(star) != len(topos) {
+		t.Fatalf("%d and %d rows, want %d each", len(hidden), len(star), len(topos))
+	}
+	for i, topo := range topos {
+		h, s := hidden[i], star[i]
+		h.Campaign, s.Campaign = "", ""
+		if !reflect.DeepEqual(h, s) {
+			t.Errorf("topology %s: rows differ by base:\n 2bss-hidden: %+v\n ht150-stock: %+v", topo, h, s)
+		}
+		var cfg node.Config
+		apply, _ := scenario.TopologyOption(topo)
+		apply(&cfg)
+		bsss := max(len(cfg.BSSs), 1)
+		if want := s.Clients * bsss; len(s.PerClientMbps) != want || s.FlowsTotal != want {
+			t.Errorf("topology %s: %d per-client goodputs and %d flows, want %d (%d clients × %d BSSs)",
+				topo, len(s.PerClientMbps), s.FlowsTotal, want, s.Clients, bsss)
+		}
+	}
+}

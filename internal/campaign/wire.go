@@ -32,7 +32,8 @@ type WireAxes struct {
 	// SNRsDB are fixed channel SNRs in dB.
 	SNRsDB []float64 `json:"snrs_db,omitempty"`
 	// Topologies are registered topology names
-	// (scenario.RegisterTopology vocabulary).
+	// (scenario.TopologyNames vocabulary); each replaces the base
+	// scenario's layout.
 	Topologies []string `json:"topologies,omitempty"`
 }
 

@@ -7,19 +7,20 @@
 //
 // Topology (the paper's §4.3 setup):
 //
-//	server ──(500 Mbps, 1 ms wire)── AP ))) clients (≤10, 10 m circle)
+//	server ──(500 Mbps, 1 ms wire)── AP ))) clients (10 m circle)
 //
 // For the SoRa testbed experiments (§4.1) the AP itself hosts the TCP
 // sender (the testbed ran iperf between SoRa nodes in ad-hoc mode), so
 // the wire is unused.
 //
-// Config.BSSs generalizes the topology to multiple overlapping BSSs —
-// each its own AP (with its own backhaul to the shared server) plus
-// client set, all contending on one channel.Medium — for the spatial
-// PHY scenarios (Config.Geometry). MAC addresses are globally unique
-// across BSSs and each AP bridges over WiFi only to its own clients,
-// so block-ack sessions and ROHC contexts can never cross BSSs. With
-// one BSS the assembly is bit-identical to the pre-spatial builds.
+// Config.BSSs is the whole layout: one entry per BSS — each its own AP
+// (with its own backhaul to the shared server) plus client set, all
+// contending on one channel.Medium — and an empty list is the star
+// above, one BSS with its AP at the origin. Config.Geometry decides
+// whether positions matter (the spatial PHY). MAC addresses are
+// globally unique across BSSs and each AP bridges over WiFi only to
+// its own clients, so block-ack sessions and ROHC contexts can never
+// cross BSSs.
 package node
 
 import (
@@ -61,15 +62,13 @@ type Config struct {
 	AckTurnaround   sim.Duration // SoRa LL ACK lateness (all stations)
 	AckTimeoutSlack sim.Duration // widened ACK timeout to match
 
-	// Topology. Clients sizes the implicit BSS, and every BSSSpec that
-	// sets none (scenario.New starts from one client).
-	Clients   int
-	ClientPos func(i int) channel.Pos // default: circle of radius 10 m
-	Err       channel.ErrorModel      // default: lossless
-	// BSSs, when non-empty, replaces the single-BSS topology: one
-	// entry per BSS, all sharing the medium. Empty means one implicit
-	// BSS, its AP at the origin (the paper's star topology), built
-	// from Clients and ClientPos.
+	// Topology. Clients sizes every BSS whose BSSSpec sets none
+	// (scenario.New starts from one client).
+	Clients int
+	Err     channel.ErrorModel // default: lossless
+	// BSSs is the layout: one entry per BSS, all sharing the medium.
+	// Empty means one BSS with its AP at the origin and Clients
+	// clients on a 10 m circle around it (the paper's star topology).
 	BSSs []BSSSpec
 	// Geometry, when non-nil, switches the shared medium to the
 	// spatial PHY (per-pair path loss, per-receiver carrier sense,
@@ -109,7 +108,7 @@ const (
 
 func (c Config) withDefaults() Config {
 	if len(c.BSSs) == 0 {
-		c.BSSs = []BSSSpec{{Clients: c.Clients, ClientPos: c.ClientPos}}
+		c.BSSs = []BSSSpec{{}}
 	} else {
 		// Fill defaults into a copy: the caller's slice may be shared,
 		// e.g. by every point of a campaign that sweeps clients.
@@ -134,10 +133,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// BSSSpec describes one BSS of a multi-BSS topology: an AP position
-// plus its client set. Zero Clients inherits Config.Clients (so a
-// campaign's clients axis scales every BSS together); nil ClientPos
-// defaults to a 10 m circle around the AP.
+// BSSSpec describes one BSS of a layout: an AP position plus its
+// client set. Zero Clients inherits Config.Clients (so a campaign's
+// clients axis scales every BSS together); nil ClientPos defaults to a
+// 10 m circle around the AP.
 type BSSSpec struct {
 	// APPos places the BSS's access point.
 	APPos channel.Pos

@@ -15,7 +15,7 @@ import (
 // default), so memoization stores built by older builds miss instead
 // of serving stale rows. Changes that cannot affect any Result (docs,
 // CLIs, the distribution layer itself) need no bump.
-const CodeVersion = "hack-sim-v6"
+const CodeVersion = "hack-sim-v7"
 
 // PointFingerprint hashes one grid point's content-addressed identity
 // — flat key=value fields (campaign.WireSpec.FingerprintFields) plus a

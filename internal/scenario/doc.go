@@ -1,8 +1,8 @@
 // Package scenario builds simulation configurations compositionally.
 // A scenario is a node.Config assembled from functional options — a
-// PHY/topology preset refined by per-axis options — plus a
-// process-wide registry that names the paper's scenarios so CLIs and
-// tests can enumerate and look them up by string.
+// PHY preset refined by per-axis options — plus a fixed table that
+// names the paper's scenarios so CLIs and tests can enumerate and look
+// them up by string.
 //
 // # Builder options
 //
@@ -18,8 +18,12 @@
 // late link-layer ACKs). Per-axis options:
 //
 //   - WithMode: the HACK ACK-holding policy (hack.ModeOff = stock).
-//   - WithClients, WithSeed, WithGrid, WithWire: topology and
-//     repetition knobs.
+//   - WithClients, WithSeed, WithWire: client count, repetition and
+//     backhaul knobs.
+//   - WithGrid, WithBSSLayout, WithGeometry, WithPathLoss: the
+//     layout. WithGrid and WithBSSLayout each write the whole BSS list
+//     (node.Config.BSSs), so whichever comes last decides it; the
+//     geometry decides whether positions matter.
 //   - WithRate: the PHY data rate. It releases the LL ACK rate back
 //     to the 802.11 control-response rules.
 //   - WithRateAdapter: rate adaptation — "fixed" (pin the scenario
@@ -30,16 +34,22 @@
 //   - WithUniformLoss, WithSNR: channel error models. These compose —
 //     each layers onto whatever model is already installed as
 //     independent loss processes.
-//   - WithConfig: the escape hatch for fields without an option.
 //
 // # Registry
 //
-// Register/Lookup/All maintain the named-scenario registry. The
-// built-ins cover each preset × HACK mode ("ht150-moredata",
-// "sora-stock", ...) plus rate-adaptive 802.11n variants
-// ("ht150-moredata-minstrel", "ht150-stock-ideal", ...). Entry.Config
-// re-applies the registered options, so extra options specialize a
-// named scenario without mutating the registry.
+// Lookup, All and WorkloadOf read the named scenarios: each preset ×
+// HACK mode ("ht150-moredata", "sora-stock", ...), the upload and
+// mixed 802.11n workloads, rate-adaptive 802.11n variants
+// ("ht150-moredata-minstrel", "ht150-stock-ideal", ...) and one
+// 802.11n scenario per spatial topology. TopologyNames and
+// TopologyOption read the named topologies, the campaign topology
+// axis: each is a layout, a geometry and a BSS list, and applying one
+// replaces the configuration's geometry and BSS list ("default" sets
+// both to nil) without setting a client count. Both tables are built
+// once, as the package initializes, and are only read after that, so
+// they need no lock. Entry.Config re-applies the entry's options, so
+// extra options specialize a named scenario without changing the
+// table.
 //
 // # Determinism
 //

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"tcphack/internal/channel"
 	"tcphack/internal/hack"
@@ -141,13 +140,23 @@ func GridPos(n int, spacing float64, i int) channel.Pos {
 	}
 }
 
-// WithGrid configures n clients on a √n×√n grid with the given spacing
-// in metres (see GridPos) — the topology for large-N scaling runs.
+// WithGrid lays out one BSS of n clients on a √n×√n grid with the
+// given spacing in metres, around its AP at the origin (see GridPos) —
+// the topology for large-N scaling runs. Like WithBSSLayout it
+// replaces the whole BSS list, and it sets the client count.
 func WithGrid(n int, spacing float64) Option {
+	bss := gridBSS(n, spacing)
 	return func(c *node.Config) {
 		c.Clients = n
-		c.ClientPos = func(i int) channel.Pos { return GridPos(n, spacing, i) }
+		c.BSSs = []node.BSSSpec{bss}
 	}
+}
+
+// gridBSS is one BSS at the origin whose client i sits at
+// GridPos(n, spacing, i). Clients stays 0, so the configuration's
+// client count sizes it.
+func gridBSS(n int, spacing float64) node.BSSSpec {
+	return node.BSSSpec{ClientPos: func(i int) channel.Pos { return GridPos(n, spacing, i) }}
 }
 
 // WithWire sets the server—AP wired backhaul (rateKbps 0 disables the
@@ -157,12 +166,6 @@ func WithWire(rateKbps int, delay sim.Duration) Option {
 		c.WireRateKbps = rateKbps
 		c.WireDelay = delay
 	}
-}
-
-// WithConfig overlays fn's arbitrary edits — the escape hatch for
-// fields without a dedicated option.
-func WithConfig(fn func(*node.Config)) Option {
-	return Option(fn)
 }
 
 // WithTracer attaches tr to every layer of the assembled network
@@ -192,48 +195,22 @@ func (e Entry) Config(extra ...Option) node.Config {
 	return New(append(append([]Option{}, e.opts...), extra...)...)
 }
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Entry{}
-)
-
-// Register names a scenario built from opts. Registering an existing
-// name replaces it.
-func Register(name, desc string, opts ...Option) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	registry[name] = Entry{Name: name, Desc: desc, opts: opts}
-}
-
-// RegisterWorkload names a scenario whose traffic pattern differs from
-// the default download workload — workload is "upload" or "mixed" (see
-// Entry.Workload). Registering an existing name replaces it.
-func RegisterWorkload(name, desc, workload string, opts ...Option) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	registry[name] = Entry{Name: name, Desc: desc, Workload: workload, opts: opts}
-}
+// registry holds the named scenarios. It is built once, as the
+// package initializes, and only read after that.
+var registry = scenarios()
 
 // WorkloadOf returns the named scenario's workload kind ("" for the
 // default download workload or an unknown name).
-func WorkloadOf(name string) string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return registry[name].Workload
-}
+func WorkloadOf(name string) string { return registry[name].Workload }
 
 // Lookup returns the named scenario entry.
 func Lookup(name string) (Entry, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	e, ok := registry[name]
 	return e, ok
 }
 
-// All returns registered entries sorted by name.
+// All returns the named scenarios sorted by name.
 func All() []Entry {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	entries := make([]Entry, 0, len(registry))
 	for _, e := range registry {
 		entries = append(entries, e)
@@ -242,7 +219,14 @@ func All() []Entry {
 	return entries
 }
 
-func init() {
+// scenarios builds the registry: each preset in each HACK mode, the
+// traffic-direction and rate-adaptive 802.11n variants, and the
+// spatial topologies as scenarios of their own.
+func scenarios() map[string]Entry {
+	reg := map[string]Entry{}
+	add := func(name, desc, workload string, opts ...Option) {
+		reg[name] = Entry{Name: name, Desc: desc, Workload: workload, opts: opts}
+	}
 	presets := []struct {
 		prefix, desc string
 		opt          func() Option
@@ -261,35 +245,37 @@ func init() {
 	}
 	for _, p := range presets {
 		for _, m := range modes {
-			Register(
-				fmt.Sprintf("%s-%s", p.prefix, m.suffix),
-				fmt.Sprintf("%s, HACK mode %v", p.desc, m.mode),
-				p.opt(), WithMode(m.mode),
-			)
+			add(fmt.Sprintf("%s-%s", p.prefix, m.suffix),
+				fmt.Sprintf("%s, HACK mode %v", p.desc, m.mode), "",
+				p.opt(), WithMode(m.mode))
 		}
 	}
 	// Traffic-direction variants of the 802.11n scenario: the paper's
 	// motivating upload case (wireless backup to LAN storage, §3.1)
 	// and a mixed up/down workload. Mode stays stock so -sweep-modes
 	// and WithMode choose the protocol.
-	RegisterWorkload("ht150-upload",
+	add("ht150-upload",
 		"150 Mbps 802.11n, clients uploading to the wired server (wireless backup, §3.1)",
 		"upload", With80211n())
-	RegisterWorkload("ht150-mixed",
+	add("ht150-mixed",
 		"150 Mbps 802.11n, mixed workload: clients alternate download/upload",
 		"mixed", With80211n())
-	// Rate-adaptive variants of the 802.11n scenarios: the same preset
-	// with a per-station adapter instead of the pinned 150 Mbps rate.
-	for _, m := range []struct {
-		suffix string
-		mode   hack.Mode
-	}{{"stock", hack.ModeOff}, {"moredata", hack.ModeMoreData}} {
+	// Rate-adaptive variants of the stock and MORE-DATA 802.11n
+	// scenarios: the same preset with a rate adapter instead of the
+	// pinned 150 Mbps rate.
+	for _, m := range modes[:2] {
 		for _, a := range []string{"minstrel", "ideal", "argmax"} {
-			Register(
-				fmt.Sprintf("ht150-%s-%s", m.suffix, a),
-				fmt.Sprintf("802.11n with %s rate adaptation, HACK mode %v", a, m.mode),
-				With80211n(), WithMode(m.mode), WithRateAdapter(a),
-			)
+			add(fmt.Sprintf("ht150-%s-%s", m.suffix, a),
+				fmt.Sprintf("802.11n with %s rate adaptation, HACK mode %v", a, m.mode), "",
+				With80211n(), WithMode(m.mode), WithRateAdapter(a))
 		}
 	}
+	// The spatial topologies on the 802.11n preset. A topology sets no
+	// client count, so the dense grid states its nine clients.
+	const spatial = "150 Mbps 802.11n on the spatial PHY, topology "
+	add("2bss-hidden", spatial+"2bss-hidden", "", With80211n(), topologies["2bss-hidden"].apply)
+	add("2bss-overlap", spatial+"2bss-overlap", "", With80211n(), topologies["2bss-overlap"].apply)
+	add("grid-3x3-dense", spatial+"grid-3x3-dense", "",
+		With80211n(), topologies["grid-3x3-dense"].apply, WithClients(9))
+	return reg
 }

@@ -78,7 +78,7 @@ func TestPerAxisOptions(t *testing.T) {
 		WithRate(phy.HTRate(3, 2)),
 		WithUniformLoss(0.05),
 		WithWire(100_000, 2*sim.Millisecond),
-		WithConfig(func(c *node.Config) { c.APQueueLimit = 4 }),
+		Option(func(c *node.Config) { c.APQueueLimit = 4 }),
 	)
 	if cfg.DataRate != phy.HTRate(3, 2) || !cfg.AckRate.IsZero() {
 		t.Errorf("rates: %v / %v", cfg.DataRate, cfg.AckRate)
@@ -91,7 +91,7 @@ func TestPerAxisOptions(t *testing.T) {
 		t.Errorf("wire: %d/%v", cfg.WireRateKbps, cfg.WireDelay)
 	}
 	if cfg.APQueueLimit != 4 {
-		t.Error("WithConfig escape hatch not applied")
+		t.Error("a plain Option was not applied")
 	}
 
 	cfg = New(WithSNR(17))
@@ -158,19 +158,32 @@ func TestRegistry(t *testing.T) {
 			t.Errorf("%q has no description", e.Name)
 		}
 	}
+}
 
-	Register("test-custom", "test entry", WithSoRa(), WithClients(5))
-	defer func() {
-		regMu.Lock()
-		delete(registry, "test-custom")
-		regMu.Unlock()
-	}()
-	e, ok := Lookup("test-custom")
-	if !ok {
-		t.Fatal("custom registration not found")
+// TestLastLayoutWins: WithGrid and WithBSSLayout each write the whole
+// BSS list, so whichever comes last decides the layout, and WithGrid
+// keeps setting its client count either way.
+func TestLastLayoutWins(t *testing.T) {
+	specs := []node.BSSSpec{{}, {APPos: channel.Pos{X: 30}}}
+	cfg := New(WithGrid(4, 5), WithBSSLayout(specs...))
+	if len(cfg.BSSs) != 2 || cfg.BSSs[1].APPos != specs[1].APPos || cfg.BSSs[0].ClientPos != nil {
+		t.Errorf("WithBSSLayout after WithGrid: BSSs %+v, want %+v", cfg.BSSs, specs)
 	}
-	if cfg := e.Config(); cfg.Clients != 5 || cfg.DataRate != phy.RateA54 {
-		t.Errorf("custom entry config: %+v", cfg)
+	if cfg.Clients != 4 {
+		t.Errorf("WithBSSLayout after WithGrid: clients %d, want WithGrid's 4", cfg.Clients)
+	}
+
+	cfg = New(WithBSSLayout(specs...), WithGrid(4, 5))
+	if len(cfg.BSSs) != 1 || cfg.BSSs[0].APPos != (channel.Pos{}) || cfg.BSSs[0].Clients != 0 {
+		t.Fatalf("WithGrid after WithBSSLayout: BSSs %+v, want one BSS at the origin", cfg.BSSs)
+	}
+	for i := 0; i < 4; i++ {
+		if got, want := cfg.BSSs[0].ClientPos(i), GridPos(4, 5, i); got != want {
+			t.Errorf("WithGrid after WithBSSLayout: client %d at %v, want %v", i, got, want)
+		}
+	}
+	if cfg.Clients != 4 {
+		t.Errorf("WithGrid after WithBSSLayout: clients %d, want 4", cfg.Clients)
 	}
 }
 

@@ -23,10 +23,11 @@ func WithPathLoss() Option {
 	return WithGeometry(channel.DefaultGeometry())
 }
 
-// WithBSSLayout replaces the single-BSS star with the given BSS specs,
-// all contending on one medium. Specs with zero Clients inherit the
-// scenario's client count (so a campaign's clients axis scales every
-// BSS together).
+// WithBSSLayout sets the BSS list to the given specs, all contending
+// on one medium; it replaces any earlier layout, WithGrid's included,
+// and no specs restore the single-BSS star. Specs with zero Clients
+// inherit the scenario's client count (so a campaign's clients axis
+// scales every BSS together).
 func WithBSSLayout(specs ...node.BSSSpec) Option {
 	layout := append([]node.BSSSpec(nil), specs...)
 	return func(c *node.Config) { c.BSSs = append([]node.BSSSpec(nil), layout...) }
@@ -58,54 +59,28 @@ func clusteredBSS(ap, center channel.Pos) node.BSSSpec {
 	}
 }
 
-// Topology registry: named position/BSS layouts that campaigns sweep
-// as the "topology" axis.
-var topoRegistry = map[string]topoEntry{}
-
-type topoEntry struct {
-	desc string
-	opts []Option
+// A topology is a named layout: the medium's geometry and the BSS
+// list. It carries no client count, so the configuration's (or a
+// campaign's clients axis) sizes every BSS that does not state its
+// own.
+type topology struct {
+	geometry *channel.Geometry
+	bsss     []node.BSSSpec
 }
 
-// RegisterTopology names a topology built from opts (position/BSS/
-// geometry options). Registering an existing name replaces it.
-func RegisterTopology(name, desc string, opts ...Option) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	topoRegistry[name] = topoEntry{desc: desc, opts: opts}
+// apply replaces the configuration's geometry and BSS list with the
+// topology's, so nothing of the layout it is applied over survives.
+func (t topology) apply(c *node.Config) {
+	c.Geometry = t.geometry
+	c.BSSs = append([]node.BSSSpec(nil), t.bsss...)
 }
 
-// TopologyOption returns a single option applying the named topology,
-// and whether the name is registered.
-func TopologyOption(name string) (Option, bool) {
-	regMu.RLock()
-	e, ok := topoRegistry[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, false
-	}
-	return func(c *node.Config) {
-		for _, o := range e.opts {
-			o(c)
-		}
-	}, true
-}
-
-// TopologyNames lists registered topology names, sorted.
-func TopologyNames() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(topoRegistry))
-	for n := range topoRegistry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Canonical spatial layouts. Under the default geometry the sense/
-// delivery range is ≈51.5 m, so:
+// topologies names the canonical layouts that campaigns sweep as the
+// "topology" axis. Under the default geometry the sense/delivery range
+// is ≈51.5 m, so:
 //
+//   - default: one collision domain, the paper's star (no geometry,
+//     no BSS list).
 //   - 2bss-hidden: APs 80 m apart (mutually hidden) with client
 //     clusters at 25 m and 55 m — each cluster decodes its own AP but
 //     the APs cannot sense each other, so their downlink bursts
@@ -115,32 +90,42 @@ func TopologyNames() []string {
 //     the BSSs defer to each other and share airtime politely (the
 //     exposed-terminal regime; no extra collisions, but each BSS sees
 //     roughly half the medium).
-//   - grid-3x3-dense: one BSS, nine clients on a 5 m grid — the dense
-//     deployment where everyone senses everyone.
-func init() {
-	RegisterTopology("default", "one collision domain, legacy star topology")
-	RegisterTopology("2bss-hidden",
-		"two BSSs 80 m apart, mutually hidden APs, client clusters in the crossfire",
-		WithPathLoss(),
-		WithBSSLayout(
-			clusteredBSS(channel.Pos{}, channel.Pos{X: 25}),
-			clusteredBSS(channel.Pos{X: 80}, channel.Pos{X: 55}),
-		))
-	RegisterTopology("2bss-overlap",
-		"two BSSs 30 m apart, inside carrier-sense range, politely sharing airtime",
-		WithPathLoss(),
-		WithBSSLayout(
-			node.BSSSpec{APPos: channel.Pos{}},
-			node.BSSSpec{APPos: channel.Pos{X: 30}},
-		))
-	RegisterTopology("grid-3x3-dense",
-		"one BSS, nine clients on a 5 m grid under the spatial PHY",
-		WithPathLoss(), WithGrid(9, 5))
+//   - grid-3x3-dense: one BSS whose clients sit on a 3×3 grid with 5 m
+//     spacing — the dense deployment where everyone senses everyone.
+//
+// The table is built once, as the package initializes, and only read
+// after that.
+var topologies = map[string]topology{
+	"default": {},
+	"2bss-hidden": {channel.DefaultGeometry(), []node.BSSSpec{
+		clusteredBSS(channel.Pos{}, channel.Pos{X: 25}),
+		clusteredBSS(channel.Pos{X: 80}, channel.Pos{X: 55}),
+	}},
+	"2bss-overlap": {channel.DefaultGeometry(), []node.BSSSpec{
+		{APPos: channel.Pos{}},
+		{APPos: channel.Pos{X: 30}},
+	}},
+	"grid-3x3-dense": {channel.DefaultGeometry(), []node.BSSSpec{gridBSS(9, 5)}},
+}
 
-	for _, t := range []string{"2bss-hidden", "2bss-overlap", "grid-3x3-dense"} {
-		topo, _ := TopologyOption(t)
-		Register(t,
-			"150 Mbps 802.11n on the spatial PHY, topology "+t,
-			With80211n(), topo)
+// TopologyOption returns the option that applies the named topology,
+// and whether the name is registered. The topology replaces the
+// configuration's geometry and BSS list and leaves its client count
+// alone.
+func TopologyOption(name string) (Option, bool) {
+	t, ok := topologies[name]
+	if !ok {
+		return nil, false
 	}
+	return t.apply, true
+}
+
+// TopologyNames lists the registered topology names, sorted.
+func TopologyNames() []string {
+	names := make([]string, 0, len(topologies))
+	for n := range topologies {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }

@@ -182,8 +182,6 @@ var (
 	WithBSSLayout = scenario.WithBSSLayout
 	// WithWire sets the server—AP wired backhaul.
 	WithWire = scenario.WithWire
-	// WithConfig overlays arbitrary NetworkConfig edits.
-	WithConfig = scenario.WithConfig
 )
 
 // Scenarios lists the named scenarios in the registry, sorted by name.
@@ -220,15 +218,9 @@ type (
 // threshold and delivery floor and ideal capture.
 func DefaultGeometry() *Geometry { return channel.DefaultGeometry() }
 
-// TopologyNames lists registered topology names, sorted — the
+// TopologyNames lists the registered topology names, sorted — the
 // vocabulary of the campaign topology axis.
 func TopologyNames() []string { return scenario.TopologyNames() }
-
-// RegisterTopology names a topology built from opts for the campaign
-// topology axis; registering an existing name replaces it.
-func RegisterTopology(name, desc string, opts ...ScenarioOption) {
-	scenario.RegisterTopology(name, desc, opts...)
-}
 
 // RateStats is one rate's learned state in a Minstrel adapter
 // (see Network.APMinstrelStats / Network.ClientMinstrelStats and
@@ -315,7 +307,6 @@ const (
 
 // Time units.
 const (
-	Microsecond = sim.Microsecond
 	Millisecond = sim.Millisecond
 	Second      = sim.Second
 )
